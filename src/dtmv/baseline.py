@@ -1,10 +1,10 @@
 """Continuous-time mean-variance learner run on the discrete monthly grid.
 
-This is the comparator: the same episodic protocol as the discrete learner,
-but with value surface and policy taken from the continuous-time construction,
-which ignores riskless compounding inside its functional forms (the state
-deviation is x - w with no horizon discounting).  Time steps enter only
-through the grid spacing dt, fixed at 1 period in all comparisons here.
+This is the comparator: the same episodic protocol as the discrete learner
+(dtmv.learner.run_training), but with value surface and policy taken from the
+continuous-time construction, which ignores riskless compounding inside its
+functional forms (the state deviation is x - w with no horizon discounting).
+The period is the unit of time.
 """
 
 from __future__ import annotations
@@ -16,17 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from dtmv.analytic import GaussianPolicy, ProblemSpec
-from dtmv.learner import (
-    DIVERGENCE_COST,
-    PHI2_MARGIN,
-    Episode,
-    HyperParams,
-    InfeasiblePolicyError,
-    LagrangeState,
-    TrainingDivergedError,
-    update_w,
-)
-from dtmv.market import ReturnModel, sample_path, step_wealth
+from dtmv.learner import PHI2_MARGIN, HyperParams, InfeasiblePolicyError, Learner, run_training
+from dtmv.market import ReturnModel
+from dtmv.market import sample_path  # noqa: F401  (perfbench/spans.py wraps this binding)
 
 ALGORITHM_CONTINUOUS = "emv-continuous"
 
@@ -65,12 +57,11 @@ class BaselineResult:
 
 def default_baseline_params(spec: ProblemSpec) -> BaselineParams:
     """Same cold start as the discrete learner; w begins at the target b."""
-    return BaselineParams(theta2=0.0, theta3=0.0, theta4=0.0, phi1=1.0, phi2=0.01, w=spec.b)
+    # the comparator's cold start does not depend on r_f
+    return CONTINUOUS.cold_start(spec, None, HyperParams.init_phi1, HyperParams.init_phi2)
 
 
-def baseline_policy(
-    params: BaselineParams, spec: ProblemSpec, t: int, x: float, dt: float = 1.0
-) -> GaussianPolicy:
+def baseline_policy(params: BaselineParams, spec: ProblemSpec, t: int, x: float) -> GaussianPolicy:
     """Gaussian control density of the continuous-time learner at (t, x).
 
     The mean is independent of the riskless rate by construction.  Requires
@@ -86,62 +77,37 @@ def baseline_policy(
         * math.exp((2.0 * params.phi1 - 1.0) / 2.0)
         * dev
     )
-    variance = math.exp(2.0 * params.phi2 * (spec.T - t) * dt + 2.0 * params.phi1 - 1.0) / (
+    variance = math.exp(2.0 * params.phi2 * (spec.T - t) + 2.0 * params.phi1 - 1.0) / (
         2.0 * math.pi
     )
     return GaussianPolicy(mean, variance)
 
 
-def baseline_entropy(params: BaselineParams, spec: ProblemSpec, t: int, dt: float = 1.0) -> float:
+def baseline_entropy(params: BaselineParams, spec: ProblemSpec, t: int) -> float:
     if not 0 <= t < spec.T:
         raise ValueError(f"t={t} outside 0..{spec.T - 1}")
-    return params.phi1 + params.phi2 * (spec.T - t) * dt
+    return params.phi1 + params.phi2 * (spec.T - t)
 
 
-def baseline_value(
-    params: BaselineParams, spec: ProblemSpec, t: int, x: float, dt: float = 1.0
-) -> float:
+def baseline_value(params: BaselineParams, spec: ProblemSpec, t: int, x: float) -> float:
     if not 0 <= t <= spec.T:
         raise ValueError(f"t={t} outside 0..{spec.T}")
     dev = x - params.w
-    tau = t * dt
     return (
-        dev * dev * math.exp(-2.0 * params.phi2 * (spec.T - t) * dt)
-        + params.theta2 * tau * tau
-        + params.theta3 * tau
+        dev * dev * math.exp(-2.0 * params.phi2 * (spec.T - t))
+        + params.theta2 * t * t
+        + params.theta3 * t
         + params.theta4
     )
-
-
-def _sample_episode(
-    params: BaselineParams,
-    model: ReturnModel,
-    spec: ProblemSpec,
-    r_f: float,
-    rng: np.random.Generator,
-    dt: float,
-) -> Episode:
-    returns = sample_path(model, spec.T, rng)
-    wealth = [spec.x0]
-    controls = []
-    x = spec.x0
-    for t in range(spec.T):
-        pol = baseline_policy(params, spec, t, x, dt)
-        u = pol.mean + math.sqrt(pol.variance) * rng.standard_normal()
-        x = step_wealth(x, u, float(returns[t]), r_f)
-        controls.append(u)
-        wealth.append(x)
-    return Episode(tuple(wealth), tuple(controls), tuple(returns))
 
 
 def _residual_terms(
     samples: Sequence[Tuple[int, float]],
     params: BaselineParams,
     spec: ProblemSpec,
-    dt: float,
-) -> List[Tuple[float, float, float, float]]:
-    """Per-transition (residual, dres/dphi2, dres/dtheta2, t) terms of the
-    temporal-difference cost."""
+) -> List[Tuple[float, float, int]]:
+    """Per-transition (residual, dres/dphi2, dres/dtheta2) terms of the
+    temporal-difference cost; dres/dtheta3 is 1."""
     T, lam = spec.T, spec.lam
     out = []
     for (t0, x0), (t1, x1) in zip(samples, samples[1:]):
@@ -149,46 +115,36 @@ def _residual_terms(
             raise ValueError("samples must carry consecutive periods")
         dev0 = x0 - params.w
         dev1 = x1 - params.w
-        q0 = dev0 * dev0 * math.exp(-2.0 * params.phi2 * (T - t0) * dt)
-        q1 = dev1 * dev1 * math.exp(-2.0 * params.phi2 * (T - t1) * dt)
-        tau0, tau1 = t0 * dt, t1 * dt
+        q0 = dev0 * dev0 * math.exp(-2.0 * params.phi2 * (T - t0))
+        q1 = dev1 * dev1 * math.exp(-2.0 * params.phi2 * (T - t1))
         res = (
             q1
             - q0
-            + params.theta2 * (tau1 * tau1 - tau0 * tau0)
-            + params.theta3 * (tau1 - tau0)
-            - lam * (params.phi1 + params.phi2 * (T - t0) * dt) * dt
+            + params.theta2 * (t1 * t1 - t0 * t0)
+            + params.theta3
+            - lam * (params.phi1 + params.phi2 * (T - t0))
         )
-        dres_dphi2 = (
-            2.0 * (T - t0) * dt * q0 - 2.0 * (T - t1) * dt * q1 - lam * (T - t0) * dt * dt
-        )
-        dres_dtheta2 = tau1 * tau1 - tau0 * tau0
-        out.append((res, dres_dphi2, dres_dtheta2, tau1 - tau0))
+        dres_dphi2 = 2.0 * (T - t0) * q0 - 2.0 * (T - t1) * q1 - lam * (T - t0)
+        out.append((res, dres_dphi2, t1 * t1 - t0 * t0))
     return out
 
 
 def baseline_cost(
-    samples: Sequence[Tuple[int, float]],
-    params: BaselineParams,
-    spec: ProblemSpec,
-    dt: float = 1.0,
+    samples: Sequence[Tuple[int, float]], params: BaselineParams, spec: ProblemSpec
 ) -> float:
-    terms = _residual_terms(samples, params, spec, dt)
-    return 0.5 * sum(res * res for res, _, _, _ in terms)
+    terms = _residual_terms(samples, params, spec)
+    return 0.5 * sum(res * res for res, _, _ in terms)
 
 
 def baseline_gradients(
-    samples: Sequence[Tuple[int, float]],
-    params: BaselineParams,
-    spec: ProblemSpec,
-    dt: float = 1.0,
+    samples: Sequence[Tuple[int, float]], params: BaselineParams, spec: ProblemSpec
 ) -> Tuple[float, float, float, float]:
     """Cost gradient in (theta2, theta3, phi1, phi2)."""
-    terms = _residual_terms(samples, params, spec, dt)
-    g_t2 = sum(res * d2 for res, _, d2, _ in terms)
-    g_t3 = sum(res * dtau for res, _, _, dtau in terms)
-    g_p1 = -spec.lam * dt * sum(res for res, _, _, _ in terms)
-    g_p2 = sum(res * dphi for res, dphi, _, _ in terms)
+    terms = _residual_terms(samples, params, spec)
+    g_t2 = sum(res * d2 for res, _, d2 in terms)
+    g_t3 = sum(res for res, _, _ in terms)
+    g_p1 = -spec.lam * g_t3
+    g_p2 = sum(res * dphi for res, dphi, _ in terms)
     return g_t2, g_t3, g_p1, g_p2
 
 
@@ -198,7 +154,6 @@ def baseline_apply_updates(
     eta_theta: float,
     eta_phi: float,
     spec: ProblemSpec,
-    dt: float = 1.0,
 ) -> BaselineParams:
     """Gradient steps, phi2 projected positive, theta4 pinned to the terminal
     condition baseline_value(T, x) = (x - w)^2 - (w - b)^2."""
@@ -209,9 +164,21 @@ def baseline_apply_updates(
     phi2 = params.phi2 - eta_phi * g_p2
     if phi2 < PHI2_MARGIN:
         phi2 = PHI2_MARGIN
-    tau_end = spec.T * dt
-    theta4 = -theta2 * tau_end * tau_end - theta3 * tau_end - (params.w - spec.b) ** 2
+    theta4 = -theta2 * spec.T * spec.T - theta3 * spec.T - (params.w - spec.b) ** 2
     return BaselineParams(theta2, theta3, theta4, phi1, phi2, params.w)
+
+
+CONTINUOUS = Learner(
+    cold_start=lambda spec, r_f, phi1, phi2: BaselineParams(0.0, 0.0, 0.0, phi1, phi2, spec.b),
+    policy=lambda p, spec, r_f, t, x: baseline_policy(p, spec, t, x),
+    gradients=lambda samples, p, spec, r_f: baseline_gradients(samples, p, spec),
+    apply_updates=lambda p, grads, hyper, r_f: baseline_apply_updates(
+        p, grads, hyper.eta_theta, hyper.eta_phi, hyper.spec
+    ),
+    cost=lambda samples, p, spec, r_f: baseline_cost(samples, p, spec),
+    fields=lambda p: dict(vars(p)),
+    record=BaselineRecord,
+)
 
 
 def baseline_train(
@@ -220,51 +187,8 @@ def baseline_train(
     r_f: float,
     rng: np.random.Generator,
     init: Optional[BaselineParams] = None,
-    dt: float = 1.0,
 ) -> BaselineResult:
-    """Episodic training with the same skeleton as the discrete learner:
-    growing-prefix updates within each episode, w corrected every
-    refresh_every episodes from recent terminal wealths."""
-    spec = hyper.spec
-    params = init if init is not None else default_baseline_params(spec)
-    lag = LagrangeState(w=params.w, alpha=hyper.alpha)
-    history: List[BaselineRecord] = []
-
-    for ep in range(1, hyper.episodes + 1):
-        episode = _sample_episode(params, model, spec, r_f, rng, dt)
-        states = episode.states
-        if hyper.prefix_updates:
-            prefixes = [states[: i + 1] for i in range(1, spec.T + 1)]
-        else:
-            prefixes = [states]
-        for sample in prefixes:
-            grads = baseline_gradients(sample, params, spec, dt)
-            params = baseline_apply_updates(params, grads, hyper.eta_theta, hyper.eta_phi, spec, dt)
-
-        lag.terminal_wealths.append(episode.terminal_wealth)
-        if ep % hyper.refresh_every == 0:
-            update_w(lag, spec.b, hyper.refresh_every)
-            params = BaselineParams(
-                params.theta2, params.theta3, params.theta4, params.phi1, params.phi2, lag.w
-            )
-
-        final_cost = baseline_cost(states, params, spec, dt)
-        fields = (params.theta2, params.theta3, params.theta4, params.phi1, params.phi2, params.w)
-        if not all(math.isfinite(v) for v in fields) or not math.isfinite(final_cost) or abs(
-            final_cost
-        ) > DIVERGENCE_COST:
-            raise TrainingDivergedError(f"baseline training diverged at episode {ep}")
-        history.append(
-            BaselineRecord(
-                episode=ep,
-                terminal_wealth=episode.terminal_wealth,
-                theta2=params.theta2,
-                theta3=params.theta3,
-                theta4=params.theta4,
-                phi1=params.phi1,
-                phi2=params.phi2,
-                w=params.w,
-            )
-        )
-
-    return BaselineResult(params=params, history=tuple(history))
+    """Run the comparator for hyper.episodes episodes (run_training), from
+    init or from the cold start in hyper."""
+    params, history = run_training(CONTINUOUS, hyper, model, r_f, rng, init)
+    return BaselineResult(params=params, history=history)

@@ -34,12 +34,10 @@ from .analytic import (
     optimal_policy,
     optimal_value,
 )
-from .baseline import (
-    ALGORITHM_CONTINUOUS,
-    BaselineParams,
-    baseline_train,
-)
+from .baseline import ALGORITHM_CONTINUOUS, baseline_train
 from .evaluation import (
+    ALGORITHMS,
+    LEARNERS,
     PerformanceReport,
     RollingSpec,
     SplitSpec,
@@ -52,14 +50,7 @@ from .evaluation import (
     terminal_stats,
     write_report_csv,
 )
-from .learner import (
-    ALGORITHM_DISCRETE,
-    HyperParams,
-    PolicyParams,
-    ValueParams,
-    save_checkpoint,
-    train,
-)
+from .learner import ALGORITHM_DISCRETE, HyperParams, save_checkpoint, train
 from .market import (
     RNG_ALGORITHM,
     Historical,
@@ -257,7 +248,7 @@ def load_config(path: Optional[str]) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     if cfg.market.model not in ("normal", "skewt", "historical"):
         raise ConfigError(f"config: unknown market.model {cfg.market.model!r}")
-    if cfg.learning.algorithm not in (ALGORITHM_DISCRETE, ALGORITHM_CONTINUOUS):
+    if cfg.learning.algorithm not in LEARNERS:
         raise ConfigError(f"config: unknown learning.algorithm {cfg.learning.algorithm!r}")
     if cfg.run.rng_algorithm != RNG_ALGORITHM:
         raise ConfigError(f"config: run.rng_algorithm must be {RNG_ALGORITHM}")
@@ -319,16 +310,8 @@ def problem_spec(cfg: RunConfig) -> ProblemSpec:
 
 
 def hyper_params(cfg: RunConfig, spec: ProblemSpec) -> HyperParams:
-    lc = cfg.learning
-    return HyperParams(
-        spec=spec,
-        eta_theta=lc.eta_theta,
-        eta_phi=lc.eta_phi,
-        alpha=lc.alpha,
-        episodes=lc.episodes,
-        refresh_every=lc.refresh_every,
-        prefix_updates=lc.prefix_updates,
-    )
+    training = {k: v for k, v in vars(cfg.learning).items() if k != "algorithm"}
+    return HyperParams(spec=spec, **training)
 
 
 def _resolve_w(cfg: RunConfig, m: MarketModel, spec: ProblemSpec) -> float:
@@ -359,19 +342,6 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-def _discrete_init(cfg: RunConfig) -> Tuple[ValueParams, PolicyParams]:
-    lc = cfg.learning
-    phi = PolicyParams(lc.init_phi1, lc.init_phi2)
-    # w starts at b, so the terminal constant starts at zero
-    theta = ValueParams(math.exp(-2.0 * phi.phi2), 0.0, 0.0, 0.0)
-    return theta, phi
-
-
-def _baseline_init(cfg: RunConfig, spec: ProblemSpec) -> BaselineParams:
-    lc = cfg.learning
-    return BaselineParams(0.0, 0.0, 0.0, lc.init_phi1, lc.init_phi2, spec.b)
 
 
 # ---------------------------------------------------------------------------
@@ -443,42 +413,22 @@ def cmd_iterate(cfg: RunConfig, out: str) -> None:
 
 
 def _train_one(cfg: RunConfig, algorithm: str, seed: int, stream: int):
-    """Train one cell; returns (terminal wealths, params dict, rng, label)."""
-    spec = problem_spec(cfg)
-    hyper = hyper_params(cfg, spec)
+    """Train one cell; returns (result, rng).  The trainer is looked up per
+    call, as in dtmv.evaluation._train."""
     model, r_f = build_model(cfg.market)
     rng = make_rng(seed, stream)
-    if algorithm == ALGORITHM_DISCRETE:
-        result = train(hyper, model, r_f, rng, init=_discrete_init(cfg))
-        params = {
-            "theta1": result.theta.theta1,
-            "theta2": result.theta.theta2,
-            "theta3": result.theta.theta3,
-            "theta4": result.theta.theta4,
-            "phi1": result.phi.phi1,
-            "phi2": result.phi.phi2,
-            "w": result.w,
-        }
-    else:
-        result = baseline_train(hyper, model, r_f, rng, init=_baseline_init(cfg, spec))
-        p = result.params
-        params = {
-            "theta2": p.theta2,
-            "theta3": p.theta3,
-            "theta4": p.theta4,
-            "phi1": p.phi1,
-            "phi2": p.phi2,
-            "w": p.w,
-        }
-    return result, params, rng
+    trainer = {ALGORITHM_DISCRETE: train, ALGORITHM_CONTINUOUS: baseline_train}[algorithm]
+    return trainer(hyper_params(cfg, problem_spec(cfg)), model, r_f, rng), rng
 
 
 def cmd_train(cfg: RunConfig, out: str, seed_override: Optional[int]) -> None:
-    """Single training run: per-episode log, resumable checkpoint, and a
+    """Single training run: per-episode log, a checkpoint of the final
+    parameters and generator state (no command reads it back yet), and a
     test-window report row."""
     seed = cfg.run.seed if seed_override is None else seed_override
     algorithm = cfg.learning.algorithm
-    result, params, rng = _train_one(cfg, algorithm, seed, stream=0)
+    result, rng = _train_one(cfg, algorithm, seed, stream=0)
+    params = LEARNERS[algorithm].fields(result.params)
     log_lines = [
         json.dumps(dataclasses.asdict(rec), sort_keys=True) for rec in result.history
     ]
@@ -542,9 +492,9 @@ def cmd_compare(cfg: RunConfig, out: str, seed_override: Optional[int]) -> None:
     report_rows = []
     curve_rows = []
     stable: Dict[str, List[str]] = {}
-    for stream, algorithm in enumerate((ALGORITHM_DISCRETE, ALGORITHM_CONTINUOUS)):
+    for stream, algorithm in enumerate(ALGORITHMS):
         for seed in seeds:
-            result, _params, _rng = _train_one(cfg, algorithm, seed, stream)
+            result, _rng = _train_one(cfg, algorithm, seed, stream)
             tws = [rec.terminal_wealth for rec in result.history]
             tail = tws[-cfg.evaluation.test_episodes:]
             mean, std, sharpe, n = terminal_stats(tail, cfg.problem.x0)

@@ -10,7 +10,6 @@ through the wealth dynamics).
 from __future__ import annotations
 
 import csv
-import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -19,23 +18,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from dtmv.analytic import ProblemSpec
-from dtmv.baseline import (
-    ALGORITHM_CONTINUOUS,
-    baseline_apply_updates,
-    baseline_gradients,
-    baseline_policy,
-    baseline_train,
-)
+from dtmv.baseline import ALGORITHM_CONTINUOUS, CONTINUOUS, baseline_train
 from dtmv.learner import (
     ALGORITHM_DISCRETE,
+    DISCRETE,
     HyperParams,
     LagrangeState,
-    apply_updates,
-    grad_phi,
-    grad_theta,
-    policy_from_params,
+    episode_step,
     train,
-    update_w,
 )
 from dtmv.market import (
     Historical,
@@ -45,12 +35,12 @@ from dtmv.market import (
     RngStream,
     month_index,
     month_label,
-    step_wealth,
 )
 
 REPORT_HEADER = ("setting", "algorithm", "seed", "mean_return", "std_return", "sharpe", "n")
 
-ALGORITHMS = (ALGORITHM_DISCRETE, ALGORITHM_CONTINUOUS)
+LEARNERS = {ALGORITHM_DISCRETE: DISCRETE, ALGORITHM_CONTINUOUS: CONTINUOUS}
+ALGORITHMS = tuple(LEARNERS)
 
 
 class StatsError(ValueError):
@@ -196,15 +186,17 @@ def mv_objective(
 # ---------------------------------------------------------------------------
 
 
+def _train(algorithm: str, hyper: HyperParams, model: ReturnModel, r_f: float, rng):
+    # the table is built per call, so a wrapper installed later on this
+    # module's train or baseline_train (perfbench/spans.py) sees every cell
+    trainer = {ALGORITHM_DISCRETE: train, ALGORITHM_CONTINUOUS: baseline_train}[algorithm]
+    return trainer(hyper, model, r_f, rng)
+
+
 def _study_cell(args) -> PerformanceReport:
     label, model, r_f, hyper, test_episodes, algorithm, seed, stream = args
     rng = RngStream(seed=seed, stream=stream).generator()
-    if algorithm == ALGORITHM_DISCRETE:
-        history = train(hyper, model, r_f, rng).history
-    elif algorithm == ALGORITHM_CONTINUOUS:
-        history = baseline_train(hyper, model, r_f, rng).history
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    history = _train(algorithm, hyper, model, r_f, rng).history
     tail = [rec.terminal_wealth for rec in history[-test_episodes:]]
     mean, std, sharpe, n = terminal_stats(tail, hyper.spec.x0)
     return PerformanceReport(label, algorithm, seed, mean, std, sharpe, n)
@@ -290,50 +282,6 @@ def median_summary(rows: Sequence[PerformanceReport]) -> List[Dict[str, object]]
 # ---------------------------------------------------------------------------
 
 
-def _execute_window_discrete(theta, phi, lag, hyper, r_f, returns, rng, online):
-    """Run one horizon window under the discrete policy; optionally keep
-    learning from it.  Returns (terminal wealth, theta, phi)."""
-    spec = hyper.spec
-    x = spec.x0
-    wealth = [x]
-    for t in range(spec.T):
-        pol = policy_from_params(phi, spec, r_f, t, x, lag.w)
-        u = pol.mean + math.sqrt(pol.variance) * rng.standard_normal()
-        x = step_wealth(x, u, float(returns[t]), r_f)
-        wealth.append(x)
-    if online:
-        states = tuple(enumerate(wealth))
-        prefixes = [states[: i + 1] for i in range(1, spec.T + 1)] if hyper.prefix_updates else [states]
-        for sample in prefixes:
-            g_t = grad_theta(sample, theta, phi, lag.w, spec, r_f)
-            g_p = grad_phi(sample, theta, phi, lag.w, spec, r_f)
-            theta, phi = apply_updates(
-                theta, phi, g_t + g_p, hyper.eta_theta, hyper.eta_phi, lag.w, spec, r_f
-            )
-        lag.terminal_wealths.append(x)
-        if len(lag.terminal_wealths) % hyper.refresh_every == 0:
-            update_w(lag, spec.b, hyper.refresh_every)
-    return x, theta, phi
-
-
-def _execute_window_baseline(params, hyper, r_f, returns, rng, online):
-    spec = hyper.spec
-    x = spec.x0
-    wealth = [x]
-    for t in range(spec.T):
-        pol = baseline_policy(params, spec, t, x)
-        u = pol.mean + math.sqrt(pol.variance) * rng.standard_normal()
-        x = step_wealth(x, u, float(returns[t]), r_f)
-        wealth.append(x)
-    if online:
-        states = tuple(enumerate(wealth))
-        prefixes = [states[: i + 1] for i in range(1, spec.T + 1)] if hyper.prefix_updates else [states]
-        for sample in prefixes:
-            grads = baseline_gradients(sample, params, spec)
-            params = baseline_apply_updates(params, grads, hyper.eta_theta, hyper.eta_phi, spec)
-    return x, params
-
-
 def _backtest_cell(args) -> PerformanceReport:
     series, rolling, hyper, r_f, year, target, algorithm, seed, stream = args
     spec = replace(hyper.spec, b=target)
@@ -355,27 +303,15 @@ def _backtest_cell(args) -> PerformanceReport:
     rng = RngStream(seed=seed, stream=stream).generator()
     model = Historical(train_series, mode="random-window")
 
+    params = _train(algorithm, hyper, model, r_f, rng).params
+    lag = LagrangeState(w=params.w, alpha=hyper.alpha)
     wealths: List[float] = []
-    if algorithm == ALGORITHM_DISCRETE:
-        result = train(hyper, model, r_f, rng)
-        theta, phi = result.theta, result.phi
-        lag = LagrangeState(w=result.w, alpha=hyper.alpha)
-        for j in range(n_windows):
-            window = test_values[j * rolling.horizon_months : (j + 1) * rolling.horizon_months]
-            x_t, theta, phi = _execute_window_discrete(
-                theta, phi, lag, hyper, r_f, window, rng, rolling.online_test
-            )
-            wealths.append(x_t)
-    elif algorithm == ALGORITHM_CONTINUOUS:
-        params = baseline_train(hyper, model, r_f, rng).params
-        for j in range(n_windows):
-            window = test_values[j * rolling.horizon_months : (j + 1) * rolling.horizon_months]
-            x_t, params = _execute_window_baseline(
-                params, hyper, r_f, window, rng, rolling.online_test
-            )
-            wealths.append(x_t)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    for j in range(n_windows):
+        window = test_values[j * rolling.horizon_months : (j + 1) * rolling.horizon_months]
+        episode, params = episode_step(
+            LEARNERS[algorithm], params, lag, hyper, r_f, window, rng, rolling.online_test
+        )
+        wealths.append(episode.terminal_wealth)
 
     mean, std, sharpe, n = terminal_stats(wealths, spec.x0)
     return PerformanceReport(label, algorithm, seed, mean, std, sharpe, n)
@@ -395,7 +331,9 @@ def rolling_backtest(
     immediately preceding the test period (episodes are random contiguous
     horizon windows of the training months), then execute the trained policy
     on the sequential nonoverlapping windows of the test period.  Parameters
-    stay frozen during testing unless rolling.online_test is set.
+    stay frozen during testing unless rolling.online_test is set; then every
+    test window is one more training episode (episode_step), w refresh
+    included.
 
     Returns len(test_years) * len(targets) * 2 rows in (year, target,
     algorithm) order.  Raises InsufficientDataError naming the first month

@@ -7,13 +7,18 @@ terminal wealths.  The policy's scale phi1 is not identified by that cost
 and keeps its initial value (see apply_updates); this departs from a plain
 gradient step on every parameter.  The riskless factor r_f is treated as
 known.
+
+The episodic protocol (rollout, growing-prefix updates, w refresh, divergence
+check) is written once, in episode_step and run_training, for any Learner:
+DISCRETE here and the comparator dtmv.baseline.CONTINUOUS.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,8 +76,9 @@ class LagrangeState:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Training configuration.  episodes is the total episode budget M and
-    refresh_every the period N of the w update."""
+    """Training configuration.  episodes is the total episode budget M,
+    refresh_every the period N of the w update, and (init_phi1, init_phi2)
+    the policy parameters of the cold start."""
 
     spec: ProblemSpec
     eta_theta: float = 0.0005
@@ -81,6 +87,8 @@ class HyperParams:
     episodes: int = 15000
     refresh_every: int = 10
     prefix_updates: bool = True
+    init_phi1: float = 1.0
+    init_phi2: float = 0.01
 
     def __post_init__(self) -> None:
         if self.episodes < 0:
@@ -129,12 +137,25 @@ class EpisodeRecord:
 
 
 @dataclass(frozen=True)
+class DiscreteParams:
+    """Discrete learner state: value surface, policy and the Lagrange target w."""
+
+    theta: ValueParams
+    phi: PolicyParams
+    w: float
+
+
+@dataclass(frozen=True)
 class TrainResult:
     theta: ValueParams
     phi: PolicyParams
     w: float
     history: Tuple[EpisodeRecord, ...]
     algorithm: str = ALGORITHM_DISCRETE
+
+    @property
+    def params(self) -> DiscreteParams:
+        return DiscreteParams(self.theta, self.phi, self.w)
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +207,40 @@ def value_from_params(
     )
 
 
+def cold_start(spec: ProblemSpec, r_f: float, phi1: float, phi2: float) -> DiscreteParams:
+    """Initial state from the policy parameters: flat value drift terms,
+    theta1 linked to phi2, w at the target b."""
+    if phi2 <= -math.log(r_f):
+        raise InfeasiblePolicyError(f"initial phi2={phi2} infeasible for r_f={r_f}")
+    theta = ValueParams(math.exp(-2.0 * phi2), 0.0, 0.0, 0.0)
+    # w starts at b, so the terminal constant starts at zero
+    return DiscreteParams(theta, PolicyParams(phi1, phi2), spec.b)
+
+
 def default_params(spec: ProblemSpec, r_f: float) -> Tuple[ValueParams, PolicyParams]:
     """Standard cold start: flat value drift terms, mild exploration decay."""
-    phi = PolicyParams(phi1=1.0, phi2=0.01)
-    if phi.phi2 <= -math.log(r_f):
-        raise InfeasiblePolicyError("default phi2 infeasible for this r_f")
-    theta1 = math.exp(-2.0 * phi.phi2)
-    # w starts at b, so the terminal constant starts at zero
-    return ValueParams(theta1, 0.0, 0.0, 0.0), phi
+    p = cold_start(spec, r_f, HyperParams.init_phi1, HyperParams.init_phi2)
+    return p.theta, p.phi
 
 
 # ---------------------------------------------------------------------------
 # episode sampling
 # ---------------------------------------------------------------------------
+
+
+def rollout(policy, returns, spec: ProblemSpec, r_f: float, rng) -> Episode:
+    """Run one trajectory from x0 over the given excess returns, drawing one
+    control per period from the GaussianPolicy policy(t, x)."""
+    wealth = [spec.x0]
+    controls = []
+    x = spec.x0
+    for t in range(spec.T):
+        pol = policy(t, x)
+        u = pol.mean + math.sqrt(pol.variance) * rng.standard_normal()
+        x = step_wealth(x, u, float(returns[t]), r_f)
+        controls.append(u)
+        wealth.append(x)
+    return Episode(tuple(wealth), tuple(controls), tuple(returns))
 
 
 def sample_episode(
@@ -211,16 +253,9 @@ def sample_episode(
 ) -> Episode:
     """Roll out one trajectory from x0 under the current stochastic policy."""
     returns = sample_path(model, spec.T, rng)
-    wealth = [spec.x0]
-    controls = []
-    x = spec.x0
-    for t in range(spec.T):
-        pol = policy_from_params(phi, spec, r_f, t, x, w)
-        u = pol.mean + math.sqrt(pol.variance) * rng.standard_normal()
-        x = step_wealth(x, u, float(returns[t]), r_f)
-        controls.append(u)
-        wealth.append(x)
-    return Episode(tuple(wealth), tuple(controls), tuple(returns))
+    return rollout(
+        lambda t, x: policy_from_params(phi, spec, r_f, t, x, w), returns, spec, r_f, rng
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +278,13 @@ def _residual_terms(
     w: float,
     spec: ProblemSpec,
     r_f: float,
-) -> List[Tuple[float, float, float, int]]:
-    """Per-transition (residual, d_residual/d_phi2 bracket, sum weight) terms.
+) -> List[Tuple[float, float, float]]:
+    """Per-transition (residual, d_residual/d_phi2, d_residual/d_theta2) terms
+    of samples already checked by the caller.
 
-    Returns tuples (res, dres_dphi2, two_t_plus_one, t).  theta1 is always
-    taken as exp(-2*phi2): the value surface and the policy share phi2.
+    theta1 is always taken as exp(-2*phi2): the value surface and the policy
+    share phi2.
     """
-    _check_samples(samples, spec.T)
     T, lam = spec.T, spec.lam
     e2 = math.exp(-2.0 * phi.phi2)
     out = []
@@ -266,8 +301,21 @@ def _residual_terms(
             - lam * (phi.phi1 + phi.phi2 * (T - t0 - 1))
         )
         dres_dphi2 = 2.0 * (T - t0) * q0 - 2.0 * (T - t1) * q1 - lam * (T - t0 - 1)
-        out.append((res, dres_dphi2, 2.0 * t0 + 1.0, t0))
+        out.append((res, dres_dphi2, 2.0 * t0 + 1.0))
     return out
+
+
+def _gradients(samples, p: DiscreteParams, spec: ProblemSpec, r_f: float):
+    """Cost gradient in (theta2, theta3, phi1, phi2) from one pass over the
+    transitions of samples already checked by the caller."""
+    terms = _residual_terms(samples, p.theta, p.phi, p.w, spec, r_f)
+    g_res = sum(res for res, _, _ in terms)
+    return (
+        sum(res * wt for res, _, wt in terms),
+        g_res,
+        -spec.lam * g_res,
+        sum(res * dres for res, dres, _ in terms),
+    )
 
 
 def cost(
@@ -282,8 +330,9 @@ def cost(
 
     An empty or single-state sample list has no transitions and costs 0.
     """
+    _check_samples(samples, spec.T)
     terms = _residual_terms(samples, theta, phi, w, spec, r_f)
-    return 0.5 * sum(res * res for res, _, _, _ in terms)
+    return 0.5 * sum(res * res for res, _, _ in terms)
 
 
 def grad_theta(
@@ -295,10 +344,8 @@ def grad_theta(
     r_f: float,
 ) -> Tuple[float, float]:
     """Cost gradient in (theta2, theta3)."""
-    terms = _residual_terms(samples, theta, phi, w, spec, r_f)
-    g2 = sum(res * wt for res, _, wt, _ in terms)
-    g3 = sum(res for res, _, _, _ in terms)
-    return g2, g3
+    _check_samples(samples, spec.T)
+    return _gradients(samples, DiscreteParams(theta, phi, w), spec, r_f)[:2]
 
 
 def grad_phi(
@@ -310,10 +357,8 @@ def grad_phi(
     r_f: float,
 ) -> Tuple[float, float]:
     """Cost gradient in (phi1, phi2)."""
-    terms = _residual_terms(samples, theta, phi, w, spec, r_f)
-    g1 = -spec.lam * sum(res for res, _, _, _ in terms)
-    g2 = sum(res * dres for res, dres, _, _ in terms)
-    return g1, g2
+    _check_samples(samples, spec.T)
+    return _gradients(samples, DiscreteParams(theta, phi, w), spec, r_f)[2:]
 
 
 def apply_updates(
@@ -375,8 +420,85 @@ def update_w(state: LagrangeState, b: float, n: int) -> LagrangeState:
 
 
 # ---------------------------------------------------------------------------
-# training loop
+# training skeleton
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Learner:
+    """One parametrization of the episodic protocol (episode_step,
+    run_training).  Its params are a frozen dataclass with a field w, the
+    Lagrange target, and every hook takes them as they are."""
+
+    cold_start: Callable  # (spec, r_f, phi1, phi2) -> params
+    policy: Callable  # (params, spec, r_f, t, x) -> GaussianPolicy
+    gradients: Callable  # (samples, params, spec, r_f) -> d cost / d(theta2, theta3, phi1, phi2)
+    apply_updates: Callable  # (params, gradients, hyper, r_f) -> params
+    cost: Callable  # (samples, params, spec, r_f) -> float
+    fields: Callable  # params -> {name: value} of the record and the checkpoint
+    record: Callable  # (episode=, terminal_wealth=, **fields) -> record
+
+
+def episode_step(learner, params, lag, hyper, r_f, returns, rng, learn=True):
+    """Roll out one episode over the given returns under params.  With learn
+    set, then take one update per growing prefix of its states (or a single
+    whole-episode update when prefix_updates is off), record its terminal
+    wealth in lag, and refresh w every refresh_every recorded wealths."""
+    spec = hyper.spec
+    episode = rollout(partial(learner.policy, params, spec, r_f), returns, spec, r_f, rng)
+    if learn:
+        states = episode.states
+        if hyper.prefix_updates:
+            prefixes = [states[: i + 1] for i in range(1, spec.T + 1)]
+        else:
+            prefixes = [states]
+        for sample in prefixes:
+            grads = learner.gradients(sample, params, spec, r_f)
+            params = learner.apply_updates(params, grads, hyper, r_f)
+        lag.terminal_wealths.append(episode.terminal_wealth)
+        if len(lag.terminal_wealths) % hyper.refresh_every == 0:
+            update_w(lag, spec.b, hyper.refresh_every)
+            params = replace(params, w=lag.w)
+    return episode, params
+
+
+def run_training(learner, hyper, model, r_f, rng, params=None):
+    """Run hyper.episodes episodes from params (the learner's cold start
+    from hyper when None); returns the final params and one record per
+    episode.  Each episode draws its returns, then runs episode_step.
+
+    Raises TrainingDivergedError when the residual cost exceeds
+    DIVERGENCE_COST or any parameter stops being finite.
+    """
+    spec = hyper.spec
+    if params is None:
+        params = learner.cold_start(spec, r_f, hyper.init_phi1, hyper.init_phi2)
+    lag = LagrangeState(w=params.w, alpha=hyper.alpha)
+    history = []
+    for ep in range(1, hyper.episodes + 1):
+        returns = sample_path(model, spec.T, rng)
+        episode, params = episode_step(learner, params, lag, hyper, r_f, returns, rng)
+        final_cost = learner.cost(episode.states, params, spec, r_f)
+        fields = learner.fields(params)
+        finite = all(math.isfinite(v) for v in fields.values()) and math.isfinite(final_cost)
+        if not finite or abs(final_cost) > DIVERGENCE_COST:
+            raise TrainingDivergedError(f"training diverged at episode {ep} (cost {final_cost!r})")
+        x_T = episode.terminal_wealth
+        history.append(learner.record(episode=ep, terminal_wealth=x_T, **fields))
+    return params, tuple(history)
+
+
+DISCRETE = Learner(
+    cold_start=cold_start,
+    policy=lambda p, spec, r_f, t, x: policy_from_params(p.phi, spec, r_f, t, x, p.w),
+    gradients=_gradients,
+    apply_updates=lambda p, g, hyper, r_f: DiscreteParams(
+        *apply_updates(p.theta, p.phi, g, hyper.eta_theta, hyper.eta_phi, p.w, hyper.spec, r_f), p.w
+    ),
+    cost=lambda samples, p, spec, r_f: cost(samples, p.theta, p.phi, p.w, spec, r_f),
+    fields=lambda p: {**vars(p.theta), **vars(p.phi), "w": p.w},
+    record=EpisodeRecord,
+)
 
 
 def train(
@@ -386,66 +508,11 @@ def train(
     rng: np.random.Generator,
     init: Optional[Tuple[ValueParams, PolicyParams]] = None,
 ) -> TrainResult:
-    """Run the episodic learner for hyper.episodes episodes.
-
-    Per episode: sample a trajectory under the current policy, then sweep the
-    growing prefixes of its state sequence, taking one (theta, phi) update
-    per prefix (or a single full-episode update when prefix_updates is off).
-    Every refresh_every episodes the Lagrange target w is corrected from the
-    recent terminal wealths.
-
-    Raises TrainingDivergedError when the residual cost exceeds
-    DIVERGENCE_COST or any parameter stops being finite.
-    """
-    spec = hyper.spec
-    theta, phi = init if init is not None else default_params(spec, r_f)
-    lag = LagrangeState(w=spec.b, alpha=hyper.alpha)
-    history: List[EpisodeRecord] = []
-
-    for ep in range(1, hyper.episodes + 1):
-        episode = sample_episode(phi, lag.w, model, spec, r_f, rng)
-        states = episode.states
-        if hyper.prefix_updates:
-            prefixes = [states[: i + 1] for i in range(1, spec.T + 1)]
-        else:
-            prefixes = [states]
-        for sample in prefixes:
-            g_t2, g_t3 = grad_theta(sample, theta, phi, lag.w, spec, r_f)
-            g_p1, g_p2 = grad_phi(sample, theta, phi, lag.w, spec, r_f)
-            theta, phi = apply_updates(
-                theta, phi, (g_t2, g_t3, g_p1, g_p2),
-                hyper.eta_theta, hyper.eta_phi, lag.w, spec, r_f,
-            )
-
-        lag.terminal_wealths.append(episode.terminal_wealth)
-        if ep % hyper.refresh_every == 0:
-            update_w(lag, spec.b, hyper.refresh_every)
-
-        final_cost = cost(states, theta, phi, lag.w, spec, r_f)
-        params_ok = all(
-            math.isfinite(v)
-            for v in (theta.theta1, theta.theta2, theta.theta3, theta.theta4,
-                      phi.phi1, phi.phi2, lag.w)
-        )
-        if not params_ok or not math.isfinite(final_cost) or abs(final_cost) > DIVERGENCE_COST:
-            raise TrainingDivergedError(
-                f"training diverged at episode {ep} (cost {final_cost!r})"
-            )
-        history.append(
-            EpisodeRecord(
-                episode=ep,
-                terminal_wealth=episode.terminal_wealth,
-                theta1=theta.theta1,
-                theta2=theta.theta2,
-                theta3=theta.theta3,
-                theta4=theta.theta4,
-                phi1=phi.phi1,
-                phi2=phi.phi2,
-                w=lag.w,
-            )
-        )
-
-    return TrainResult(theta=theta, phi=phi, w=lag.w, history=tuple(history))
+    """Run the discrete learner for hyper.episodes episodes (run_training),
+    from init with w at b, or from the cold start in hyper."""
+    start = None if init is None else DiscreteParams(init[0], init[1], hyper.spec.b)
+    params, history = run_training(DISCRETE, hyper, model, r_f, rng, start)
+    return TrainResult(theta=params.theta, phi=params.phi, w=params.w, history=history)
 
 
 # ---------------------------------------------------------------------------

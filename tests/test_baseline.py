@@ -1,4 +1,5 @@
-"""Tests for the continuous-time comparator learner."""
+"""Tests for the continuous-time comparator learner.  Its training loop is
+the shared skeleton, tested over both learners in test_learner.py."""
 
 import math
 
@@ -7,24 +8,17 @@ import pytest
 
 from dtmv.analytic import ProblemSpec, gaussian_entropy
 from dtmv.baseline import (
-    ALGORITHM_CONTINUOUS,
     BaselineParams,
     baseline_apply_updates,
     baseline_cost,
-    baseline_entropy,
     baseline_gradients,
+    baseline_entropy,
     baseline_policy,
-    baseline_train,
     baseline_value,
     default_baseline_params,
 )
-from dtmv.learner import (
-    PHI2_MARGIN,
-    HyperParams,
-    InfeasiblePolicyError,
-    TrainingDivergedError,
-)
-from dtmv.market import NormalIID, make_rng
+from dtmv.learner import PHI2_MARGIN, InfeasiblePolicyError
+from dtmv.market import make_rng
 
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
 
@@ -124,21 +118,20 @@ def test_default_baseline_params_start_at_the_target():
 
 
 # ---------------------------------------------------------------------------
-# cost and gradients
+# cost
 # ---------------------------------------------------------------------------
 
 
-def _cost_reference(samples, p, spec, dt=1.0):
+def _cost_reference(samples, p, spec):
     ts = np.array([t for t, _ in samples], dtype=float)
     xs = np.array([x for _, x in samples])
-    q = (xs - p.w) ** 2 * np.exp(-2.0 * p.phi2 * (spec.T - ts) * dt)
-    tau = ts * dt
+    q = (xs - p.w) ** 2 * np.exp(-2.0 * p.phi2 * (spec.T - ts))
     res = (
         q[1:]
         - q[:-1]
-        + p.theta2 * (tau[1:] ** 2 - tau[:-1] ** 2)
-        + p.theta3 * (tau[1:] - tau[:-1])
-        - spec.lam * (p.phi1 + p.phi2 * (spec.T - ts[:-1]) * dt) * dt
+        + p.theta2 * (ts[1:] ** 2 - ts[:-1] ** 2)
+        + p.theta3 * (ts[1:] - ts[:-1])
+        - spec.lam * (p.phi1 + p.phi2 * (spec.T - ts[:-1]))
     )
     return 0.5 * float(np.sum(res**2))
 
@@ -179,11 +172,6 @@ def test_baseline_gradients_match_central_finite_differences():
             assert abs(got - fd) <= 1e-5 * max(1.0, abs(fd)), (idx, got, fd)
 
 
-# ---------------------------------------------------------------------------
-# updates and training
-# ---------------------------------------------------------------------------
-
-
 def test_baseline_apply_updates_pins_the_terminal_condition():
     p = _random_params(make_rng(41, 0))
     q = baseline_apply_updates(p, (0.3, -0.2, 0.1, 0.05), 0.01, 0.02, SPEC)
@@ -202,41 +190,3 @@ def test_baseline_phi2_projection_keeps_the_policy_defined():
     q = baseline_apply_updates(p, (0.0, 0.0, 0.0, 1e9), 0.0005, 0.0005, SPEC)
     assert q.phi2 == PHI2_MARGIN
     baseline_policy(q, SPEC, 0, 1.0)
-
-
-def test_baseline_train_smoke_and_reproducibility():
-    model = NormalIID(0.025, 0.0577)
-    r_f = 1.0 + 0.02 / 12.0
-    hyper = HyperParams(spec=SPEC, episodes=150)
-    a = baseline_train(hyper, model, r_f, make_rng(6, 1))
-    b = baseline_train(hyper, model, r_f, make_rng(6, 1))
-    assert a == b
-    assert a.algorithm == ALGORITHM_CONTINUOUS
-    assert len(a.history) == 150
-    assert [rec.episode for rec in a.history] == list(range(1, 151))
-
-
-def test_baseline_train_writes_w_updates_back_into_params():
-    model = NormalIID(0.025, 0.0577)
-    hyper = HyperParams(spec=SPEC, episodes=30, refresh_every=10)
-    result = baseline_train(hyper, model, 1.0 + 0.02 / 12.0, make_rng(8, 1))
-    ws = [rec.w for rec in result.history]
-    assert ws[0] == SPEC.b  # unchanged until the first refresh
-    assert result.params.w == ws[-1]
-    changes = {i + 1 for i in range(1, len(ws)) if ws[i] != ws[i - 1]}
-    assert changes <= {10, 20, 30}
-
-
-def test_baseline_train_zero_episodes():
-    model = NormalIID(0.025, 0.0577)
-    hyper = HyperParams(spec=SPEC, episodes=0)
-    result = baseline_train(hyper, model, 1.0, make_rng(1, 1))
-    assert result.params == default_baseline_params(SPEC)
-    assert result.history == ()
-
-
-def test_baseline_train_divergence_guard():
-    model = NormalIID(0.025, 0.0577)
-    hyper = HyperParams(spec=SPEC, episodes=500, eta_theta=50.0, eta_phi=50.0)
-    with pytest.raises(TrainingDivergedError):
-        baseline_train(hyper, model, 1.0 + 0.02 / 12.0, make_rng(1, 1))

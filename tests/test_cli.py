@@ -287,6 +287,24 @@ def test_train_seed_flag_changes_the_run(tmp_path, capsys):
     assert a != b
 
 
+def test_cold_start_reaches_every_training_command(tmp_path, capsys):
+    """learning.init_phi2 sets the cold start of both learners in simulate
+    and backtest, as it does in train."""
+    base = _cfg_file(tmp_path)
+    moved = _cfg_file(
+        tmp_path, TINY.replace("episodes = 200", "episodes = 200\ninit_phi2 = 0.05"), "moved.ini"
+    )
+    for command in ("train", "simulate", "backtest"):
+        reports = []
+        for name, cfg in (("base", base), ("moved", moved)):
+            out = str(tmp_path / f"{command}-{name}")
+            assert _run([command, "--config", cfg, "--out", out], capsys)[0] == 0
+            reports.append(_read_csv(os.path.join(out, "report.csv")))
+        assert len(reports[0]) == len(reports[1])
+        for a, b in zip(*reports):
+            assert a["mean_return"] != b["mean_return"], (command, a["setting"], a["algorithm"])
+
+
 # ---------------------------------------------------------------------------
 # simulate, backtest, compare, histogram
 # ---------------------------------------------------------------------------

@@ -5,10 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtmv.analytic import MarketModel, ProblemSpec, gaussian_entropy
+from dtmv.baseline import (
+    ALGORITHM_CONTINUOUS,
+    BaselineParams,
+    baseline_train,
+    default_baseline_params,
+)
+from dtmv.evaluation import ALGORITHMS, LEARNERS
 from dtmv.learner import (
     ALGORITHM_DISCRETE,
+    DiscreteParams,
     Episode,
     HyperParams,
     InfeasiblePolicyError,
@@ -19,6 +29,7 @@ from dtmv.learner import (
     apply_updates,
     cost,
     default_params,
+    episode_step,
     grad_phi,
     grad_theta,
     load_checkpoint,
@@ -200,28 +211,48 @@ def test_cost_rejects_nonconsecutive_periods():
         cost([(0, 1.0), (2, 1.1)], theta, phi, 1.1, SPEC, R_F)
 
 
-def test_gradients_match_central_finite_differences():
-    rng = make_rng(13, 0)
+def _learner_params(algorithm, theta2, theta3, theta4, phi1, phi2, w):
+    if algorithm == ALGORITHM_DISCRETE:
+        theta = ValueParams(math.exp(-2.0 * phi2), theta2, theta3, theta4)
+        return DiscreteParams(theta, PolicyParams(phi1, phi2), w)
+    return BaselineParams(theta2, theta3, theta4, phi1, phi2, w)
+
+
+@st.composite
+def _transitions(draw):
+    t0 = draw(st.integers(0, SPEC.T - 1))
+    xs = draw(st.lists(st.floats(0.2, 2.5), min_size=2, max_size=SPEC.T - t0 + 1))
+    return [(t0 + i, x) for i, x in enumerate(xs)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    theta=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+    phi1=st.floats(-0.5, 1.5),
+    phi2=st.floats(0.01, 0.3),  # above both learners' phi2 floors
+    w=st.floats(0.9, 1.6),
+    samples=_transitions(),
+)
+def test_gradients_match_central_finite_differences(algorithm, theta, phi1, phi2, w, samples):
+    """Each learner's fused gradients equal central differences of its cost
+    in (theta2, theta3, phi1, phi2)."""
+    learner = LEARNERS[algorithm]
+    theta4 = theta[2]
     h = 1e-6
-    for _ in range(40):
-        theta, phi = _random_params(rng)
-        samples = _random_samples(rng, SPEC.T)
-        w = float(rng.uniform(0.9, 1.6))
 
-        def c(th2, th3, p1, p2):
-            th = ValueParams(math.exp(-2.0 * p2), th2, th3, theta.theta4)
-            return cost(samples, th, PolicyParams(p1, p2), w, SPEC, R_F)
+    def c(th2, th3, p1, p2):
+        params = _learner_params(algorithm, th2, th3, theta4, p1, p2, w)
+        return learner.cost(samples, params, SPEC, R_F)
 
-        g_t2, g_t3 = grad_theta(samples, theta, phi, w, SPEC, R_F)
-        g_p1, g_p2 = grad_phi(samples, theta, phi, w, SPEC, R_F)
-        base = (theta.theta2, theta.theta3, phi.phi1, phi.phi2)
-        for idx, got in enumerate((g_t2, g_t3, g_p1, g_p2)):
-            up = list(base)
-            dn = list(base)
-            up[idx] += h
-            dn[idx] -= h
-            fd = (c(*up) - c(*dn)) / (2.0 * h)
-            assert abs(got - fd) <= 1e-5 * max(1.0, abs(fd)), (idx, got, fd)
+    base = (theta[0], theta[1], phi1, phi2)
+    grads = learner.gradients(samples, _learner_params(algorithm, *theta, phi1, phi2, w), SPEC, R_F)
+    for idx, got in enumerate(grads):
+        up, dn = list(base), list(base)
+        up[idx] += h
+        dn[idx] -= h
+        fd = (c(*up) - c(*dn)) / (2.0 * h)
+        assert abs(got - fd) <= 1e-5 * max(1.0, abs(fd)), (idx, got, fd)
 
 
 def test_gradient_of_empty_samples_is_zero():
@@ -319,43 +350,80 @@ def _hyper(episodes, **kw):
     return HyperParams(spec=SPEC, episodes=episodes, **kw)
 
 
-def test_train_zero_episodes_returns_the_initial_state():
-    model = NormalIID(0.025, 0.0577)
-    result = train(_hyper(0), model, R_F, make_rng(1, 0))
-    theta, phi = default_params(SPEC, R_F)
-    assert result.theta == theta and result.phi == phi
-    assert result.w == SPEC.b and result.history == ()
-    assert result.algorithm == ALGORITHM_DISCRETE
+TRAINERS = {ALGORITHM_DISCRETE: train, ALGORITHM_CONTINUOUS: baseline_train}
+COLD_STARTS = {
+    ALGORITHM_DISCRETE: DiscreteParams(*default_params(SPEC, R_F), SPEC.b),
+    ALGORITHM_CONTINUOUS: default_baseline_params(SPEC),
+}
+both_learners = pytest.mark.parametrize("algorithm", ALGORITHMS)
 
 
-def test_train_is_bit_reproducible():
+@both_learners
+def test_train_zero_episodes_returns_the_initial_state(algorithm):
     model = NormalIID(0.025, 0.0577)
-    a = train(_hyper(120), model, R_F, make_rng(9, 0))
-    b = train(_hyper(120), model, R_F, make_rng(9, 0))
+    result = TRAINERS[algorithm](_hyper(0), model, R_F, make_rng(1, 0))
+    assert result.params == COLD_STARTS[algorithm]
+    assert result.params == LEARNERS[algorithm].cold_start(SPEC, R_F, 1.0, 0.01)
+    assert result.params.w == SPEC.b and result.history == ()
+    assert result.algorithm == algorithm
+
+
+@both_learners
+def test_train_is_bit_reproducible(algorithm):
+    model = NormalIID(0.025, 0.0577)
+    a = TRAINERS[algorithm](_hyper(150), model, R_F, make_rng(9, 1))
+    b = TRAINERS[algorithm](_hyper(150), model, R_F, make_rng(9, 1))
     assert a == b
+    assert a.algorithm == algorithm
+    assert [rec.episode for rec in a.history] == list(range(1, 151))
 
 
-def test_train_updates_w_only_on_schedule():
+@both_learners
+def test_train_updates_w_only_on_schedule(algorithm):
     model = NormalIID(0.025, 0.0577)
-    result = train(_hyper(40, refresh_every=10), model, R_F, make_rng(3, 0))
-    ws = [rec.w for rec in result.history]
-    for i, w in enumerate(ws, start=1):
-        if i % 10 != 0:
-            # w can only change on refresh episodes
-            prev = SPEC.b if i == 1 else ws[i - 2]
-            assert w == prev
+    result = TRAINERS[algorithm](_hyper(40, refresh_every=10), model, R_F, make_rng(3, 0))
+    ws = [SPEC.b] + [rec.w for rec in result.history]
+    changed = {i for i in range(1, len(ws)) if ws[i] != ws[i - 1]}
+    assert changed == {10, 20, 30, 40}  # w can only change on refresh episodes
+    assert result.params.w == ws[-1]
+
+
+@both_learners
+def test_train_divergence_guard_raises(algorithm):
+    model = NormalIID(0.025, 0.0577)
+    hyper = _hyper(500, eta_theta=50.0, eta_phi=50.0)
+    with pytest.raises(TrainingDivergedError, match="episode"):
+        TRAINERS[algorithm](hyper, model, R_F, make_rng(1, 1))
+
+
+@both_learners
+def test_online_windows_refresh_w(algorithm):
+    """A test window run through episode_step with learning on is one more
+    training episode: after refresh_every windows w has moved by
+    -alpha * (mean terminal wealth - b), and not before.  A frozen window
+    changes nothing."""
+    learner = LEARNERS[algorithm]
+    hyper = _hyper(0, refresh_every=4)
+    params = COLD_STARTS[algorithm]
+    lag = LagrangeState(w=params.w, alpha=hyper.alpha)
+    rng = make_rng(12, 0)
+    _, frozen = episode_step(learner, params, lag, hyper, R_F, (0.02, 0.0, 0.01), rng, learn=False)
+    assert frozen is params and lag.terminal_wealths == []
+    wealths = []
+    windows = ((0.02, -0.01, 0.03), (0.0, 0.05, -0.04), (0.01, 0.01, 0.01), (-0.03, 0.02, 0.04))
+    for window in windows:
+        assert params.w == SPEC.b
+        episode, params = episode_step(learner, params, lag, hyper, R_F, window, rng)
+        wealths.append(episode.terminal_wealth)
+    assert lag.terminal_wealths == wealths
+    assert params.w == SPEC.b - hyper.alpha * (sum(wealths) / 4 - SPEC.b)
+    assert params.w != SPEC.b
 
 
 def test_train_history_records_every_episode_in_order():
     model = NormalIID(0.025, 0.0577)
     result = train(_hyper(25), model, R_F, make_rng(2, 0))
     assert [rec.episode for rec in result.history] == list(range(1, 26))
-
-
-def test_train_divergence_guard_raises():
-    model = NormalIID(0.025, 0.0577)
-    with pytest.raises(TrainingDivergedError, match="episode"):
-        train(_hyper(500, eta_theta=50.0, eta_phi=50.0), model, R_F, make_rng(1, 0))
 
 
 def test_train_whole_episode_updates_also_run():
