@@ -10,8 +10,8 @@ The period is the unit of time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +61,24 @@ def default_baseline_params(spec: ProblemSpec) -> BaselineParams:
     return CONTINUOUS.cold_start(spec, None, HyperParams.init_phi1, HyperParams.init_phi2)
 
 
+def _policy_slope(phi1: float, phi2: float, spec: ProblemSpec) -> float:
+    """Coefficient of the wealth deviation in the policy mean; requires
+    phi2 > 0 (InfeasiblePolicyError)."""
+    if phi2 <= 0.0:
+        raise InfeasiblePolicyError(f"phi2={phi2} must be positive")
+    return -math.sqrt(2.0 * phi2 / (spec.lam * math.pi)) * math.exp((2.0 * phi1 - 1.0) / 2.0)
+
+
+def _policy_variance(phi1: float, phi2: float, spec: ProblemSpec, t: int) -> float:
+    return math.exp(2.0 * phi2 * (spec.T - t) + 2.0 * phi1 - 1.0) / (2.0 * math.pi)
+
+
+def _policy(phi1: float, phi2: float, spec: ProblemSpec):
+    """(slope, variances) of the comparator's policy over one episode."""
+    slope = _policy_slope(phi1, phi2, spec)
+    return slope, [_policy_variance(phi1, phi2, spec, t) for t in range(spec.T)]
+
+
 def baseline_policy(params: BaselineParams, spec: ProblemSpec, t: int, x: float) -> GaussianPolicy:
     """Gaussian control density of the continuous-time learner at (t, x).
 
@@ -69,18 +87,9 @@ def baseline_policy(params: BaselineParams, spec: ProblemSpec, t: int, x: float)
     """
     if not 0 <= t < spec.T:
         raise ValueError(f"t={t} outside 0..{spec.T - 1}")
-    if params.phi2 <= 0.0:
-        raise InfeasiblePolicyError(f"phi2={params.phi2} must be positive")
-    dev = x - params.w
-    mean = (
-        -math.sqrt(2.0 * params.phi2 / (spec.lam * math.pi))
-        * math.exp((2.0 * params.phi1 - 1.0) / 2.0)
-        * dev
-    )
-    variance = math.exp(2.0 * params.phi2 * (spec.T - t) + 2.0 * params.phi1 - 1.0) / (
-        2.0 * math.pi
-    )
-    return GaussianPolicy(mean, variance)
+    slope = _policy_slope(params.phi1, params.phi2, spec)
+    variance = _policy_variance(params.phi1, params.phi2, spec, t)
+    return GaussianPolicy(slope * (x - params.w), variance)
 
 
 def baseline_entropy(params: BaselineParams, spec: ProblemSpec, t: int) -> float:
@@ -101,51 +110,55 @@ def baseline_value(params: BaselineParams, spec: ProblemSpec, t: int, x: float) 
     )
 
 
-def _residual_terms(
-    samples: Sequence[Tuple[int, float]],
-    params: BaselineParams,
-    spec: ProblemSpec,
-) -> List[Tuple[float, float, int]]:
-    """Per-transition (residual, dres/dphi2, dres/dtheta2) terms of the
-    temporal-difference cost; dres/dtheta3 is 1."""
+def _residual_sums(devs, t_first, n, theta2, theta3, phi1, phi2, spec: ProblemSpec):
+    """Cost gradient in (theta2, theta3, phi1, phi2) and summed squared
+    temporal-difference residual over the n transitions from period t_first,
+    devs[k] being the deviation x - w of the state at period t_first + k."""
     T, lam = spec.T, spec.lam
-    out = []
-    for (t0, x0), (t1, x1) in zip(samples, samples[1:]):
+    g_t2 = g_t3 = g_p2 = sq = 0.0
+    if n:
+        dev = devs[0]
+        q1 = dev * dev * math.exp(-2.0 * phi2 * (T - t_first))
+        t0 = t_first
+        for k in range(1, n + 1):
+            q0 = q1
+            dev = devs[k]
+            m = T - t0  # periods left before the transition
+            q1 = dev * dev * math.exp(-2.0 * phi2 * (m - 1))
+            d2 = 2 * t0 + 1  # (t0 + 1)^2 - t0^2
+            res = q1 - q0 + theta2 * d2 + theta3 - lam * (phi1 + phi2 * m)
+            g_t2 += res * d2
+            g_t3 += res
+            g_p2 += res * (2.0 * m * q0 - 2.0 * (m - 1) * q1 - lam * m)
+            sq += res * res
+            t0 += 1
+    return g_t2, g_t3, -lam * g_t3, g_p2, sq
+
+
+def _sample_sums(samples: Sequence[Tuple[int, float]], params: BaselineParams, spec: ProblemSpec):
+    """_residual_sums over (t, x) samples of consecutive periods."""
+    for (t0, _), (t1, _) in zip(samples, samples[1:]):
         if t1 != t0 + 1:
             raise ValueError("samples must carry consecutive periods")
-        dev0 = x0 - params.w
-        dev1 = x1 - params.w
-        q0 = dev0 * dev0 * math.exp(-2.0 * params.phi2 * (T - t0))
-        q1 = dev1 * dev1 * math.exp(-2.0 * params.phi2 * (T - t1))
-        res = (
-            q1
-            - q0
-            + params.theta2 * (t1 * t1 - t0 * t0)
-            + params.theta3
-            - lam * (params.phi1 + params.phi2 * (T - t0))
-        )
-        dres_dphi2 = 2.0 * (T - t0) * q0 - 2.0 * (T - t1) * q1 - lam * (T - t0)
-        out.append((res, dres_dphi2, t1 * t1 - t0 * t0))
-    return out
+    devs = [x - params.w for _, x in samples]
+    t_first = samples[0][0] if samples else 0
+    n = max(len(samples) - 1, 0)
+    return _residual_sums(
+        devs, t_first, n, params.theta2, params.theta3, params.phi1, params.phi2, spec
+    )
 
 
 def baseline_cost(
     samples: Sequence[Tuple[int, float]], params: BaselineParams, spec: ProblemSpec
 ) -> float:
-    terms = _residual_terms(samples, params, spec)
-    return 0.5 * sum(res * res for res, _, _ in terms)
+    return 0.5 * _sample_sums(samples, params, spec)[4]
 
 
 def baseline_gradients(
     samples: Sequence[Tuple[int, float]], params: BaselineParams, spec: ProblemSpec
 ) -> Tuple[float, float, float, float]:
     """Cost gradient in (theta2, theta3, phi1, phi2)."""
-    terms = _residual_terms(samples, params, spec)
-    g_t2 = sum(res * d2 for res, _, d2 in terms)
-    g_t3 = sum(res for res, _, _ in terms)
-    g_p1 = -spec.lam * g_t3
-    g_p2 = sum(res * dphi for res, dphi, _ in terms)
-    return g_t2, g_t3, g_p1, g_p2
+    return _sample_sums(samples, params, spec)[:4]
 
 
 def baseline_apply_updates(
@@ -157,26 +170,38 @@ def baseline_apply_updates(
 ) -> BaselineParams:
     """Gradient steps, phi2 projected positive, theta4 pinned to the terminal
     condition baseline_value(T, x) = (x - w)^2 - (w - b)^2."""
+    return BaselineParams(*_apply_updates(astuple(params), grads, eta_theta, eta_phi, spec))
+
+
+def _apply_updates(values, grads, eta_theta, eta_phi, spec: ProblemSpec):
+    """baseline_apply_updates on the flat values (theta2, theta3, theta4,
+    phi1, phi2, w)."""
+    theta2, theta3, _, phi1, phi2, w = values
     g_t2, g_t3, g_p1, g_p2 = grads
-    theta2 = params.theta2 - eta_theta * g_t2
-    theta3 = params.theta3 - eta_theta * g_t3
-    phi1 = params.phi1 - eta_phi * g_p1
-    phi2 = params.phi2 - eta_phi * g_p2
+    theta2 = theta2 - eta_theta * g_t2
+    theta3 = theta3 - eta_theta * g_t3
+    phi1 = phi1 - eta_phi * g_p1
+    phi2 = phi2 - eta_phi * g_p2
     if phi2 < PHI2_MARGIN:
         phi2 = PHI2_MARGIN
-    theta4 = -theta2 * spec.T * spec.T - theta3 * spec.T - (params.w - spec.b) ** 2
-    return BaselineParams(theta2, theta3, theta4, phi1, phi2, params.w)
+    theta4 = -theta2 * spec.T * spec.T - theta3 * spec.T - (w - spec.b) ** 2
+    return theta2, theta3, theta4, phi1, phi2, w
 
 
 CONTINUOUS = Learner(
     cold_start=lambda spec, r_f, phi1, phi2: BaselineParams(0.0, 0.0, 0.0, phi1, phi2, spec.b),
-    policy=lambda p, spec, r_f, t, x: baseline_policy(p, spec, t, x),
-    gradients=lambda samples, p, spec, r_f: baseline_gradients(samples, p, spec),
-    apply_updates=lambda p, grads, hyper, r_f: baseline_apply_updates(
-        p, grads, hyper.eta_theta, hyper.eta_phi, hyper.spec
-    ),
-    cost=lambda samples, p, spec, r_f: baseline_cost(samples, p, spec),
     fields=lambda p: dict(vars(p)),
+    params=BaselineParams,
+    policy=lambda v, spec, r_f: _policy(v[3], v[4], spec),
+    centers=lambda v, spec, r_f: [v[5]] * (spec.T + 1),
+    gradients=lambda devs, n, v, spec, r_f: _residual_sums(
+        devs, 0, n, v[0], v[1], v[3], v[4], spec
+    )[:4],
+    apply_updates=lambda v, g, hyper, r_f: _apply_updates(
+        v, g, hyper.eta_theta, hyper.eta_phi, hyper.spec
+    ),
+    cost=lambda devs, v, spec, r_f: 0.5
+    * _residual_sums(devs, 0, spec.T, v[0], v[1], v[3], v[4], spec)[4],
     record=BaselineRecord,
 )
 

@@ -252,8 +252,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"config: unknown learning.algorithm {cfg.learning.algorithm!r}")
     if cfg.run.rng_algorithm != RNG_ALGORITHM:
         raise ConfigError(f"config: run.rng_algorithm must be {RNG_ALGORITHM}")
-    if cfg.grid.x_points < 2:
-        raise ConfigError("config: grid.x_points must be >= 2")
+    if cfg.grid.x_points < 3:
+        raise ConfigError("config: grid.x_points must be >= 3")
     if not cfg.grid.x_max > cfg.grid.x_min:
         raise ConfigError("config: need grid.x_max > grid.x_min")
     if cfg.grid.w != "auto":
@@ -429,9 +429,7 @@ def cmd_train(cfg: RunConfig, out: str, seed_override: Optional[int]) -> None:
     algorithm = cfg.learning.algorithm
     result, rng = _train_one(cfg, algorithm, seed, stream=0)
     params = LEARNERS[algorithm].fields(result.params)
-    log_lines = [
-        json.dumps(dataclasses.asdict(rec), sort_keys=True) for rec in result.history
-    ]
+    log_lines = [json.dumps(vars(rec), sort_keys=True) for rec in result.history]
     _write_text(os.path.join(out, "log.ndjson"), "\n".join(log_lines) + "\n" if log_lines else "")
     save_checkpoint(os.path.join(out, "checkpoint"), algorithm, params, rng)
     tws = [rec.terminal_wealth for rec in result.history]

@@ -9,15 +9,15 @@ gradient step on every parameter.  The riskless factor r_f is treated as
 known.
 
 The episodic protocol (rollout, growing-prefix updates, w refresh, divergence
-check) is written once, in episode_step and run_training, for any Learner:
-DISCRETE here and the comparator dtmv.baseline.CONTINUOUS.
+check) is written once, in _episode (behind episode_step) and run_training,
+for any Learner: DISCRETE here and the comparator dtmv.baseline.CONTINUOUS.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -167,6 +167,29 @@ def _discount(t: int, T: int, r_f: float) -> float:
     return r_f ** -(T - t)
 
 
+def _policy_slope(phi1: float, phi2: float, spec: ProblemSpec, r_f: float) -> float:
+    """Coefficient of the wealth deviation in the policy mean; raises
+    InfeasiblePolicyError where exp(-2*phi2) > r_f^2 makes it imaginary."""
+    gap = r_f * r_f - math.exp(-2.0 * phi2)
+    if gap < 0.0:
+        raise InfeasiblePolicyError(f"phi2={phi2} below the feasibility floor -ln(r_f)")
+    return -math.sqrt(gap / (spec.lam * math.pi)) * math.exp((2.0 * phi1 - 1.0) / 2.0)
+
+
+def _policy_variance(phi1: float, phi2: float, spec: ProblemSpec, t: int) -> float:
+    return math.exp(2.0 * phi2 * (spec.T - t - 1) + 2.0 * phi1 - 1.0) / (2.0 * math.pi)
+
+
+@lru_cache(maxsize=None)
+def _discounts(T: int, r_f: float) -> Tuple[float, ...]:
+    return tuple(_discount(t, T, r_f) for t in range(T + 1))
+
+
+def _centers(w: float, spec: ProblemSpec, r_f: float) -> List[float]:
+    """Discounted targets rho_t * w, t = 0..T, the wealth deviations are taken from."""
+    return [rho * w for rho in _discounts(spec.T, r_f)]
+
+
 def policy_from_params(
     phi: PolicyParams, spec: ProblemSpec, r_f: float, t: int, x: float, w: float
 ) -> GaussianPolicy:
@@ -177,13 +200,9 @@ def policy_from_params(
     """
     if not 0 <= t < spec.T:
         raise ValueError(f"t={t} outside 0..{spec.T - 1}")
-    gap = r_f * r_f - math.exp(-2.0 * phi.phi2)
-    if gap < 0.0:
-        raise InfeasiblePolicyError(f"phi2={phi.phi2} below the feasibility floor -ln(r_f)")
+    slope = _policy_slope(phi.phi1, phi.phi2, spec, r_f)
     dev = x - _discount(t, spec.T, r_f) * w
-    mean = -math.sqrt(gap / (spec.lam * math.pi)) * math.exp((2.0 * phi.phi1 - 1.0) / 2.0) * dev
-    variance = math.exp(2.0 * phi.phi2 * (spec.T - t - 1) + 2.0 * phi.phi1 - 1.0) / (2.0 * math.pi)
-    return GaussianPolicy(mean, variance)
+    return GaussianPolicy(slope * dev, _policy_variance(phi.phi1, phi.phi2, spec, t))
 
 
 def policy_entropy(phi: PolicyParams, spec: ProblemSpec, t: int) -> float:
@@ -228,19 +247,34 @@ def default_params(spec: ProblemSpec, r_f: float) -> Tuple[ValueParams, PolicyPa
 # ---------------------------------------------------------------------------
 
 
-def rollout(policy, returns, spec: ProblemSpec, r_f: float, rng) -> Episode:
-    """Run one trajectory from x0 over the given excess returns, drawing one
-    control per period from the GaussianPolicy policy(t, x)."""
-    wealth = [spec.x0]
-    controls = []
+def rollout(policy, centers, returns, spec: ProblemSpec, r_f: float, rng):
+    """Run one trajectory from x0 over the given excess returns under the
+    policy (slope, variances), fixed for the episode: the control at period
+    t is u_t = slope * (x_t - c_t) + sqrt(variances[t]) * z_t, with c_t from
+    centers.  The T standard normals z are drawn at once, which gives the
+    values and the generator state of T scalar draws.  Returns the wealths
+    x_0..x_T, the controls u_0..u_{T-1} and the deviations x_t - c_t,
+    t = 0..T."""
+    slope, variances = policy
+    if not all(v > 0.0 for v in variances):
+        raise ValueError("variance must be positive")
+    z = rng.standard_normal(spec.T).tolist()
     x = spec.x0
+    wealth, controls, devs = [x], [], [x - centers[0]]
     for t in range(spec.T):
-        pol = policy(t, x)
-        u = pol.mean + math.sqrt(pol.variance) * rng.standard_normal()
+        u = slope * devs[t] + math.sqrt(variances[t]) * z[t]
         x = step_wealth(x, u, float(returns[t]), r_f)
         controls.append(u)
         wealth.append(x)
-    return Episode(tuple(wealth), tuple(controls), tuple(returns))
+        devs.append(x - centers[t + 1])
+    return wealth, controls, devs
+
+
+def _policy(phi1: float, phi2: float, spec: ProblemSpec, r_f: float):
+    """(slope, variances) of the learned policy over one episode; see
+    policy_from_params."""
+    slope = _policy_slope(phi1, phi2, spec, r_f)
+    return slope, [_policy_variance(phi1, phi2, spec, t) for t in range(spec.T)]
 
 
 def sample_episode(
@@ -253,9 +287,9 @@ def sample_episode(
 ) -> Episode:
     """Roll out one trajectory from x0 under the current stochastic policy."""
     returns = sample_path(model, spec.T, rng)
-    return rollout(
-        lambda t, x: policy_from_params(phi, spec, r_f, t, x, w), returns, spec, r_f, rng
-    )
+    policy = _policy(phi.phi1, phi.phi2, spec, r_f)
+    wealth, controls, _ = rollout(policy, _centers(w, spec, r_f), returns, spec, r_f, rng)
+    return Episode(tuple(wealth), tuple(controls), tuple(returns))
 
 
 # ---------------------------------------------------------------------------
@@ -271,51 +305,43 @@ def _check_samples(samples: Sequence[Tuple[int, float]], T: int) -> None:
         raise ValueError("sample periods outside 0..T")
 
 
-def _residual_terms(
-    samples: Sequence[Tuple[int, float]],
-    theta: ValueParams,
-    phi: PolicyParams,
-    w: float,
-    spec: ProblemSpec,
-    r_f: float,
-) -> List[Tuple[float, float, float]]:
-    """Per-transition (residual, d_residual/d_phi2, d_residual/d_theta2) terms
-    of samples already checked by the caller.
+def _residual_sums(devs, t_first, n, theta2, theta3, phi1, phi2, spec: ProblemSpec):
+    """Cost gradient in (theta2, theta3, phi1, phi2) and summed squared
+    residual over the n transitions from period t_first, devs[k] being the
+    deviation x - rho_t * w of the state at period t = t_first + k.
 
     theta1 is always taken as exp(-2*phi2): the value surface and the policy
     share phi2.
     """
     T, lam = spec.T, spec.lam
-    e2 = math.exp(-2.0 * phi.phi2)
-    out = []
-    for (t0, x0), (t1, x1) in zip(samples, samples[1:]):
-        dev0 = x0 - _discount(t0, T, r_f) * w
-        dev1 = x1 - _discount(t1, T, r_f) * w
-        q0 = e2 ** (T - t0) * dev0 * dev0
-        q1 = e2 ** (T - t1) * dev1 * dev1
-        res = (
-            q1
-            - q0
-            + theta.theta2 * (2.0 * t0 + 1.0)
-            + theta.theta3
-            - lam * (phi.phi1 + phi.phi2 * (T - t0 - 1))
-        )
-        dres_dphi2 = 2.0 * (T - t0) * q0 - 2.0 * (T - t1) * q1 - lam * (T - t0 - 1)
-        out.append((res, dres_dphi2, 2.0 * t0 + 1.0))
-    return out
+    e2 = math.exp(-2.0 * phi2)
+    g_t2 = g_t3 = g_p2 = sq = 0.0
+    if n:
+        dev = devs[0]
+        q1 = e2 ** (T - t_first) * dev * dev
+        t0 = t_first
+        for k in range(1, n + 1):
+            q0 = q1
+            dev = devs[k]
+            m = T - t0 - 1  # periods left after the transition
+            q1 = e2**m * dev * dev
+            wt = 2.0 * t0 + 1.0
+            res = q1 - q0 + theta2 * wt + theta3 - lam * (phi1 + phi2 * m)
+            g_t2 += res * wt
+            g_t3 += res
+            g_p2 += res * (2.0 * (m + 1) * q0 - 2.0 * m * q1 - lam * m)
+            sq += res * res
+            t0 += 1
+    return g_t2, g_t3, -lam * g_t3, g_p2, sq
 
 
-def _gradients(samples, p: DiscreteParams, spec: ProblemSpec, r_f: float):
-    """Cost gradient in (theta2, theta3, phi1, phi2) from one pass over the
-    transitions of samples already checked by the caller."""
-    terms = _residual_terms(samples, p.theta, p.phi, p.w, spec, r_f)
-    g_res = sum(res for res, _, _ in terms)
-    return (
-        sum(res * wt for res, _, wt in terms),
-        g_res,
-        -spec.lam * g_res,
-        sum(res * dres for res, dres, _ in terms),
-    )
+def _sample_sums(samples, theta: ValueParams, phi: PolicyParams, w: float, spec: ProblemSpec, r_f):
+    """_residual_sums over validated (t, x) samples."""
+    _check_samples(samples, spec.T)
+    devs = [x - _discount(t, spec.T, r_f) * w for t, x in samples]
+    t_first = samples[0][0] if samples else 0
+    n = max(len(samples) - 1, 0)
+    return _residual_sums(devs, t_first, n, theta.theta2, theta.theta3, phi.phi1, phi.phi2, spec)
 
 
 def cost(
@@ -330,9 +356,7 @@ def cost(
 
     An empty or single-state sample list has no transitions and costs 0.
     """
-    _check_samples(samples, spec.T)
-    terms = _residual_terms(samples, theta, phi, w, spec, r_f)
-    return 0.5 * sum(res * res for res, _, _ in terms)
+    return 0.5 * _sample_sums(samples, theta, phi, w, spec, r_f)[4]
 
 
 def grad_theta(
@@ -344,8 +368,7 @@ def grad_theta(
     r_f: float,
 ) -> Tuple[float, float]:
     """Cost gradient in (theta2, theta3)."""
-    _check_samples(samples, spec.T)
-    return _gradients(samples, DiscreteParams(theta, phi, w), spec, r_f)[:2]
+    return _sample_sums(samples, theta, phi, w, spec, r_f)[:2]
 
 
 def grad_phi(
@@ -357,8 +380,7 @@ def grad_phi(
     r_f: float,
 ) -> Tuple[float, float]:
     """Cost gradient in (phi1, phi2)."""
-    _check_samples(samples, spec.T)
-    return _gradients(samples, DiscreteParams(theta, phi, w), spec, r_f)[2:]
+    return _sample_sums(samples, theta, phi, w, spec, r_f)[2:4]
 
 
 def apply_updates(
@@ -393,16 +415,24 @@ def apply_updates(
     value_from_params(T, x) = (x - w)^2 - (w - b)^2.  phi2 is projected onto
     the feasible region phi2 > -ln(r_f).
     """
+    values = (*vars(theta).values(), *vars(phi).values(), w)
+    values = _apply_updates(values, grads, eta_theta, eta_phi, spec, r_f)
+    return ValueParams(*values[:4]), PolicyParams(*values[4:6])
+
+
+def _apply_updates(values, grads, eta_theta, eta_phi, spec: ProblemSpec, r_f: float):
+    """apply_updates on the flat values (theta1, theta2, theta3, theta4,
+    phi1, phi2, w)."""
+    _, theta2, theta3, _, phi1, phi2, w = values
     g_t2, g_t3, g_p1, g_p2 = grads
-    theta2 = theta.theta2 - eta_theta * g_t2
-    theta3 = theta.theta3 - eta_theta * g_t3 + spec.lam * eta_phi * g_p1
-    phi2 = phi.phi2 - eta_phi * g_p2
+    theta2 = theta2 - eta_theta * g_t2
+    theta3 = theta3 - eta_theta * g_t3 + spec.lam * eta_phi * g_p1
+    phi2 = phi2 - eta_phi * g_p2
     floor = -math.log(r_f) + PHI2_MARGIN
     if phi2 < floor:
         phi2 = floor
-    theta1 = math.exp(-2.0 * phi2)
     theta4 = -theta2 * spec.T**2 - theta3 * spec.T - (w - spec.b) ** 2
-    return ValueParams(theta1, theta2, theta3, theta4), PolicyParams(phi.phi1, phi2)
+    return math.exp(-2.0 * phi2), theta2, theta3, theta4, phi1, phi2, w
 
 
 def update_w(state: LagrangeState, b: float, n: int) -> LagrangeState:
@@ -427,16 +457,50 @@ def update_w(state: LagrangeState, b: float, n: int) -> LagrangeState:
 @dataclass(frozen=True)
 class Learner:
     """One parametrization of the episodic protocol (episode_step,
-    run_training).  Its params are a frozen dataclass with a field w, the
-    Lagrange target, and every hook takes them as they are."""
+    run_training).
+
+    Its params are a frozen dataclass; fields names them, w (the Lagrange
+    target) last, and params builds them back from the values in that
+    order.  Within training the skeleton steps the flat tuple of values,
+    and every hook but cold_start, fields and params takes it as it is.
+    The policy is fixed for an episode: policy gives its slope and its
+    per-period variances (rollout), centers the c_t, t = 0..T, that the
+    wealth deviations x_t - c_t are taken from.  The gradient and cost
+    hooks take those deviations of the episode's states."""
 
     cold_start: Callable  # (spec, r_f, phi1, phi2) -> params
-    policy: Callable  # (params, spec, r_f, t, x) -> GaussianPolicy
-    gradients: Callable  # (samples, params, spec, r_f) -> d cost / d(theta2, theta3, phi1, phi2)
-    apply_updates: Callable  # (params, gradients, hyper, r_f) -> params
-    cost: Callable  # (samples, params, spec, r_f) -> float
     fields: Callable  # params -> {name: value} of the record and the checkpoint
-    record: Callable  # (episode=, terminal_wealth=, **fields) -> record
+    params: Callable  # (*values) -> params
+    policy: Callable  # (values, spec, r_f) -> (slope, [variance_t for t < T])
+    centers: Callable  # (values, spec, r_f) -> [c_t for t <= T]
+    # (devs, n, values, spec, r_f) -> gradient in (theta2, theta3, phi1, phi2)
+    # of the cost of the first n transitions
+    gradients: Callable
+    apply_updates: Callable  # (values, gradients, hyper, r_f) -> values
+    cost: Callable  # (devs, values, spec, r_f) -> cost of the T transitions
+    record: Callable  # (episode, terminal_wealth, *values) -> record
+
+
+def _episode(learner, values, lag, hyper, r_f, returns, rng, learn):
+    """episode_step on the learner's values.  Returns the wealths, the
+    controls, the values after the episode and the deviations of the
+    episode's states from the centers at those values."""
+    spec = hyper.spec
+    policy = learner.policy(values, spec, r_f)
+    centers = learner.centers(values, spec, r_f)
+    wealth, controls, devs = rollout(policy, centers, returns, spec, r_f, rng)
+    if learn:
+        for n in range(1, spec.T + 1) if hyper.prefix_updates else (spec.T,):
+            grads = learner.gradients(devs, n, values, spec, r_f)
+            values = learner.apply_updates(values, grads, hyper, r_f)
+        lag.terminal_wealths.append(wealth[-1])
+        if len(lag.terminal_wealths) % hyper.refresh_every == 0:
+            update_w(lag, spec.b, hyper.refresh_every)
+            values = values[:-1] + (lag.w,)
+            # the centers move with w, and the deviations with them
+            centers = learner.centers(values, spec, r_f)
+            devs = [x - c for x, c in zip(wealth, centers)]
+    return wealth, controls, values, devs
 
 
 def episode_step(learner, params, lag, hyper, r_f, returns, rng, learn=True):
@@ -444,28 +508,17 @@ def episode_step(learner, params, lag, hyper, r_f, returns, rng, learn=True):
     set, then take one update per growing prefix of its states (or a single
     whole-episode update when prefix_updates is off), record its terminal
     wealth in lag, and refresh w every refresh_every recorded wealths."""
-    spec = hyper.spec
-    episode = rollout(partial(learner.policy, params, spec, r_f), returns, spec, r_f, rng)
-    if learn:
-        states = episode.states
-        if hyper.prefix_updates:
-            prefixes = [states[: i + 1] for i in range(1, spec.T + 1)]
-        else:
-            prefixes = [states]
-        for sample in prefixes:
-            grads = learner.gradients(sample, params, spec, r_f)
-            params = learner.apply_updates(params, grads, hyper, r_f)
-        lag.terminal_wealths.append(episode.terminal_wealth)
-        if len(lag.terminal_wealths) % hyper.refresh_every == 0:
-            update_w(lag, spec.b, hyper.refresh_every)
-            params = replace(params, w=lag.w)
-    return episode, params
+    values = tuple(learner.fields(params).values())
+    wealth, controls, values, _ = _episode(learner, values, lag, hyper, r_f, returns, rng, learn)
+    episode = Episode(tuple(wealth), tuple(controls), tuple(returns))
+    return episode, learner.params(*values) if learn else params
 
 
 def run_training(learner, hyper, model, r_f, rng, params=None):
     """Run hyper.episodes episodes from params (the learner's cold start
     from hyper when None); returns the final params and one record per
-    episode.  Each episode draws its returns, then runs episode_step.
+    episode.  Each episode draws its returns, then runs the step of
+    episode_step on them.
 
     Raises TrainingDivergedError when the residual cost exceeds
     DIVERGENCE_COST or any parameter stops being finite.
@@ -473,30 +526,34 @@ def run_training(learner, hyper, model, r_f, rng, params=None):
     spec = hyper.spec
     if params is None:
         params = learner.cold_start(spec, r_f, hyper.init_phi1, hyper.init_phi2)
-    lag = LagrangeState(w=params.w, alpha=hyper.alpha)
+    values = tuple(learner.fields(params).values())
+    lag = LagrangeState(w=values[-1], alpha=hyper.alpha)
     history = []
     for ep in range(1, hyper.episodes + 1):
         returns = sample_path(model, spec.T, rng)
-        episode, params = episode_step(learner, params, lag, hyper, r_f, returns, rng)
-        final_cost = learner.cost(episode.states, params, spec, r_f)
-        fields = learner.fields(params)
-        finite = all(math.isfinite(v) for v in fields.values()) and math.isfinite(final_cost)
+        wealth, _, values, devs = _episode(learner, values, lag, hyper, r_f, returns, rng, True)
+        final_cost = learner.cost(devs, values, spec, r_f)
+        finite = all(map(math.isfinite, values)) and math.isfinite(final_cost)
         if not finite or abs(final_cost) > DIVERGENCE_COST:
             raise TrainingDivergedError(f"training diverged at episode {ep} (cost {final_cost!r})")
-        x_T = episode.terminal_wealth
-        history.append(learner.record(episode=ep, terminal_wealth=x_T, **fields))
-    return params, tuple(history)
+        history.append(learner.record(ep, wealth[-1], *values))
+    return learner.params(*values), tuple(history)
 
 
 DISCRETE = Learner(
     cold_start=cold_start,
-    policy=lambda p, spec, r_f, t, x: policy_from_params(p.phi, spec, r_f, t, x, p.w),
-    gradients=_gradients,
-    apply_updates=lambda p, g, hyper, r_f: DiscreteParams(
-        *apply_updates(p.theta, p.phi, g, hyper.eta_theta, hyper.eta_phi, p.w, hyper.spec, r_f), p.w
-    ),
-    cost=lambda samples, p, spec, r_f: cost(samples, p.theta, p.phi, p.w, spec, r_f),
     fields=lambda p: {**vars(p.theta), **vars(p.phi), "w": p.w},
+    params=lambda *v: DiscreteParams(ValueParams(*v[:4]), PolicyParams(*v[4:6]), v[6]),
+    policy=lambda v, spec, r_f: _policy(v[4], v[5], spec, r_f),
+    centers=lambda v, spec, r_f: _centers(v[6], spec, r_f),
+    gradients=lambda devs, n, v, spec, r_f: _residual_sums(
+        devs, 0, n, v[1], v[2], v[4], v[5], spec
+    )[:4],
+    apply_updates=lambda v, g, hyper, r_f: _apply_updates(
+        v, g, hyper.eta_theta, hyper.eta_phi, hyper.spec, r_f
+    ),
+    cost=lambda devs, v, spec, r_f: 0.5
+    * _residual_sums(devs, 0, spec.T, v[1], v[2], v[4], v[5], spec)[4],
     record=EpisodeRecord,
 )
 

@@ -12,6 +12,7 @@ import importlib.resources
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -316,6 +317,21 @@ def skewt_core_moments(nu: float, slant: float) -> Tuple[float, float]:
     return mean, var
 
 
+# Skew-t paths of up to this many periods are sampled on Python floats: for
+# a few elements numpy's per-call overhead outweighs its per-element speed
+# (a training episode is 3 periods; the histogram command draws 100,000).
+_SHORT_PATH = 8
+
+
+@lru_cache(maxsize=None)
+def _skewt_constants(nu: float, slant: float) -> Tuple[float, float, float, float]:
+    """(delta, sqrt(1 - delta^2), mean, sd) of the Azzalini construction with
+    df nu and the given slant, computed once per (nu, slant)."""
+    delta = slant / math.sqrt(1.0 + slant * slant)
+    mean, var = skewt_core_moments(nu, slant)
+    return delta, math.sqrt(1.0 - delta * delta), mean, math.sqrt(var)
+
+
 def sample_skewt_core(
     nu: float, slant: float, rng: np.random.Generator, size: Optional[int] = None
 ) -> Union[float, np.ndarray]:
@@ -328,41 +344,55 @@ def sample_skewt_core(
     n = 1 if size is None else int(size)
     if n < 1:
         raise ValueError("size must be >= 1")
-    delta = slant / math.sqrt(1.0 + slant * slant)
+    delta, delta_c, mean, sd = _skewt_constants(nu, slant)
     z0 = rng.standard_normal(n)
     z1 = rng.standard_normal(n)
-    skew_normal = delta * np.abs(z0) + math.sqrt(1.0 - delta * delta) * z1
+    skew_normal = delta * np.abs(z0) + delta_c * z1
     chi2 = rng.chisquare(nu, size=n)
     t = skew_normal / np.sqrt(chi2 / nu)
-    mean, var = skewt_core_moments(nu, slant)
-    core = (t - mean) / math.sqrt(var)
+    core = (t - mean) / sd
     if size is None:
         return float(core[0])
     return core
 
 
 def sample_path(model: ReturnModel, T: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample T consecutive per-period excess returns from a return model."""
+    """Sample T consecutive per-period excess returns from a return model.
+
+    A skew-t path of up to _SHORT_PATH periods is computed element by
+    element on floats, with the draws, their order and the values of
+    sample_skewt_core's numpy arithmetic, which longer paths use.
+    """
     if T < 1:
         raise ValueError("T must be >= 1")
     if isinstance(model, NormalIID):
         return model.a + model.sigma * rng.standard_normal(T)
     if isinstance(model, SkewTIID):
-        core = sample_skewt_core(model.nu, model.slant, rng, size=T)
-        return model.a + model.sigma * core
+        nu = model.nu
+        if T > _SHORT_PATH:
+            return model.a + model.sigma * sample_skewt_core(nu, model.slant, rng, size=T)
+        delta, delta_c, mean, sd = _skewt_constants(nu, model.slant)
+        z0 = rng.standard_normal(T).tolist()
+        z1 = rng.standard_normal(T).tolist()
+        chi2 = rng.chisquare(nu, size=T).tolist()
+        a, sigma = model.a, model.sigma
+        return np.array([
+            a + sigma * (((delta * abs(u) + delta_c * v) / math.sqrt(c / nu) - mean) / sd)
+            for u, v, c in zip(z0, z1, chi2)
+        ])
     if isinstance(model, Historical):
-        n = len(model.series)
+        values = model.series.values
+        n = len(values)
         if n < T:
             raise InsufficientDataError(f"series of {n} months cannot supply {T}")
-        vals = np.asarray(model.series.values, dtype=float)
         if model.mode == "random-window":
             start = int(rng.integers(0, n - T + 1))
-            return vals[start : start + T].copy()
+            return np.array(values[start : start + T], dtype=float)
         if model._cursor + T > n:
             raise InsufficientDataError(
                 f"sequential mode exhausted at offset {model._cursor}"
             )
-        out = vals[model._cursor : model._cursor + T].copy()
+        out = np.array(values[model._cursor : model._cursor + T], dtype=float)
         model._cursor += T
         return out
     raise TypeError(f"unknown return model {type(model).__name__}")

@@ -1,6 +1,8 @@
 """End-to-end tests of the command line interface."""
 
+import ast
 import csv
+import importlib
 import json
 import os
 
@@ -109,6 +111,21 @@ def test_config_validation_rules(tmp_path):
         load_config(_cfg_file(tmp_path, "[grid]\nw = auto-ish\n"))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.ini"))
+
+
+def test_grid_needs_three_points(tmp_path, capsys):
+    """The DP oracle needs three grid points; fewer is a config error that
+    names the key, raised before any output is written."""
+    assert load_config(_cfg_file(tmp_path, "[grid]\nx_points = 3\n")).grid.x_points == 3
+    bad = _cfg_file(tmp_path, "[grid]\nx_points = 2\n")
+    with pytest.raises(ConfigError, match="grid.x_points must be >= 3"):
+        load_config(bad)
+    out = tmp_path / "run"
+    code, _, err = _run(["analytic", "--config", bad, "--out", str(out)], capsys)
+    assert code == 1
+    record = json.loads(err)
+    assert record["error"] == "ConfigError" and "grid.x_points" in record["message"]
+    assert not out.exists()
 
 
 def test_config_dataclasses_are_plain_values():
@@ -404,3 +421,27 @@ def test_reruns_are_byte_identical(tmp_path, capsys, command):
     bytes_a, bytes_b = _all_bytes(out_a), _all_bytes(out_b)
     assert list(bytes_a) == list(bytes_b)
     assert bytes_a == bytes_b
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracer
+# ---------------------------------------------------------------------------
+
+
+def test_every_traced_name_resolves_to_a_callable():
+    """perfbench/spans.py wraps each (module, name) of its WRAPPED tuple; one
+    that no longer resolves makes every traced benchmark run fail."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+    ]
+    assert wrapped
+    for module_name, names in wrapped:
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"

@@ -1,0 +1,125 @@
+"""Float identity of the training hot path.
+
+The golden digests pin every record of short training runs of both learners
+on the three market models, and the rows of one online-test backtest cell;
+they were computed with the per-step rollout and the ndarray samplers that
+the current code replaced, and must not move.  The properties check the two
+identities that replacement rests on: one vector draw of T normals is T
+scalar draws, and sample_path's float arithmetic is the ndarray arithmetic
+element by element.
+"""
+
+import hashlib
+import math
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtmv.analytic import ProblemSpec
+from dtmv.baseline import baseline_train
+from dtmv.evaluation import RollingSpec, rolling_backtest
+from dtmv.learner import HyperParams, train
+from dtmv.market import (
+    Historical,
+    NormalIID,
+    SkewTIID,
+    annualize_market,
+    bundled_monthly_csv_path,
+    load_monthly_csv,
+    make_rng,
+    sample_path,
+    skewt_core_moments,
+)
+
+SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
+A, SIGMA, R_F = annualize_market(0.30, 0.20, 0.02)
+SERIES = load_monthly_csv(bundled_monthly_csv_path(), 0.02)
+MODELS = {
+    "normal": NormalIID(A, SIGMA),
+    "skewt": SkewTIID(A, SIGMA, 5.0, -1.5),
+    "historical": Historical(SERIES.subseries("1995-01", 120)),
+}
+TRAINERS = {"discrete": train, "continuous": baseline_train}
+
+GOLDEN_HISTORIES = {
+    ("normal", "discrete"): "b585fcf95f595ace9e1cdf5a6530acb8f30d99ce84d737161b76ad7069e38306",
+    ("normal", "continuous"): "59e66125829f0c30e3e6848521a8745ef31c7e910c9c1b92a4160fad05685ef7",
+    ("skewt", "discrete"): "c0841a3bc933568cc49111d9e88cd583e63b855b8bf18888e840b2e146a7c2b0",
+    ("skewt", "continuous"): "19c98ead99290bfe366b1d412fa150ebb313368a1d4a2f6289f841a1e9e9ec4a",
+    ("historical", "discrete"): "116c8fd857ea3dd576d55f6d380f92b5ed25ed09eb8149141c966cefdd2f40d0",
+    ("historical", "continuous"): "f400079154ee811747edd65dcf3423c36d70e2b8686e1ba23bb5e99fb7cc2d51",
+}
+GOLDEN_ONLINE_BACKTEST = "90fdf570bdddb5d715714d9ed6b172d13d7dc1534cdf6d7a20c1cf918ef677d6"
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(repr([astuple(r) for r in rows]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("market, learner", sorted(GOLDEN_HISTORIES))
+def test_training_history_matches_its_golden_digest(market, learner):
+    hyper = HyperParams(spec=SPEC, episodes=300)
+    result = TRAINERS[learner](hyper, MODELS[market], R_F, make_rng(7, 1))
+    assert _digest(result.history) == GOLDEN_HISTORIES[(market, learner)]
+
+
+def test_online_backtest_cell_matches_its_golden_digest():
+    rolling = RollingSpec(test_years=(2006,), targets=(1.05,), online_test=True)
+    rows = rolling_backtest(SERIES, rolling, HyperParams(spec=SPEC, episodes=300), R_F, seed=4)
+    assert _digest(rows) == GOLDEN_ONLINE_BACKTEST
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 12))
+def test_one_vector_draw_equals_scalar_draws(seed, T):
+    one, many = make_rng(seed), make_rng(seed)
+    vector = one.standard_normal(T).tolist()
+    scalars = [many.standard_normal() for _ in range(T)]
+    assert vector == scalars
+    assert one.bit_generator.state == many.bit_generator.state
+
+
+def _ndarray_sample_path(model, T, rng):
+    """sample_path as whole-array numpy arithmetic."""
+    if isinstance(model, NormalIID):
+        return model.a + model.sigma * rng.standard_normal(T)
+    if isinstance(model, SkewTIID):
+        nu, slant = model.nu, model.slant
+        delta = slant / math.sqrt(1.0 + slant * slant)
+        z0 = rng.standard_normal(T)
+        z1 = rng.standard_normal(T)
+        skew_normal = delta * np.abs(z0) + math.sqrt(1.0 - delta * delta) * z1
+        chi2 = rng.chisquare(nu, size=T)
+        t = skew_normal / np.sqrt(chi2 / nu)
+        mean, var = skewt_core_moments(nu, slant)
+        return model.a + model.sigma * ((t - mean) / math.sqrt(var))
+    vals = np.asarray(model.series.values, dtype=float)
+    start = int(rng.integers(0, len(vals) - T + 1))
+    return vals[start : start + T].copy()
+
+
+_MODELS = st.one_of(
+    st.builds(NormalIID, st.floats(-0.05, 0.05), st.floats(0.001, 0.3)),
+    st.builds(
+        SkewTIID,
+        st.floats(-0.05, 0.05),
+        st.floats(0.001, 0.3),
+        st.floats(2.05, 200.0),
+        st.floats(-5.0, 5.0),
+    ),
+    st.just(MODELS["historical"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_MODELS, seed=st.integers(0, 2**32 - 1), T=st.integers(1, 12))
+def test_sample_path_equals_the_ndarray_computation(model, seed, T):
+    fast, reference = make_rng(seed), make_rng(seed)
+    got = sample_path(model, T, fast)
+    want = _ndarray_sample_path(model, T, reference)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (T,)
+    assert got.tolist() == want.tolist()
+    assert fast.bit_generator.state == reference.bit_generator.state

@@ -12,6 +12,8 @@ from dtmv.analytic import MarketModel, ProblemSpec, gaussian_entropy
 from dtmv.baseline import (
     ALGORITHM_CONTINUOUS,
     BaselineParams,
+    baseline_cost,
+    baseline_gradients,
     baseline_train,
     default_baseline_params,
 )
@@ -218,11 +220,19 @@ def _learner_params(algorithm, theta2, theta3, theta4, phi1, phi2, w):
     return BaselineParams(theta2, theta3, theta4, phi1, phi2, w)
 
 
-@st.composite
-def _transitions(draw):
-    t0 = draw(st.integers(0, SPEC.T - 1))
-    xs = draw(st.lists(st.floats(0.2, 2.5), min_size=2, max_size=SPEC.T - t0 + 1))
-    return [(t0 + i, x) for i, x in enumerate(xs)]
+def _values(algorithm, *args):
+    """The flat values a learner's hooks step, from _learner_params(*args)."""
+    return tuple(LEARNERS[algorithm].fields(_learner_params(algorithm, *args)).values())
+
+
+def _public_gradients(algorithm, samples, params):
+    if algorithm == ALGORITHM_DISCRETE:
+        args = (samples, params.theta, params.phi, params.w, SPEC, R_F)
+        return grad_theta(*args) + grad_phi(*args)
+    return baseline_gradients(samples, params, SPEC)
+
+
+_EPISODE_WEALTHS = st.lists(st.floats(0.2, 2.5), min_size=SPEC.T + 1, max_size=SPEC.T + 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -232,27 +242,57 @@ def _transitions(draw):
     phi1=st.floats(-0.5, 1.5),
     phi2=st.floats(0.01, 0.3),  # above both learners' phi2 floors
     w=st.floats(0.9, 1.6),
-    samples=_transitions(),
+    wealth=_EPISODE_WEALTHS,
 )
-def test_gradients_match_central_finite_differences(algorithm, theta, phi1, phi2, w, samples):
-    """Each learner's fused gradients equal central differences of its cost
-    in (theta2, theta3, phi1, phi2)."""
+def test_gradients_match_central_finite_differences(algorithm, theta, phi1, phi2, w, wealth):
+    """Each learner's fused gradients over a whole episode equal central
+    differences of its cost in (theta2, theta3, phi1, phi2).  The hooks take
+    the episode's deviations from the learner's centers."""
     learner = LEARNERS[algorithm]
     theta4 = theta[2]
     h = 1e-6
+    base = (theta[0], theta[1], phi1, phi2)
+    values = _values(algorithm, *theta, phi1, phi2, w)
+    devs = [x - c for x, c in zip(wealth, learner.centers(values, SPEC, R_F))]
 
     def c(th2, th3, p1, p2):
-        params = _learner_params(algorithm, th2, th3, theta4, p1, p2, w)
-        return learner.cost(samples, params, SPEC, R_F)
+        return learner.cost(devs, _values(algorithm, th2, th3, theta4, p1, p2, w), SPEC, R_F)
 
-    base = (theta[0], theta[1], phi1, phi2)
-    grads = learner.gradients(samples, _learner_params(algorithm, *theta, phi1, phi2, w), SPEC, R_F)
+    grads = learner.gradients(devs, SPEC.T, values, SPEC, R_F)
     for idx, got in enumerate(grads):
         up, dn = list(base), list(base)
         up[idx] += h
         dn[idx] -= h
         fd = (c(*up) - c(*dn)) / (2.0 * h)
         assert abs(got - fd) <= 1e-5 * max(1.0, abs(fd)), (idx, got, fd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    theta=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+    phi1=st.floats(-0.5, 1.5),
+    phi2=st.floats(0.01, 0.3),
+    w=st.floats(0.9, 1.6),
+    wealth=_EPISODE_WEALTHS,
+    n=st.integers(0, SPEC.T),
+)
+def test_prefix_hooks_equal_the_public_functions(algorithm, theta, phi1, phi2, w, wealth, n):
+    """On the first n transitions of an episode the gradient hook returns
+    exactly the public gradients of the (t, x) samples 0..n; on all of them
+    the cost hook returns exactly the public cost."""
+    learner = LEARNERS[algorithm]
+    params = _learner_params(algorithm, *theta, phi1, phi2, w)
+    values = _values(algorithm, *theta, phi1, phi2, w)
+    devs = [x - c for x, c in zip(wealth, learner.centers(values, SPEC, R_F))]
+    samples = list(enumerate(wealth))
+    got = learner.gradients(devs, n, values, SPEC, R_F)
+    assert got == _public_gradients(algorithm, samples[: n + 1], params)
+    if algorithm == ALGORITHM_DISCRETE:
+        public_cost = cost(samples, params.theta, params.phi, w, SPEC, R_F)
+    else:
+        public_cost = baseline_cost(samples, params, SPEC)
+    assert learner.cost(devs, values, SPEC, R_F) == public_cost
 
 
 def test_gradient_of_empty_samples_is_zero():
