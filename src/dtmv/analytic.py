@@ -292,23 +292,47 @@ def iterate(
 class ValueGrid:
     """One backward-induction layer: cost-to-go j_values on x_values at period t.
 
-    u_grid holds the shared control-quadrature offsets (relative to each
-    state's own Gibbs center); it is empty for the terminal layer.  meta
-    records the fitted quadratic (curvature, center, offset), the grid
+    meta records the fitted quadratic (curvature, center, offset), the grid
     geometry, and the internal consistency errors of the layer.
     """
 
     t: int
     x_values: np.ndarray
     j_values: np.ndarray
-    u_grid: np.ndarray
     meta: Dict[str, float]
 
 
-def layer_value(layer: ValueGrid, x: float) -> float:
-    """Evaluate a layer's fitted quadratic at arbitrary wealth x."""
-    dev = x - layer.meta["center"]
-    return layer.meta["curvature"] * dev * dev + layer.meta["offset"]
+# States per row block of the trapezoid cross-check, so that a block's arrays
+# stay in cache (of 4 to 64 rows, 8 and 16 ran fastest on a 2-vCPU Xeon).
+_TRAPEZOID_ROWS = 16
+
+
+def _trapezoid_values(
+    a2: float, a1: np.ndarray, center: np.ndarray, lam: float, halfwidth: float, points: int
+) -> np.ndarray:
+    """E[phi] + lam * E[ln pi] per state, phi(u) = a2*u^2 + a1*u and pi ~ exp(-phi/lam),
+    by the trapezoid rule on `points` nodes over center +- halfwidth: phi is
+    evaluated at every node of every state, in row blocks with one exp each."""
+    offs = np.linspace(-halfwidth, halfwidth, points)
+    half = 0.5 * np.diff(offs)
+    wt = np.pad(half, (0, 1)) + np.pad(half, (1, 0))  # the weights of np.trapezoid
+    out = np.empty(center.size)
+    for i in range(0, center.size, _TRAPEZOID_ROWS):
+        rows = slice(i, i + _TRAPEZOID_ROWS)
+        # phi = a2*u*u + a1*u, then ex*phi and ex*lp, in place
+        u = center[rows, None] + offs
+        phi = a2 * u
+        phi *= u
+        u *= a1[rows, None]
+        phi += u
+        lp = phi / -lam
+        lp -= lp.max(axis=1, keepdims=True)
+        ex = np.exp(lp)
+        norm = ex @ wt
+        phi *= ex
+        lp *= ex
+        out[rows] = phi @ wt / norm + lam * (lp @ wt / norm - np.log(norm))
+    return out
 
 
 def dp_oracle(
@@ -325,7 +349,8 @@ def dp_oracle(
 
     Independent of the closed forms above: each Bellman step evaluates the
     soft minimum over densities through Gauss-Hermite quadrature centered on
-    the Gibbs minimizer, cross-checked against a wide uniform trapezoid rule,
+    the Gibbs minimizer, cross-checked against a wide uniform trapezoid rule
+    (still evaluated per state and node, walking the states in row blocks),
     and the next layer is refit as a quadratic in x.  Raises QuadratureError
     if widening the control window moves any value beyond `tol` (scaled), if
     the two quadratures disagree, or if a layer stops being quadratic.
@@ -348,10 +373,10 @@ def dp_oracle(
     m2 = m.second_moment
     gh_nodes, gh_weights = np.polynomial.hermite.hermgauss(n_hermite)
 
-    def soft_min_layer(q: float, c: float, g: float) -> Tuple[np.ndarray, np.ndarray, float]:
+    def soft_min_layer(q: float, c: float, g: float) -> Tuple[np.ndarray, float]:
         """One Bellman step against the quadratic layer q*(y-c)^2 + g.
 
-        Returns (values on grid, quadrature offsets, worst cross-check error).
+        Returns (values on grid, worst cross-check error).
         """
         # integrand in u after taking E over the return: phi(u) = a2*u^2 + a1*u
         a2 = q * m2
@@ -369,35 +394,22 @@ def dp_oracle(
         e_lnpi = -e_phi / lam - ln_z
         val_gh = e_phi + lam * e_lnpi + base
 
-        def trap(width: float, points: int) -> np.ndarray:
-            offs = np.linspace(-width * s, width * s, points)
-            u = center[:, None] + offs[None, :]
-            phi = a2 * u**2 + a1[:, None] * u
-            lp = -phi / lam
-            lp_max = lp.max(axis=1, keepdims=True)
-            norm = np.trapezoid(np.exp(lp - lp_max), offs, axis=1)
-            ln_z_tr = np.log(norm) + lp_max[:, 0]
-            dens = np.exp(lp - lp_max) / norm[:, None]
-            e_phi_tr = np.trapezoid(dens * phi, offs, axis=1)
-            e_lnpi_tr = np.trapezoid(dens * (lp - ln_z_tr[:, None]), offs, axis=1)
-            return e_phi_tr + lam * e_lnpi_tr + base
-
-        val_tr = trap(halfwidth_sigmas, n_u)
-        val_wide = trap(1.5 * halfwidth_sigmas, int(1.5 * n_u) | 1)
+        val_tr = _trapezoid_values(a2, a1, center, lam, halfwidth_sigmas * s, n_u) + base
+        wide = 1.5 * halfwidth_sigmas
+        val_wide = _trapezoid_values(a2, a1, center, lam, wide * s, int(1.5 * n_u) | 1) + base
         scale = 1.0 + np.abs(val_gh)
         widen_err = float(np.max(np.abs(val_wide - val_tr) / scale))
         cross_err = float(np.max(np.abs(val_gh - val_tr) / scale))
         if widen_err > tol:
             raise QuadratureError(
                 f"control quadrature unconverged at t-layer against width "
-                f"{1.5 * halfwidth_sigmas:g} sigmas (err {widen_err:.3e} > {tol:g})"
+                f"{wide:g} sigmas (err {widen_err:.3e} > {tol:g})"
             )
         if cross_err > tol:
             raise QuadratureError(
                 f"Gauss-Hermite and trapezoid quadratures disagree (err {cross_err:.3e})"
             )
-        offs = np.linspace(-halfwidth_sigmas * s, halfwidth_sigmas * s, n_u)
-        return val_gh, offs, max(widen_err, cross_err)
+        return val_gh, max(widen_err, cross_err)
 
     def fit_quadratic(values: np.ndarray) -> Tuple[float, float, float, float]:
         coefs = np.polynomial.polynomial.polyfit(grid, values, 2)
@@ -417,7 +429,6 @@ def dp_oracle(
             t=spec.T,
             x_values=grid.copy(),
             j_values=j_term,
-            u_grid=np.empty(0),
             meta={
                 "curvature": 1.0,
                 "center": w,
@@ -432,14 +443,13 @@ def dp_oracle(
 
     q, c, g = 1.0, w, -((w - spec.b) ** 2)
     for t in range(spec.T - 1, -1, -1):
-        vals, offs, quad_err = soft_min_layer(q, c, g)
+        vals, quad_err = soft_min_layer(q, c, g)
         q, c, g, fit_resid = fit_quadratic(vals)
         layers.append(
             ValueGrid(
                 t=t,
                 x_values=grid.copy(),
                 j_values=vals,
-                u_grid=offs,
                 meta={
                     "curvature": q,
                     "center": c,

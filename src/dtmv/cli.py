@@ -258,8 +258,19 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("config: need grid.x_max > grid.x_min")
     if cfg.grid.w != "auto":
         _parse_scalar("grid", "w", cfg.grid.w, float)
-    if cfg.evaluation.test_episodes > cfg.learning.episodes:
+    ev = cfg.evaluation
+    if ev.test_episodes > cfg.learning.episodes:
         raise ConfigError("config: evaluation.test_episodes exceeds learning.episodes")
+    if ev.block < 1 or ev.histogram_bins < 1:
+        raise ConfigError("config: evaluation.block and evaluation.histogram_bins must be >= 1")
+    try:  # the domain objects' own checks; a historical series is checked when read
+        hyper_params(cfg, problem_spec(cfg))
+        IterationFamily(cfg.family.mean_slope, cfg.family.var_base, cfg.family.var_ratio)
+        if cfg.market.model != "historical":
+            build_model(cfg.market)
+        SplitSpec(cfg.learning.episodes - ev.test_episodes, ev.test_episodes)
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from None
 
 
 def effective_config_text(cfg: RunConfig) -> str:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtmv.analytic import (
     DegenerateFamilyError,
@@ -18,8 +20,8 @@ from dtmv.analytic import (
     expected_terminal_wealth,
     gaussian_entropy,
     iterate,
+    _trapezoid_values,
     lagrange_fixed_point,
-    layer_value,
     optimal_policy,
     optimal_value,
     seed_policy,
@@ -326,22 +328,70 @@ def test_dp_oracle_terminal_layer_is_the_terminal_cost():
     xs = np.linspace(0.0, 2.0, 5)
     layers = dp_oracle(M, SPEC, 1.3, xs)
     np.testing.assert_allclose(layers[-1].j_values, (xs - 1.3) ** 2 - 0.01, rtol=1e-15)
-    assert layers[-1].u_grid.size == 0
-    assert layers[0].u_grid.size > 0
-
-
-def test_layer_value_reproduces_grid_nodes():
-    xs = np.linspace(-0.5, 2.5, 7)
-    layers = dp_oracle(M, SPEC, 1.3, xs)
-    for grid in layers:
-        for x, j in zip(xs, grid.j_values):
-            assert layer_value(grid, float(x)) == pytest.approx(float(j), rel=1e-9, abs=1e-9)
 
 
 def test_dp_oracle_flags_unreachable_tolerance():
     xs = np.linspace(0.0, 2.0, 5)
     with pytest.raises(QuadratureError):
         dp_oracle(M, SPEC, 1.3, xs, tol=1e-18)
+
+
+@pytest.mark.parametrize("halfwidth, converged", [(2.0, False), (4.0, False), (6.0, True)])
+def test_dp_oracle_widening_gate_rejects_narrow_windows(halfwidth, converged):
+    """At the default tol, a control window of 2 or 4 sigmas moves the value
+    when widened by half, and 6 sigmas does not."""
+    spec = ProblemSpec(T=3, x0=1.0, b=1.2, lam=0.5)
+    xs = np.linspace(0.0, 2.0, 5)
+    if converged:
+        assert len(dp_oracle(M, spec, 1.3, xs, halfwidth_sigmas=halfwidth)) == 4
+    else:
+        with pytest.raises(QuadratureError, match="unconverged"):
+            dp_oracle(M, spec, 1.3, xs, halfwidth_sigmas=halfwidth)
+
+
+def _reference_trapezoid(a2, a1, center, lam, halfwidth, points):
+    """dp_oracle's trapezoid cross-check as it was written over the whole
+    (states x nodes) array, with two exps and np.trapezoid."""
+    offs = np.linspace(-halfwidth, halfwidth, points)
+    u = center[:, None] + offs[None, :]
+    phi = a2 * u**2 + a1[:, None] * u
+    lp = -phi / lam
+    lp_max = lp.max(axis=1, keepdims=True)
+    norm = np.trapezoid(np.exp(lp - lp_max), offs, axis=1)
+    ln_z_tr = np.log(norm) + lp_max[:, 0]
+    dens = np.exp(lp - lp_max) / norm[:, None]
+    e_phi_tr = np.trapezoid(dens * phi, offs, axis=1)
+    e_lnpi_tr = np.trapezoid(dens * (lp - ln_z_tr[:, None]), offs, axis=1)
+    return e_phi_tr + lam * e_lnpi_tr
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    market=st.sampled_from([M, MONTHLY]),
+    q=st.floats(0.01, 100.0),
+    c=st.floats(-3.0, 3.0),
+    lam=st.floats(0.01, 10.0),
+    x_min=st.floats(-3.0, 3.0),
+    span=st.floats(0.1, 6.0),
+    states=st.integers(3, 250),
+    width=st.sampled_from([8.0, 12.0]),
+    points=st.integers(51, 3001),
+)
+def test_blocked_trapezoid_matches_the_whole_array_formulation(
+    market, q, c, lam, x_min, span, states, width, points
+):
+    """The row-blocked kernel against the reference above, for the layer
+    q*(y - c)^2 + g (g only adds the same constant to both) on grids of any
+    size, block multiples or not.  The tolerance is on the oracle gates'
+    scale 1 + |value|."""
+    grid = np.linspace(x_min, x_min + span, states)
+    a2 = q * market.second_moment
+    a1 = 2.0 * q * market.a * (market.r_f * grid - c)
+    center = -a1 / (2.0 * a2)
+    halfwidth = width * math.sqrt(lam / (2.0 * a2))
+    got = _trapezoid_values(a2, a1, center, lam, halfwidth, points)
+    want = _reference_trapezoid(a2, a1, center, lam, halfwidth, points)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 def test_dp_oracle_grid_validation():

@@ -128,6 +128,33 @@ def test_grid_needs_three_points(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("analytic", "problem", "horizon", "0"),
+        ("train", "learning", "refresh_every", "0"),
+        ("histogram", "market", "nu", "2.0"),
+        ("compare", "evaluation", "block", "0"),
+        ("histogram", "evaluation", "histogram_bins", "0"),
+        ("train", "evaluation", "test_episodes", "1"),
+        ("iterate", "family", "var_base", "0.0"),
+    ],
+)
+def test_domain_checks_reject_the_config_before_any_output(
+    tmp_path, capsys, command, section, key, value
+):
+    """A value the domain objects reject is a config error, raised before
+    the run directory is made and not after a training run."""
+    bad = _cfg_file(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError):
+        load_config(bad)
+    out = tmp_path / "run"
+    code, _, err = _run([command, "--config", bad, "--out", str(out)], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def test_config_dataclasses_are_plain_values():
     assert MarketConfig().a_annual == 0.30
     assert LearningConfig().algorithm == "emv-discrete"

@@ -1,4 +1,4 @@
-"""Float identity of the training hot path.
+"""Float identity of the training hot path and of the DP oracle.
 
 The golden digests pin every record of short training runs of both learners
 on the three market models, and the rows of one online-test backtest cell;
@@ -7,10 +7,16 @@ the current code replaced, and must not move.  The properties check the two
 identities that replacement rests on: one vector draw of T normals is T
 scalar draws, and sample_path's float arithmetic is the ndarray arithmetic
 element by element.
+
+A further digest pins the run directory of `dtmv analytic` at a 60-period
+horizon.  It was computed while the oracle's trapezoid cross-check still ran
+over whole arrays; that check gates the oracle's values without entering
+them, so running it in row blocks must not move a byte.
 """
 
 import hashlib
 import math
+import os
 from dataclasses import astuple
 
 import numpy as np
@@ -20,6 +26,7 @@ from hypothesis import strategies as st
 
 from dtmv.analytic import ProblemSpec
 from dtmv.baseline import baseline_train
+from dtmv.cli import main
 from dtmv.evaluation import RollingSpec, rolling_backtest
 from dtmv.learner import HyperParams, train
 from dtmv.market import (
@@ -53,6 +60,7 @@ GOLDEN_HISTORIES = {
     ("historical", "continuous"): "f400079154ee811747edd65dcf3423c36d70e2b8686e1ba23bb5e99fb7cc2d51",
 }
 GOLDEN_ONLINE_BACKTEST = "90fdf570bdddb5d715714d9ed6b172d13d7dc1534cdf6d7a20c1cf918ef677d6"
+GOLDEN_ANALYTIC_RUN = "3221e3b055ad995651995cc68fa37c5d0c43bb8cc147a5dafea973d486d3a2f5"
 
 
 def _digest(rows) -> str:
@@ -70,6 +78,17 @@ def test_online_backtest_cell_matches_its_golden_digest():
     rolling = RollingSpec(test_years=(2006,), targets=(1.05,), online_test=True)
     rows = rolling_backtest(SERIES, rolling, HyperParams(spec=SPEC, episodes=300), R_F, seed=4)
     assert _digest(rows) == GOLDEN_ONLINE_BACKTEST
+
+
+def test_analytic_run_directory_matches_its_golden_digest(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[problem]\nhorizon = 60\n\n[grid]\nx_points = 21\n")
+    out = tmp_path / "run"
+    assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(out)):
+        digest.update(name.encode() + b"\0" + (out / name).read_bytes())
+    assert digest.hexdigest() == GOLDEN_ANALYTIC_RUN
 
 
 @settings(max_examples=200, deadline=None)
