@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
+import numpy.polynomial  # noqa: F401  (numpy loads it lazily; load it at import, not in dp_oracle)
 
 
 class DegenerateFamilyError(ValueError):

@@ -92,12 +92,6 @@ def baseline_policy(params: BaselineParams, spec: ProblemSpec, t: int, x: float)
     return GaussianPolicy(slope * (x - params.w), variance)
 
 
-def baseline_entropy(params: BaselineParams, spec: ProblemSpec, t: int) -> float:
-    if not 0 <= t < spec.T:
-        raise ValueError(f"t={t} outside 0..{spec.T - 1}")
-    return params.phi1 + params.phi2 * (spec.T - t)
-
-
 def baseline_value(params: BaselineParams, spec: ProblemSpec, t: int, x: float) -> float:
     if not 0 <= t <= spec.T:
         raise ValueError(f"t={t} outside 0..{spec.T}")

@@ -269,6 +269,7 @@ def validate_config(cfg: RunConfig) -> None:
         if cfg.market.model != "historical":
             build_model(cfg.market)
         SplitSpec(cfg.learning.episodes - ev.test_episodes, ev.test_episodes)
+        rolling_spec(cfg)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from None
 
@@ -323,6 +324,18 @@ def problem_spec(cfg: RunConfig) -> ProblemSpec:
 def hyper_params(cfg: RunConfig, spec: ProblemSpec) -> HyperParams:
     training = {k: v for k, v in vars(cfg.learning).items() if k != "algorithm"}
     return HyperParams(spec=spec, **training)
+
+
+def rolling_spec(cfg: RunConfig) -> RollingSpec:
+    ev = cfg.evaluation
+    return RollingSpec(
+        test_years=ev.backtest_start_years,
+        targets=ev.backtest_targets,
+        window_months=ev.window_months,
+        horizon_months=ev.horizon_months,
+        test_months=ev.test_months,
+        online_test=ev.online_test,
+    )
 
 
 def _resolve_w(cfg: RunConfig, m: MarketModel, spec: ProblemSpec) -> float:
@@ -474,14 +487,7 @@ def cmd_backtest(cfg: RunConfig, out: str, seed_override: Optional[int], jobs: i
     series = load_monthly_csv(mc.csv_path or bundled_monthly_csv_path(), mc.r_annual)
     spec = dataclasses.replace(problem_spec(cfg), T=ev.horizon_months)
     hyper = hyper_params(cfg, spec)
-    rolling = RollingSpec(
-        test_years=ev.backtest_start_years,
-        targets=ev.backtest_targets,
-        window_months=ev.window_months,
-        horizon_months=ev.horizon_months,
-        test_months=ev.test_months,
-        online_test=ev.online_test,
-    )
+    rolling = rolling_spec(cfg)
     _, _, r_f = _per_period(mc)
     seed = cfg.run.seed if seed_override is None else seed_override
     rows = rolling_backtest(series, rolling, hyper, r_f, seed, jobs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -167,20 +166,6 @@ def first_stable_block(means: Sequence[float], target: float, rel_tol: float = 0
     return stable_from
 
 
-def mv_objective(
-    terminal_wealths: Sequence[float], w: float, b: float
-) -> Tuple[float, float, float]:
-    """(mean, variance, lagrangian) of terminal wealth, where the lagrangian
-    is E[(x_T - w)^2] - (w - b)^2."""
-    arr = np.asarray(terminal_wealths, dtype=float)
-    if arr.size == 0:
-        raise StatsError("no terminal wealths")
-    mean = float(arr.mean())
-    var = float(arr.var())
-    lagrangian = float(np.mean((arr - w) ** 2)) - (w - b) ** 2
-    return mean, var, lagrangian
-
-
 # ---------------------------------------------------------------------------
 # simulation study
 # ---------------------------------------------------------------------------
@@ -207,6 +192,9 @@ def _run_cells(worker, cells, jobs: int):
         raise ValueError("jobs must be >= 1")
     if jobs == 1:
         return [worker(c) for c in cells]
+    # imported here: it loads multiprocessing, which a --jobs 1 run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, cells))
 
@@ -301,7 +289,7 @@ def _backtest_cell(args) -> PerformanceReport:
         raise InsufficientDataError(f"{label}: {exc}") from exc
 
     rng = RngStream(seed=seed, stream=stream).generator()
-    model = Historical(train_series, mode="random-window")
+    model = Historical(train_series)
 
     params = _train(algorithm, hyper, model, r_f, rng).params
     lag = LagrangeState(w=params.w, alpha=hyper.alpha)

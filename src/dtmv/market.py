@@ -11,12 +11,12 @@ import csv
 import importlib.resources
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import gammaln
+import numpy.random  # noqa: F401  (numpy loads it lazily; load it at import, not in make_rng)
 
 # Recorded in effective configs so runs are reproducible across machines.
 RNG_ALGORITHM = "pcg64"
@@ -115,10 +115,6 @@ class ReturnSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def points(self) -> Tuple[Tuple[str, float], ...]:
-        return tuple(zip(self.months, self.values))
-
     def slice_months(self, start: str, n_months: int) -> np.ndarray:
         """Return n_months consecutive values starting at label `start`.
 
@@ -143,34 +139,6 @@ class ReturnSeries:
         return ReturnSeries(
             self.months[lo : lo + n_months], self.values[lo : lo + n_months]
         )
-
-
-def save_return_series(series: ReturnSeries, path: str) -> None:
-    """Write a ReturnSeries as CSV with header date,excess_return."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "excess_return"])
-        for m, v in series.points:
-            writer.writerow([m, repr(v)])
-
-
-def load_return_series(path: str) -> ReturnSeries:
-    """Inverse of save_return_series; round-trips exactly."""
-    months, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["date", "excess_return"]:
-            raise DataError(f"{path}: expected header date,excess_return")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            months.append(row[0].strip())
-            try:
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad return {row[1]!r}") from exc
-    return ReturnSeries(tuple(months), tuple(values))
 
 
 def load_monthly_csv(path: str, r_annual: float = 0.0) -> ReturnSeries:
@@ -284,22 +252,12 @@ class SkewTIID:
             raise ValueError("nu must exceed 2 for a finite variance")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Historical:
-    """Draws T-month windows from a recorded return series.
-
-    mode 'random-window' picks a uniformly random contiguous window per call
-    and is the stateless default.  mode 'sequential' walks the series in
-    nonoverlapping order (a testing aid) and is therefore stateful.
-    """
+    """Draws T-month windows from a recorded return series: each call picks
+    a uniformly random contiguous window."""
 
     series: ReturnSeries
-    mode: str = "random-window"
-    _cursor: int = field(default=0, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("random-window", "sequential"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 ReturnModel = Union[NormalIID, SkewTIID, Historical]
@@ -310,8 +268,8 @@ def skewt_core_moments(nu: float, slant: float) -> Tuple[float, float]:
     if nu <= 2.0:
         raise ValueError("nu must exceed 2")
     delta = slant / math.sqrt(1.0 + slant * slant)
-    # E|T_nu-component|-style factor; gammaln keeps large nu finite
-    b_nu = math.sqrt(nu / math.pi) * math.exp(gammaln((nu - 1.0) / 2.0) - gammaln(nu / 2.0))
+    # E|T_nu-component|-style factor; the log-gamma difference keeps large nu finite
+    b_nu = math.sqrt(nu / math.pi) * math.exp(math.lgamma((nu - 1.0) / 2.0) - math.lgamma(nu / 2.0))
     mean = delta * b_nu
     var = nu / (nu - 2.0) - mean * mean
     return mean, var
@@ -385,16 +343,8 @@ def sample_path(model: ReturnModel, T: int, rng: np.random.Generator) -> np.ndar
         n = len(values)
         if n < T:
             raise InsufficientDataError(f"series of {n} months cannot supply {T}")
-        if model.mode == "random-window":
-            start = int(rng.integers(0, n - T + 1))
-            return np.array(values[start : start + T], dtype=float)
-        if model._cursor + T > n:
-            raise InsufficientDataError(
-                f"sequential mode exhausted at offset {model._cursor}"
-            )
-        out = np.array(values[model._cursor : model._cursor + T], dtype=float)
-        model._cursor += T
-        return out
+        start = int(rng.integers(0, n - T + 1))
+        return np.array(values[start : start + T], dtype=float)
     raise TypeError(f"unknown return model {type(model).__name__}")
 
 

@@ -12,7 +12,6 @@ from dtmv.baseline import (
     baseline_apply_updates,
     baseline_cost,
     baseline_gradients,
-    baseline_entropy,
     baseline_policy,
     baseline_value,
     default_baseline_params,
@@ -86,12 +85,14 @@ def test_baseline_policy_requires_positive_phi2():
 
 
 def test_baseline_entropy_matches_the_policy_variance():
+    # the comparator's parametrization: entropy phi1 + phi2 * (T - t)
     rng = make_rng(19, 0)
     for _ in range(40):
         p = _random_params(rng)
         t = int(rng.integers(0, SPEC.T))
         pol = baseline_policy(p, SPEC, t, float(rng.uniform(0.0, 2.0)))
-        assert abs(baseline_entropy(p, SPEC, t) - gaussian_entropy(pol.variance)) <= 1e-12
+        entropy = p.phi1 + p.phi2 * (SPEC.T - t)
+        assert abs(entropy - gaussian_entropy(pol.variance)) <= 1e-12
 
 
 def test_baseline_value_formula_and_terminal_time():

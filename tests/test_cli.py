@@ -5,6 +5,8 @@ import csv
 import importlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +140,8 @@ def test_grid_needs_three_points(tmp_path, capsys):
         ("histogram", "evaluation", "histogram_bins", "0"),
         ("train", "evaluation", "test_episodes", "1"),
         ("iterate", "family", "var_base", "0.0"),
+        ("backtest", "evaluation", "window_months", "0"),
+        ("backtest", "evaluation", "test_months", "1"),
     ],
 )
 def test_domain_checks_reject_the_config_before_any_output(
@@ -472,3 +476,23 @@ def test_every_traced_name_resolves_to_a_callable():
         module = importlib.import_module(module_name)
         for name in names:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+# ---------------------------------------------------------------------------
+
+
+def test_import_loads_no_scipy_and_no_process_pool():
+    """Every command pays for what `import dtmv.cli` loads.  scipy is a test
+    dependency only, the process pool is imported by --jobs > 1 runs, and the
+    lazily loaded numpy subpackages the commands use are loaded at import."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    script = "import json, sys; import dtmv.cli; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    loaded = set(json.loads(proc.stdout))
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+    assert "concurrent.futures.process" not in loaded
+    assert {"numpy.random", "numpy.polynomial"} <= loaded

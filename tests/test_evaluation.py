@@ -17,7 +17,6 @@ from dtmv.evaluation import (
     first_stable_block,
     learning_curves,
     median_summary,
-    mv_objective,
     read_report_csv,
     rolling_backtest,
     run_simulation_study,
@@ -96,16 +95,6 @@ def test_first_stable_block_scans_from_the_tail():
     # band is relative to the target
     assert first_stable_block([108.0], 110.0, rel_tol=0.02) == 0
     assert first_stable_block([107.0], 110.0, rel_tol=0.02) is None
-
-
-def test_mv_objective_arithmetic():
-    tws = [1.0, 1.2]
-    mean, var, lagr = mv_objective(tws, w=1.3, b=1.1)
-    assert mean == pytest.approx(1.1)
-    assert var == pytest.approx(0.01)
-    assert lagr == pytest.approx(np.mean([(1.0 - 1.3) ** 2, (1.2 - 1.3) ** 2]) - 0.04)
-    with pytest.raises(StatsError):
-        mv_objective([], 1.0, 1.1)
 
 
 # ---------------------------------------------------------------------------

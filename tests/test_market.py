@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtmv.market import (
     DataError,
@@ -17,14 +19,12 @@ from dtmv.market import (
     bundled_monthly_csv_path,
     histogram,
     load_monthly_csv,
-    load_return_series,
     make_rng,
     month_index,
     month_label,
     sample_path,
     sample_skewt_core,
     save_histogram_csv,
-    save_return_series,
     skewt_core_moments,
     step_wealth,
 )
@@ -117,13 +117,6 @@ def test_subseries_is_a_valid_series_with_same_labels():
     assert sub.values == (-0.02, 0.03)
 
 
-def test_return_series_csv_round_trip_is_exact(tmp_path):
-    s = _series(values=(0.0123456789012345, -0.5, 1e-17, 0.25))
-    path = tmp_path / "series.csv"
-    save_return_series(s, str(path))
-    assert load_return_series(str(path)) == s
-
-
 # ---------------------------------------------------------------------------
 # monthly close files
 # ---------------------------------------------------------------------------
@@ -200,6 +193,20 @@ def test_skewt_core_moments_match_direct_integration():
     assert stats.t(nu).var() == pytest.approx(nu / (nu - 2.0), rel=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(nu=st.floats(2.01, 200.0), slant=st.floats(-5.0, 5.0))
+def test_skewt_core_moments_match_the_gammaln_formula(nu, slant):
+    """math.lgamma in place of scipy's gammaln moves the moments by at most
+    a few parts in 1e13 on this range."""
+    from scipy.special import gammaln
+
+    delta = slant / math.sqrt(1.0 + slant * slant)
+    b_nu = math.sqrt(nu / math.pi) * math.exp(gammaln((nu - 1.0) / 2.0) - gammaln(nu / 2.0))
+    mean, var = skewt_core_moments(nu, slant)
+    assert math.isclose(mean, delta * b_nu, rel_tol=1e-12)
+    assert math.isclose(var, nu / (nu - 2.0) - (delta * b_nu) ** 2, rel_tol=1e-12)
+
+
 def test_skewt_core_is_standardized():
     """Large-sample mean and variance of the core must sit at 0 and 1."""
     rng = make_rng(11, 0)
@@ -274,25 +281,10 @@ def test_historical_random_window_draws_contiguous_windows():
         np.testing.assert_array_equal(path, vals[start : start + 3])
 
 
-def test_historical_sequential_walks_without_overlap_then_exhausts():
-    s = _series(values=(0.01, 0.02, 0.03, 0.04, 0.05))
-    model = Historical(s, mode="sequential")
-    rng = make_rng(0, 0)
-    np.testing.assert_array_equal(sample_path(model, 2, rng), [0.01, 0.02])
-    np.testing.assert_array_equal(sample_path(model, 2, rng), [0.03, 0.04])
-    with pytest.raises(InsufficientDataError, match="offset 4"):
-        sample_path(model, 2, rng)
-
-
 def test_historical_rejects_paths_longer_than_series():
     model = Historical(_series())
     with pytest.raises(InsufficientDataError):
         sample_path(model, 5, make_rng(0, 0))
-
-
-def test_historical_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        Historical(_series(), mode="bootstrap")
 
 
 # ---------------------------------------------------------------------------
