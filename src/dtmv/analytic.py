@@ -308,16 +308,28 @@ class ValueGrid:
 _TRAPEZOID_ROWS = 16
 
 
+def _trapezoid_nodes(halfwidth: float, points: int) -> Tuple[np.ndarray, slice]:
+    """The wide trapezoid grid, and the slice of it that is the narrow grid of `points`
+    nodes over +-halfwidth, extended at the same spacing by ceil((points - 1) / 4) nodes
+    per side: 1.5 times as wide when 4 divides points - 1, a little more otherwise."""
+    k = -(-(points - 1) // 4)
+    wide = halfwidth * ((points - 1 + 2 * k) / (points - 1))
+    return np.linspace(-wide, wide, points + 2 * k), slice(k, k + points)
+
+
 def _trapezoid_values(
     a2: float, a1: np.ndarray, center: np.ndarray, lam: float, halfwidth: float, points: int
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """E[phi] + lam * E[ln pi] per state, phi(u) = a2*u^2 + a1*u and pi ~ exp(-phi/lam),
-    by the trapezoid rule on `points` nodes over center +- halfwidth: phi is
-    evaluated at every node of every state, in row blocks with one exp each."""
-    offs = np.linspace(-halfwidth, halfwidth, points)
-    half = 0.5 * np.diff(offs)
-    wt = np.pad(half, (0, 1)) + np.pad(half, (1, 0))  # the weights of np.trapezoid
-    out = np.empty(center.size)
+    by the trapezoid rule on the narrow and on the wide grid of _trapezoid_nodes
+    around center: phi is evaluated once at every wide node of every state, in
+    row blocks with one exp each, and the narrow rule sums the central columns."""
+    offs, inner = _trapezoid_nodes(halfwidth, points)
+    narrow, wide = np.empty(center.size), np.empty(center.size)
+    rules = []  # (values, columns, weights); each rule has its own end weights, as in np.trapezoid
+    for out, cols in ((narrow, inner), (wide, slice(None))):
+        half = 0.5 * np.diff(offs[cols])
+        rules.append((out, cols, np.pad(half, (0, 1)) + np.pad(half, (1, 0))))
     for i in range(0, center.size, _TRAPEZOID_ROWS):
         rows = slice(i, i + _TRAPEZOID_ROWS)
         # phi = a2*u*u + a1*u, then ex*phi and ex*lp, in place
@@ -329,11 +341,12 @@ def _trapezoid_values(
         lp = phi / -lam
         lp -= lp.max(axis=1, keepdims=True)
         ex = np.exp(lp)
-        norm = ex @ wt
         phi *= ex
         lp *= ex
-        out[rows] = phi @ wt / norm + lam * (lp @ wt / norm - np.log(norm))
-    return out
+        for out, cols, wt in rules:
+            norm = ex[:, cols] @ wt
+            out[rows] = phi[:, cols] @ wt / norm + lam * (lp[:, cols] @ wt / norm - np.log(norm))
+    return narrow, wide
 
 
 def dp_oracle(
@@ -350,11 +363,16 @@ def dp_oracle(
 
     Independent of the closed forms above: each Bellman step evaluates the
     soft minimum over densities through Gauss-Hermite quadrature centered on
-    the Gibbs minimizer, cross-checked against a wide uniform trapezoid rule
-    (still evaluated per state and node, walking the states in row blocks),
-    and the next layer is refit as a quadratic in x.  Raises QuadratureError
-    if widening the control window moves any value beyond `tol` (scaled), if
-    the two quadratures disagree, or if a layer stops being quadratic.
+    the Gibbs minimizer, cross-checked against the trapezoid rule on n_u
+    uniform nodes over +-halfwidth_sigmas, and the next layer is refit as a
+    quadratic in x.  The widening check repeats the trapezoid rule on that
+    grid extended at the same spacing by ceil((n_u - 1) / 4) nodes per side,
+    a window 1.5 times as wide when 4 divides n_u - 1 (as at the default) and
+    a little wider otherwise.  The integrand is evaluated once per state and
+    wide-grid node, walking the states in row blocks; the narrow rule sums the
+    central nodes.  Raises QuadratureError if widening the control window
+    moves any value beyond `tol` (scaled), if the two quadratures disagree,
+    or if a layer stops being quadratic.
 
     The x grid should cover the wealth range of interest with a few points to
     spare; at least 3 strictly increasing values are required.  Returns one
@@ -373,6 +391,7 @@ def dp_oracle(
     lam = spec.lam
     m2 = m.second_moment
     gh_nodes, gh_weights = np.polynomial.hermite.hermgauss(n_hermite)
+    wide_sigmas = float(_trapezoid_nodes(halfwidth_sigmas, n_u)[0][-1])
 
     def soft_min_layer(q: float, c: float, g: float) -> Tuple[np.ndarray, float]:
         """One Bellman step against the quadratic layer q*(y-c)^2 + g.
@@ -395,16 +414,15 @@ def dp_oracle(
         e_lnpi = -e_phi / lam - ln_z
         val_gh = e_phi + lam * e_lnpi + base
 
-        val_tr = _trapezoid_values(a2, a1, center, lam, halfwidth_sigmas * s, n_u) + base
-        wide = 1.5 * halfwidth_sigmas
-        val_wide = _trapezoid_values(a2, a1, center, lam, wide * s, int(1.5 * n_u) | 1) + base
+        val_tr, val_wide = _trapezoid_values(a2, a1, center, lam, halfwidth_sigmas * s, n_u)
+        val_tr, val_wide = val_tr + base, val_wide + base
         scale = 1.0 + np.abs(val_gh)
         widen_err = float(np.max(np.abs(val_wide - val_tr) / scale))
         cross_err = float(np.max(np.abs(val_gh - val_tr) / scale))
         if widen_err > tol:
             raise QuadratureError(
                 f"control quadrature unconverged at t-layer against width "
-                f"{wide:g} sigmas (err {widen_err:.3e} > {tol:g})"
+                f"{wide_sigmas:g} sigmas (err {widen_err:.3e} > {tol:g})"
             )
         if cross_err > tol:
             raise QuadratureError(
@@ -423,44 +441,15 @@ def dp_oracle(
             raise QuadratureError("fitted layer lost convexity")
         return c2, -c1 / (2.0 * c2), c0 - c1 * c1 / (4.0 * c2), resid_rel
 
-    layers: List[ValueGrid] = []
-    j_term = (grid - w) ** 2 - (w - spec.b) ** 2
-    layers.append(
-        ValueGrid(
-            t=spec.T,
-            x_values=grid.copy(),
-            j_values=j_term,
-            meta={
-                "curvature": 1.0,
-                "center": w,
-                "offset": -((w - spec.b) ** 2),
-                "fit_residual": 0.0,
-                "quadrature_error": 0.0,
-                "halfwidth_sigmas": halfwidth_sigmas,
-                "n_u": float(n_u),
-            },
-        )
-    )
-
     q, c, g = 1.0, w, -((w - spec.b) ** 2)
-    for t in range(spec.T - 1, -1, -1):
-        vals, quad_err = soft_min_layer(q, c, g)
-        q, c, g, fit_resid = fit_quadratic(vals)
-        layers.append(
-            ValueGrid(
-                t=t,
-                x_values=grid.copy(),
-                j_values=vals,
-                meta={
-                    "curvature": q,
-                    "center": c,
-                    "offset": g,
-                    "fit_residual": fit_resid,
-                    "quadrature_error": quad_err,
-                    "halfwidth_sigmas": halfwidth_sigmas,
-                    "n_u": float(n_u),
-                },
-            )
-        )
+    vals, fit_resid, quad_err = (grid - w) ** 2 - (w - spec.b) ** 2, 0.0, 0.0  # the terminal layer
+    layers: List[ValueGrid] = []
+    for t in range(spec.T, -1, -1):
+        if t < spec.T:
+            vals, quad_err = soft_min_layer(q, c, g)
+            q, c, g, fit_resid = fit_quadratic(vals)
+        meta = {"curvature": q, "center": c, "offset": g, "fit_residual": fit_resid,
+                "quadrature_error": quad_err, "halfwidth_sigmas": halfwidth_sigmas, "n_u": float(n_u)}
+        layers.append(ValueGrid(t=t, x_values=grid.copy(), j_values=vals, meta=meta))
     layers.reverse()
     return layers

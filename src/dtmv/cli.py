@@ -258,20 +258,38 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("config: need grid.x_max > grid.x_min")
     if cfg.grid.w != "auto":
         _parse_scalar("grid", "w", cfg.grid.w, float)
-    ev = cfg.evaluation
-    if ev.test_episodes > cfg.learning.episodes:
-        raise ConfigError("config: evaluation.test_episodes exceeds learning.episodes")
-    if ev.block < 1 or ev.histogram_bins < 1:
+    if cfg.evaluation.block < 1 or cfg.evaluation.histogram_bins < 1:
         raise ConfigError("config: evaluation.block and evaluation.histogram_bins must be >= 1")
-    try:  # the domain objects' own checks; a historical series is checked when read
+    message = _domain_error(cfg)
+    if message:
+        raise ConfigError(f"config: {_rejected_key(cfg, message)}: {message}")
+
+
+def _domain_error(cfg: RunConfig) -> str:
+    """The message of the first of the domain objects' own checks that rejects
+    cfg, or ''; a historical series is checked when read."""
+    try:
         hyper_params(cfg, problem_spec(cfg))
         IterationFamily(cfg.family.mean_slope, cfg.family.var_base, cfg.family.var_ratio)
         if cfg.market.model != "historical":
             build_model(cfg.market)
-        SplitSpec(cfg.learning.episodes - ev.test_episodes, ev.test_episodes)
+        SplitSpec(cfg.learning.episodes - cfg.evaluation.test_episodes, cfg.evaluation.test_episodes)
         rolling_spec(cfg)
     except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from None
+        return str(exc)
+    return ""
+
+
+def _rejected_key(cfg: RunConfig, message: str) -> str:
+    """The key a domain check's message comes from: the first key set off its
+    default whose default alone changes the message, else every key set off."""
+    changed = [(name, key, value) for name, cls in _SECTIONS for key, value in vars(cls()).items()
+               if getattr(getattr(cfg, name), key) != value]
+    for name, key, value in changed:
+        reset = dataclasses.replace(getattr(cfg, name), **{key: value})
+        if _domain_error(dataclasses.replace(cfg, **{name: reset})) != message:
+            return f"{name}.{key}"
+    return ", ".join(f"{name}.{key}" for name, key, _ in changed)
 
 
 def effective_config_text(cfg: RunConfig) -> str:
@@ -385,19 +403,17 @@ def cmd_analytic(cfg: RunConfig, out: str) -> None:
     header = ("t", "x", "policy_mean", "policy_variance", "value", "oracle_value", "rel_error")
     rows = []
     max_err = 0.0
-    for t in range(spec.T + 1):
-        grid = layers[t]
-        for i, x in enumerate(xs):
-            value = optimal_value(m, spec, t, float(x), w)
-            oracle = float(grid.j_values[i])
-            err = abs(value - oracle) / max(1.0, abs(value))
-            max_err = max(max_err, err)
-            if t < spec.T:
-                pol = optimal_policy(m, spec, t, float(x), w)
-                mean, var = _fmt(pol.mean), _fmt(pol.variance)
-            else:
-                mean, var = "", ""
-            rows.append((str(t), _fmt(x), mean, var, _fmt(value), _fmt(oracle), _fmt(err)))
+    for t, grid in enumerate(layers):  # whole layers: the closed forms take state arrays
+        value = optimal_value(m, spec, t, xs, w)
+        err = np.abs(value - grid.j_values) / np.maximum(1.0, np.abs(value))
+        max_err = max(max_err, *err.tolist())
+        if t < spec.T:
+            pol = optimal_policy(m, spec, t, xs, w)
+            means, var = map(repr, pol.mean.tolist()), _fmt(pol.variance)
+        else:
+            means, var = [""] * xs.size, ""
+        cols = zip(xs.tolist(), means, value.tolist(), grid.j_values.tolist(), err.tolist())
+        rows.extend((str(t), repr(x), mean, var, repr(v), repr(o), repr(e)) for x, mean, v, o, e in cols)
     _write_csv(os.path.join(out, "report.csv"), header, rows)
     summary = [
         f"w = {_fmt(w)}",

@@ -20,6 +20,7 @@ from dtmv.analytic import (
     expected_terminal_wealth,
     gaussian_entropy,
     iterate,
+    _trapezoid_nodes,
     _trapezoid_values,
     lagrange_fixed_point,
     optimal_policy,
@@ -374,24 +375,77 @@ def _reference_trapezoid(a2, a1, center, lam, halfwidth, points):
     x_min=st.floats(-3.0, 3.0),
     span=st.floats(0.1, 6.0),
     states=st.integers(3, 250),
-    width=st.sampled_from([8.0, 12.0]),
+    width=st.sampled_from([2.0, 4.0, 8.0, 12.0]),
     points=st.integers(51, 3001),
 )
 def test_blocked_trapezoid_matches_the_whole_array_formulation(
     market, q, c, lam, x_min, span, states, width, points
 ):
-    """The row-blocked kernel against the reference above, for the layer
-    q*(y - c)^2 + g (g only adds the same constant to both) on grids of any
-    size, block multiples or not.  The tolerance is on the oracle gates'
-    scale 1 + |value|."""
+    """Both rules of the row-blocked kernel against the reference above, for
+    the layer q*(y - c)^2 + g (g only adds the same constant to both) on grids
+    of any size, block multiples or not: the narrow rule on `points` nodes over
+    +-halfwidth, the wide rule on that grid extended by ceil((points - 1) / 4)
+    nodes per side at the same spacing.  Windows of 2 and 4 sigmas leave
+    enough mass at the ends that a narrow window one node off shows.  The
+    tolerance is on the oracle gates' scale 1 + |value|."""
     grid = np.linspace(x_min, x_min + span, states)
     a2 = q * market.second_moment
     a1 = 2.0 * q * market.a * (market.r_f * grid - c)
     center = -a1 / (2.0 * a2)
     halfwidth = width * math.sqrt(lam / (2.0 * a2))
-    got = _trapezoid_values(a2, a1, center, lam, halfwidth, points)
-    want = _reference_trapezoid(a2, a1, center, lam, halfwidth, points)
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    narrow, wide = _trapezoid_values(a2, a1, center, lam, halfwidth, points)
+    k = math.ceil((points - 1) / 4)
+    wide_halfwidth = (points - 1 + 2 * k) / (points - 1) * halfwidth
+    want_narrow = _reference_trapezoid(a2, a1, center, lam, halfwidth, points)
+    want_wide = _reference_trapezoid(a2, a1, center, lam, wide_halfwidth, points + 2 * k)
+    np.testing.assert_allclose(narrow, want_narrow, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(wide, want_wide, rtol=1e-13, atol=1e-13)
+
+
+@given(s=st.floats(1e-6, 1e3))
+def test_wide_trapezoid_nodes_at_the_default_grid_are_the_linspace_over_1_5_widths(s):
+    """At dp_oracle's default 2001 nodes the wide grid is exactly
+    linspace(-1.5h, 1.5h, 3001); at the default 8 sigmas that is exactly
+    linspace(-12s, 12s, 3001), so the wide rule's values do not depend on
+    whether it shares its nodes with the narrow one."""
+    halfwidth = 8.0 * s
+    offs, inner = _trapezoid_nodes(halfwidth, 2001)
+    assert offs.tobytes() == np.linspace(-1.5 * halfwidth, 1.5 * halfwidth, 3001).tobytes()
+    assert offs.tobytes() == np.linspace(-12.0 * s, 12.0 * s, 3001).tobytes()
+    assert inner == slice(500, 2501)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(-0.3, 0.3),
+    sigma=st.floats(0.05, 0.5),
+    r_f=st.floats(0.95, 1.1),
+    T=st.integers(1, 60),
+    t_frac=st.floats(0.0, 1.0),
+    lam=st.floats(0.01, 10.0),
+    b=st.floats(-2.0, 3.0),
+    w=st.floats(-5.0, 5.0),
+    x_min=st.floats(-5.0, 5.0),
+    span=st.floats(0.0, 10.0),
+    states=st.integers(1, 40),
+)
+def test_closed_forms_on_a_state_array_equal_the_scalar_calls_bitwise(
+    a, sigma, r_f, T, t_frac, lam, b, w, x_min, span, states
+):
+    """optimal_value and optimal_policy on an array of states give, bit for
+    bit, the per-state scalar results: the analytic command's table takes
+    whole layers at once and must print the same digits."""
+    m = MarketModel(a, sigma, r_f)
+    spec = ProblemSpec(T=T, x0=1.0, b=b, lam=lam)
+    t = min(int(t_frac * (T + 1)), T)
+    xs = np.linspace(x_min, x_min + span, states)
+    scalar = [optimal_value(m, spec, t, x, w) for x in xs.tolist()]
+    assert optimal_value(m, spec, t, xs, w).tobytes() == np.array(scalar).tobytes()
+    if t < T:
+        pol = optimal_policy(m, spec, t, xs, w)
+        scalar_pols = [optimal_policy(m, spec, t, x, w) for x in xs.tolist()]
+        assert pol.mean.tobytes() == np.array([p.mean for p in scalar_pols]).tobytes()
+        assert {p.variance.hex() for p in scalar_pols} == {pol.variance.hex()}
 
 
 def test_dp_oracle_grid_validation():

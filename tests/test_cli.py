@@ -7,20 +7,28 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtmv.cli import (
     ConfigError,
     EvaluationConfig,
+    FamilyConfig,
     GridConfig,
     LearningConfig,
     MarketConfig,
+    ProblemConfig,
     RunConfig,
+    RunControl,
     effective_config_text,
     load_config,
     main,
+    validate_config,
 )
+from dtmv.evaluation import LEARNERS
 
 TINY = """
 [learning]
@@ -147,16 +155,82 @@ def test_grid_needs_three_points(tmp_path, capsys):
 def test_domain_checks_reject_the_config_before_any_output(
     tmp_path, capsys, command, section, key, value
 ):
-    """A value the domain objects reject is a config error, raised before
-    the run directory is made and not after a training run."""
+    """A value the domain objects reject is a config error that names the
+    key, raised before the run directory is made and not after a training
+    run."""
     bad = _cfg_file(tmp_path, f"[{section}]\n{key} = {value}\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
         load_config(bad)
     out = tmp_path / "run"
     code, _, err = _run([command, "--config", bad, "--out", str(out)], capsys)
     assert code == 1
-    assert json.loads(err)["error"] == "ConfigError"
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert f"{section}.{key}" in record["message"]
     assert not out.exists()
+
+
+def _tuples(elements):
+    return st.lists(elements, min_size=1, max_size=4).map(tuple)
+
+
+_REAL = st.floats(-1e6, 1e6)
+_POSITIVE = st.floats(1e-6, 1e3)
+
+
+@st.composite
+def _valid_configs(draw):
+    """RunConfigs whose every value lies inside the domain checks, so that
+    validate_config accepts each of them."""
+    episodes = draw(st.integers(2, 10**6))
+    horizon_months = draw(st.integers(1, 24))
+    return RunConfig(
+        market=MarketConfig(
+            model=draw(st.sampled_from(["normal", "skewt", "historical"])),
+            a_annual=draw(_REAL), sigma_annual=draw(_POSITIVE), r_annual=draw(st.floats(-0.5, 0.5)),
+            periods_per_year=draw(st.integers(1, 365)), nu=draw(st.floats(2.001, 1e3)),
+            slant=draw(_REAL), csv_path=draw(st.sampled_from(["", "data/sp500.csv", "my returns.csv"])),
+        ),
+        problem=ProblemConfig(
+            horizon=draw(st.integers(1, 120)), x0=draw(_REAL), target_wealth=draw(_REAL),
+            temperature=draw(_POSITIVE),
+        ),
+        learning=LearningConfig(
+            algorithm=draw(st.sampled_from(sorted(LEARNERS))), episodes=episodes,
+            refresh_every=draw(st.integers(1, 1000)), alpha=draw(_POSITIVE),
+            eta_theta=draw(_POSITIVE), eta_phi=draw(_POSITIVE), prefix_updates=draw(st.booleans()),
+            init_phi1=draw(_REAL), init_phi2=draw(_REAL),
+        ),
+        evaluation=EvaluationConfig(
+            test_episodes=draw(st.integers(2, episodes)), block=draw(st.integers(1, 1000)),
+            sigma_grid_annual=draw(_tuples(_POSITIVE)), seeds=draw(_tuples(st.integers(0, 2**31))),
+            backtest_start_years=draw(_tuples(st.integers(1900, 2100))),
+            backtest_targets=draw(_tuples(_REAL)),
+            window_months=draw(st.integers(horizon_months, 600)), horizon_months=horizon_months,
+            test_months=draw(st.integers(horizon_months, 600)), online_test=draw(st.booleans()),
+            histogram_draws=draw(st.integers(1, 10**6)), histogram_bins=draw(st.integers(1, 500)),
+        ),
+        family=FamilyConfig(mean_slope=draw(_REAL), var_base=draw(_POSITIVE), var_ratio=draw(_POSITIVE)),
+        grid=GridConfig(
+            x_min=draw(st.floats(-1e3, 0.0)), x_max=draw(st.floats(1e-3, 1e3)),
+            x_points=draw(st.integers(3, 500)),
+            w=draw(st.one_of(st.just("auto"), _REAL.map(repr))),
+        ),
+        run=RunControl(seed=draw(st.integers(0, 2**31)), jobs=draw(st.integers(1, 8))),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_valid_configs())
+def test_effective_text_round_trips_any_valid_config(cfg):
+    """load_config(effective_config_text(cfg)) == cfg for any config that
+    validates: every value is written so that it parses back exactly."""
+    validate_config(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "effective.ini")
+        with open(path, "w") as fh:
+            fh.write(effective_config_text(cfg))
+        assert load_config(path) == cfg
 
 
 def test_config_dataclasses_are_plain_values():
