@@ -17,10 +17,11 @@ import configparser
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -271,6 +272,7 @@ def _domain_error(cfg: RunConfig) -> str:
     try:
         hyper_params(cfg, problem_spec(cfg))
         IterationFamily(cfg.family.mean_slope, cfg.family.var_base, cfg.family.var_ratio)
+        MarketModel(*_per_period(cfg.market))  # r_f > 0 for every model, and sigma > 0
         if cfg.market.model != "historical":
             build_model(cfg.market)
         SplitSpec(cfg.learning.episodes - cfg.evaluation.test_episodes, cfg.evaluation.test_episodes)
@@ -371,15 +373,25 @@ def _seeds(cfg: RunConfig, override: Optional[int]) -> Tuple[int, ...]:
     return (override,) if override is not None else cfg.evaluation.seeds
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text) -> None:
+    """Write a string, or an iterable of strings as it yields them."""
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines((text,) if isinstance(text, str) else text)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    _write_text(path, (",".join(row) + "\n" for part in ((header,), rows) for row in part))
+
+
+def _ndjson_line(cls) -> Callable[[object], str]:
+    """rec -> json.dumps(vars(rec), sort_keys=True) + newline for the dataclass cls, from one
+    %-template of its sorted field names.  json writes ints and finite floats by their repr,
+    so the two agree on every record of finite values; cls declares int and float fields only."""
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    if not set(get_type_hints(cls).values()) <= {int, float}:
+        raise TypeError(f"{cls.__name__}: the log takes int and float fields only")
+    template, values = "{" + ", ".join(f'"{n}": %r' for n in names) + "}\n", operator.attrgetter(*names)
+    return lambda rec: template % values(rec)
 
 
 def _fmt(value: float) -> str:
@@ -401,7 +413,7 @@ def cmd_analytic(cfg: RunConfig, out: str) -> None:
     xs = _x_grid(cfg)
     layers = dp_oracle(m, spec, w, xs)
     header = ("t", "x", "policy_mean", "policy_variance", "value", "oracle_value", "rel_error")
-    rows = []
+    tables = []
     max_err = 0.0
     for t, grid in enumerate(layers):  # whole layers: the closed forms take state arrays
         value = optimal_value(m, spec, t, xs, w)
@@ -412,8 +424,9 @@ def cmd_analytic(cfg: RunConfig, out: str) -> None:
             means, var = map(repr, pol.mean.tolist()), _fmt(pol.variance)
         else:
             means, var = [""] * xs.size, ""
-        cols = zip(xs.tolist(), means, value.tolist(), grid.j_values.tolist(), err.tolist())
-        rows.extend((str(t), repr(x), mean, var, repr(v), repr(o), repr(e)) for x, mean, v, o, e in cols)
+        tables.append((str(t), means, var, value, grid.j_values, err))
+    rows = ((t, repr(x), mean, var, repr(v), repr(o), repr(e)) for t, means, var, value, oracle, err in tables
+            for x, mean, v, o, e in zip(xs.tolist(), means, value.tolist(), oracle.tolist(), err.tolist()))
     _write_csv(os.path.join(out, "report.csv"), header, rows)
     summary = [
         f"w = {_fmt(w)}",
@@ -462,20 +475,19 @@ def _train_one(cfg: RunConfig, algorithm: str, seed: int, stream: int):
 
 
 def cmd_train(cfg: RunConfig, out: str, seed_override: Optional[int]) -> None:
-    """Single training run: per-episode log, a checkpoint of the final
-    parameters and generator state (no command reads it back yet), and a
-    test-window report row."""
+    """Single training run: log.ndjson (one JSON object per episode, keys sorted, floats in
+    repr form), a checkpoint of the final parameters and generator state (no command reads it
+    back yet) and a test-window report row, all written after training, each as it is formatted."""
     seed = cfg.run.seed if seed_override is None else seed_override
     algorithm = cfg.learning.algorithm
     result, rng = _train_one(cfg, algorithm, seed, stream=0)
+    line = _ndjson_line(LEARNERS[algorithm].record)
     params = LEARNERS[algorithm].fields(result.params)
-    log_lines = [json.dumps(vars(rec), sort_keys=True) for rec in result.history]
-    _write_text(os.path.join(out, "log.ndjson"), "\n".join(log_lines) + "\n" if log_lines else "")
-    save_checkpoint(os.path.join(out, "checkpoint"), algorithm, params, rng)
-    tws = [rec.terminal_wealth for rec in result.history]
-    tail = tws[-cfg.evaluation.test_episodes:]
+    tail = [rec.terminal_wealth for rec in result.history[-cfg.evaluation.test_episodes:]]
     mean, std, sharpe, n = terminal_stats(tail, cfg.problem.x0)
     row = PerformanceReport(market_label(cfg.market), algorithm, seed, mean, std, sharpe, n)
+    _write_text(os.path.join(out, "log.ndjson"), map(line, result.history))
+    save_checkpoint(os.path.join(out, "checkpoint"), algorithm, params, rng)
     write_report_csv([row], os.path.join(out, "report.csv"))
     _write_text(os.path.join(out, "summary.txt"), summary_text([row]) + "\n")
 

@@ -521,7 +521,8 @@ def run_training(learner, hyper, model, r_f, rng, params=None):
     episode_step on them.
 
     Raises TrainingDivergedError when the residual cost exceeds
-    DIVERGENCE_COST or any parameter stops being finite.
+    DIVERGENCE_COST or any parameter stops being finite; its message names
+    the learner's values after that episode by field.
     """
     spec = hyper.spec
     if params is None:
@@ -535,7 +536,8 @@ def run_training(learner, hyper, model, r_f, rng, params=None):
         final_cost = learner.cost(devs, values, spec, r_f)
         finite = all(map(math.isfinite, values)) and math.isfinite(final_cost)
         if not finite or abs(final_cost) > DIVERGENCE_COST:
-            raise TrainingDivergedError(f"training diverged at episode {ep} (cost {final_cost!r})")
+            named = ", ".join(f"{k}={v!r}" for k, v in learner.fields(learner.params(*values)).items())
+            raise TrainingDivergedError(f"training diverged at episode {ep} (cost {final_cost!r}; {named})")
         history.append(learner.record(ep, wealth[-1], *values))
     return learner.params(*values), tuple(history)
 

@@ -150,6 +150,13 @@ def test_grid_needs_three_points(tmp_path, capsys):
         ("iterate", "family", "var_base", "0.0"),
         ("backtest", "evaluation", "window_months", "0"),
         ("backtest", "evaluation", "test_months", "1"),
+        # riskless factor 1 + r_annual / periods_per_year <= 0, for every command that
+        # reads it and for histogram, which does not
+        ("analytic", "market", "r_annual", "-13.0"),
+        ("train", "market", "r_annual", "-13.0"),
+        ("histogram", "market", "r_annual", "-13.0"),
+        pytest.param("backtest", "market", "periods_per_year", "0\nmodel = historical",
+                     id="backtest-market-periods_per_year-0-historical"),
     ],
 )
 def test_domain_checks_reject_the_config_before_any_output(

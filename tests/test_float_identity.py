@@ -14,12 +14,20 @@ A further digest pins the run directory of `dtmv analytic` at a 60-period
 horizon.  It was computed while the oracle's trapezoid cross-check still ran
 over whole arrays; that check gates the oracle's values without entering
 them, so running it in row blocks must not move a byte.
+
+Two more pin whole `dtmv train` run directories, one per learner.  They were
+computed while the episode log was still written by json.dumps over every
+record and one joined text; the log is now streamed through one %-template
+per record class, which the last tests hold to json.dumps's layout and to a
+small memory footprint.
 """
 
 import hashlib
+import json
 import math
 import os
-from dataclasses import astuple
+import tracemalloc
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 import pytest
@@ -27,10 +35,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtmv.analytic import ProblemSpec
-from dtmv.baseline import baseline_train
-from dtmv.cli import main
+from dtmv.baseline import BaselineRecord, baseline_train
+from dtmv.cli import _ndjson_line, _write_text, main
 from dtmv.evaluation import RollingSpec, rolling_backtest
-from dtmv.learner import HyperParams, train
+from dtmv.learner import EpisodeRecord, HyperParams, train
 from dtmv.market import (
     Historical,
     NormalIID,
@@ -63,6 +71,11 @@ GOLDEN_HISTORIES = {
 }
 GOLDEN_ONLINE_BACKTEST = "90fdf570bdddb5d715714d9ed6b172d13d7dc1534cdf6d7a20c1cf918ef677d6"
 GOLDEN_ANALYTIC_RUN = "3221e3b055ad995651995cc68fa37c5d0c43bb8cc147a5dafea973d486d3a2f5"
+GOLDEN_TRAIN_RUNS = {
+    "emv-discrete": "a8a3a596a3d9398d6d176b785278c157532895630d51359cd5669d002aa49fb6",
+    "emv-continuous": "7b6812b42d79eeb47ba1f8e44bcbdb4be2bab1d14763235267bb4591431023aa",
+}
+RECORDS = (EpisodeRecord, BaselineRecord)
 
 
 def _digest(rows) -> str:
@@ -82,15 +95,95 @@ def test_online_backtest_cell_matches_its_golden_digest():
     assert _digest(rows) == GOLDEN_ONLINE_BACKTEST
 
 
-def test_analytic_run_directory_matches_its_golden_digest(tmp_path, capsys):
+def _run_digest(tmp_path, capsys, command, config) -> str:
+    """sha256 over the names and bytes of the run directory of one command."""
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[problem]\nhorizon = 60\n\n[grid]\nx_points = 21\n")
+    cfg.write_text(config)
     out = tmp_path / "run"
-    assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
     digest = hashlib.sha256()
     for name in sorted(os.listdir(out)):
         digest.update(name.encode() + b"\0" + (out / name).read_bytes())
-    assert digest.hexdigest() == GOLDEN_ANALYTIC_RUN
+    return digest.hexdigest()
+
+
+def test_analytic_run_directory_matches_its_golden_digest(tmp_path, capsys):
+    config = "[problem]\nhorizon = 60\n\n[grid]\nx_points = 21\n"
+    assert _run_digest(tmp_path, capsys, "analytic", config) == GOLDEN_ANALYTIC_RUN
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_TRAIN_RUNS))
+def test_train_run_directory_matches_its_golden_digest(tmp_path, capsys, algorithm):
+    """log.ndjson, checkpoint, report.csv, summary.txt and config.effective of
+    a 300-episode run on the normal market."""
+    config = (
+        "[market]\nmodel = normal\n\n[learning]\n"
+        f"algorithm = {algorithm}\nepisodes = 300\n\n[evaluation]\ntest_episodes = 100\n"
+    )
+    assert _run_digest(tmp_path, capsys, "train", config) == GOLDEN_TRAIN_RUNS[algorithm]
+
+
+_LOGGED_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e16, 0.1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cls=st.sampled_from(RECORDS), data=st.data())
+def test_log_line_is_the_json_dumps_line(cls, data):
+    """The template line of any record of finite values is the line json.dumps
+    writes with sorted keys, for both record classes."""
+    episode = data.draw(st.integers(-(2**70), 2**70))
+    rec = cls(episode, *(data.draw(_LOGGED_FLOATS) for _ in fields(cls)[1:]))
+    line = _ndjson_line(cls)(rec)
+    assert line == json.dumps(vars(rec), sort_keys=True) + "\n"
+    assert json.loads(line) == vars(rec)
+
+
+class _Probe:
+    """Renders differently under repr and str."""
+
+    def __repr__(self) -> str:
+        return "R"
+
+    def __str__(self) -> str:
+        return "S"
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_log_template_writes_every_field_by_repr_in_sorted_key_order(cls):
+    names = sorted(f.name for f in fields(cls))
+    line = _ndjson_line(cls)(cls(*[_Probe()] * len(names)))
+    assert line == "{" + ", ".join(f'"{name}": R' for name in names) + "}\n"
+
+
+def test_log_template_rejects_fields_json_would_not_write_by_repr():
+    @dataclass(frozen=True)
+    class Flagged:
+        episode: int
+        diverged: bool
+
+    with pytest.raises(TypeError, match="int and float"):
+        _ndjson_line(Flagged)
+
+
+def test_log_is_written_without_holding_the_file_in_memory(tmp_path):
+    """Streaming 20,000 records holds a few lines at a time: the traced peak
+    of the write stays below a fiftieth of the bytes it writes."""
+    records = [EpisodeRecord(k, 1.1 + k * 1e-7, 0.99, -1e-5, 3e-4, -0.1, 1.0, 0.2, 1.25 + 1e-9 * k)
+               for k in range(1, 20001)]
+    path = tmp_path / "log.ndjson"
+    line = _ndjson_line(EpisodeRecord)
+    tracemalloc.start()
+    try:
+        _write_text(str(path), map(line, records))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 3_000_000
+    assert peak < size / 50, (peak, size)
 
 
 @settings(max_examples=200, deadline=None)

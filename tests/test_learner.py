@@ -1,6 +1,8 @@
 """Tests for the episodic learner: parametric surfaces, gradients, training."""
 
 import math
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -430,10 +432,20 @@ def test_train_updates_w_only_on_schedule(algorithm):
 
 @both_learners
 def test_train_divergence_guard_raises(algorithm):
+    """The error names the episode, the cost and every value of the learner
+    after that episode, by field, in the order of its params."""
     model = NormalIID(0.025, 0.0577)
     hyper = _hyper(500, eta_theta=50.0, eta_phi=50.0)
-    with pytest.raises(TrainingDivergedError, match="episode"):
+    with pytest.raises(TrainingDivergedError, match="episode") as info:
         TRAINERS[algorithm](hyper, model, R_F, make_rng(1, 1))
+    message = str(info.value)
+    names = list(LEARNERS[algorithm].fields(COLD_STARTS[algorithm]))
+    assert names[-1] == "w"
+    assert "(cost " in message
+    named = message[message.index("; ") + 2 : -1].split(", ")
+    assert [item.split("=")[0] for item in named] == names
+    for item in named:
+        float(item.split("=")[1])
 
 
 @both_learners
@@ -520,6 +532,37 @@ def test_checkpoint_round_trip_restores_params_and_stream(tmp_path):
     assert algorithm == ALGORITHM_DISCRETE
     assert loaded == params
     np.testing.assert_array_equal(restored.standard_normal(8), rng.standard_normal(8))
+
+
+_PARAM_NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    params=st.dictionaries(_PARAM_NAMES, st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+    seed=st.integers(0, 2**63 - 1),
+    stream=st.integers(0, 1000),
+    normals=st.integers(0, 7),
+    words=st.integers(0, 3),
+)
+def test_checkpoint_round_trip_property(algorithm, params, seed, stream, normals, words):
+    """Any finite parameter dict comes back bit for bit (-0.0 included), and
+    the restored generator continues the saved stream from any state,
+    including one holding half of a 64-bit word (an odd count of 32-bit
+    draws)."""
+    rng = make_rng(seed, stream)
+    rng.standard_normal(normals)
+    rng.integers(0, 2**32, size=words, dtype=np.uint32)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint")
+        save_checkpoint(path, algorithm, params, rng)
+        got_algorithm, loaded, restored = load_checkpoint(path)
+    assert got_algorithm == algorithm
+    assert {k: repr(v) for k, v in loaded.items()} == {k: repr(v) for k, v in params.items()}
+    assert restored.bit_generator.state == rng.bit_generator.state
+    for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32), lambda g: g.standard_normal(5)):
+        assert draw(restored).tolist() == draw(rng).tolist()
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
