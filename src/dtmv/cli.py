@@ -49,7 +49,6 @@ from .evaluation import (
     run_simulation_study,
     summary_text,
     terminal_stats,
-    write_report_csv,
 )
 from .learner import ALGORITHM_DISCRETE, HyperParams, save_checkpoint, train
 from .market import (
@@ -63,7 +62,6 @@ from .market import (
     load_monthly_csv,
     make_rng,
     sample_path,
-    save_histogram_csv,
 )
 
 
@@ -165,15 +163,7 @@ class RunConfig:
     run: RunControl = RunControl()
 
 
-_SECTIONS = (
-    ("evaluation", EvaluationConfig),
-    ("family", FamilyConfig),
-    ("grid", GridConfig),
-    ("learning", LearningConfig),
-    ("market", MarketConfig),
-    ("problem", ProblemConfig),
-    ("run", RunControl),
-)
+_SECTIONS = tuple(sorted((f.name, f.type) for f in dataclasses.fields(RunConfig)))
 
 
 def _parse_scalar(section: str, key: str, text: str, kind: type):
@@ -259,11 +249,26 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("config: need grid.x_max > grid.x_min")
     if cfg.grid.w != "auto":
         _parse_scalar("grid", "w", cfg.grid.w, float)
-    if cfg.evaluation.block < 1 or cfg.evaluation.histogram_bins < 1:
-        raise ConfigError("config: evaluation.block and evaluation.histogram_bins must be >= 1")
+    ev = cfg.evaluation
+    for key, values, least in (
+        ("evaluation.block", (ev.block,), 1),
+        ("evaluation.histogram_bins", (ev.histogram_bins,), 1),
+        ("evaluation.histogram_draws", (ev.histogram_draws,), 1),
+        ("evaluation.seeds", ev.seeds, 0),
+        ("run.jobs", (cfg.run.jobs,), 1),
+        ("run.seed", (cfg.run.seed,), 0),
+    ):
+        _check_least(key, values, least)
     message = _domain_error(cfg)
     if message:
         raise ConfigError(f"config: {_rejected_key(cfg, message)}: {message}")
+
+
+def _check_least(key: str, values: Iterable[int], least: int) -> None:
+    """The rule for the integer settings no domain object checks on its own:
+    seeds, worker counts, block, bin and draw counts."""
+    if min(values) < least:
+        raise ConfigError(f"config: {key} must be >= {least}")
 
 
 def _domain_error(cfg: RunConfig) -> str:
@@ -272,7 +277,8 @@ def _domain_error(cfg: RunConfig) -> str:
     try:
         hyper_params(cfg, problem_spec(cfg))
         IterationFamily(cfg.family.mean_slope, cfg.family.var_base, cfg.family.var_ratio)
-        MarketModel(*_per_period(cfg.market))  # r_f > 0 for every model, and sigma > 0
+        for sigma in (cfg.market.sigma_annual, *cfg.evaluation.sigma_grid_annual):
+            MarketModel(*_per_period(cfg.market, sigma))  # r_f > 0 for every model, and sigma > 0
         if cfg.market.model != "historical":
             build_model(cfg.market)
         SplitSpec(cfg.learning.episodes - cfg.evaluation.test_episodes, cfg.evaluation.test_episodes)
@@ -299,7 +305,7 @@ def effective_config_text(cfg: RunConfig) -> str:
     explicit.  load_config on this text reproduces cfg exactly."""
     lines = []
     for name, _cls in _SECTIONS:
-        block = getattr(cfg, name if name != "run" else "run")
+        block = getattr(cfg, name)
         lines.append(f"[{name}]")
         for key in sorted(f.name for f in dataclasses.fields(block)):
             lines.append(f"{key} = {_format_value(getattr(block, key))}")
@@ -369,10 +375,6 @@ def _x_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(g.x_min, g.x_max, g.x_points)
 
 
-def _seeds(cfg: RunConfig, override: Optional[int]) -> Tuple[int, ...]:
-    return (override,) if override is not None else cfg.evaluation.seeds
-
-
 def _write_text(path: str, text) -> None:
     """Write a string, or an iterable of strings as it yields them."""
     with open(path, "w") as fh:
@@ -380,7 +382,27 @@ def _write_text(path: str, text) -> None:
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Every CSV file of a run: rows of formatted fields, joined as they are, lines ended in \\n."""
     _write_text(path, (",".join(row) + "\n" for part in ((header,), rows) for row in part))
+
+
+def _csv_field(text: str) -> str:
+    """text as one CSV field, quoted as the csv module quotes by default: in double quotes,
+    with inner quotes doubled, when it holds a comma, quote or line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+REPORT_HEADER = ("setting", "algorithm", "seed", "mean_return", "std_return", "sharpe", "n")
+
+
+def write_report_csv(rows: Iterable[PerformanceReport], path: str) -> None:
+    """report.csv of train, simulate, backtest and compare: one row per cell, floats in repr
+    form.  The setting label may carry a data file's name, so it alone is quoted."""
+    _write_csv(path, REPORT_HEADER, (
+        (_csv_field(r.setting), r.algorithm, str(r.seed), repr(r.mean_return),
+         repr(r.std_return), repr(r.sharpe), str(r.n)) for r in rows))
 
 
 def _ndjson_line(cls) -> Callable[[object], str]:
@@ -474,25 +496,24 @@ def _train_one(cfg: RunConfig, algorithm: str, seed: int, stream: int):
     return trainer(hyper_params(cfg, problem_spec(cfg)), model, r_f, rng), rng
 
 
-def cmd_train(cfg: RunConfig, out: str, seed_override: Optional[int]) -> None:
+def cmd_train(cfg: RunConfig, out: str) -> None:
     """Single training run: log.ndjson (one JSON object per episode, keys sorted, floats in
     repr form), a checkpoint of the final parameters and generator state (no command reads it
     back yet) and a test-window report row, all written after training, each as it is formatted."""
-    seed = cfg.run.seed if seed_override is None else seed_override
     algorithm = cfg.learning.algorithm
-    result, rng = _train_one(cfg, algorithm, seed, stream=0)
+    result, rng = _train_one(cfg, algorithm, cfg.run.seed, stream=0)
     line = _ndjson_line(LEARNERS[algorithm].record)
     params = LEARNERS[algorithm].fields(result.params)
     tail = [rec.terminal_wealth for rec in result.history[-cfg.evaluation.test_episodes:]]
     mean, std, sharpe, n = terminal_stats(tail, cfg.problem.x0)
-    row = PerformanceReport(market_label(cfg.market), algorithm, seed, mean, std, sharpe, n)
+    row = PerformanceReport(market_label(cfg.market), algorithm, cfg.run.seed, mean, std, sharpe, n)
     _write_text(os.path.join(out, "log.ndjson"), map(line, result.history))
     save_checkpoint(os.path.join(out, "checkpoint"), algorithm, params, rng)
     write_report_csv([row], os.path.join(out, "report.csv"))
     _write_text(os.path.join(out, "summary.txt"), summary_text([row]) + "\n")
 
 
-def cmd_simulate(cfg: RunConfig, out: str, seed_override: Optional[int], jobs: int) -> None:
+def cmd_simulate(cfg: RunConfig, out: str) -> None:
     """Both-algorithm study over the volatility grid; writes the full report
     and its per-setting medians."""
     spec = problem_spec(cfg)
@@ -503,12 +524,12 @@ def cmd_simulate(cfg: RunConfig, out: str, seed_override: Optional[int], jobs: i
         settings.append(StudySetting(market_label(cfg.market, sigma), model, r_f))
     split = SplitSpec(cfg.learning.episodes - cfg.evaluation.test_episodes,
                       cfg.evaluation.test_episodes)
-    rows = run_simulation_study(settings, hyper, split, _seeds(cfg, seed_override), jobs)
+    rows = run_simulation_study(settings, hyper, split, cfg.evaluation.seeds, cfg.run.jobs)
     write_report_csv(rows, os.path.join(out, "report.csv"))
     _write_text(os.path.join(out, "summary.txt"), summary_text(rows) + "\n")
 
 
-def cmd_backtest(cfg: RunConfig, out: str, seed_override: Optional[int], jobs: int) -> None:
+def cmd_backtest(cfg: RunConfig, out: str) -> None:
     """Rolling decade-by-decade evaluation on a monthly close series."""
     ev = cfg.evaluation
     mc = cfg.market
@@ -517,26 +538,24 @@ def cmd_backtest(cfg: RunConfig, out: str, seed_override: Optional[int], jobs: i
     hyper = hyper_params(cfg, spec)
     rolling = rolling_spec(cfg)
     _, _, r_f = _per_period(mc)
-    seed = cfg.run.seed if seed_override is None else seed_override
-    rows = rolling_backtest(series, rolling, hyper, r_f, seed, jobs)
+    rows = rolling_backtest(series, rolling, hyper, r_f, cfg.run.seed, cfg.run.jobs)
     write_report_csv(rows, os.path.join(out, "report.csv"))
     _write_text(os.path.join(out, "summary.txt"), summary_text(rows) + "\n")
 
 
-def cmd_compare(cfg: RunConfig, out: str, seed_override: Optional[int]) -> None:
+def cmd_compare(cfg: RunConfig, out: str) -> None:
     """Head-to-head learning curves of the two algorithms on one market.
 
     Writes the joined test report, blockwise curves, and per-algorithm
     stabilization summary (first block index from which block means stay
     within 2% of the target wealth)."""
-    seeds = _seeds(cfg, seed_override)
     block = cfg.evaluation.block
     b = cfg.problem.target_wealth
     report_rows = []
     curve_rows = []
     stable: Dict[str, List[str]] = {}
     for stream, algorithm in enumerate(ALGORITHMS):
-        for seed in seeds:
+        for seed in cfg.evaluation.seeds:
             result, _rng = _train_one(cfg, algorithm, seed, stream)
             tws = [rec.terminal_wealth for rec in result.history]
             tail = tws[-cfg.evaluation.test_episodes:]
@@ -558,18 +577,18 @@ def cmd_compare(cfg: RunConfig, out: str, seed_override: Optional[int]) -> None:
     _write_text(os.path.join(out, "summary.txt"), "\n".join(lines) + "\n")
 
 
-def cmd_histogram(cfg: RunConfig, out: str, seed_override: Optional[int]) -> None:
+def cmd_histogram(cfg: RunConfig, out: str) -> None:
     """Empirical distribution of one-period excess returns under the
     configured market; bin counts sum to the number of draws."""
-    seed = cfg.run.seed if seed_override is None else seed_override
     model, _r_f = build_model(cfg.market)
     if isinstance(model, Historical):
         data = np.asarray(model.series.values, dtype=float)
     else:
-        rng = make_rng(seed, 0)
-        data = sample_path(model, cfg.evaluation.histogram_draws, rng)
+        data = sample_path(model, cfg.evaluation.histogram_draws, make_rng(cfg.run.seed, 0))
     counts, edges = histogram(data, cfg.evaluation.histogram_bins)
-    save_histogram_csv(counts, edges, os.path.join(out, "histogram.csv"))
+    edges = edges.tolist()
+    _write_csv(os.path.join(out, "histogram.csv"), ("bin_left", "bin_right", "count"),
+               zip(map(repr, edges[:-1]), map(repr, edges[1:]), map(str, counts.tolist())))
     summary = [
         f"setting = {market_label(cfg.market)}",
         f"draws = {int(counts.sum())}",
@@ -586,7 +605,15 @@ def cmd_histogram(cfg: RunConfig, out: str, seed_override: Optional[int]) -> Non
 # ---------------------------------------------------------------------------
 
 
-_COMMANDS = ("analytic", "iterate", "train", "simulate", "backtest", "compare", "histogram")
+_COMMANDS: Dict[str, Tuple[Callable[[RunConfig, str], None], str]] = {
+    "analytic": (cmd_analytic, "closed-form policy/value table with oracle cross-check"),
+    "iterate": (cmd_iterate, "policy-improvement trace from a configured seed family"),
+    "train": (cmd_train, "single training run with log and checkpoint"),
+    "simulate": (cmd_simulate, "simulation study over the volatility grid"),
+    "backtest": (cmd_backtest, "rolling backtest on a monthly close series"),
+    "compare": (cmd_compare, "learning-curve comparison of the two algorithms"),
+    "histogram": (cmd_histogram, "histogram of one-period excess returns"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -595,21 +622,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exploratory mean-variance portfolio selection toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "analytic": "closed-form policy/value table with oracle cross-check",
-        "iterate": "policy-improvement trace from a configured seed family",
-        "train": "single training run with log and checkpoint",
-        "simulate": "simulation study over the volatility grid",
-        "backtest": "rolling backtest on a monthly close series",
-        "compare": "learning-curve comparison of the two algorithms",
-        "histogram": "histogram of one-period excess returns",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (_cmd, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="INI config file (defaults apply)")
         p.add_argument("--seed", type=int, default=None, help="override run.seed / seed list")
         p.add_argument("--out", default=None, help="output directory (default runs/<command>)")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes for studies")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="worker processes; only simulate and backtest use them")
     return parser
 
 
@@ -617,28 +636,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("config: seed must be >= 0")
-        jobs = cfg.run.jobs if args.jobs is None else args.jobs
-        if jobs < 1:
-            raise ConfigError("config: jobs must be >= 1")
+        for flag, value, least in (("--seed", args.seed, 0), ("--jobs", args.jobs, 1)):
+            if value is not None:
+                _check_least(flag, (value,), least)
         out = args.out or os.path.join("runs", args.command)
         os.makedirs(out, exist_ok=True)
         _write_text(os.path.join(out, "config.effective"), effective_config_text(cfg))
-        if args.command == "analytic":
-            cmd_analytic(cfg, out)
-        elif args.command == "iterate":
-            cmd_iterate(cfg, out)
-        elif args.command == "train":
-            cmd_train(cfg, out, args.seed)
-        elif args.command == "simulate":
-            cmd_simulate(cfg, out, args.seed, jobs)
-        elif args.command == "backtest":
-            cmd_backtest(cfg, out, args.seed, jobs)
-        elif args.command == "compare":
-            cmd_compare(cfg, out, args.seed)
-        else:
-            cmd_histogram(cfg, out, args.seed)
+        # the flags override the config for this run; config.effective keeps the file's values
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, seed=args.seed),
+                                      evaluation=dataclasses.replace(cfg.evaluation, seeds=(args.seed,)))
+        if args.jobs is not None:
+            cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, jobs=args.jobs))
+        cmd, _help = _COMMANDS[args.command]
+        cmd(cfg, out)
     except Exception as exc:  # one machine-readable record per failure
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)

@@ -9,14 +9,12 @@ through the wealth dynamics).
 
 from __future__ import annotations
 
-import csv
 import statistics
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from dtmv.analytic import ProblemSpec
 from dtmv.baseline import ALGORITHM_CONTINUOUS, CONTINUOUS, baseline_train
 from dtmv.learner import (
     ALGORITHM_DISCRETE,
@@ -31,12 +29,10 @@ from dtmv.market import (
     InsufficientDataError,
     ReturnModel,
     ReturnSeries,
-    RngStream,
+    make_rng,
     month_index,
     month_label,
 )
-
-REPORT_HEADER = ("setting", "algorithm", "seed", "mean_return", "std_return", "sharpe", "n")
 
 LEARNERS = {ALGORITHM_DISCRETE: DISCRETE, ALGORITHM_CONTINUOUS: CONTINUOUS}
 ALGORITHMS = tuple(LEARNERS)
@@ -180,7 +176,7 @@ def _train(algorithm: str, hyper: HyperParams, model: ReturnModel, r_f: float, r
 
 def _study_cell(args) -> PerformanceReport:
     label, model, r_f, hyper, test_episodes, algorithm, seed, stream = args
-    rng = RngStream(seed=seed, stream=stream).generator()
+    rng = make_rng(seed, stream)
     history = _train(algorithm, hyper, model, r_f, rng).history
     tail = [rec.terminal_wealth for rec in history[-test_episodes:]]
     mean, std, sharpe, n = terminal_stats(tail, hyper.spec.x0)
@@ -288,7 +284,7 @@ def _backtest_cell(args) -> PerformanceReport:
     except InsufficientDataError as exc:
         raise InsufficientDataError(f"{label}: {exc}") from exc
 
-    rng = RngStream(seed=seed, stream=stream).generator()
+    rng = make_rng(seed, stream)
     model = Historical(train_series)
 
     params = _train(algorithm, hyper, model, r_f, rng).params
@@ -342,48 +338,8 @@ def rolling_backtest(
 
 
 # ---------------------------------------------------------------------------
-# report emission
+# summary
 # ---------------------------------------------------------------------------
-
-
-def write_report_csv(rows: Sequence[PerformanceReport], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.setting,
-                    row.algorithm,
-                    row.seed,
-                    repr(row.mean_return),
-                    repr(row.std_return),
-                    repr(row.sharpe),
-                    row.n,
-                ]
-            )
-
-
-def read_report_csv(path: str) -> List[PerformanceReport]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != REPORT_HEADER:
-            raise ValueError(f"{path}: unexpected report header {header}")
-        for rec in reader:
-            rows.append(
-                PerformanceReport(
-                    setting=rec[0],
-                    algorithm=rec[1],
-                    seed=int(rec[2]),
-                    mean_return=float(rec[3]),
-                    std_return=float(rec[4]),
-                    sharpe=float(rec[5]),
-                    n=int(rec[6]),
-                )
-            )
-    return rows
 
 
 def summary_text(rows: Sequence[PerformanceReport]) -> str:

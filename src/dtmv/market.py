@@ -385,11 +385,3 @@ def histogram(data, bins: int) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError("bins must be >= 1")
     counts, edges = np.histogram(arr, bins=bins, range=(arr.min(), arr.max()))
     return counts, edges
-
-
-def save_histogram_csv(counts: np.ndarray, edges: np.ndarray, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for i, c in enumerate(counts):
-            writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])

@@ -2,9 +2,11 @@
 
 import ast
 import csv
+import dataclasses
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -23,12 +25,17 @@ from dtmv.cli import (
     ProblemConfig,
     RunConfig,
     RunControl,
+    build_model,
     effective_config_text,
+    hyper_params,
     load_config,
     main,
+    problem_spec,
+    rolling_spec,
     validate_config,
 )
-from dtmv.evaluation import LEARNERS
+from dtmv.evaluation import LEARNERS, PerformanceReport
+from dtmv.market import bundled_monthly_csv_path, make_rng, sample_path
 
 TINY = """
 [learning]
@@ -157,6 +164,12 @@ def test_grid_needs_three_points(tmp_path, capsys):
         ("histogram", "market", "r_annual", "-13.0"),
         pytest.param("backtest", "market", "periods_per_year", "0\nmodel = historical",
                      id="backtest-market-periods_per_year-0-historical"),
+        # the generator, sampler, grid market models and worker pool reject these only mid-run
+        ("train", "run", "seed", "-1"),
+        ("compare", "evaluation", "seeds", "1, -2"),
+        ("histogram", "evaluation", "histogram_draws", "0"),
+        ("simulate", "evaluation", "sigma_grid_annual", "0.2, 0.0"),
+        ("simulate", "run", "jobs", "0"),
     ],
 )
 def test_domain_checks_reject_the_config_before_any_output(
@@ -177,6 +190,16 @@ def test_domain_checks_reject_the_config_before_any_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--jobs", "0")])
+def test_bad_flags_are_rejected_before_any_output(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    code, _, err = _run(["simulate", flag, value, "--out", str(out)], capsys)
+    assert code == 1
+    record = json.loads(err)
+    assert record["error"] == "ConfigError" and flag in record["message"]
+    assert not out.exists()
+
+
 def _tuples(elements):
     return st.lists(elements, min_size=1, max_size=4).map(tuple)
 
@@ -186,9 +209,9 @@ _POSITIVE = st.floats(1e-6, 1e3)
 
 
 @st.composite
-def _valid_configs(draw):
-    """RunConfigs whose every value lies inside the domain checks, so that
-    validate_config accepts each of them."""
+def _configs(draw):
+    """RunConfigs with every value inside the domain checks, but for seeds,
+    grid volatilities and histogram draws, which may also lie outside."""
     episodes = draw(st.integers(2, 10**6))
     horizon_months = draw(st.integers(1, 24))
     return RunConfig(
@@ -210,12 +233,13 @@ def _valid_configs(draw):
         ),
         evaluation=EvaluationConfig(
             test_episodes=draw(st.integers(2, episodes)), block=draw(st.integers(1, 1000)),
-            sigma_grid_annual=draw(_tuples(_POSITIVE)), seeds=draw(_tuples(st.integers(0, 2**31))),
+            sigma_grid_annual=draw(_tuples(st.one_of(_POSITIVE, st.floats(-1.0, 0.0)))),
+            seeds=draw(_tuples(st.integers(-3, 2**31))),
             backtest_start_years=draw(_tuples(st.integers(1900, 2100))),
             backtest_targets=draw(_tuples(_REAL)),
             window_months=draw(st.integers(horizon_months, 600)), horizon_months=horizon_months,
             test_months=draw(st.integers(horizon_months, 600)), online_test=draw(st.booleans()),
-            histogram_draws=draw(st.integers(1, 10**6)), histogram_bins=draw(st.integers(1, 500)),
+            histogram_draws=draw(st.integers(-3, 10**4)), histogram_bins=draw(st.integers(1, 500)),
         ),
         family=FamilyConfig(mean_slope=draw(_REAL), var_base=draw(_POSITIVE), var_ratio=draw(_POSITIVE)),
         grid=GridConfig(
@@ -223,21 +247,49 @@ def _valid_configs(draw):
             x_points=draw(st.integers(3, 500)),
             w=draw(st.one_of(st.just("auto"), _REAL.map(repr))),
         ),
-        run=RunControl(seed=draw(st.integers(0, 2**31)), jobs=draw(st.integers(1, 8))),
+        run=RunControl(seed=draw(st.integers(-3, 2**31)), jobs=draw(st.integers(1, 8))),
     )
 
 
+def _accepted(cfg):
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        return False
+    return True
+
+
+_valid_configs = _configs().filter(_accepted)
+
+
 @settings(max_examples=100, deadline=None)
-@given(cfg=_valid_configs())
+@given(cfg=_valid_configs)
 def test_effective_text_round_trips_any_valid_config(cfg):
     """load_config(effective_config_text(cfg)) == cfg for any config that
     validates: every value is written so that it parses back exactly."""
-    validate_config(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "effective.ini")
         with open(path, "w") as fh:
             fh.write(effective_config_text(cfg))
         assert load_config(path) == cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_valid_configs)
+def test_a_valid_config_builds_what_every_command_builds_before_it_runs(cfg):
+    """What validate_config accepts, no command rejects after config.effective
+    is written: the per-volatility markets of simulate (a historical series
+    is checked when read, so the bundled one stands in), a generator per
+    seed, the sample of histogram and the backtest horizon."""
+    market = dataclasses.replace(cfg.market, csv_path="")
+    for sigma in cfg.evaluation.sigma_grid_annual:
+        build_model(market, sigma)
+    for seed in (cfg.run.seed, *cfg.evaluation.seeds):
+        make_rng(seed)
+    if cfg.market.model != "historical":
+        sample_path(build_model(market)[0], cfg.evaluation.histogram_draws, make_rng(cfg.run.seed))
+    hyper = hyper_params(cfg, dataclasses.replace(problem_spec(cfg), T=cfg.evaluation.horizon_months))
+    assert hyper.spec.T == rolling_spec(cfg).horizon_months
 
 
 def test_config_dataclasses_are_plain_values():
@@ -509,6 +561,71 @@ def test_histogram_historical_uses_the_series_itself(tmp_path, capsys):
     assert code == 0
     rows = _read_csv(os.path.join(out, "histogram.csv"))
     assert sum(int(r["count"]) for r in rows) == 395  # bundled series length
+
+
+# ---------------------------------------------------------------------------
+# CSV files
+# ---------------------------------------------------------------------------
+
+
+def test_report_csv_round_trip_is_exact(tmp_path, capsys, monkeypatch):
+    """The report rows simulate writes parse back to the rows it computed."""
+    import dtmv.cli
+
+    computed = []
+    study = dtmv.cli.run_simulation_study
+    monkeypatch.setattr(dtmv.cli, "run_simulation_study", lambda *a: computed.extend(study(*a)) or computed)
+    out = tmp_path / "sim"
+    assert _run(["simulate", "--config", _cfg_file(tmp_path), "--out", str(out)], capsys)[0] == 0
+    with open(out / "report.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == dtmv.cli.REPORT_HEADER
+    parsed = [PerformanceReport(r[0], r[1], int(r[2]), *map(float, r[3:6]), int(r[6])) for r in rows]
+    assert len(computed) == 4 and parsed == computed
+
+
+def test_histogram_csv_rows(tmp_path, capsys, monkeypatch):
+    """One row per bin, its edges in repr form, the counts summing to the draws."""
+    import dtmv.cli
+
+    computed = []
+    binned = dtmv.cli.histogram
+    monkeypatch.setattr(dtmv.cli, "histogram", lambda *a: computed.append(binned(*a)) or computed[0])
+    out = tmp_path / "h"
+    assert _run(["histogram", "--config", _cfg_file(tmp_path), "--out", str(out)], capsys)[0] == 0
+    lines = (out / "histogram.csv").read_text().splitlines()
+    assert lines[0] == "bin_left,bin_right,count"
+    ((counts, edges),) = computed
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(float(left), float(right), int(c)) for left, right, c in rows] == list(
+        zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
+    assert counts.sum() == 4000 and len(lines) == 1 + 60
+
+
+@pytest.mark.parametrize(
+    "command", ["analytic", "iterate", "train", "simulate", "backtest", "compare", "histogram"]
+)
+def test_every_csv_ends_its_lines_in_lf(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert _run([command, "--config", _cfg_file(tmp_path), "--out", str(out)], capsys)[0] == 0
+    written = sorted(out.glob("*.csv"))
+    assert written
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path.name
+
+
+def test_report_setting_with_a_comma_and_a_quote_reads_back(tmp_path, capsys):
+    """The setting label carries the data file's name, the one outside text
+    in a report row; it is quoted as the csv module quotes it."""
+    data = tmp_path / 'sp500, "monthly".csv'
+    shutil.copy(bundled_monthly_csv_path(), data)
+    cfg = _cfg_file(tmp_path, TINY + f"\n[market]\nmodel = historical\ncsv_path = {data}\n")
+    out = tmp_path / "t"
+    assert _run(["train", "--config", cfg, "--out", str(out)], capsys)[0] == 0
+    with open(out / "report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 and len(rows[1]) == 7
+    assert rows[1][0] == 'historical sp500, "monthly".csv'
 
 
 # ---------------------------------------------------------------------------

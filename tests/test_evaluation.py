@@ -17,12 +17,10 @@ from dtmv.evaluation import (
     first_stable_block,
     learning_curves,
     median_summary,
-    read_report_csv,
     rolling_backtest,
     run_simulation_study,
     summary_text,
     terminal_stats,
-    write_report_csv,
 )
 from dtmv.learner import ALGORITHM_DISCRETE, HyperParams
 from dtmv.market import (
@@ -162,20 +160,6 @@ def test_summary_text_is_deterministic_and_readable():
     text = summary_text(rows)
     assert text == summary_text(rows)
     assert "set" in text and "algo" in text and "12.35%" in text
-
-
-# ---------------------------------------------------------------------------
-# report csv round trip
-# ---------------------------------------------------------------------------
-
-
-def test_report_csv_round_trip_is_exact(tmp_path):
-    rows = run_simulation_study(
-        _settings()[:1], _tiny_hyper(), SplitSpec(40, 40), seeds=(7,)
-    )
-    path = tmp_path / "report.csv"
-    write_report_csv(rows, str(path))
-    assert read_report_csv(str(path)) == rows
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,8 @@ GOLDEN_HISTORIES = {
 GOLDEN_ONLINE_BACKTEST = "90fdf570bdddb5d715714d9ed6b172d13d7dc1534cdf6d7a20c1cf918ef677d6"
 GOLDEN_ANALYTIC_RUN = "3221e3b055ad995651995cc68fa37c5d0c43bb8cc147a5dafea973d486d3a2f5"
 GOLDEN_TRAIN_RUNS = {
-    "emv-discrete": "a8a3a596a3d9398d6d176b785278c157532895630d51359cd5669d002aa49fb6",
-    "emv-continuous": "7b6812b42d79eeb47ba1f8e44bcbdb4be2bab1d14763235267bb4591431023aa",
+    "emv-discrete": "683acc352a22ca8693cd2df6f17998a34bf62b85506ecd2ee1521d2672accaba",
+    "emv-continuous": "5297d6bd7916290b812d492d230d64695400d76f3963cb0f84ec5d5783a4a85b",
 }
 RECORDS = (EpisodeRecord, BaselineRecord)
 

@@ -24,7 +24,6 @@ from dtmv.market import (
     month_label,
     sample_path,
     sample_skewt_core,
-    save_histogram_csv,
     skewt_core_moments,
     step_wealth,
 )
@@ -321,13 +320,3 @@ def test_histogram_rejects_empty_and_bad_bins():
         histogram([], 10)
     with pytest.raises(ValueError):
         histogram([1.0], 0)
-
-
-def test_save_histogram_csv_rows(tmp_path):
-    counts, edges = histogram([0.0, 0.5, 1.0, 1.0], 2)
-    path = tmp_path / "hist.csv"
-    save_histogram_csv(counts, edges, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "bin_left,bin_right,count"
-    assert len(lines) == 3
-    assert sum(int(line.split(",")[2]) for line in lines[1:]) == 4
