@@ -6,7 +6,11 @@ they were computed with the per-step rollout and the ndarray samplers that
 the current code replaced, and must not move.  The two skew-t digests were
 computed again when the skew-t constant moved from scipy's gammaln to
 math.lgamma, which differ in the last bits at nu = 5; that swap alone gives
-the new values.  The properties check the two identities that replacement
+the new values.  The cases beyond the default short run on each market (a
+12-period skew-t path, whole-episode updates, a 5-period historical horizon
+at lam = 0.5 with w refreshed every 7 episodes, and T = 1) were computed
+while each learner ran its own policy, residual and update functions behind
+per-learner hooks.  The properties check the two identities that replacement
 rests on: one vector draw of T normals is T scalar draws, and sample_path's
 float arithmetic is the ndarray arithmetic element by element.
 
@@ -27,7 +31,7 @@ import json
 import math
 import os
 import tracemalloc
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -60,6 +64,21 @@ MODELS = {
     "historical": Historical(SERIES.subseries("1995-01", 120)),
 }
 TRAINERS = {"discrete": train, "continuous": baseline_train}
+# (market, hyper) of each training case: the default short run on each
+# market, then a skew-t path long enough for the ndarray sampler, whole-episode
+# updates, a historical horizon with another lam and refresh period, and T = 1
+HISTORY_CASES = {
+    "normal": ("normal", HyperParams(spec=SPEC, episodes=300)),
+    "skewt": ("skewt", HyperParams(spec=SPEC, episodes=300)),
+    "historical": ("historical", HyperParams(spec=SPEC, episodes=300)),
+    "skewt-T12": ("skewt", HyperParams(spec=replace(SPEC, T=12), episodes=300)),
+    "normal-whole": ("normal", HyperParams(spec=SPEC, episodes=300, prefix_updates=False)),
+    "historical-T5": (
+        "historical",
+        HyperParams(spec=replace(SPEC, T=5, lam=0.5), episodes=300, refresh_every=7),
+    ),
+    "normal-T1": ("normal", HyperParams(spec=replace(SPEC, T=1), episodes=300)),
+}
 
 GOLDEN_HISTORIES = {
     ("normal", "discrete"): "b585fcf95f595ace9e1cdf5a6530acb8f30d99ce84d737161b76ad7069e38306",
@@ -68,6 +87,14 @@ GOLDEN_HISTORIES = {
     ("skewt", "continuous"): "56bb7f8fca284b3bc55febcf375c206efdeec04028adcf9f4afe7913b7dfd28c",
     ("historical", "discrete"): "116c8fd857ea3dd576d55f6d380f92b5ed25ed09eb8149141c966cefdd2f40d0",
     ("historical", "continuous"): "f400079154ee811747edd65dcf3423c36d70e2b8686e1ba23bb5e99fb7cc2d51",
+    ("skewt-T12", "discrete"): "2074a08b511e74efa731a5fba8e493991f021cd2dbaf5955b2af7086c075f6c8",
+    ("skewt-T12", "continuous"): "509e30fc32ba9aab8d89b41b3d3c6e17e5cdb7d30a6060dc8d3582ef2663b2c8",
+    ("normal-whole", "discrete"): "e540a135fe0e9aac25351f5894576cf16340866ef7cffddcd51b762a04f4b676",
+    ("normal-whole", "continuous"): "166df1fc7c35bced29a3b60428c47baa764263de847b348e5775c825c1389eb8",
+    ("historical-T5", "discrete"): "8491e10401b106463c59636cbc0fb79fb9a69ea58a3e65b8e995fe957904d3e3",
+    ("historical-T5", "continuous"): "bbc80d1cc8f5b5c6d19731306dbda382bd179956424cacb680c607948bef1858",
+    ("normal-T1", "discrete"): "a0b249e5652491c7871a0cbf74501fb554abe0c73fe90dc116a719d8830df29f",
+    ("normal-T1", "continuous"): "fd53dd241946060ae2b9c8cd5685c11e2c955ce001170eb9d515f49aee106951",
 }
 GOLDEN_ONLINE_BACKTEST = "90fdf570bdddb5d715714d9ed6b172d13d7dc1534cdf6d7a20c1cf918ef677d6"
 GOLDEN_ANALYTIC_RUN = "3221e3b055ad995651995cc68fa37c5d0c43bb8cc147a5dafea973d486d3a2f5"
@@ -82,11 +109,11 @@ def _digest(rows) -> str:
     return hashlib.sha256(repr([astuple(r) for r in rows]).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("market, learner", sorted(GOLDEN_HISTORIES))
-def test_training_history_matches_its_golden_digest(market, learner):
-    hyper = HyperParams(spec=SPEC, episodes=300)
+@pytest.mark.parametrize("case, learner", sorted(GOLDEN_HISTORIES))
+def test_training_history_matches_its_golden_digest(case, learner):
+    market, hyper = HISTORY_CASES[case]
     result = TRAINERS[learner](hyper, MODELS[market], R_F, make_rng(7, 1))
-    assert _digest(result.history) == GOLDEN_HISTORIES[(market, learner)]
+    assert _digest(result.history) == GOLDEN_HISTORIES[(case, learner)]
 
 
 def test_online_backtest_cell_matches_its_golden_digest():
