@@ -4,26 +4,31 @@ The learner never sees the return distribution.  It fits a parametric value
 surface and Gaussian policy by stochastic gradient steps on a squared
 Bellman-residual cost, and tunes the Lagrange target w from realized
 terminal wealths.  The policy's scale phi1 is not identified by that cost
-and keeps its initial value (see apply_updates); this departs from a plain
+and keeps its initial value (see _descend); this departs from a plain
 gradient step on every parameter.  The riskless factor r_f is treated as
 known.
 
-The episodic protocol (rollout, growing-prefix updates, w refresh, divergence
-check) is written once, in _episode (behind episode_step) and run_training,
-for any Learner: DISCRETE here and the comparator dtmv.baseline.CONTINUOUS.
+One episode kernel serves both learners: _episode rolls out the policy
+(_policy), records the terminal wealth, refreshes w, and runs the
+growing-prefix updates and the cost (_descend) on local floats; run_training
+draws each episode's returns and checks for divergence, and episode_step runs
+one episode on given returns.  A Learner is data: its params, its records and
+the few constants in which the continuous-time comparator
+(dtmv.baseline.CONTINUOUS) differs from DISCRETE here.  The public functions
+on samples and parameters (cost, grad_theta, grad_phi, apply_updates,
+sample_episode, policy_from_params) are thin adapters over those three.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from dtmv.analytic import GaussianPolicy, ProblemSpec
-from dtmv.market import RNG_ALGORITHM, ReturnModel, sample_path, step_wealth
+from dtmv.market import RNG_ALGORITHM, ReturnModel, sample_path
 
 ALGORITHM_DISCRETE = "emv-discrete"
 
@@ -159,35 +164,368 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# parametric policy and value surface
+# the episode kernel, shared by both learners
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Learner:
+    """A learner of the episode kernel: its params and records, and the
+    constants in which it differs from the other one.
+
+    Both learners fit the value surface q_t + theta2 t^2 + theta3 t + theta4,
+    q_t = exp(-2 phi2)^(T - t) (x - c_t)^2, and the Gaussian policy of mean
+    slope (x - c_t) and variance exp(2 phi2 (m + shift) + 2 phi1 - 1) / (2 pi)
+    at period t, m = T - t - 1 periods after it, by gradient steps on the
+    squared residuals
+        q_{t+1} - q_t + theta2 (2t + 1) + theta3 - lam (phi1 + phi2 (m + shift))
+    of the transitions t -> t + 1 (_descend).
+
+    fields names the values of its params, w (the Lagrange target) last:
+    the kernel's theta1..w, or theta2..w for a learner that keeps no theta1.
+    params builds the params, and record one log row, from those values.
+    """
+
+    cold_start: Callable  # (spec, r_f, phi1, phi2) -> params
+    fields: Callable  # params -> {name: value} of the record and the checkpoint
+    params: Callable  # (*values) -> params
+    record: Callable  # (episode, terminal_wealth, *values) -> record
+    shift: int  # of the entropy count and the variance exponent
+    # compounding at r_f inside the functional forms: centers c_t = w / r_f^(T - t)
+    # and a slope with the root of r_f^2 - exp(-2 phi2), so phi2 > -ln(r_f);
+    # else c_t = w and the root of 2 phi2, so phi2 > 0
+    compounding: bool
+    hold_phi1: bool  # phi1 held, theta3 taking its move (_descend), or stepped
+    # q_t as e2**(T - t) * dev * dev and theta4 from T**2, or as
+    # dev * dev * exp(-2 phi2 (T - t)) and from T * T: the same numbers in
+    # the float order each learner's pinned outputs were computed in
+    power_weights: bool
+
+
+class _Run(NamedTuple):
+    """A learner's constants over one run of the kernel."""
+
+    T: int
+    x0: float
+    b: float
+    lam: float
+    r_f: float
+    eta_theta: float
+    eta_phi: float
+    refresh_every: int
+    passes: tuple  # (n, step) of _descend over an episode: each prefix, then the cost
+    rhos: tuple  # c_t / w, t = 0..T
+    counts: tuple  # m + shift, t < T
+    steps: tuple  # (m, 2t + 1, m + shift, 2 (m + 1), 2m, lam (m + shift)), t < T
+    floor: float  # of phi2
+    compounding: bool
+    hold_phi1: bool
+    power_weights: bool
 
 
 def _discount(t: int, T: int, r_f: float) -> float:
     return r_f ** -(T - t)
 
 
-def _policy_slope(phi1: float, phi2: float, spec: ProblemSpec, r_f: float) -> float:
-    """Coefficient of the wealth deviation in the policy mean; raises
-    InfeasiblePolicyError where exp(-2*phi2) > r_f^2 makes it imaginary."""
-    gap = r_f * r_f - math.exp(-2.0 * phi2)
-    if gap < 0.0:
-        raise InfeasiblePolicyError(f"phi2={phi2} below the feasibility floor -ln(r_f)")
-    return -math.sqrt(gap / (spec.lam * math.pi)) * math.exp((2.0 * phi1 - 1.0) / 2.0)
+def _setup(learner: Learner, hyper: HyperParams, r_f) -> _Run:
+    spec = hyper.spec
+    T, lam = spec.T, spec.lam
+    if learner.compounding:
+        rhos = tuple(_discount(t, T, r_f) for t in range(T + 1))
+        floor = -math.log(r_f) + PHI2_MARGIN
+    else:
+        rhos, floor = (1.0,) * (T + 1), PHI2_MARGIN
+    counts = tuple(T - t - 1 + learner.shift for t in range(T))
+    steps = tuple(
+        (T - t - 1, 2.0 * t + 1.0, c, 2.0 * (T - t), 2.0 * (T - t - 1), lam * c)
+        for t, c in enumerate(counts)
+    )
+    prefixes = range(1, T + 1) if hyper.prefix_updates else (T,)
+    passes = tuple((n, True) for n in prefixes) + ((T, False),)
+    return _Run(T, spec.x0, spec.b, lam, r_f, hyper.eta_theta, hyper.eta_phi, hyper.refresh_every,
+                passes, rhos, counts, steps, floor, learner.compounding, learner.hold_phi1,
+                learner.power_weights)
 
 
-def _policy_variance(phi1: float, phi2: float, spec: ProblemSpec, t: int) -> float:
-    return math.exp(2.0 * phi2 * (spec.T - t - 1) + 2.0 * phi1 - 1.0) / (2.0 * math.pi)
+def _values(learner: Learner, params) -> Tuple[Tuple[float, ...], int]:
+    """The kernel's values (theta1, theta2, theta3, theta4, phi1, phi2, w) of
+    params, theta1 = exp(-2 phi2), and the index of the first one the
+    learner keeps."""
+    f = learner.fields(params)
+    v = (math.exp(-2.0 * f["phi2"]), f["theta2"], f["theta3"], f["theta4"], f["phi1"],
+         f["phi2"], f["w"])
+    return v, 0 if "theta1" in f else 1
 
 
-@lru_cache(maxsize=None)
-def _discounts(T: int, r_f: float) -> Tuple[float, ...]:
-    return tuple(_discount(t, T, r_f) for t in range(T + 1))
+def _policy(run: _Run, phi1: float, phi2: float, e2: float):
+    """(slope, [variance_t for t < T]) of the learner's policy, e2 being
+    exp(-2 phi2); raises InfeasiblePolicyError where the root under the
+    slope is not of a positive number."""
+    gap = run.r_f * run.r_f - e2 if run.compounding else 2.0 * phi2
+    if not gap > 0.0:
+        raise InfeasiblePolicyError(f"phi2={phi2} below the floor of the feasible region")
+    slope = -math.sqrt(gap / (run.lam * math.pi)) * math.exp((2.0 * phi1 - 1.0) / 2.0)
+    return slope, [math.exp(2.0 * phi2 * c + 2.0 * phi1 - 1.0) / (2.0 * math.pi) for c in run.counts]
 
 
-def _centers(w: float, spec: ProblemSpec, r_f: float) -> List[float]:
-    """Discounted targets rho_t * w, t = 0..T, the wealth deviations are taken from."""
-    return [rho * w for rho in _discounts(spec.T, r_f)]
+def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1, phi2, e2, w,
+             grads=None):
+    """Passes over the residuals of the n transitions from period t_first
+    at the current values, one per (n, step) in passes.  With step set, a
+    pass sums the gradient (g_t2, g_t3, g_p1, g_p2) in (theta2, theta3,
+    phi1, phi2) of half their summed squares, then takes one gradient step
+    of sizes (eta_theta, eta_phi) on it, or on grads when they are given;
+    without, it sums their squares.  devs[k] is the deviation x - c_t of the
+    state at period t_first + k from the centers at w; a pass without a step
+    reads devs_after, the deviations from the centers at w after the
+    episode's refresh.  e2 is exp(-2 phi2), i.e. theta1: the value surface
+    and the policy share phi2.  Returns theta1..phi2 after the steps, with
+    theta1 and theta4 pinned at w, and the gradient and the summed squares
+    of the last pass.
+
+    phi1 enters every residual only through theta3 - lam * phi1, so its
+    partial g_p1 is always -lam times the theta3 partial g_t3: the cost is
+    flat along (theta3, phi1) -> (theta3 + lam * s, phi1 + s), and no sample
+    says how a correction should be split between the two.  A plain step on
+    all four parameters splits it in the ratio eta_theta : lam^2 * eta_phi;
+    from the cold start (theta3 = 0) at eta_theta = eta_phi and lam = 2 it
+    takes phi1 from 1 to about 0.2 within 2,000 episodes, cuts the policy's
+    slope in the wealth deviation, hence its response to w, by exp(-0.8),
+    and leaves w winding up for some 10,000 episodes.  Where hold_phi1 is
+    set, theta3 takes the whole move of theta3 - lam * phi1 that the plain
+    step would make, -eta_theta * g_t3 + lam * eta_phi * g_p1, and phi1
+    stays where it is.  This is a deviation from a plain gradient step on
+    (phi1, phi2), chosen so that the learned policy keeps responding to w;
+    the continuous-time comparator still steps phi1.
+
+    phi2 is projected onto its floor; theta1 is pinned to exp(-2 phi2) and
+    theta4 to the terminal condition value(T, x) = (x - w)^2 - (w - b)^2.
+    """
+    T, _, b, lam, _, eta_theta, eta_phi, _, _, _, _, steps, floor, _, hold, power = run
+    exp = math.exp
+    for n, step in passes:
+        g_t2 = g_t3 = g_p2 = sq = 0.0
+        d = devs if step else devs_after
+        if n:
+            dev = d[0]
+            left = T - t_first
+            q1 = e2**left * dev * dev if power else dev * dev * exp(-2.0 * phi2 * left)
+            for k in range(n):
+                m, wt, count, a0, a1, lam_count = steps[t_first + k]
+                q0 = q1
+                dev = d[k + 1]
+                q1 = e2**m * dev * dev if power else dev * dev * exp(-2.0 * phi2 * m)
+                res = q1 - q0 + theta2 * wt + theta3 - lam * (phi1 + phi2 * count)
+                if step:
+                    g_t2 += res * wt
+                    g_t3 += res
+                    g_p2 += res * (a0 * q0 - a1 * q1 - lam_count)
+                else:
+                    sq += res * res
+        g_p1 = -lam * g_t3
+        if grads is not None:
+            g_t2, g_t3, g_p1, g_p2 = grads
+        if step:
+            theta2 = theta2 - eta_theta * g_t2
+            theta3 = theta3 - eta_theta * g_t3
+            if hold:
+                theta3 = theta3 + lam * eta_phi * g_p1
+            else:
+                phi1 = phi1 - eta_phi * g_p1
+            phi2 = phi2 - eta_phi * g_p2
+            if phi2 < floor:
+                phi2 = floor
+            e2 = exp(-2.0 * phi2)
+    theta4 = (-theta2 * T**2 if power else -theta2 * T * T) - theta3 * T - (w - b) ** 2
+    return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq
+
+
+def _episode(run: _Run, v, lag, rets, rng, learn):
+    """One episode from the values v = (theta1, ..., w) over the excess
+    returns rets (floats).
+
+    The policy is fixed for the episode: the control at period t is
+    u_t = slope * (x_t - c_t) + sqrt(variance_t) * z_t, the T standard
+    normals z drawn at once (the values and the generator state of T scalar
+    draws).  With learn set, its terminal wealth is then recorded in lag, w
+    refreshed every refresh_every recorded wealths, and _descend takes one
+    gradient step per growing prefix of its transitions (or one on all of
+    them when prefix_updates is off) and the cost of all of them at the
+    values after the episode.  Returns the wealths x_0..x_T, the controls
+    u_0..u_{T-1}, those values and, with learn, that cost.
+    """
+    T, x, b, _, r_f, _, _, refresh_every, passes, rhos = run[:10]
+    e2, theta2, theta3, _, phi1, phi2, w = v
+    slope, variances = _policy(run, phi1, phi2, e2)
+    if not min(variances) > 0.0:
+        raise InfeasiblePolicyError(f"the policy variance is {min(variances)!r}")
+    z = rng.standard_normal(T).tolist()
+    sqrt = math.sqrt
+    dev = x - rhos[0] * w
+    wealth, controls, devs = [x], [], [dev]
+    for t in range(T):
+        u = slope * dev + sqrt(variances[t]) * z[t]
+        x = r_f * x + rets[t] * u  # step_wealth
+        dev = x - rhos[t + 1] * w
+        wealth.append(x)
+        controls.append(u)
+        devs.append(dev)
+    if not learn:
+        return wealth, controls, v, None
+    lag.terminal_wealths.append(x)
+    w_after, devs_after = w, devs
+    if len(lag.terminal_wealths) % refresh_every == 0:
+        update_w(lag, b, refresh_every)
+        w_after = lag.w
+        # the centers move with w, and the deviations with them
+        devs_after = [xt - rho * w_after for xt, rho in zip(wealth, rhos)]
+    values, _, sq = _descend(run, passes, devs, devs_after, 0, theta2, theta3, phi1, phi2, e2, w)
+    return wealth, controls, (*values, w_after), 0.5 * sq
+
+
+def update_w(state: LagrangeState, b: float, n: int) -> LagrangeState:
+    """Move w against the mean of the last n terminal wealths:
+    w <- w - alpha * (mean - b).  Requires at least n recorded wealths."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if len(state.terminal_wealths) < n:
+        raise ValueError(
+            f"w update needs {n} terminal wealths, have {len(state.terminal_wealths)}"
+        )
+    recent = state.terminal_wealths[-n:]
+    state.w = state.w - state.alpha * (sum(recent) / n - b)
+    return state
+
+
+def episode_step(learner, params, lag, hyper, r_f, returns, rng, learn=True):
+    """Roll out one episode over the given returns under params.  With learn
+    set, then record its terminal wealth in lag, refresh w every
+    refresh_every recorded wealths, and take one update per growing prefix
+    of its states (or a single whole-episode update when prefix_updates is
+    off): the kernel of run_training on given returns."""
+    v, kept = _values(learner, params)
+    rets = [float(r) for r in returns]
+    wealth, controls, v, _ = _episode(_setup(learner, hyper, r_f), v, lag, rets, rng, learn)
+    episode = Episode(tuple(wealth), tuple(controls), tuple(returns))
+    return episode, learner.params(*v[kept:]) if learn else params
+
+
+def _diverged(learner: Learner, ep: int, why: str, values) -> TrainingDivergedError:
+    named = ", ".join(f"{k}={x!r}" for k, x in learner.fields(learner.params(*values)).items())
+    return TrainingDivergedError(f"training diverged at episode {ep} ({why}; {named})")
+
+
+def run_training(learner, hyper, model, r_f, rng, params=None):
+    """Run hyper.episodes episodes from params (the learner's cold start
+    from hyper when None); returns the final params and one record per
+    episode.  Each episode draws its returns, then runs the kernel on them.
+
+    Raises TrainingDivergedError when the residual cost exceeds
+    DIVERGENCE_COST or any parameter stops being finite, naming the
+    learner's values after that episode by field; or when the values
+    training reached leave an episode's policy undefined (a variance that
+    underflows to 0) or its arithmetic out of range, naming the values the
+    episode started from.
+    """
+    spec = hyper.spec
+    if params is None:
+        params = learner.cold_start(spec, r_f, hyper.init_phi1, hyper.init_phi2)
+    if not hyper.episodes:
+        return params, ()
+    run = _setup(learner, hyper, r_f)
+    v, kept = _values(learner, params)
+    lag = LagrangeState(w=v[-1], alpha=hyper.alpha)
+    history = []
+    record = learner.record
+    for ep in range(1, hyper.episodes + 1):
+        rets = sample_path(model, spec.T, rng).tolist()
+        try:
+            wealth, _, v_next, cost_ = _episode(run, v, lag, rets, rng, True)
+        except (InfeasiblePolicyError, OverflowError) as exc:
+            if ep == 1:
+                raise
+            raise _diverged(learner, ep, f"{type(exc).__name__}: {exc}", v[kept:]) from exc
+        v = v_next
+        if not (all(map(math.isfinite, v)) and abs(cost_) <= DIVERGENCE_COST):
+            raise _diverged(learner, ep, f"cost {cost_!r}", v[kept:])
+        history.append(record(ep, wealth[-1], *v[kept:]))
+    return learner.params(*v[kept:]), tuple(history)
+
+
+def _check_samples(samples: Sequence[Tuple[int, float]], T: int) -> None:
+    for (t0, _), (t1, _) in zip(samples, samples[1:]):
+        if t1 != t0 + 1:
+            raise ValueError("samples must carry consecutive periods")
+    if samples and not (0 <= samples[0][0] and samples[-1][0] <= T):
+        raise ValueError("sample periods outside 0..T")
+
+
+def _on_samples(learner, samples, params, spec: ProblemSpec, r_f, step: bool):
+    """One pass of _descend over (t, x) samples of consecutive periods in
+    0..T: the cost gradient with step set (its step is not kept), else the
+    summed squared residual."""
+    _check_samples(samples, spec.T)
+    run = _setup(learner, HyperParams(spec), r_f)
+    (e2, theta2, theta3, _, phi1, phi2, w), _ = _values(learner, params)
+    devs = [x - run.rhos[t] * w for t, x in samples]
+    t_first, n = (samples[0][0], len(samples) - 1) if samples else (0, 0)
+    _, grads, sq = _descend(run, ((n, step),), devs, devs, t_first, theta2, theta3, phi1, phi2,
+                            e2, w)
+    return grads if step else sq
+
+
+def sample_cost(learner, samples, params, spec: ProblemSpec, r_f) -> float:
+    """Half the summed squared residual over the sampled transitions; an
+    empty or single-state sample list has none and costs 0."""
+    return 0.5 * _on_samples(learner, samples, params, spec, r_f, False)
+
+
+def sample_gradient(learner, samples, params, spec: ProblemSpec, r_f):
+    """Gradient of sample_cost in (theta2, theta3, phi1, phi2)."""
+    return _on_samples(learner, samples, params, spec, r_f, True)
+
+
+def step_params(learner, params, grads, eta_theta: float, eta_phi: float, spec: ProblemSpec, r_f):
+    """params after the learner's gradient step (_descend) on grads."""
+    run = _setup(learner, HyperParams(spec, eta_theta, eta_phi), r_f)
+    (e2, theta2, theta3, _, phi1, phi2, w), kept = _values(learner, params)
+    stepped, _, _ = _descend(run, ((0, True),), (), (), 0, theta2, theta3, phi1, phi2, e2, w,
+                             grads)
+    return learner.params(*(*stepped, w)[kept:])
+
+
+# ---------------------------------------------------------------------------
+# the discrete learner
+# ---------------------------------------------------------------------------
+
+
+def cold_start(spec: ProblemSpec, r_f: float, phi1: float, phi2: float) -> DiscreteParams:
+    """Initial state from the policy parameters: flat value drift terms,
+    theta1 linked to phi2, w at the target b."""
+    if phi2 <= -math.log(r_f):
+        raise InfeasiblePolicyError(f"initial phi2={phi2} infeasible for r_f={r_f}")
+    theta = ValueParams(math.exp(-2.0 * phi2), 0.0, 0.0, 0.0)
+    # w starts at b, so the terminal constant starts at zero
+    return DiscreteParams(theta, PolicyParams(phi1, phi2), spec.b)
+
+
+def default_params(spec: ProblemSpec, r_f: float) -> Tuple[ValueParams, PolicyParams]:
+    """Standard cold start: flat value drift terms, mild exploration decay."""
+    p = cold_start(spec, r_f, HyperParams.init_phi1, HyperParams.init_phi2)
+    return p.theta, p.phi
+
+
+# Discounted centers, phi1 held, the entropy count m = T - t - 1.
+DISCRETE = Learner(
+    cold_start=cold_start,
+    fields=lambda p: {**vars(p.theta), **vars(p.phi), "w": p.w},
+    params=lambda *v: DiscreteParams(ValueParams(*v[:4]), PolicyParams(*v[4:6]), v[6]),
+    record=EpisodeRecord,
+    shift=0,
+    compounding=True,
+    hold_phi1=True,
+    power_weights=True,
+)
 
 
 def policy_from_params(
@@ -195,14 +533,14 @@ def policy_from_params(
 ) -> GaussianPolicy:
     """Gaussian control density implied by phi at state (t, x).
 
-    Requires exp(-2*phi2) <= r_f^2, otherwise the mean coefficient would be
+    Requires exp(-2*phi2) < r_f^2, otherwise the mean coefficient would be
     imaginary (InfeasiblePolicyError).
     """
     if not 0 <= t < spec.T:
         raise ValueError(f"t={t} outside 0..{spec.T - 1}")
-    slope = _policy_slope(phi.phi1, phi.phi2, spec, r_f)
-    dev = x - _discount(t, spec.T, r_f) * w
-    return GaussianPolicy(slope * dev, _policy_variance(phi.phi1, phi.phi2, spec, t))
+    run = _setup(DISCRETE, HyperParams(spec), r_f)
+    slope, variances = _policy(run, phi.phi1, phi.phi2, math.exp(-2.0 * phi.phi2))
+    return GaussianPolicy(slope * (x - run.rhos[t] * w), variances[t])
 
 
 def policy_entropy(phi: PolicyParams, spec: ProblemSpec, t: int) -> float:
@@ -226,338 +564,45 @@ def value_from_params(
     )
 
 
-def cold_start(spec: ProblemSpec, r_f: float, phi1: float, phi2: float) -> DiscreteParams:
-    """Initial state from the policy parameters: flat value drift terms,
-    theta1 linked to phi2, w at the target b."""
-    if phi2 <= -math.log(r_f):
-        raise InfeasiblePolicyError(f"initial phi2={phi2} infeasible for r_f={r_f}")
-    theta = ValueParams(math.exp(-2.0 * phi2), 0.0, 0.0, 0.0)
-    # w starts at b, so the terminal constant starts at zero
-    return DiscreteParams(theta, PolicyParams(phi1, phi2), spec.b)
-
-
-def default_params(spec: ProblemSpec, r_f: float) -> Tuple[ValueParams, PolicyParams]:
-    """Standard cold start: flat value drift terms, mild exploration decay."""
-    p = cold_start(spec, r_f, HyperParams.init_phi1, HyperParams.init_phi2)
-    return p.theta, p.phi
-
-
-# ---------------------------------------------------------------------------
-# episode sampling
-# ---------------------------------------------------------------------------
-
-
-def rollout(policy, centers, returns, spec: ProblemSpec, r_f: float, rng):
-    """Run one trajectory from x0 over the given excess returns under the
-    policy (slope, variances), fixed for the episode: the control at period
-    t is u_t = slope * (x_t - c_t) + sqrt(variances[t]) * z_t, with c_t from
-    centers.  The T standard normals z are drawn at once, which gives the
-    values and the generator state of T scalar draws.  Returns the wealths
-    x_0..x_T, the controls u_0..u_{T-1} and the deviations x_t - c_t,
-    t = 0..T."""
-    slope, variances = policy
-    if not all(v > 0.0 for v in variances):
-        raise ValueError("variance must be positive")
-    z = rng.standard_normal(spec.T).tolist()
-    x = spec.x0
-    wealth, controls, devs = [x], [], [x - centers[0]]
-    for t in range(spec.T):
-        u = slope * devs[t] + math.sqrt(variances[t]) * z[t]
-        x = step_wealth(x, u, float(returns[t]), r_f)
-        controls.append(u)
-        wealth.append(x)
-        devs.append(x - centers[t + 1])
-    return wealth, controls, devs
-
-
-def _policy(phi1: float, phi2: float, spec: ProblemSpec, r_f: float):
-    """(slope, variances) of the learned policy over one episode; see
-    policy_from_params."""
-    slope = _policy_slope(phi1, phi2, spec, r_f)
-    return slope, [_policy_variance(phi1, phi2, spec, t) for t in range(spec.T)]
-
-
-def sample_episode(
-    phi: PolicyParams,
-    w: float,
-    model: ReturnModel,
-    spec: ProblemSpec,
-    r_f: float,
-    rng: np.random.Generator,
-) -> Episode:
+def sample_episode(phi: PolicyParams, w: float, model: ReturnModel, spec: ProblemSpec, r_f: float,
+                   rng: np.random.Generator) -> Episode:
     """Roll out one trajectory from x0 under the current stochastic policy."""
     returns = sample_path(model, spec.T, rng)
-    policy = _policy(phi.phi1, phi.phi2, spec, r_f)
-    wealth, controls, _ = rollout(policy, _centers(w, spec, r_f), returns, spec, r_f, rng)
+    v = (math.exp(-2.0 * phi.phi2), 0.0, 0.0, 0.0, phi.phi1, phi.phi2, w)
+    run = _setup(DISCRETE, HyperParams(spec), r_f)
+    wealth, controls, _, _ = _episode(run, v, None, returns.tolist(), rng, False)
     return Episode(tuple(wealth), tuple(controls), tuple(returns))
 
 
-# ---------------------------------------------------------------------------
-# residual cost and gradients
-# ---------------------------------------------------------------------------
-
-
-def _check_samples(samples: Sequence[Tuple[int, float]], T: int) -> None:
-    for (t0, _), (t1, _) in zip(samples, samples[1:]):
-        if t1 != t0 + 1:
-            raise ValueError("samples must carry consecutive periods")
-    if samples and not (0 <= samples[0][0] and samples[-1][0] <= T):
-        raise ValueError("sample periods outside 0..T")
-
-
-def _residual_sums(devs, t_first, n, theta2, theta3, phi1, phi2, spec: ProblemSpec):
-    """Cost gradient in (theta2, theta3, phi1, phi2) and summed squared
-    residual over the n transitions from period t_first, devs[k] being the
-    deviation x - rho_t * w of the state at period t = t_first + k.
-
-    theta1 is always taken as exp(-2*phi2): the value surface and the policy
-    share phi2.
-    """
-    T, lam = spec.T, spec.lam
-    e2 = math.exp(-2.0 * phi2)
-    g_t2 = g_t3 = g_p2 = sq = 0.0
-    if n:
-        dev = devs[0]
-        q1 = e2 ** (T - t_first) * dev * dev
-        t0 = t_first
-        for k in range(1, n + 1):
-            q0 = q1
-            dev = devs[k]
-            m = T - t0 - 1  # periods left after the transition
-            q1 = e2**m * dev * dev
-            wt = 2.0 * t0 + 1.0
-            res = q1 - q0 + theta2 * wt + theta3 - lam * (phi1 + phi2 * m)
-            g_t2 += res * wt
-            g_t3 += res
-            g_p2 += res * (2.0 * (m + 1) * q0 - 2.0 * m * q1 - lam * m)
-            sq += res * res
-            t0 += 1
-    return g_t2, g_t3, -lam * g_t3, g_p2, sq
-
-
-def _sample_sums(samples, theta: ValueParams, phi: PolicyParams, w: float, spec: ProblemSpec, r_f):
-    """_residual_sums over validated (t, x) samples."""
-    _check_samples(samples, spec.T)
-    devs = [x - _discount(t, spec.T, r_f) * w for t, x in samples]
-    t_first = samples[0][0] if samples else 0
-    n = max(len(samples) - 1, 0)
-    return _residual_sums(devs, t_first, n, theta.theta2, theta.theta3, phi.phi1, phi.phi2, spec)
-
-
-def cost(
-    samples: Sequence[Tuple[int, float]],
-    theta: ValueParams,
-    phi: PolicyParams,
-    w: float,
-    spec: ProblemSpec,
-    r_f: float,
-) -> float:
+def cost(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyParams, w: float,
+         spec: ProblemSpec, r_f: float) -> float:
     """Half the summed squared Bellman residual over the sampled transitions.
 
     An empty or single-state sample list has no transitions and costs 0.
     """
-    return 0.5 * _sample_sums(samples, theta, phi, w, spec, r_f)[4]
+    return sample_cost(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f)
 
 
-def grad_theta(
-    samples: Sequence[Tuple[int, float]],
-    theta: ValueParams,
-    phi: PolicyParams,
-    w: float,
-    spec: ProblemSpec,
-    r_f: float,
-) -> Tuple[float, float]:
+def grad_theta(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyParams,
+               w: float, spec: ProblemSpec, r_f: float) -> Tuple[float, float]:
     """Cost gradient in (theta2, theta3)."""
-    return _sample_sums(samples, theta, phi, w, spec, r_f)[:2]
+    return sample_gradient(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f)[:2]
 
 
-def grad_phi(
-    samples: Sequence[Tuple[int, float]],
-    theta: ValueParams,
-    phi: PolicyParams,
-    w: float,
-    spec: ProblemSpec,
-    r_f: float,
-) -> Tuple[float, float]:
+def grad_phi(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyParams,
+             w: float, spec: ProblemSpec, r_f: float) -> Tuple[float, float]:
     """Cost gradient in (phi1, phi2)."""
-    return _sample_sums(samples, theta, phi, w, spec, r_f)[2:4]
+    return sample_gradient(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f)[2:]
 
 
-def apply_updates(
-    theta: ValueParams,
-    phi: PolicyParams,
-    grads: Tuple[float, float, float, float],
-    eta_theta: float,
-    eta_phi: float,
-    w: float,
-    spec: ProblemSpec,
-    r_f: float,
-) -> Tuple[ValueParams, PolicyParams]:
-    """One gradient step on the cost, with phi1 held, then the two
-    constrained coefficients.
-
-    phi1 enters every residual only through theta3 - lam * phi1, so its
-    partial g_p1 is always -lam times the theta3 partial g_t3: the cost is
-    flat along (theta3, phi1) -> (theta3 + lam * s, phi1 + s), and no sample
-    says how a correction should be split between the two.  A plain step on
-    all four parameters splits it in the ratio eta_theta : lam^2 * eta_phi;
-    from the cold start (theta3 = 0) at eta_theta = eta_phi and lam = 2 it
-    takes phi1 from 1 to about 0.2 within 2,000 episodes, cuts the policy's
-    slope in the wealth deviation, hence its response to w, by exp(-0.8),
-    and leaves w winding up for some 10,000 episodes.  Here theta3 takes the
-    whole move of theta3 - lam * phi1 that the plain step would make,
-    -eta_theta * g_t3 + lam * eta_phi * g_p1, and phi1 stays where it is.
-    This is a deviation from a plain gradient step on (phi1, phi2), chosen
-    so that the learned policy keeps responding to w; the continuous-time
-    comparator (baseline_apply_updates) still steps phi1.
-
-    theta1 is pinned to exp(-2*phi2) and theta4 to the terminal condition
-    value_from_params(T, x) = (x - w)^2 - (w - b)^2.  phi2 is projected onto
-    the feasible region phi2 > -ln(r_f).
-    """
-    values = (*vars(theta).values(), *vars(phi).values(), w)
-    values = _apply_updates(values, grads, eta_theta, eta_phi, spec, r_f)
-    return ValueParams(*values[:4]), PolicyParams(*values[4:6])
-
-
-def _apply_updates(values, grads, eta_theta, eta_phi, spec: ProblemSpec, r_f: float):
-    """apply_updates on the flat values (theta1, theta2, theta3, theta4,
-    phi1, phi2, w)."""
-    _, theta2, theta3, _, phi1, phi2, w = values
-    g_t2, g_t3, g_p1, g_p2 = grads
-    theta2 = theta2 - eta_theta * g_t2
-    theta3 = theta3 - eta_theta * g_t3 + spec.lam * eta_phi * g_p1
-    phi2 = phi2 - eta_phi * g_p2
-    floor = -math.log(r_f) + PHI2_MARGIN
-    if phi2 < floor:
-        phi2 = floor
-    theta4 = -theta2 * spec.T**2 - theta3 * spec.T - (w - spec.b) ** 2
-    return math.exp(-2.0 * phi2), theta2, theta3, theta4, phi1, phi2, w
-
-
-def update_w(state: LagrangeState, b: float, n: int) -> LagrangeState:
-    """Move w against the mean of the last n terminal wealths:
-    w <- w - alpha * (mean - b).  Requires at least n recorded wealths."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(state.terminal_wealths) < n:
-        raise ValueError(
-            f"w update needs {n} terminal wealths, have {len(state.terminal_wealths)}"
-        )
-    recent = state.terminal_wealths[-n:]
-    state.w = state.w - state.alpha * (sum(recent) / n - b)
-    return state
-
-
-# ---------------------------------------------------------------------------
-# training skeleton
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Learner:
-    """One parametrization of the episodic protocol (episode_step,
-    run_training).
-
-    Its params are a frozen dataclass; fields names them, w (the Lagrange
-    target) last, and params builds them back from the values in that
-    order.  Within training the skeleton steps the flat tuple of values,
-    and every hook but cold_start, fields and params takes it as it is.
-    The policy is fixed for an episode: policy gives its slope and its
-    per-period variances (rollout), centers the c_t, t = 0..T, that the
-    wealth deviations x_t - c_t are taken from.  The gradient and cost
-    hooks take those deviations of the episode's states."""
-
-    cold_start: Callable  # (spec, r_f, phi1, phi2) -> params
-    fields: Callable  # params -> {name: value} of the record and the checkpoint
-    params: Callable  # (*values) -> params
-    policy: Callable  # (values, spec, r_f) -> (slope, [variance_t for t < T])
-    centers: Callable  # (values, spec, r_f) -> [c_t for t <= T]
-    # (devs, n, values, spec, r_f) -> gradient in (theta2, theta3, phi1, phi2)
-    # of the cost of the first n transitions
-    gradients: Callable
-    apply_updates: Callable  # (values, gradients, hyper, r_f) -> values
-    cost: Callable  # (devs, values, spec, r_f) -> cost of the T transitions
-    record: Callable  # (episode, terminal_wealth, *values) -> record
-
-
-def _episode(learner, values, lag, hyper, r_f, returns, rng, learn):
-    """episode_step on the learner's values.  Returns the wealths, the
-    controls, the values after the episode and the deviations of the
-    episode's states from the centers at those values."""
-    spec = hyper.spec
-    policy = learner.policy(values, spec, r_f)
-    centers = learner.centers(values, spec, r_f)
-    wealth, controls, devs = rollout(policy, centers, returns, spec, r_f, rng)
-    if learn:
-        for n in range(1, spec.T + 1) if hyper.prefix_updates else (spec.T,):
-            grads = learner.gradients(devs, n, values, spec, r_f)
-            values = learner.apply_updates(values, grads, hyper, r_f)
-        lag.terminal_wealths.append(wealth[-1])
-        if len(lag.terminal_wealths) % hyper.refresh_every == 0:
-            update_w(lag, spec.b, hyper.refresh_every)
-            values = values[:-1] + (lag.w,)
-            # the centers move with w, and the deviations with them
-            centers = learner.centers(values, spec, r_f)
-            devs = [x - c for x, c in zip(wealth, centers)]
-    return wealth, controls, values, devs
-
-
-def episode_step(learner, params, lag, hyper, r_f, returns, rng, learn=True):
-    """Roll out one episode over the given returns under params.  With learn
-    set, then take one update per growing prefix of its states (or a single
-    whole-episode update when prefix_updates is off), record its terminal
-    wealth in lag, and refresh w every refresh_every recorded wealths."""
-    values = tuple(learner.fields(params).values())
-    wealth, controls, values, _ = _episode(learner, values, lag, hyper, r_f, returns, rng, learn)
-    episode = Episode(tuple(wealth), tuple(controls), tuple(returns))
-    return episode, learner.params(*values) if learn else params
-
-
-def run_training(learner, hyper, model, r_f, rng, params=None):
-    """Run hyper.episodes episodes from params (the learner's cold start
-    from hyper when None); returns the final params and one record per
-    episode.  Each episode draws its returns, then runs the step of
-    episode_step on them.
-
-    Raises TrainingDivergedError when the residual cost exceeds
-    DIVERGENCE_COST or any parameter stops being finite; its message names
-    the learner's values after that episode by field.
-    """
-    spec = hyper.spec
-    if params is None:
-        params = learner.cold_start(spec, r_f, hyper.init_phi1, hyper.init_phi2)
-    values = tuple(learner.fields(params).values())
-    lag = LagrangeState(w=values[-1], alpha=hyper.alpha)
-    history = []
-    for ep in range(1, hyper.episodes + 1):
-        returns = sample_path(model, spec.T, rng)
-        wealth, _, values, devs = _episode(learner, values, lag, hyper, r_f, returns, rng, True)
-        final_cost = learner.cost(devs, values, spec, r_f)
-        finite = all(map(math.isfinite, values)) and math.isfinite(final_cost)
-        if not finite or abs(final_cost) > DIVERGENCE_COST:
-            named = ", ".join(f"{k}={v!r}" for k, v in learner.fields(learner.params(*values)).items())
-            raise TrainingDivergedError(f"training diverged at episode {ep} (cost {final_cost!r}; {named})")
-        history.append(learner.record(ep, wealth[-1], *values))
-    return learner.params(*values), tuple(history)
-
-
-DISCRETE = Learner(
-    cold_start=cold_start,
-    fields=lambda p: {**vars(p.theta), **vars(p.phi), "w": p.w},
-    params=lambda *v: DiscreteParams(ValueParams(*v[:4]), PolicyParams(*v[4:6]), v[6]),
-    policy=lambda v, spec, r_f: _policy(v[4], v[5], spec, r_f),
-    centers=lambda v, spec, r_f: _centers(v[6], spec, r_f),
-    gradients=lambda devs, n, v, spec, r_f: _residual_sums(
-        devs, 0, n, v[1], v[2], v[4], v[5], spec
-    )[:4],
-    apply_updates=lambda v, g, hyper, r_f: _apply_updates(
-        v, g, hyper.eta_theta, hyper.eta_phi, hyper.spec, r_f
-    ),
-    cost=lambda devs, v, spec, r_f: 0.5
-    * _residual_sums(devs, 0, spec.T, v[1], v[2], v[4], v[5], spec)[4],
-    record=EpisodeRecord,
-)
+def apply_updates(theta: ValueParams, phi: PolicyParams, grads: Tuple[float, float, float, float],
+                  eta_theta: float, eta_phi: float, w: float, spec: ProblemSpec,
+                  r_f: float) -> Tuple[ValueParams, PolicyParams]:
+    """One gradient step on the cost with phi1 held (see _descend), phi2
+    projected onto the feasible region phi2 > -ln(r_f), theta1 pinned to
+    exp(-2*phi2) and theta4 to value_from_params(T, x) = (x - w)^2 - (w - b)^2."""
+    p = step_params(DISCRETE, DiscreteParams(theta, phi, w), grads, eta_theta, eta_phi, spec, r_f)
+    return p.theta, p.phi
 
 
 def train(

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -338,6 +339,29 @@ def test_degenerate_iteration_family_is_reported(tmp_path, capsys):
     record = json.loads(err)
     assert record["error"] == "DegenerateFamilyError"
     assert "exactly 1" in record["message"]
+
+
+def test_a_policy_that_underflows_is_reported_as_divergence(tmp_path, capsys):
+    """Large steps take the comparator's phi1 to about -455 in its first
+    episode: finite, but the variances of the second episode's policy
+    underflow to 0.  The run fails with a TrainingDivergedError that names
+    that episode and every parameter it started from."""
+    cfg = _cfg_file(
+        tmp_path,
+        "[market]\nmodel = normal\n\n[learning]\nalgorithm = emv-continuous\n"
+        "eta_theta = 0.5\neta_phi = 0.5\n",
+    )
+    code, _, err = _run(["train", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
+    assert code == 1
+    record = json.loads(err)
+    assert record["error"] == "TrainingDivergedError"
+    message = record["message"]
+    assert message.startswith("training diverged at episode 2 (InfeasiblePolicyError: ")
+    assert "variance is 0.0" in message
+    named = dict(item.split("=") for item in message[message.index("; ") + 2 : -1].split(", "))
+    assert list(named) == ["theta2", "theta3", "theta4", "phi1", "phi2", "w"]
+    assert float(named["phi1"]) < -400.0
+    assert all(map(math.isfinite, map(float, named.values())))
 
 
 # ---------------------------------------------------------------------------

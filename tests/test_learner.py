@@ -22,6 +22,8 @@ from dtmv.baseline import (
 from dtmv.evaluation import ALGORITHMS, LEARNERS
 from dtmv.learner import (
     ALGORITHM_DISCRETE,
+    _descend,
+    _setup,
     DiscreteParams,
     Episode,
     HyperParams,
@@ -38,6 +40,7 @@ from dtmv.learner import (
     grad_theta,
     load_checkpoint,
     policy_entropy,
+    run_training,
     policy_from_params,
     sample_episode,
     save_checkpoint,
@@ -45,7 +48,17 @@ from dtmv.learner import (
     update_w,
     value_from_params,
 )
-from dtmv.market import NormalIID, annualize_market, make_rng, step_wealth
+from dtmv.market import (
+    Historical,
+    NormalIID,
+    SkewTIID,
+    annualize_market,
+    bundled_monthly_csv_path,
+    load_monthly_csv,
+    make_rng,
+    sample_path,
+    step_wealth,
+)
 
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
 R_F = 1.0 + 0.02 / 12.0
@@ -222,50 +235,67 @@ def _learner_params(algorithm, theta2, theta3, theta4, phi1, phi2, w):
     return BaselineParams(theta2, theta3, theta4, phi1, phi2, w)
 
 
-def _values(algorithm, *args):
-    """The flat values a learner's hooks step, from _learner_params(*args)."""
-    return tuple(LEARNERS[algorithm].fields(_learner_params(algorithm, *args)).values())
-
-
-def _public_gradients(algorithm, samples, params):
+def _public_gradients(algorithm, samples, params, spec):
     if algorithm == ALGORITHM_DISCRETE:
-        args = (samples, params.theta, params.phi, params.w, SPEC, R_F)
+        args = (samples, params.theta, params.phi, params.w, spec, R_F)
         return grad_theta(*args) + grad_phi(*args)
-    return baseline_gradients(samples, params, SPEC)
+    return baseline_gradients(samples, params, spec)
 
 
-_EPISODE_WEALTHS = st.lists(st.floats(0.2, 2.5), min_size=SPEC.T + 1, max_size=SPEC.T + 1)
+def _public_cost(algorithm, samples, params, spec):
+    if algorithm == ALGORITHM_DISCRETE:
+        return cost(samples, params.theta, params.phi, params.w, spec, R_F)
+    return baseline_cost(samples, params, spec)
+
+
+def _residuals(algorithm, T, w, wealth):
+    """The shared residual function (_descend) of a learner at horizon T on
+    the deviations of the states wealth from its centers at w: f(n, step,
+    theta2, theta3, phi1, phi2) is the gradient of the cost of the first n
+    transitions with step set, else half their summed squared residual."""
+    spec = replace(SPEC, T=T)
+    run = _setup(LEARNERS[algorithm], HyperParams(spec), R_F)
+    devs = [x - rho * w for x, rho in zip(wealth, run.rhos)]
+
+    def f(n, step, theta2, theta3, phi1, phi2):
+        e2 = math.exp(-2.0 * phi2)
+        _, grads, sq = _descend(run, ((n, step),), devs, devs, 0, theta2, theta3, phi1, phi2, e2, w)
+        return grads if step else 0.5 * sq
+
+    return spec, f
+
+
+# the states of one episode at a horizon T of 1..12
+_EPISODE_WEALTHS = st.integers(1, 12).flatmap(
+    lambda T: st.lists(st.floats(0.2, 2.5), min_size=T + 1, max_size=T + 1)
+)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     algorithm=st.sampled_from(ALGORITHMS),
-    theta=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+    theta=st.tuples(*[st.floats(-0.3, 0.3)] * 2),
     phi1=st.floats(-0.5, 1.5),
     phi2=st.floats(0.01, 0.3),  # above both learners' phi2 floors
     w=st.floats(0.9, 1.6),
     wealth=_EPISODE_WEALTHS,
 )
 def test_gradients_match_central_finite_differences(algorithm, theta, phi1, phi2, w, wealth):
-    """Each learner's fused gradients over a whole episode equal central
-    differences of its cost in (theta2, theta3, phi1, phi2).  The hooks take
-    the episode's deviations from the learner's centers."""
-    learner = LEARNERS[algorithm]
-    theta4 = theta[2]
+    """The shared residual function's gradient over a whole episode, with
+    either learner's constants, equals central differences of its cost in
+    (theta2, theta3, phi1, phi2); its phi1 partial is exactly -lam times its
+    theta3 partial."""
+    T = len(wealth) - 1
+    _, f = _residuals(algorithm, T, w, wealth)
     h = 1e-6
     base = (theta[0], theta[1], phi1, phi2)
-    values = _values(algorithm, *theta, phi1, phi2, w)
-    devs = [x - c for x, c in zip(wealth, learner.centers(values, SPEC, R_F))]
-
-    def c(th2, th3, p1, p2):
-        return learner.cost(devs, _values(algorithm, th2, th3, theta4, p1, p2, w), SPEC, R_F)
-
-    grads = learner.gradients(devs, SPEC.T, values, SPEC, R_F)
+    grads = f(T, True, *base)
+    assert grads[2] == -SPEC.lam * grads[1]
     for idx, got in enumerate(grads):
         up, dn = list(base), list(base)
         up[idx] += h
         dn[idx] -= h
-        fd = (c(*up) - c(*dn)) / (2.0 * h)
+        fd = (f(T, False, *up) - f(T, False, *dn)) / (2.0 * h)
         assert abs(got - fd) <= 1e-5 * max(1.0, abs(fd)), (idx, got, fd)
 
 
@@ -277,24 +307,22 @@ def test_gradients_match_central_finite_differences(algorithm, theta, phi1, phi2
     phi2=st.floats(0.01, 0.3),
     w=st.floats(0.9, 1.6),
     wealth=_EPISODE_WEALTHS,
-    n=st.integers(0, SPEC.T),
+    n=st.integers(0, 12),
 )
 def test_prefix_hooks_equal_the_public_functions(algorithm, theta, phi1, phi2, w, wealth, n):
-    """On the first n transitions of an episode the gradient hook returns
-    exactly the public gradients of the (t, x) samples 0..n; on all of them
-    the cost hook returns exactly the public cost."""
-    learner = LEARNERS[algorithm]
+    """On the first n transitions of an episode, the shared residual
+    function that the kernel's prefix updates run returns exactly the public
+    gradients of the (t, x) samples 0..n; on all of them it returns exactly
+    the public cost."""
+    T = len(wealth) - 1
+    n = min(n, T)
+    spec, f = _residuals(algorithm, T, w, wealth)
     params = _learner_params(algorithm, *theta, phi1, phi2, w)
-    values = _values(algorithm, *theta, phi1, phi2, w)
-    devs = [x - c for x, c in zip(wealth, learner.centers(values, SPEC, R_F))]
     samples = list(enumerate(wealth))
-    got = learner.gradients(devs, n, values, SPEC, R_F)
-    assert got == _public_gradients(algorithm, samples[: n + 1], params)
-    if algorithm == ALGORITHM_DISCRETE:
-        public_cost = cost(samples, params.theta, params.phi, w, SPEC, R_F)
-    else:
-        public_cost = baseline_cost(samples, params, SPEC)
-    assert learner.cost(devs, values, SPEC, R_F) == public_cost
+    assert f(n, True, *theta[:2], phi1, phi2) == _public_gradients(
+        algorithm, samples[: n + 1], params, spec
+    )
+    assert f(T, False, *theta[:2], phi1, phi2) == _public_cost(algorithm, samples, params, spec)
 
 
 def test_gradient_of_empty_samples_is_zero():
@@ -470,6 +498,50 @@ def test_online_windows_refresh_w(algorithm):
     assert lag.terminal_wealths == wealths
     assert params.w == SPEC.b - hyper.alpha * (sum(wealths) / 4 - SPEC.b)
     assert params.w != SPEC.b
+
+
+_A, _SIGMA, _ = annualize_market(0.30, 0.20, 0.02)
+_SERIES = load_monthly_csv(bundled_monthly_csv_path(), 0.02)
+MARKETS = {
+    "normal": NormalIID(_A, _SIGMA),
+    "skewt": SkewTIID(_A, _SIGMA, 5.0, -1.5),
+    "historical": Historical(_SERIES.subseries("1995-01", 120)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    market=st.sampled_from(sorted(MARKETS)),
+    T=st.integers(1, 6),
+    refresh_every=st.integers(1, 5),
+    prefix_updates=st.booleans(),
+    episodes=st.integers(1, 25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_training_is_a_sequence_of_online_steps(
+    algorithm, market, T, refresh_every, prefix_updates, episodes, seed
+):
+    """N episodes of run_training are N episode_step calls on sample_path
+    draws from the same generator: the same params, the same terminal
+    wealths and the same final generator state.  Training and the online
+    test windows of the backtest run one step."""
+    learner, model = LEARNERS[algorithm], MARKETS[market]
+    spec = replace(SPEC, T=T)
+    hyper = HyperParams(spec, episodes=episodes, refresh_every=refresh_every,
+                        prefix_updates=prefix_updates)
+    trained, stepped = make_rng(seed), make_rng(seed)
+    params, history = run_training(learner, hyper, model, R_F, trained)
+    step_params = learner.cold_start(spec, R_F, hyper.init_phi1, hyper.init_phi2)
+    lag = LagrangeState(w=spec.b, alpha=hyper.alpha)
+    wealths = []
+    for _ in range(episodes):
+        returns = sample_path(model, T, stepped)
+        episode, step_params = episode_step(learner, step_params, lag, hyper, R_F, returns, stepped)
+        wealths.append(episode.terminal_wealth)
+    assert step_params == params
+    assert wealths == [rec.terminal_wealth for rec in history]
+    assert stepped.bit_generator.state == trained.bit_generator.state
 
 
 def test_train_history_records_every_episode_in_order():
