@@ -20,8 +20,7 @@ from dtmv.analytic import GaussianPolicy, ProblemSpec
 from dtmv.learner import (
     HyperParams,
     Learner,
-    _policy,
-    _setup,
+    learner_policy,
     run_training,
     sample_cost,
     sample_gradient,
@@ -91,11 +90,7 @@ def baseline_policy(params: BaselineParams, spec: ProblemSpec, t: int, x: float)
     The mean is independent of the riskless rate by construction.  Requires
     phi2 > 0.
     """
-    if not 0 <= t < spec.T:
-        raise ValueError(f"t={t} outside 0..{spec.T - 1}")
-    run = _setup(CONTINUOUS, HyperParams(spec), None)
-    slope, variances = _policy(run, params.phi1, params.phi2, None)
-    return GaussianPolicy(slope * (x - params.w), variances[t])
+    return learner_policy(CONTINUOUS, spec, None, params.phi1, params.phi2, t, x, params.w)
 
 
 def baseline_value(params: BaselineParams, spec: ProblemSpec, t: int, x: float) -> float:

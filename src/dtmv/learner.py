@@ -260,12 +260,16 @@ def _values(learner: Learner, params) -> Tuple[Tuple[float, ...], int]:
 def _policy(run: _Run, phi1: float, phi2: float, e2: float):
     """(slope, [variance_t for t < T]) of the learner's policy, e2 being
     exp(-2 phi2); raises InfeasiblePolicyError where the root under the
-    slope is not of a positive number."""
+    slope is not of a positive number or a variance is not positive."""
     gap = run.r_f * run.r_f - e2 if run.compounding else 2.0 * phi2
     if not gap > 0.0:
         raise InfeasiblePolicyError(f"phi2={phi2} below the floor of the feasible region")
-    slope = -math.sqrt(gap / (run.lam * math.pi)) * math.exp((2.0 * phi1 - 1.0) / 2.0)
-    return slope, [math.exp(2.0 * phi2 * c + 2.0 * phi1 - 1.0) / (2.0 * math.pi) for c in run.counts]
+    p1, p2, exp, two_pi = 2.0 * phi1, 2.0 * phi2, math.exp, 2.0 * math.pi
+    slope = -math.sqrt(gap / (run.lam * math.pi)) * exp((p1 - 1.0) / 2.0)
+    variances = [exp(p2 * c + p1 - 1.0) / two_pi for c in run.counts]
+    if not min(variances) > 0.0:
+        raise InfeasiblePolicyError(f"the policy variance is {min(variances)!r}")
+    return slope, variances
 
 
 def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1, phi2, e2, w,
@@ -357,8 +361,6 @@ def _episode(run: _Run, v, lag, rets, rng, learn):
     T, x, b, _, r_f, _, _, refresh_every, passes, rhos = run[:10]
     e2, theta2, theta3, _, phi1, phi2, w = v
     slope, variances = _policy(run, phi1, phi2, e2)
-    if not min(variances) > 0.0:
-        raise InfeasiblePolicyError(f"the policy variance is {min(variances)!r}")
     z = rng.standard_normal(T).tolist()
     sqrt = math.sqrt
     dev = x - rhos[0] * w
@@ -420,12 +422,13 @@ def run_training(learner, hyper, model, r_f, rng, params=None):
     from hyper when None); returns the final params and one record per
     episode.  Each episode draws its returns, then runs the kernel on them.
 
-    Raises TrainingDivergedError when the residual cost exceeds
-    DIVERGENCE_COST or any parameter stops being finite, naming the
-    learner's values after that episode by field; or when the values
-    training reached leave an episode's policy undefined (a variance that
-    underflows to 0) or its arithmetic out of range, naming the values the
-    episode started from.
+    Raises InfeasiblePolicyError when params define no policy.  Raises
+    TrainingDivergedError when the residual cost exceeds DIVERGENCE_COST or
+    any parameter stops being finite, naming the learner's values after
+    that episode by field; or when the values training reached leave an
+    episode's policy undefined (a variance that underflows to 0) or its
+    arithmetic out of the float range, naming the values the episode
+    started from.
     """
     spec = hyper.spec
     if params is None:
@@ -434,6 +437,7 @@ def run_training(learner, hyper, model, r_f, rng, params=None):
         return params, ()
     run = _setup(learner, hyper, r_f)
     v, kept = _values(learner, params)
+    _policy(run, v[4], v[5], v[0])  # raises where params define no policy
     lag = LagrangeState(w=v[-1], alpha=hyper.alpha)
     history = []
     record = learner.record
@@ -442,14 +446,22 @@ def run_training(learner, hyper, model, r_f, rng, params=None):
         try:
             wealth, _, v_next, cost_ = _episode(run, v, lag, rets, rng, True)
         except (InfeasiblePolicyError, OverflowError) as exc:
-            if ep == 1:
-                raise
             raise _diverged(learner, ep, f"{type(exc).__name__}: {exc}", v[kept:]) from exc
         v = v_next
         if not (all(map(math.isfinite, v)) and abs(cost_) <= DIVERGENCE_COST):
             raise _diverged(learner, ep, f"cost {cost_!r}", v[kept:])
         history.append(record(ep, wealth[-1], *v[kept:]))
     return learner.params(*v[kept:]), tuple(history)
+
+
+def learner_policy(learner, spec: ProblemSpec, r_f, phi1: float, phi2: float, t: int, x: float,
+                   w: float) -> GaussianPolicy:
+    """The learner's Gaussian control density at state (t, x) (_policy)."""
+    if not 0 <= t < spec.T:
+        raise ValueError(f"t={t} outside 0..{spec.T - 1}")
+    run = _setup(learner, HyperParams(spec), r_f)
+    slope, variances = _policy(run, phi1, phi2, math.exp(-2.0 * phi2))
+    return GaussianPolicy(slope * (x - run.rhos[t] * w), variances[t])
 
 
 def _check_samples(samples: Sequence[Tuple[int, float]], T: int) -> None:
@@ -536,11 +548,7 @@ def policy_from_params(
     Requires exp(-2*phi2) < r_f^2, otherwise the mean coefficient would be
     imaginary (InfeasiblePolicyError).
     """
-    if not 0 <= t < spec.T:
-        raise ValueError(f"t={t} outside 0..{spec.T - 1}")
-    run = _setup(DISCRETE, HyperParams(spec), r_f)
-    slope, variances = _policy(run, phi.phi1, phi.phi2, math.exp(-2.0 * phi.phi2))
-    return GaussianPolicy(slope * (x - run.rhos[t] * w), variances[t])
+    return learner_policy(DISCRETE, spec, r_f, phi.phi1, phi.phi2, t, x, w)
 
 
 def policy_entropy(phi: PolicyParams, spec: ProblemSpec, t: int) -> float:

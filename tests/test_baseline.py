@@ -1,5 +1,6 @@
-"""Tests for the continuous-time comparator learner.  Its training loop is
-the shared skeleton, tested over both learners in test_learner.py."""
+"""Tests for the continuous-time comparator learner.  It trains on the
+episode kernel it shares with the discrete learner, tested over both
+learners in test_learner.py."""
 
 import math
 

@@ -476,6 +476,27 @@ def test_train_divergence_guard_raises(algorithm):
         float(item.split("=")[1])
 
 
+@pytest.mark.parametrize(
+    "algorithm, eta, lam, episode",
+    [(ALGORITHM_DISCRETE, 0.01, 8.0, 6), (ALGORITHM_CONTINUOUS, 0.2, 2.0, 3)],
+)
+def test_arithmetic_out_of_range_is_divergence(algorithm, eta, lam, episode):
+    """Steps that leave every value finite can still take an episode's
+    arithmetic out of the float range.  The run then fails with a
+    TrainingDivergedError that names the episode and the finite values it
+    started from, not with a bare OverflowError."""
+    a, sigma, r_f = annualize_market(0.30, 0.20, 0.02)
+    hyper = HyperParams(replace(SPEC, lam=lam), eta_theta=eta, eta_phi=eta, episodes=300)
+    with pytest.raises(TrainingDivergedError) as info:
+        TRAINERS[algorithm](hyper, NormalIID(a, sigma), r_f, make_rng(1))
+    message = str(info.value)
+    assert message.startswith(f"training diverged at episode {episode} (OverflowError: ")
+    assert isinstance(info.value.__cause__, OverflowError)
+    named = [item.split("=") for item in message[message.index("; ") + 2 : -1].split(", ")]
+    assert [k for k, _ in named] == list(LEARNERS[algorithm].fields(COLD_STARTS[algorithm]))
+    assert all(math.isfinite(float(x)) for _, x in named)
+
+
 @both_learners
 def test_online_windows_refresh_w(algorithm):
     """A test window run through episode_step with learning on is one more
@@ -532,14 +553,14 @@ def test_training_is_a_sequence_of_online_steps(
                         prefix_updates=prefix_updates)
     trained, stepped = make_rng(seed), make_rng(seed)
     params, history = run_training(learner, hyper, model, R_F, trained)
-    step_params = learner.cold_start(spec, R_F, hyper.init_phi1, hyper.init_phi2)
+    online = learner.cold_start(spec, R_F, hyper.init_phi1, hyper.init_phi2)
     lag = LagrangeState(w=spec.b, alpha=hyper.alpha)
     wealths = []
     for _ in range(episodes):
         returns = sample_path(model, T, stepped)
-        episode, step_params = episode_step(learner, step_params, lag, hyper, R_F, returns, stepped)
+        episode, online = episode_step(learner, online, lag, hyper, R_F, returns, stepped)
         wealths.append(episode.terminal_wealth)
-    assert step_params == params
+    assert online == params
     assert wealths == [rec.terminal_wealth for rec in history]
     assert stepped.bit_generator.state == trained.bit_generator.state
 
