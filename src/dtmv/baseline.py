@@ -21,9 +21,8 @@ from dtmv.learner import (
     HyperParams,
     Learner,
     learner_policy,
+    _on_samples,
     run_training,
-    sample_cost,
-    sample_gradient,
     step_params,
 )
 from dtmv.market import ReturnModel
@@ -74,7 +73,6 @@ CONTINUOUS = Learner(
     shift=1,
     compounding=False,
     hold_phi1=False,
-    power_weights=False,
 )
 
 
@@ -108,14 +106,14 @@ def baseline_value(params: BaselineParams, spec: ProblemSpec, t: int, x: float) 
 def baseline_cost(
     samples: Sequence[Tuple[int, float]], params: BaselineParams, spec: ProblemSpec
 ) -> float:
-    return sample_cost(CONTINUOUS, samples, params, spec, None)
+    return 0.5 * _on_samples(CONTINUOUS, samples, params, spec, None, False)
 
 
 def baseline_gradients(
     samples: Sequence[Tuple[int, float]], params: BaselineParams, spec: ProblemSpec
 ) -> Tuple[float, float, float, float]:
     """Cost gradient in (theta2, theta3, phi1, phi2)."""
-    return sample_gradient(CONTINUOUS, samples, params, spec, None)
+    return _on_samples(CONTINUOUS, samples, params, spec, None, True)
 
 
 def baseline_apply_updates(

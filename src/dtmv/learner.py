@@ -196,10 +196,6 @@ class Learner:
     # else c_t = w and the root of 2 phi2, so phi2 > 0
     compounding: bool
     hold_phi1: bool  # phi1 held, theta3 taking its move (_descend), or stepped
-    # q_t as e2**(T - t) * dev * dev and theta4 from T**2, or as
-    # dev * dev * exp(-2 phi2 (T - t)) and from T * T: the same numbers in
-    # the float order each learner's pinned outputs were computed in
-    power_weights: bool
 
 
 class _Run(NamedTuple):
@@ -220,7 +216,6 @@ class _Run(NamedTuple):
     floor: float  # of phi2
     compounding: bool
     hold_phi1: bool
-    power_weights: bool
 
 
 def _discount(t: int, T: int, r_f: float) -> float:
@@ -243,8 +238,7 @@ def _setup(learner: Learner, hyper: HyperParams, r_f) -> _Run:
     prefixes = range(1, T + 1) if hyper.prefix_updates else (T,)
     passes = tuple((n, True) for n in prefixes) + ((T, False),)
     return _Run(T, spec.x0, spec.b, lam, r_f, hyper.eta_theta, hyper.eta_phi, hyper.refresh_every,
-                passes, rhos, counts, steps, floor, learner.compounding, learner.hold_phi1,
-                learner.power_weights)
+                passes, rhos, counts, steps, floor, learner.compounding, learner.hold_phi1)
 
 
 def _values(learner: Learner, params) -> Tuple[Tuple[float, ...], int]:
@@ -304,8 +298,15 @@ def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1,
 
     phi2 is projected onto its floor; theta1 is pinned to exp(-2 phi2) and
     theta4 to the terminal condition value(T, x) = (x - w)^2 - (w - b)^2.
+
+    The weights exp(-2 phi2 (T - t)) of q_t and the T^2 of theta4 are
+    evaluated in the float order each learner's pinned outputs were computed
+    in: e2**(T - t) * dev * dev and T**2 where compounding is set (the
+    discrete learner), dev * dev * exp(-2 phi2 (T - t)) and T * T otherwise.
     """
-    T, _, b, lam, _, eta_theta, eta_phi, _, _, _, _, steps, floor, _, hold, power = run
+    T, b, lam, steps, floor = run.T, run.b, run.lam, run.steps, run.floor
+    eta_theta, eta_phi = run.eta_theta, run.eta_phi
+    hold, compounding = run.hold_phi1, run.compounding
     exp = math.exp
     for n, step in passes:
         g_t2 = g_t3 = g_p2 = sq = 0.0
@@ -313,12 +314,12 @@ def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1,
         if n:
             dev = d[0]
             left = T - t_first
-            q1 = e2**left * dev * dev if power else dev * dev * exp(-2.0 * phi2 * left)
+            q1 = e2**left * dev * dev if compounding else dev * dev * exp(-2.0 * phi2 * left)
             for k in range(n):
                 m, wt, count, a0, a1, lam_count = steps[t_first + k]
                 q0 = q1
                 dev = d[k + 1]
-                q1 = e2**m * dev * dev if power else dev * dev * exp(-2.0 * phi2 * m)
+                q1 = e2**m * dev * dev if compounding else dev * dev * exp(-2.0 * phi2 * m)
                 res = q1 - q0 + theta2 * wt + theta3 - lam * (phi1 + phi2 * count)
                 if step:
                     g_t2 += res * wt
@@ -340,7 +341,7 @@ def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1,
             if phi2 < floor:
                 phi2 = floor
             e2 = exp(-2.0 * phi2)
-    theta4 = (-theta2 * T**2 if power else -theta2 * T * T) - theta3 * T - (w - b) ** 2
+    theta4 = (-theta2 * T**2 if compounding else -theta2 * T * T) - theta3 * T - (w - b) ** 2
     return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq
 
 
@@ -358,7 +359,7 @@ def _episode(run: _Run, v, lag, rets, rng, learn):
     values after the episode.  Returns the wealths x_0..x_T, the controls
     u_0..u_{T-1}, those values and, with learn, that cost.
     """
-    T, x, b, _, r_f, _, _, refresh_every, passes, rhos = run[:10]
+    T, x, b, r_f, rhos = run.T, run.x0, run.b, run.r_f, run.rhos
     e2, theta2, theta3, _, phi1, phi2, w = v
     slope, variances = _policy(run, phi1, phi2, e2)
     z = rng.standard_normal(T).tolist()
@@ -376,12 +377,13 @@ def _episode(run: _Run, v, lag, rets, rng, learn):
         return wealth, controls, v, None
     lag.terminal_wealths.append(x)
     w_after, devs_after = w, devs
-    if len(lag.terminal_wealths) % refresh_every == 0:
-        update_w(lag, b, refresh_every)
+    if len(lag.terminal_wealths) % run.refresh_every == 0:
+        update_w(lag, b, run.refresh_every)
         w_after = lag.w
         # the centers move with w, and the deviations with them
         devs_after = [xt - rho * w_after for xt, rho in zip(wealth, rhos)]
-    values, _, sq = _descend(run, passes, devs, devs_after, 0, theta2, theta3, phi1, phi2, e2, w)
+    values, _, sq = _descend(run, run.passes, devs, devs_after, 0, theta2, theta3, phi1, phi2, e2,
+                             w)
     return wealth, controls, (*values, w_after), 0.5 * sq
 
 
@@ -474,8 +476,9 @@ def _check_samples(samples: Sequence[Tuple[int, float]], T: int) -> None:
 
 def _on_samples(learner, samples, params, spec: ProblemSpec, r_f, step: bool):
     """One pass of _descend over (t, x) samples of consecutive periods in
-    0..T: the cost gradient with step set (its step is not kept), else the
-    summed squared residual."""
+    0..T: the gradient (theta2, theta3, phi1, phi2) of half the summed
+    squared residual with step set (its step is not kept), else that sum; an
+    empty or single-state sample list has no transitions and sums to 0."""
     _check_samples(samples, spec.T)
     run = _setup(learner, HyperParams(spec), r_f)
     (e2, theta2, theta3, _, phi1, phi2, w), _ = _values(learner, params)
@@ -484,17 +487,6 @@ def _on_samples(learner, samples, params, spec: ProblemSpec, r_f, step: bool):
     _, grads, sq = _descend(run, ((n, step),), devs, devs, t_first, theta2, theta3, phi1, phi2,
                             e2, w)
     return grads if step else sq
-
-
-def sample_cost(learner, samples, params, spec: ProblemSpec, r_f) -> float:
-    """Half the summed squared residual over the sampled transitions; an
-    empty or single-state sample list has none and costs 0."""
-    return 0.5 * _on_samples(learner, samples, params, spec, r_f, False)
-
-
-def sample_gradient(learner, samples, params, spec: ProblemSpec, r_f):
-    """Gradient of sample_cost in (theta2, theta3, phi1, phi2)."""
-    return _on_samples(learner, samples, params, spec, r_f, True)
 
 
 def step_params(learner, params, grads, eta_theta: float, eta_phi: float, spec: ProblemSpec, r_f):
@@ -536,7 +528,6 @@ DISCRETE = Learner(
     shift=0,
     compounding=True,
     hold_phi1=True,
-    power_weights=True,
 )
 
 
@@ -588,19 +579,19 @@ def cost(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyPa
 
     An empty or single-state sample list has no transitions and costs 0.
     """
-    return sample_cost(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f)
+    return 0.5 * _on_samples(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f, False)
 
 
 def grad_theta(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyParams,
                w: float, spec: ProblemSpec, r_f: float) -> Tuple[float, float]:
     """Cost gradient in (theta2, theta3)."""
-    return sample_gradient(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f)[:2]
+    return _on_samples(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f, True)[:2]
 
 
 def grad_phi(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyParams,
              w: float, spec: ProblemSpec, r_f: float) -> Tuple[float, float]:
     """Cost gradient in (phi1, phi2)."""
-    return sample_gradient(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f)[2:]
+    return _on_samples(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f, True)[2:]
 
 
 def apply_updates(theta: ValueParams, phi: PolicyParams, grads: Tuple[float, float, float, float],
