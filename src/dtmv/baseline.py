@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class BaselineParams:
     w: float
 
 
-@dataclass(frozen=True)
-class BaselineRecord:
+class BaselineRecord(NamedTuple):
     episode: int
     terminal_wealth: float
     theta2: float

@@ -406,10 +406,10 @@ def write_report_csv(rows: Iterable[PerformanceReport], path: str) -> None:
 
 
 def _ndjson_line(cls) -> Callable[[object], str]:
-    """rec -> json.dumps(vars(rec), sort_keys=True) + newline for the dataclass cls, from one
-    %-template of its sorted field names.  json writes ints and finite floats by their repr,
+    """rec -> json.dumps(rec._asdict(), sort_keys=True) + newline for the NamedTuple cls, from
+    one %-template of its sorted field names.  json writes ints and finite floats by their repr,
     so the two agree on every record of finite values; cls declares int and float fields only."""
-    names = sorted(f.name for f in dataclasses.fields(cls))
+    names = sorted(cls._fields)
     if not set(get_type_hints(cls).values()) <= {int, float}:
         raise TypeError(f"{cls.__name__}: the log takes int and float fields only")
     template, values = "{" + ", ".join(f'"{n}": %r' for n in names) + "}\n", operator.attrgetter(*names)

@@ -11,12 +11,13 @@ known.
 One episode kernel serves both learners: _episode rolls out the policy
 (_policy), records the terminal wealth, refreshes w, and runs the
 growing-prefix updates and the cost (_descend) on local floats; run_training
-draws each episode's returns and checks for divergence, and episode_step runs
-one episode on given returns.  A Learner is data: its params, its records and
-the few constants in which the continuous-time comparator
-(dtmv.baseline.CONTINUOUS) differs from DISCRETE here.  The public functions
-on samples and parameters (cost, grad_theta, grad_phi, apply_updates,
-sample_episode, policy_from_params) are thin adapters over those three.
+runs it on each episode's draws (market.episode_draws) and checks for
+divergence, and episode_step runs one episode on given returns.  A Learner is
+data: its params, its records and the few constants in which the
+continuous-time comparator (dtmv.baseline.CONTINUOUS) differs from DISCRETE
+here.  The public functions on samples and parameters (cost, grad_theta,
+grad_phi, apply_updates, sample_episode, policy_from_params) are thin
+adapters over those three.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from dtmv.analytic import GaussianPolicy, ProblemSpec
-from dtmv.market import RNG_ALGORITHM, ReturnModel, sample_path
+from dtmv.market import RNG_ALGORITHM, ReturnModel, episode_draws, sample_path
 
 ALGORITHM_DISCRETE = "emv-discrete"
 
@@ -126,8 +127,7 @@ class Episode:
         return tuple(enumerate(self.wealth))
 
 
-@dataclass(frozen=True)
-class EpisodeRecord:
+class EpisodeRecord(NamedTuple):
     """Per-episode training log row."""
 
     episode: int
@@ -345,24 +345,22 @@ def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1,
     return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq
 
 
-def _episode(run: _Run, v, lag, rets, rng, learn):
+def _episode(run: _Run, v, lag, rets, z, learn):
     """One episode from the values v = (theta1, ..., w) over the excess
-    returns rets (floats).
+    returns rets and the T standard normals z of the policy (floats).
 
     The policy is fixed for the episode: the control at period t is
-    u_t = slope * (x_t - c_t) + sqrt(variance_t) * z_t, the T standard
-    normals z drawn at once (the values and the generator state of T scalar
-    draws).  With learn set, its terminal wealth is then recorded in lag, w
-    refreshed every refresh_every recorded wealths, and _descend takes one
-    gradient step per growing prefix of its transitions (or one on all of
-    them when prefix_updates is off) and the cost of all of them at the
-    values after the episode.  Returns the wealths x_0..x_T, the controls
-    u_0..u_{T-1}, those values and, with learn, that cost.
+    u_t = slope * (x_t - c_t) + sqrt(variance_t) * z_t.  With learn set, its
+    terminal wealth is then recorded in lag, w refreshed every refresh_every
+    recorded wealths, and _descend takes one gradient step per growing prefix
+    of its transitions (or one on all of them when prefix_updates is off) and
+    the cost of all of them at the values after the episode.  Returns the
+    wealths x_0..x_T, the controls u_0..u_{T-1}, those values and, with
+    learn, that cost.
     """
     T, x, b, r_f, rhos = run.T, run.x0, run.b, run.r_f, run.rhos
     e2, theta2, theta3, _, phi1, phi2, w = v
     slope, variances = _policy(run, phi1, phi2, e2)
-    z = rng.standard_normal(T).tolist()
     sqrt = math.sqrt
     dev = x - rhos[0] * w
     wealth, controls, devs = [x], [], [dev]
@@ -406,10 +404,12 @@ def episode_step(learner, params, lag, hyper, r_f, returns, rng, learn=True):
     set, then record its terminal wealth in lag, refresh w every
     refresh_every recorded wealths, and take one update per growing prefix
     of its states (or a single whole-episode update when prefix_updates is
-    off): the kernel of run_training on given returns."""
+    off): the kernel of run_training on given returns, the policy normals
+    drawn from rng after them."""
     v, kept = _values(learner, params)
     rets = [float(r) for r in returns]
-    wealth, controls, v, _ = _episode(_setup(learner, hyper, r_f), v, lag, rets, rng, learn)
+    z = rng.standard_normal(hyper.spec.T).tolist()
+    wealth, controls, v, _ = _episode(_setup(learner, hyper, r_f), v, lag, rets, z, learn)
     episode = Episode(tuple(wealth), tuple(controls), tuple(returns))
     return episode, learner.params(*v[kept:]) if learn else params
 
@@ -422,7 +422,7 @@ def _diverged(learner: Learner, ep: int, why: str, values) -> TrainingDivergedEr
 def run_training(learner, hyper, model, r_f, rng, params=None):
     """Run hyper.episodes episodes from params (the learner's cold start
     from hyper when None); returns the final params and one record per
-    episode.  Each episode draws its returns, then runs the kernel on them.
+    episode.  Each episode runs the kernel on its draws from episode_draws.
 
     Raises InfeasiblePolicyError when params define no policy.  Raises
     TrainingDivergedError when the residual cost exceeds DIVERGENCE_COST or
@@ -430,7 +430,8 @@ def run_training(learner, hyper, model, r_f, rng, params=None):
     that episode by field; or when the values training reached leave an
     episode's policy undefined (a variance that underflows to 0) or its
     arithmetic out of the float range, naming the values the episode
-    started from.
+    started from.  The generator has then drawn past the diverged episode,
+    so its state is unspecified.
     """
     spec = hyper.spec
     if params is None:
@@ -443,10 +444,9 @@ def run_training(learner, hyper, model, r_f, rng, params=None):
     lag = LagrangeState(w=v[-1], alpha=hyper.alpha)
     history = []
     record = learner.record
-    for ep in range(1, hyper.episodes + 1):
-        rets = sample_path(model, spec.T, rng).tolist()
+    for ep, (rets, z) in enumerate(episode_draws(model, spec.T, rng, hyper.episodes), 1):
         try:
-            wealth, _, v_next, cost_ = _episode(run, v, lag, rets, rng, True)
+            wealth, _, v_next, cost_ = _episode(run, v, lag, rets, z, True)
         except (InfeasiblePolicyError, OverflowError) as exc:
             raise _diverged(learner, ep, f"{type(exc).__name__}: {exc}", v[kept:]) from exc
         v = v_next
@@ -567,9 +567,10 @@ def sample_episode(phi: PolicyParams, w: float, model: ReturnModel, spec: Proble
                    rng: np.random.Generator) -> Episode:
     """Roll out one trajectory from x0 under the current stochastic policy."""
     returns = sample_path(model, spec.T, rng)
+    z = rng.standard_normal(spec.T).tolist()
     v = (math.exp(-2.0 * phi.phi2), 0.0, 0.0, 0.0, phi.phi1, phi.phi2, w)
     run = _setup(DISCRETE, HyperParams(spec), r_f)
-    wealth, controls, _, _ = _episode(run, v, None, returns.tolist(), rng, False)
+    wealth, controls, _, _ = _episode(run, v, None, returns.tolist(), z, False)
     return Episode(tuple(wealth), tuple(controls), tuple(returns))
 
 

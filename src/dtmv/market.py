@@ -275,12 +275,6 @@ def skewt_core_moments(nu: float, slant: float) -> Tuple[float, float]:
     return mean, var
 
 
-# Skew-t paths of up to this many periods are sampled on Python floats: for
-# a few elements numpy's per-call overhead outweighs its per-element speed
-# (a training episode is 3 periods; the histogram command draws 100,000).
-_SHORT_PATH = 8
-
-
 @lru_cache(maxsize=None)
 def _skewt_constants(nu: float, slant: float) -> Tuple[float, float, float, float]:
     """(delta, sqrt(1 - delta^2), mean, sd) of the Azzalini construction with
@@ -315,29 +309,13 @@ def sample_skewt_core(
 
 
 def sample_path(model: ReturnModel, T: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample T consecutive per-period excess returns from a return model.
-
-    A skew-t path of up to _SHORT_PATH periods is computed element by
-    element on floats, with the draws, their order and the values of
-    sample_skewt_core's numpy arithmetic, which longer paths use.
-    """
+    """Sample T consecutive per-period excess returns from a return model."""
     if T < 1:
         raise ValueError("T must be >= 1")
     if isinstance(model, NormalIID):
         return model.a + model.sigma * rng.standard_normal(T)
     if isinstance(model, SkewTIID):
-        nu = model.nu
-        if T > _SHORT_PATH:
-            return model.a + model.sigma * sample_skewt_core(nu, model.slant, rng, size=T)
-        delta, delta_c, mean, sd = _skewt_constants(nu, model.slant)
-        z0 = rng.standard_normal(T).tolist()
-        z1 = rng.standard_normal(T).tolist()
-        chi2 = rng.chisquare(nu, size=T).tolist()
-        a, sigma = model.a, model.sigma
-        return np.array([
-            a + sigma * (((delta * abs(u) + delta_c * v) / math.sqrt(c / nu) - mean) / sd)
-            for u, v, c in zip(z0, z1, chi2)
-        ])
+        return model.a + model.sigma * sample_skewt_core(model.nu, model.slant, rng, size=T)
     if isinstance(model, Historical):
         values = model.series.values
         n = len(values)
@@ -346,6 +324,48 @@ def sample_path(model: ReturnModel, T: int, rng: np.random.Generator) -> np.ndar
         start = int(rng.integers(0, n - T + 1))
         return np.array(values[start : start + T], dtype=float)
     raise TypeError(f"unknown return model {type(model).__name__}")
+
+
+# Normal-market episodes whose draws episode_draws takes in one call.
+_DRAW_BLOCK = 64
+
+
+def episode_draws(model: ReturnModel, T: int, rng: np.random.Generator, episodes: int):
+    """Yield each episode's T excess returns and T policy normals as float
+    lists: the values, and the final generator state, of sample_path(model,
+    T, rng) then rng.standard_normal(T) per episode.  Normals that no other
+    draw separates come from one call (_DRAW_BLOCK normal-market episodes;
+    on the skew-t market an episode's policy normals and the next episode's
+    return normals), so the generator runs ahead of the last episode yielded."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    normal = rng.standard_normal
+    if isinstance(model, NormalIID):
+        a, sigma = model.a, model.sigma
+        for done in range(0, episodes, _DRAW_BLOCK):
+            block = normal((min(_DRAW_BLOCK, episodes - done), 2, T))
+            yield from zip((a + sigma * block[:, 0]).tolist(), block[:, 1].tolist())
+    elif isinstance(model, SkewTIID):
+        nu, a, sigma, sqrt = model.nu, model.a, model.sigma, math.sqrt
+        delta, delta_c, mean, sd = _skewt_constants(nu, model.slant)
+        z = normal(2 * T).tolist() if episodes else []
+        for left in range(episodes - 1, -1, -1):
+            chi2 = rng.chisquare(nu, size=T).tolist()
+            # sample_skewt_core's arithmetic, element by element
+            rets = [a + sigma * (((delta * abs(u) + delta_c * v) / sqrt(c / nu) - mean) / sd)
+                    for u, v, c in zip(z[-2 * T :], z[-T:], chi2)]
+            # this episode's policy normals, then the next one's return normals
+            z = normal(3 * T if left else T).tolist()
+            yield rets, z[:T]
+    elif isinstance(model, Historical):
+        values = [float(v) for v in model.series.values]
+        if len(values) < T:
+            raise InsufficientDataError(f"series of {len(values)} months cannot supply {T}")
+        for _ in range(episodes):
+            start = int(rng.integers(0, len(values) - T + 1))
+            yield values[start : start + T], normal(T).tolist()
+    else:
+        raise TypeError(f"unknown return model {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,12 @@ the new values.  The cases beyond the default short run on each market (a
 12-period skew-t path, whole-episode updates, a 5-period historical horizon
 at lam = 0.5 with w refreshed every 7 episodes, and T = 1) were computed
 while each learner ran its own policy, residual and update functions behind
-per-learner hooks.  The properties check the two identities that replacement
-rests on: one vector draw of T normals is T scalar draws, and sample_path's
-float arithmetic is the ndarray arithmetic element by element.
+per-learner hooks.  The properties check the identities that replacement
+rests on: one vector draw of T normals is T scalar draws, sample_path is the
+ndarray arithmetic of the reference sampler, and episode_draws, which makes
+each training episode's draws in fewer generator calls and computes on
+floats, gives per episode the values of sample_path and then T policy
+normals, and the same final generator state.
 
 A further digest pins the run directory of `dtmv analytic` at a 60-period
 horizon.  It was computed while the oracle's trapezoid cross-check still ran
@@ -31,13 +34,16 @@ import json
 import math
 import os
 import tracemalloc
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, replace
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtmv import market
 from dtmv.analytic import ProblemSpec
 from dtmv.baseline import BaselineRecord, baseline_train
 from dtmv.cli import _ndjson_line, _write_text, main
@@ -49,6 +55,7 @@ from dtmv.market import (
     SkewTIID,
     annualize_market,
     bundled_monthly_csv_path,
+    episode_draws,
     load_monthly_csv,
     make_rng,
     sample_path,
@@ -106,7 +113,7 @@ RECORDS = (EpisodeRecord, BaselineRecord)
 
 
 def _digest(rows) -> str:
-    return hashlib.sha256(repr([astuple(r) for r in rows]).encode()).hexdigest()
+    return hashlib.sha256(repr([tuple(r) for r in rows]).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case, learner", sorted(GOLDEN_HISTORIES))
@@ -119,7 +126,7 @@ def test_training_history_matches_its_golden_digest(case, learner):
 def test_online_backtest_cell_matches_its_golden_digest():
     rolling = RollingSpec(test_years=(2006,), targets=(1.05,), online_test=True)
     rows = rolling_backtest(SERIES, rolling, HyperParams(spec=SPEC, episodes=300), R_F, seed=4)
-    assert _digest(rows) == GOLDEN_ONLINE_BACKTEST
+    assert _digest(map(astuple, rows)) == GOLDEN_ONLINE_BACKTEST
 
 
 def _run_digest(tmp_path, capsys, command, config) -> str:
@@ -162,10 +169,10 @@ def test_log_line_is_the_json_dumps_line(cls, data):
     """The template line of any record of finite values is the line json.dumps
     writes with sorted keys, for both record classes."""
     episode = data.draw(st.integers(-(2**70), 2**70))
-    rec = cls(episode, *(data.draw(_LOGGED_FLOATS) for _ in fields(cls)[1:]))
+    rec = cls(episode, *(data.draw(_LOGGED_FLOATS) for _ in cls._fields[1:]))
     line = _ndjson_line(cls)(rec)
-    assert line == json.dumps(vars(rec), sort_keys=True) + "\n"
-    assert json.loads(line) == vars(rec)
+    assert line == json.dumps(rec._asdict(), sort_keys=True) + "\n"
+    assert json.loads(line) == rec._asdict()
 
 
 class _Probe:
@@ -180,14 +187,13 @@ class _Probe:
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_log_template_writes_every_field_by_repr_in_sorted_key_order(cls):
-    names = sorted(f.name for f in fields(cls))
+    names = sorted(cls._fields)
     line = _ndjson_line(cls)(cls(*[_Probe()] * len(names)))
     assert line == "{" + ", ".join(f'"{name}": R' for name in names) + "}\n"
 
 
 def test_log_template_rejects_fields_json_would_not_write_by_repr():
-    @dataclass(frozen=True)
-    class Flagged:
+    class Flagged(NamedTuple):
         episode: int
         diverged: bool
 
@@ -264,3 +270,24 @@ def test_sample_path_equals_the_ndarray_computation(model, seed, T):
     assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (T,)
     assert got.tolist() == want.tolist()
     assert fast.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=_MODELS,
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 12),
+    episodes=st.integers(0, 40),
+    block=st.sampled_from([1, 2, 7, market._DRAW_BLOCK]),
+)
+def test_episode_draws_equal_a_path_then_the_policy_normals(model, seed, T, episodes, block):
+    """Training's draws are, per episode, sample_path's returns and then T
+    policy normals, with the same final generator state, whatever the size
+    of the normal market's blocks."""
+    fused, stepped = make_rng(seed), make_rng(seed)
+    with mock.patch.object(market, "_DRAW_BLOCK", block):
+        got = list(episode_draws(model, T, fused, episodes))
+    want = [(sample_path(model, T, stepped).tolist(), stepped.standard_normal(T).tolist())
+            for _ in range(episodes)]
+    assert got == want
+    assert fused.bit_generator.state == stepped.bit_generator.state

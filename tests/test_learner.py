@@ -49,6 +49,7 @@ from dtmv.learner import (
     value_from_params,
 )
 from dtmv.market import (
+    _DRAW_BLOCK,
     Historical,
     NormalIID,
     SkewTIID,
@@ -563,6 +564,39 @@ def test_training_is_a_sequence_of_online_steps(
     assert online == params
     assert wealths == [rec.terminal_wealth for rec in history]
     assert stepped.bit_generator.state == trained.bit_generator.state
+
+
+class _CountingGenerator:
+    """A generator that counts the calls made to its methods."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("market", sorted(MARKETS))
+@pytest.mark.parametrize("episodes", [1, 2, _DRAW_BLOCK, 2 * _DRAW_BLOCK + 1])
+def test_training_draws_in_the_fused_schedule(market, episodes):
+    """Training makes one generator call per block of normal-market episodes,
+    two per historical episode (the window, then the policy normals) and two
+    per skew-t episode plus one (the chi-square draw, then this episode's
+    policy normals with the next one's return normals)."""
+    rng = _CountingGenerator(make_rng(3))
+    run_training(LEARNERS[ALGORITHM_DISCRETE], _hyper(episodes), MARKETS[market], R_F, rng)
+    want = {
+        "normal": -(-episodes // _DRAW_BLOCK),
+        "historical": 2 * episodes,
+        "skewt": 2 * episodes + 1,
+    }
+    assert rng.calls == want[market]
 
 
 def test_train_history_records_every_episode_in_order():
