@@ -1,18 +1,19 @@
 """Continuous-time mean-variance learner run on the discrete monthly grid.
 
-This is the comparator: the discrete learner's episode kernel
-(dtmv.learner.run_training) with the constants of the continuous-time
-construction.  Its functional forms ignore riskless compounding (the state
-deviation is x - w with no horizon discounting, and the slope's gap is
-2 * phi2), it counts one more period of entropy at each period, and it steps
-phi1 with the other parameters.  The period is the unit of time.
+This is the comparator: the discrete learner's episode kernel with the
+constants of the continuous-time construction, one Learner value
+(CONTINUOUS) that dtmv.learner.train runs like any other.  Its functional
+forms ignore riskless compounding (the state deviation is x - w with no
+horizon discounting, and the slope's gap is 2 * phi2), it counts one more
+period of entropy at each period, and it steps phi1 with the other
+parameters.  The period is the unit of time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -20,10 +21,11 @@ from dtmv.analytic import GaussianPolicy, ProblemSpec
 from dtmv.learner import (
     HyperParams,
     Learner,
+    TrainResult,
     learner_policy,
     _on_samples,
-    run_training,
     step_params,
+    train,
 )
 from dtmv.market import ReturnModel
 from dtmv.market import sample_path  # noqa: F401  (perfbench/spans.py wraps this binding)
@@ -53,13 +55,6 @@ class BaselineRecord(NamedTuple):
     phi1: float
     phi2: float
     w: float
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    params: BaselineParams
-    history: Tuple[BaselineRecord, ...]
-    algorithm: str = ALGORITHM_CONTINUOUS
 
 
 # Centers w, the gap 2 * phi2 (phi2 > 0), phi1 stepped, the entropy count
@@ -127,14 +122,7 @@ def baseline_apply_updates(
     return step_params(CONTINUOUS, params, grads, eta_theta, eta_phi, spec, None)
 
 
-def baseline_train(
-    hyper: HyperParams,
-    model: ReturnModel,
-    r_f: float,
-    rng: np.random.Generator,
-    init: Optional[BaselineParams] = None,
-) -> BaselineResult:
-    """Run the comparator for hyper.episodes episodes (run_training), from
-    init or from the cold start in hyper."""
-    params, history = run_training(CONTINUOUS, hyper, model, r_f, rng, init)
-    return BaselineResult(params=params, history=history)
+def baseline_train(hyper: HyperParams, model: ReturnModel, r_f: float,
+                   rng: np.random.Generator) -> TrainResult:
+    """Run the comparator for hyper.episodes episodes (train)."""
+    return train(hyper, model, r_f, rng, CONTINUOUS)

@@ -35,7 +35,7 @@ from .analytic import (
     optimal_policy,
     optimal_value,
 )
-from .baseline import ALGORITHM_CONTINUOUS, baseline_train
+from .baseline import baseline_train  # noqa: F401  (perfbench/spans.py wraps this binding)
 from .evaluation import (
     ALGORITHMS,
     LEARNERS,
@@ -488,12 +488,10 @@ def cmd_iterate(cfg: RunConfig, out: str) -> None:
 
 
 def _train_one(cfg: RunConfig, algorithm: str, seed: int, stream: int):
-    """Train one cell; returns (result, rng).  The trainer is looked up per
-    call, as in dtmv.evaluation._train."""
+    """Train one cell; returns (result, rng)."""
     model, r_f = build_model(cfg.market)
     rng = make_rng(seed, stream)
-    trainer = {ALGORITHM_DISCRETE: train, ALGORITHM_CONTINUOUS: baseline_train}[algorithm]
-    return trainer(hyper_params(cfg, problem_spec(cfg)), model, r_f, rng), rng
+    return train(hyper_params(cfg, problem_spec(cfg)), model, r_f, rng, LEARNERS[algorithm]), rng
 
 
 def cmd_train(cfg: RunConfig, out: str) -> None:

@@ -15,15 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from dtmv.baseline import ALGORITHM_CONTINUOUS, CONTINUOUS, baseline_train
-from dtmv.learner import (
-    ALGORITHM_DISCRETE,
-    DISCRETE,
-    HyperParams,
-    LagrangeState,
-    episode_step,
-    train,
-)
+from dtmv.baseline import ALGORITHM_CONTINUOUS, CONTINUOUS
+from dtmv.baseline import baseline_train  # noqa: F401  (perfbench/spans.py wraps this binding)
+from dtmv.learner import ALGORITHM_DISCRETE, DISCRETE, HyperParams, run_episodes, train
 from dtmv.market import (
     Historical,
     InsufficientDataError,
@@ -167,17 +161,10 @@ def first_stable_block(means: Sequence[float], target: float, rel_tol: float = 0
 # ---------------------------------------------------------------------------
 
 
-def _train(algorithm: str, hyper: HyperParams, model: ReturnModel, r_f: float, rng):
-    # the table is built per call, so a wrapper installed later on this
-    # module's train or baseline_train (perfbench/spans.py) sees every cell
-    trainer = {ALGORITHM_DISCRETE: train, ALGORITHM_CONTINUOUS: baseline_train}[algorithm]
-    return trainer(hyper, model, r_f, rng)
-
-
 def _study_cell(args) -> PerformanceReport:
     label, model, r_f, hyper, test_episodes, algorithm, seed, stream = args
     rng = make_rng(seed, stream)
-    history = _train(algorithm, hyper, model, r_f, rng).history
+    history = train(hyper, model, r_f, rng, LEARNERS[algorithm]).history
     tail = [rec.terminal_wealth for rec in history[-test_episodes:]]
     mean, std, sharpe, n = terminal_stats(tail, hyper.spec.x0)
     return PerformanceReport(label, algorithm, seed, mean, std, sharpe, n)
@@ -287,16 +274,13 @@ def _backtest_cell(args) -> PerformanceReport:
     rng = make_rng(seed, stream)
     model = Historical(train_series)
 
-    params = _train(algorithm, hyper, model, r_f, rng).params
-    lag = LagrangeState(w=params.w, alpha=hyper.alpha)
-    wealths: List[float] = []
-    for j in range(n_windows):
-        window = test_values[j * rolling.horizon_months : (j + 1) * rolling.horizon_months]
-        episode, params = episode_step(
-            LEARNERS[algorithm], params, lag, hyper, r_f, window, rng, rolling.online_test
-        )
-        wealths.append(episode.terminal_wealth)
-
+    learner, h = LEARNERS[algorithm], rolling.horizon_months
+    params = train(hyper, model, r_f, rng, learner).params
+    # one (returns, policy normals) pair per test window, its normals drawn as it runs
+    windows = ((test_values[j * h : (j + 1) * h].tolist(), rng.standard_normal(h).tolist())
+               for j in range(n_windows))
+    tested = run_episodes(learner, hyper, r_f, windows, params, rolling.online_test)
+    wealths = [rec.terminal_wealth for rec in tested.history]
     mean, std, sharpe, n = terminal_stats(wealths, spec.x0)
     return PerformanceReport(label, algorithm, seed, mean, std, sharpe, n)
 
@@ -316,8 +300,8 @@ def rolling_backtest(
     horizon windows of the training months), then execute the trained policy
     on the sequential nonoverlapping windows of the test period.  Parameters
     stay frozen during testing unless rolling.online_test is set; then every
-    test window is one more training episode (episode_step), w refresh
-    included.
+    test window is one more training episode (run_episodes), w refresh and
+    divergence check included.
 
     Returns len(test_years) * len(targets) * 2 rows in (year, target,
     algorithm) order.  Raises InsufficientDataError naming the first month

@@ -10,21 +10,23 @@ known.
 
 One episode kernel serves both learners: _episode rolls out the policy
 (_policy), records the terminal wealth, refreshes w, and runs the
-growing-prefix updates and the cost (_descend) on local floats; run_training
-runs it on each episode's draws (market.episode_draws) and checks for
-divergence, and episode_step runs one episode on given returns.  A Learner is
-data: its params, its records and the few constants in which the
-continuous-time comparator (dtmv.baseline.CONTINUOUS) differs from DISCRETE
-here.  The public functions on samples and parameters (cost, grad_theta,
-grad_phi, apply_updates, sample_episode, policy_from_params) are thin
-adapters over those three.
+growing-prefix updates and the cost (_descend) on local floats.
+run_episodes is its one driver: it runs the kernel on each (returns, policy
+normals) pair it is given, checks for divergence and returns a TrainResult;
+train feeds it each episode's draws (market.episode_draws), and the
+backtest's test windows feed it the windows.  A Learner is data: its
+params, its records and the few constants in which the continuous-time
+comparator (dtmv.baseline.CONTINUOUS) differs from DISCRETE here.  The
+public functions on samples and parameters (cost, grad_theta, grad_phi,
+apply_updates, sample_episode, policy_from_params) are thin adapters over
+the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -150,17 +152,11 @@ class DiscreteParams:
     w: float
 
 
-@dataclass(frozen=True)
-class TrainResult:
-    theta: ValueParams
-    phi: PolicyParams
-    w: float
-    history: Tuple[EpisodeRecord, ...]
-    algorithm: str = ALGORITHM_DISCRETE
+class TrainResult(NamedTuple):
+    """The params a run of the kernel ended with, and one record per episode."""
 
-    @property
-    def params(self) -> DiscreteParams:
-        return DiscreteParams(self.theta, self.phi, self.w)
+    params: object
+    history: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -399,61 +395,45 @@ def update_w(state: LagrangeState, b: float, n: int) -> LagrangeState:
     return state
 
 
-def episode_step(learner, params, lag, hyper, r_f, returns, rng, learn=True):
-    """Roll out one episode over the given returns under params.  With learn
-    set, then record its terminal wealth in lag, refresh w every
-    refresh_every recorded wealths, and take one update per growing prefix
-    of its states (or a single whole-episode update when prefix_updates is
-    off): the kernel of run_training on given returns, the policy normals
-    drawn from rng after them."""
-    v, kept = _values(learner, params)
-    rets = [float(r) for r in returns]
-    z = rng.standard_normal(hyper.spec.T).tolist()
-    wealth, controls, v, _ = _episode(_setup(learner, hyper, r_f), v, lag, rets, z, learn)
-    episode = Episode(tuple(wealth), tuple(controls), tuple(returns))
-    return episode, learner.params(*v[kept:]) if learn else params
-
-
 def _diverged(learner: Learner, ep: int, why: str, values) -> TrainingDivergedError:
     named = ", ".join(f"{k}={x!r}" for k, x in learner.fields(learner.params(*values)).items())
     return TrainingDivergedError(f"training diverged at episode {ep} ({why}; {named})")
 
 
-def run_training(learner, hyper, model, r_f, rng, params=None):
-    """Run hyper.episodes episodes from params (the learner's cold start
-    from hyper when None); returns the final params and one record per
-    episode.  Each episode runs the kernel on its draws from episode_draws.
+def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, params=None,
+                 learn: bool = True) -> TrainResult:
+    """Run the kernel once per (returns, policy normals) pair of float lists
+    in draws, from params (the learner's cold start from hyper when None);
+    returns the final params and one record per episode.  With learn off
+    the params stay as given and only the rollouts are recorded.
 
-    Raises InfeasiblePolicyError when params define no policy.  Raises
-    TrainingDivergedError when the residual cost exceeds DIVERGENCE_COST or
-    any parameter stops being finite, naming the learner's values after
-    that episode by field; or when the values training reached leave an
-    episode's policy undefined (a variance that underflows to 0) or its
-    arithmetic out of the float range, naming the values the episode
-    started from.  The generator has then drawn past the diverged episode,
-    so its state is unspecified.
+    Raises InfeasiblePolicyError when params define no policy.  With learn
+    set, raises TrainingDivergedError when the residual cost exceeds
+    DIVERGENCE_COST or any parameter stops being finite, naming the
+    learner's values after that episode by field; or when the values
+    training reached leave an episode's policy undefined (a variance that
+    underflows to 0) or its arithmetic out of the float range, naming the
+    values the episode started from.  A generator behind draws may then
+    have drawn past the diverged episode, so its state is unspecified.
     """
-    spec = hyper.spec
     if params is None:
-        params = learner.cold_start(spec, r_f, hyper.init_phi1, hyper.init_phi2)
-    if not hyper.episodes:
-        return params, ()
+        params = learner.cold_start(hyper.spec, r_f, hyper.init_phi1, hyper.init_phi2)
     run = _setup(learner, hyper, r_f)
     v, kept = _values(learner, params)
     _policy(run, v[4], v[5], v[0])  # raises where params define no policy
     lag = LagrangeState(w=v[-1], alpha=hyper.alpha)
     history = []
     record = learner.record
-    for ep, (rets, z) in enumerate(episode_draws(model, spec.T, rng, hyper.episodes), 1):
+    for ep, (rets, z) in enumerate(draws, 1):
         try:
-            wealth, _, v_next, cost_ = _episode(run, v, lag, rets, z, True)
+            wealth, _, v_next, cost_ = _episode(run, v, lag, rets, z, learn)
         except (InfeasiblePolicyError, OverflowError) as exc:
             raise _diverged(learner, ep, f"{type(exc).__name__}: {exc}", v[kept:]) from exc
         v = v_next
-        if not (all(map(math.isfinite, v)) and abs(cost_) <= DIVERGENCE_COST):
+        if learn and not (all(map(math.isfinite, v)) and abs(cost_) <= DIVERGENCE_COST):
             raise _diverged(learner, ep, f"cost {cost_!r}", v[kept:])
         history.append(record(ep, wealth[-1], *v[kept:]))
-    return learner.params(*v[kept:]), tuple(history)
+    return TrainResult(learner.params(*v[kept:]) if learn else params, tuple(history))
 
 
 def learner_policy(learner, spec: ProblemSpec, r_f, phi1: float, phi2: float, t: int, x: float,
@@ -605,18 +585,14 @@ def apply_updates(theta: ValueParams, phi: PolicyParams, grads: Tuple[float, flo
     return p.theta, p.phi
 
 
-def train(
-    hyper: HyperParams,
-    model: ReturnModel,
-    r_f: float,
-    rng: np.random.Generator,
-    init: Optional[Tuple[ValueParams, PolicyParams]] = None,
-) -> TrainResult:
-    """Run the discrete learner for hyper.episodes episodes (run_training),
-    from init with w at b, or from the cold start in hyper."""
-    start = None if init is None else DiscreteParams(init[0], init[1], hyper.spec.b)
-    params, history = run_training(DISCRETE, hyper, model, r_f, rng, start)
-    return TrainResult(theta=params.theta, phi=params.phi, w=params.w, history=history)
+def train(hyper: HyperParams, model: ReturnModel, r_f: float, rng: np.random.Generator,
+          learner: Learner = DISCRETE) -> TrainResult:
+    """Run the learner for hyper.episodes episodes of its draws from
+    episode_draws (run_episodes), from the cold start in hyper."""
+    spec = hyper.spec
+    if not hyper.episodes:
+        return TrainResult(learner.cold_start(spec, r_f, hyper.init_phi1, hyper.init_phi2), ())
+    return run_episodes(learner, hyper, r_f, episode_draws(model, spec.T, rng, hyper.episodes))
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +620,8 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> Tuple[str, Dict[str, float], np.random.Generator]:
     """Inverse of save_checkpoint; the restored generator continues the
-    saved stream exactly."""
+    saved stream exactly.  A missing or malformed entry raises a ValueError
+    naming the file and the key."""
     raw: Dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -657,14 +634,21 @@ def load_checkpoint(path: str) -> Tuple[str, Dict[str, float], np.random.Generat
             raw[key] = val
     if raw.get("rng.algorithm") != RNG_ALGORITHM:
         raise ValueError(f"{path}: unsupported rng algorithm {raw.get('rng.algorithm')!r}")
-    params = {
-        key[len("param.") :]: float(val) for key, val in raw.items() if key.startswith("param.")
-    }
+
+    def value(key: str, parse=str):
+        if key not in raw:
+            raise ValueError(f"{path}: missing key {key!r}")
+        try:
+            return parse(raw[key])
+        except ValueError:
+            raise ValueError(f"{path}: {key}={raw[key]!r} is not a valid {parse.__name__}") from None
+
+    params = {key[len("param.") :]: value(key, float) for key in raw if key.startswith("param.")}
     bitgen = np.random.PCG64()
     bitgen.state = {
         "bit_generator": "PCG64",
-        "state": {"state": int(raw["rng.state"]), "inc": int(raw["rng.inc"])},
-        "has_uint32": int(raw["rng.has_uint32"]),
-        "uinteger": int(raw["rng.uinteger"]),
+        "state": {"state": value("rng.state", int), "inc": value("rng.inc", int)},
+        "has_uint32": value("rng.has_uint32", int),
+        "uinteger": value("rng.uinteger", int),
     }
-    return raw["algorithm"], params, np.random.Generator(bitgen)
+    return value("algorithm"), params, np.random.Generator(bitgen)

@@ -482,6 +482,24 @@ def test_train_baseline_algorithm_selected_by_config(tmp_path, capsys):
     assert "theta1" not in first
 
 
+def test_a_third_learner_is_one_learners_entry(tmp_path, capsys, monkeypatch):
+    """A learner registered in LEARNERS alone trains from the config: no
+    command keeps a table of its own."""
+    from dtmv.learner import DISCRETE, load_checkpoint
+
+    monkeypatch.setitem(LEARNERS, "emv-plain-step", dataclasses.replace(DISCRETE, hold_phi1=False))
+    cfg = _cfg_file(tmp_path, BASELINE_TINY.replace("emv-continuous", "emv-plain-step"))
+    out = str(tmp_path / "third")
+    code, _, err = _run(["train", "--config", cfg, "--out", out], capsys)
+    assert code == 0 and err == ""
+    log = [json.loads(line) for line in open(os.path.join(out, "log.ndjson"))]
+    assert len(log) == 150
+    assert log[-1]["phi1"] != 1.0  # stepped, not held as DISCRETE holds it
+    algorithm, params, _ = load_checkpoint(os.path.join(out, "checkpoint"))
+    assert algorithm == "emv-plain-step"
+    assert params["w"] == log[-1]["w"]
+
+
 def test_train_seed_flag_changes_the_run(tmp_path, capsys):
     cfg = _cfg_file(tmp_path)
     out_a, out_b = str(tmp_path / "s1"), str(tmp_path / "s2")

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tempfile
 from dataclasses import replace
 
@@ -35,13 +36,12 @@ from dtmv.learner import (
     apply_updates,
     cost,
     default_params,
-    episode_step,
     grad_phi,
     grad_theta,
     load_checkpoint,
     policy_entropy,
-    run_training,
     policy_from_params,
+    run_episodes,
     sample_episode,
     save_checkpoint,
     train,
@@ -436,7 +436,6 @@ def test_train_zero_episodes_returns_the_initial_state(algorithm):
     assert result.params == COLD_STARTS[algorithm]
     assert result.params == LEARNERS[algorithm].cold_start(SPEC, R_F, 1.0, 0.01)
     assert result.params.w == SPEC.b and result.history == ()
-    assert result.algorithm == algorithm
 
 
 @both_learners
@@ -445,7 +444,7 @@ def test_train_is_bit_reproducible(algorithm):
     a = TRAINERS[algorithm](_hyper(150), model, R_F, make_rng(9, 1))
     b = TRAINERS[algorithm](_hyper(150), model, R_F, make_rng(9, 1))
     assert a == b
-    assert a.algorithm == algorithm
+    assert type(a.params) is type(COLD_STARTS[algorithm])
     assert [rec.episode for rec in a.history] == list(range(1, 151))
 
 
@@ -500,26 +499,43 @@ def test_arithmetic_out_of_range_is_divergence(algorithm, eta, lam, episode):
 
 @both_learners
 def test_online_windows_refresh_w(algorithm):
-    """A test window run through episode_step with learning on is one more
-    training episode: after refresh_every windows w has moved by
-    -alpha * (mean terminal wealth - b), and not before.  A frozen window
-    changes nothing."""
+    """Test windows run through run_episodes with learning on are more
+    training episodes: after refresh_every windows w has moved by
+    -alpha * (mean terminal wealth - b), and not before.  Frozen windows
+    change nothing."""
     learner = LEARNERS[algorithm]
     hyper = _hyper(0, refresh_every=4)
     params = COLD_STARTS[algorithm]
-    lag = LagrangeState(w=params.w, alpha=hyper.alpha)
     rng = make_rng(12, 0)
-    _, frozen = episode_step(learner, params, lag, hyper, R_F, (0.02, 0.0, 0.01), rng, learn=False)
-    assert frozen is params and lag.terminal_wealths == []
-    wealths = []
-    windows = ((0.02, -0.01, 0.03), (0.0, 0.05, -0.04), (0.01, 0.01, 0.01), (-0.03, 0.02, 0.04))
-    for window in windows:
-        assert params.w == SPEC.b
-        episode, params = episode_step(learner, params, lag, hyper, R_F, window, rng)
-        wealths.append(episode.terminal_wealth)
-    assert lag.terminal_wealths == wealths
-    assert params.w == SPEC.b - hyper.alpha * (sum(wealths) / 4 - SPEC.b)
-    assert params.w != SPEC.b
+    windows = ([0.02, -0.01, 0.03], [0.0, 0.05, -0.04], [0.01, 0.01, 0.01], [-0.03, 0.02, 0.04])
+    draws = [(window, rng.standard_normal(3).tolist()) for window in windows]
+    frozen = run_episodes(learner, hyper, R_F, draws, params, learn=False)
+    assert frozen.params is params and [rec.w for rec in frozen.history] == [SPEC.b] * 4
+    result = run_episodes(learner, hyper, R_F, draws, params)
+    wealths = [rec.terminal_wealth for rec in result.history]
+    assert wealths[0] == frozen.history[0].terminal_wealth
+    assert [rec.w for rec in result.history[:3]] == [SPEC.b] * 3
+    assert result.params.w == result.history[-1].w
+    assert result.params.w == SPEC.b - hyper.alpha * (sum(wealths) / 4 - SPEC.b)
+    assert result.params.w != SPEC.b
+
+
+@both_learners
+def test_online_windows_get_the_divergence_check(algorithm):
+    """Learning on given windows diverges as training on the same draws
+    does, with a TrainingDivergedError; frozen windows are not checked."""
+    learner = LEARNERS[algorithm]
+    hyper = _hyper(0, eta_theta=50.0, eta_phi=50.0)
+    model, rng = NormalIID(0.025, 0.0577), make_rng(1, 1)
+    draws = [(sample_path(model, 3, rng).tolist(), rng.standard_normal(3).tolist())
+             for _ in range(500)]
+    with pytest.raises(TrainingDivergedError, match="training diverged at episode") as online:
+        run_episodes(learner, hyper, R_F, draws)
+    with pytest.raises(TrainingDivergedError) as trained:
+        train(replace(hyper, episodes=500), model, R_F, make_rng(1, 1), learner)
+    assert str(online.value) == str(trained.value)
+    frozen = run_episodes(learner, hyper, R_F, draws, learn=False)
+    assert len(frozen.history) == 500
 
 
 _A, _SIGMA, _ = annualize_market(0.30, 0.20, 0.02)
@@ -544,25 +560,19 @@ MARKETS = {
 def test_training_is_a_sequence_of_online_steps(
     algorithm, market, T, refresh_every, prefix_updates, episodes, seed
 ):
-    """N episodes of run_training are N episode_step calls on sample_path
-    draws from the same generator: the same params, the same terminal
-    wealths and the same final generator state.  Training and the online
-    test windows of the backtest run one step."""
+    """train equals run_episodes on sample_path draws, each followed by its
+    T policy normals, from the same generator: the same params, the same
+    records and the same final generator state.  Training and the online
+    test windows of the backtest run one driver."""
     learner, model = LEARNERS[algorithm], MARKETS[market]
     spec = replace(SPEC, T=T)
     hyper = HyperParams(spec, episodes=episodes, refresh_every=refresh_every,
                         prefix_updates=prefix_updates)
     trained, stepped = make_rng(seed), make_rng(seed)
-    params, history = run_training(learner, hyper, model, R_F, trained)
-    online = learner.cold_start(spec, R_F, hyper.init_phi1, hyper.init_phi2)
-    lag = LagrangeState(w=spec.b, alpha=hyper.alpha)
-    wealths = []
-    for _ in range(episodes):
-        returns = sample_path(model, T, stepped)
-        episode, online = episode_step(learner, online, lag, hyper, R_F, returns, stepped)
-        wealths.append(episode.terminal_wealth)
-    assert online == params
-    assert wealths == [rec.terminal_wealth for rec in history]
+    result = train(hyper, model, R_F, trained, learner)
+    draws = ((sample_path(model, T, stepped).tolist(), stepped.standard_normal(T).tolist())
+             for _ in range(episodes))
+    assert run_episodes(learner, hyper, R_F, draws) == result
     assert stepped.bit_generator.state == trained.bit_generator.state
 
 
@@ -590,7 +600,7 @@ def test_training_draws_in_the_fused_schedule(market, episodes):
     per skew-t episode plus one (the chi-square draw, then this episode's
     policy normals with the next one's return normals)."""
     rng = _CountingGenerator(make_rng(3))
-    run_training(LEARNERS[ALGORITHM_DISCRETE], _hyper(episodes), MARKETS[market], R_F, rng)
+    train(_hyper(episodes), MARKETS[market], R_F, rng)
     want = {
         "normal": -(-episodes // _DRAW_BLOCK),
         "historical": 2 * episodes,
@@ -620,9 +630,9 @@ def test_train_keeps_phi1_and_phi2_leaves_its_floor_while_w_winds_up():
     a, sigma, r_f = annualize_market(0.30, 0.20, 0.02)
     result = train(_hyper(3000), NormalIID(a, sigma), r_f, make_rng(1, 0))
     assert all(rec.phi1 == 1.0 for rec in result.history)
-    assert result.theta.theta3 > 1.0  # the drift carries the residual's constant
-    assert result.w < 2.7  # w is still on its way up from b ...
-    assert result.phi.phi2 + math.log(r_f) > 0.015  # ... and phi2 has left its floor
+    assert result.params.theta.theta3 > 1.0  # the drift carries the residual's constant
+    assert result.params.w < 2.7  # w is still on its way up from b ...
+    assert result.params.phi.phi2 + math.log(r_f) > 0.015  # ... and phi2 has left its floor
 
 
 def test_train_reaches_the_known_market_solution():
@@ -637,7 +647,7 @@ def test_train_reaches_the_known_market_solution():
     theta1s, means = [], []
     for seed in (1, 2, 3):
         result = train(hyper, model, r_f, make_rng(seed, 0))
-        theta1s.append(result.theta.theta1)
+        theta1s.append(result.params.theta.theta1)
         tail = [rec.terminal_wealth for rec in result.history[-2000:]]
         means.append(sum(tail) / len(tail))
     assert abs(sorted(theta1s)[1] - target_theta1) <= 0.25 * target_theta1
@@ -699,4 +709,14 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         load_checkpoint(str(path))
     path.write_text("algorithm emv\n")
     with pytest.raises(ValueError, match="expected key=value"):
+        load_checkpoint(str(path))
+    # a truncated file, or a value that does not parse, is named by file and key
+    save_checkpoint(str(path), ALGORITHM_DISCRETE, {"w": 1.1}, make_rng(5))
+    whole = path.read_text().splitlines()
+    for missing in ("algorithm", "rng.state"):
+        path.write_text("\n".join(line for line in whole if not line.startswith(missing + "=")))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing key '{missing}'$"):
+            load_checkpoint(str(path))
+    path.write_text("\n".join(whole).replace("param.w=1.1", "param.w=abc"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: param.w='abc' is not a valid float$"):
         load_checkpoint(str(path))

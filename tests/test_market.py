@@ -193,10 +193,12 @@ def test_skewt_core_moments_match_direct_integration():
 
 
 @settings(max_examples=200, deadline=None)
-@given(nu=st.floats(2.01, 200.0), slant=st.floats(-5.0, 5.0))
+@given(nu=st.floats(2.01, 200.0), slant=st.floats(-5.0, 5.0, allow_subnormal=False))
 def test_skewt_core_moments_match_the_gammaln_formula(nu, slant):
     """math.lgamma in place of scipy's gammaln moves the moments by at most
-    a few parts in 1e13 on this range."""
+    a few parts in 1e13 on this range.  Subnormal slants are left out: a
+    subnormal delta keeps too few bits for the formula itself to meet the
+    tolerance."""
     from scipy.special import gammaln
 
     delta = slant / math.sqrt(1.0 + slant * slant)
