@@ -37,24 +37,28 @@ from .analytic import (
 )
 from .baseline import baseline_train  # noqa: F401  (perfbench/spans.py wraps this binding)
 from .evaluation import (
-    ALGORITHMS,
     LEARNERS,
+    Cell,
     PerformanceReport,
     RollingSpec,
     SplitSpec,
     StudySetting,
+    cell_report,
     first_stable_block,
     learning_curves,
     rolling_backtest,
     run_simulation_study,
+    study_cells,
     summary_text,
-    terminal_stats,
+    train_cell,
 )
-from .learner import ALGORITHM_DISCRETE, HyperParams, save_checkpoint, train
+from .learner import ALGORITHM_DISCRETE, HyperParams, save_checkpoint
+from .learner import train  # noqa: F401  (perfbench/spans.py wraps this binding)
 from .market import (
     RNG_ALGORITHM,
     Historical,
     NormalIID,
+    ReturnModel,
     SkewTIID,
     annualize_market,
     bundled_monthly_csv_path,
@@ -99,14 +103,14 @@ class ProblemConfig:
 @dataclass(frozen=True)
 class LearningConfig:
     algorithm: str = ALGORITHM_DISCRETE
-    episodes: int = 15000
-    refresh_every: int = 10
-    alpha: float = 0.05
-    eta_theta: float = 0.0005
-    eta_phi: float = 0.0005
-    prefix_updates: bool = True
-    init_phi1: float = 1.0
-    init_phi2: float = 0.01
+    episodes: int = HyperParams.episodes
+    refresh_every: int = HyperParams.refresh_every
+    alpha: float = HyperParams.alpha
+    eta_theta: float = HyperParams.eta_theta
+    eta_phi: float = HyperParams.eta_phi
+    prefix_updates: bool = HyperParams.prefix_updates
+    init_phi1: float = HyperParams.init_phi1
+    init_phi2: float = HyperParams.init_phi2
 
 
 @dataclass(frozen=True)
@@ -116,11 +120,11 @@ class EvaluationConfig:
     sigma_grid_annual: Tuple[float, ...] = (0.1, 0.2, 0.3)
     seeds: Tuple[int, ...] = (1, 2, 3)
     backtest_start_years: Tuple[int, ...] = tuple(range(2004, 2014))
-    backtest_targets: Tuple[float, ...] = (1.03, 1.05, 1.07)
-    window_months: int = 120
-    horizon_months: int = 3
-    test_months: int = 120
-    online_test: bool = False
+    backtest_targets: Tuple[float, ...] = RollingSpec.targets
+    window_months: int = RollingSpec.window_months
+    horizon_months: int = RollingSpec.horizon_months
+    test_months: int = RollingSpec.test_months
+    online_test: bool = RollingSpec.online_test
     histogram_draws: int = 100000
     histogram_bins: int = 60
 
@@ -237,7 +241,7 @@ def load_config(path: Optional[str]) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.market.model not in ("normal", "skewt", "historical"):
+    if cfg.market.model not in _MODELS:
         raise ConfigError(f"config: unknown market.model {cfg.market.model!r}")
     if cfg.learning.algorithm not in LEARNERS:
         raise ConfigError(f"config: unknown learning.algorithm {cfg.learning.algorithm!r}")
@@ -323,23 +327,35 @@ def _per_period(mc: MarketConfig, sigma_annual: Optional[float] = None):
     return annualize_market(mc.a_annual, sigma, mc.r_annual, mc.periods_per_year)
 
 
+def _load_series(mc: MarketConfig):
+    return load_monthly_csv(mc.csv_path or bundled_monthly_csv_path(), mc.r_annual)
+
+
+# market.model name -> builder of the model from (market block, per-period a, per-period sigma)
+_MODELS: Dict[str, Callable[[MarketConfig, float, float], ReturnModel]] = {
+    "normal": lambda mc, a, sigma: NormalIID(a, sigma),
+    "skewt": lambda mc, a, sigma: SkewTIID(a, sigma, mc.nu, mc.slant),
+    "historical": lambda mc, a, sigma: Historical(_load_series(mc)),
+}
+
+
 def build_model(mc: MarketConfig, sigma_annual: Optional[float] = None):
     """Return (model, r_f) for one market block; sigma_annual overrides."""
+    if mc.model not in _MODELS:
+        raise ValueError(f"unknown market model {mc.model!r}")
     a, sigma, r_f = _per_period(mc, sigma_annual)
-    if mc.model == "normal":
-        return NormalIID(a, sigma), r_f
-    if mc.model == "skewt":
-        return SkewTIID(a, sigma, mc.nu, mc.slant), r_f
-    series = load_monthly_csv(mc.csv_path or bundled_monthly_csv_path(), mc.r_annual)
-    return Historical(series), r_f
+    return _MODELS[mc.model](mc, a, sigma), r_f
 
 
-def market_label(mc: MarketConfig, sigma_annual: Optional[float] = None) -> str:
+def _setting(cfg: RunConfig, sigma: Optional[float] = None) -> StudySetting:
+    """(label, model, r_f) of the configured market; sigma overrides its volatility."""
+    mc = cfg.market
+    sigma = mc.sigma_annual if sigma is None else sigma
     if mc.model == "historical":
-        name = os.path.basename(mc.csv_path) if mc.csv_path else "bundled"
-        return f"historical {name}"
-    sigma = mc.sigma_annual if sigma_annual is None else sigma_annual
-    return f"{mc.model} a={100 * mc.a_annual:g}% sigma={100 * sigma:g}%"
+        label = f"historical {os.path.basename(mc.csv_path) if mc.csv_path else 'bundled'}"
+    else:
+        label = f"{mc.model} a={100 * mc.a_annual:g}% sigma={100 * sigma:g}%"
+    return StudySetting(label, *build_model(mc, sigma))
 
 
 def problem_spec(cfg: RunConfig) -> ProblemSpec:
@@ -487,26 +503,17 @@ def cmd_iterate(cfg: RunConfig, out: str) -> None:
     _write_text(os.path.join(out, "summary.txt"), "\n".join(summary) + "\n")
 
 
-def _train_one(cfg: RunConfig, algorithm: str, seed: int, stream: int):
-    """Train one cell; returns (result, rng)."""
-    model, r_f = build_model(cfg.market)
-    rng = make_rng(seed, stream)
-    return train(hyper_params(cfg, problem_spec(cfg)), model, r_f, rng, LEARNERS[algorithm]), rng
-
-
 def cmd_train(cfg: RunConfig, out: str) -> None:
     """Single training run: log.ndjson (one JSON object per episode, keys sorted, floats in
     repr form), a checkpoint of the final parameters and generator state (no command reads it
     back yet) and a test-window report row, all written after training, each as it is formatted."""
     algorithm = cfg.learning.algorithm
-    result, rng = _train_one(cfg, algorithm, cfg.run.seed, stream=0)
-    line = _ndjson_line(LEARNERS[algorithm].record)
-    params = LEARNERS[algorithm].fields(result.params)
-    tail = [rec.terminal_wealth for rec in result.history[-cfg.evaluation.test_episodes:]]
-    mean, std, sharpe, n = terminal_stats(tail, cfg.problem.x0)
-    row = PerformanceReport(market_label(cfg.market), algorithm, cfg.run.seed, mean, std, sharpe, n)
-    _write_text(os.path.join(out, "log.ndjson"), map(line, result.history))
-    save_checkpoint(os.path.join(out, "checkpoint"), algorithm, params, rng)
+    cell = Cell(*_setting(cfg), hyper_params(cfg, problem_spec(cfg)), algorithm, cfg.run.seed, 0)
+    result, rng = train_cell(cell)
+    learner, tail = LEARNERS[algorithm], result.history[-cfg.evaluation.test_episodes:]
+    row = cell_report(cell, [rec.terminal_wealth for rec in tail])
+    _write_text(os.path.join(out, "log.ndjson"), map(_ndjson_line(learner.record), result.history))
+    save_checkpoint(os.path.join(out, "checkpoint"), algorithm, learner.fields(result.params), rng)
     write_report_csv([row], os.path.join(out, "report.csv"))
     _write_text(os.path.join(out, "summary.txt"), summary_text([row]) + "\n")
 
@@ -514,12 +521,8 @@ def cmd_train(cfg: RunConfig, out: str) -> None:
 def cmd_simulate(cfg: RunConfig, out: str) -> None:
     """Both-algorithm study over the volatility grid; writes the full report
     and its per-setting medians."""
-    spec = problem_spec(cfg)
-    hyper = hyper_params(cfg, spec)
-    settings = []
-    for sigma in cfg.evaluation.sigma_grid_annual:
-        model, r_f = build_model(cfg.market, sigma)
-        settings.append(StudySetting(market_label(cfg.market, sigma), model, r_f))
+    hyper = hyper_params(cfg, problem_spec(cfg))
+    settings = [_setting(cfg, sigma) for sigma in cfg.evaluation.sigma_grid_annual]
     split = SplitSpec(cfg.learning.episodes - cfg.evaluation.test_episodes,
                       cfg.evaluation.test_episodes)
     rows = run_simulation_study(settings, hyper, split, cfg.evaluation.seeds, cfg.run.jobs)
@@ -529,14 +532,11 @@ def cmd_simulate(cfg: RunConfig, out: str) -> None:
 
 def cmd_backtest(cfg: RunConfig, out: str) -> None:
     """Rolling decade-by-decade evaluation on a monthly close series."""
-    ev = cfg.evaluation
-    mc = cfg.market
-    series = load_monthly_csv(mc.csv_path or bundled_monthly_csv_path(), mc.r_annual)
-    spec = dataclasses.replace(problem_spec(cfg), T=ev.horizon_months)
+    series = _load_series(cfg.market)
+    spec = dataclasses.replace(problem_spec(cfg), T=cfg.evaluation.horizon_months)
     hyper = hyper_params(cfg, spec)
-    rolling = rolling_spec(cfg)
-    _, _, r_f = _per_period(mc)
-    rows = rolling_backtest(series, rolling, hyper, r_f, cfg.run.seed, cfg.run.jobs)
+    _, _, r_f = _per_period(cfg.market)
+    rows = rolling_backtest(series, rolling_spec(cfg), hyper, r_f, cfg.run.seed, cfg.run.jobs)
     write_report_csv(rows, os.path.join(out, "report.csv"))
     _write_text(os.path.join(out, "summary.txt"), summary_text(rows) + "\n")
 
@@ -547,24 +547,18 @@ def cmd_compare(cfg: RunConfig, out: str) -> None:
     Writes the joined test report, blockwise curves, and per-algorithm
     stabilization summary (first block index from which block means stay
     within 2% of the target wealth)."""
-    block = cfg.evaluation.block
-    b = cfg.problem.target_wealth
     report_rows = []
     curve_rows = []
     stable: Dict[str, List[str]] = {}
-    for stream, algorithm in enumerate(ALGORITHMS):
-        for seed in cfg.evaluation.seeds:
-            result, _rng = _train_one(cfg, algorithm, seed, stream)
-            tws = [rec.terminal_wealth for rec in result.history]
-            tail = tws[-cfg.evaluation.test_episodes:]
-            mean, std, sharpe, n = terminal_stats(tail, cfg.problem.x0)
-            report_rows.append(PerformanceReport(
-                market_label(cfg.market), algorithm, seed, mean, std, sharpe, n))
-            means, variances = learning_curves(tws, block)
-            for i, (mu, var) in enumerate(zip(means, variances)):
-                curve_rows.append((algorithm, str(seed), str(i), _fmt(mu), _fmt(var)))
-            idx = first_stable_block(means, b)
-            stable.setdefault(algorithm, []).append("none" if idx is None else str(idx))
+    hyper = hyper_params(cfg, problem_spec(cfg))
+    for cell in study_cells([_setting(cfg)], hyper, cfg.evaluation.seeds):
+        tws = [rec.terminal_wealth for rec in train_cell(cell)[0].history]
+        report_rows.append(cell_report(cell, tws[-cfg.evaluation.test_episodes:]))
+        means, variances = learning_curves(tws, cfg.evaluation.block)
+        for i, (mu, var) in enumerate(zip(means, variances)):
+            curve_rows.append((cell.algorithm, str(cell.seed), str(i), _fmt(mu), _fmt(var)))
+        idx = first_stable_block(means, cfg.problem.target_wealth)
+        stable.setdefault(cell.algorithm, []).append("none" if idx is None else str(idx))
     write_report_csv(report_rows, os.path.join(out, "report.csv"))
     _write_csv(os.path.join(out, "curves.csv"),
                ("algorithm", "seed", "block", "mean_terminal_wealth", "var_terminal_wealth"),
@@ -578,7 +572,7 @@ def cmd_compare(cfg: RunConfig, out: str) -> None:
 def cmd_histogram(cfg: RunConfig, out: str) -> None:
     """Empirical distribution of one-period excess returns under the
     configured market; bin counts sum to the number of draws."""
-    model, _r_f = build_model(cfg.market)
+    label, model, _r_f = _setting(cfg)
     if isinstance(model, Historical):
         data = np.asarray(model.series.values, dtype=float)
     else:
@@ -588,7 +582,7 @@ def cmd_histogram(cfg: RunConfig, out: str) -> None:
     _write_csv(os.path.join(out, "histogram.csv"), ("bin_left", "bin_right", "count"),
                zip(map(repr, edges[:-1]), map(repr, edges[1:]), map(str, counts.tolist())))
     summary = [
-        f"setting = {market_label(cfg.market)}",
+        f"setting = {label}",
         f"draws = {int(counts.sum())}",
         f"bins = {len(counts)}",
         f"min = {_fmt(data.min())}",

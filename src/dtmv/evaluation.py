@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from dtmv.baseline import ALGORITHM_CONTINUOUS, CONTINUOUS
 from dtmv.baseline import baseline_train  # noqa: F401  (perfbench/spans.py wraps this binding)
-from dtmv.learner import ALGORITHM_DISCRETE, DISCRETE, HyperParams, run_episodes, train
+from dtmv.learner import ALGORITHM_DISCRETE, DISCRETE, HyperParams, TrainResult, run_episodes, train
 from dtmv.market import (
     Historical,
     InsufficientDataError,
@@ -69,13 +70,24 @@ class SplitSpec:
         return self.train_episodes + self.test_episodes
 
 
-@dataclass(frozen=True)
-class StudySetting:
+class StudySetting(NamedTuple):
     """A labeled market for the simulation study."""
 
     label: str
     model: ReturnModel
     r_f: float
+
+
+class Cell(NamedTuple):
+    """One training run: labeled market, HyperParams, learner name and generator (seed, stream)."""
+
+    label: str
+    model: ReturnModel
+    r_f: float
+    hyper: HyperParams
+    algorithm: str
+    seed: int
+    stream: int
 
 
 @dataclass(frozen=True)
@@ -157,17 +169,20 @@ def first_stable_block(means: Sequence[float], target: float, rel_tol: float = 0
 
 
 # ---------------------------------------------------------------------------
-# simulation study
+# cells and the simulation study
 # ---------------------------------------------------------------------------
 
 
-def _study_cell(args) -> PerformanceReport:
-    label, model, r_f, hyper, test_episodes, algorithm, seed, stream = args
-    rng = make_rng(seed, stream)
-    history = train(hyper, model, r_f, rng, LEARNERS[algorithm]).history
-    tail = [rec.terminal_wealth for rec in history[-test_episodes:]]
-    mean, std, sharpe, n = terminal_stats(tail, hyper.spec.x0)
-    return PerformanceReport(label, algorithm, seed, mean, std, sharpe, n)
+def train_cell(cell: Cell) -> Tuple[TrainResult, np.random.Generator]:
+    """Train the cell from a fresh generator; returns the result and the generator after it."""
+    rng = make_rng(cell.seed, cell.stream)
+    return train(cell.hyper, cell.model, cell.r_f, rng, LEARNERS[cell.algorithm]), rng
+
+
+def cell_report(cell: Cell, terminal_wealths: Sequence[float]) -> PerformanceReport:
+    """The cell's report row: terminal_stats of the given wealths."""
+    stats = terminal_stats(terminal_wealths, cell.hyper.spec.x0)
+    return PerformanceReport(cell.label, cell.algorithm, cell.seed, *stats)
 
 
 def _run_cells(worker, cells, jobs: int):
@@ -180,6 +195,21 @@ def _run_cells(worker, cells, jobs: int):
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, cells))
+
+
+def study_cells(settings: Sequence[StudySetting], hyper: HyperParams,
+                seeds: Sequence[int]) -> List[Cell]:
+    """Every (setting, algorithm, seed) cell in that order; each (setting,
+    algorithm) pair has its own stream, shared by its seeds."""
+    return [Cell(*setting, hyper, algorithm, seed, si * len(ALGORITHMS) + ai)
+            for si, setting in enumerate(settings)
+            for ai, algorithm in enumerate(ALGORITHMS)
+            for seed in seeds]
+
+
+def _study_cell(test_episodes: int, cell: Cell) -> PerformanceReport:
+    tail = train_cell(cell)[0].history[-test_episodes:]
+    return cell_report(cell, [rec.terminal_wealth for rec in tail])
 
 
 def run_simulation_study(
@@ -201,24 +231,8 @@ def run_simulation_study(
         )
     if not settings or not seeds:
         raise ValueError("settings and seeds must be nonempty")
-    cells = []
-    for si, setting in enumerate(settings):
-        for ai, algorithm in enumerate(ALGORITHMS):
-            for seed in seeds:
-                stream = si * len(ALGORITHMS) + ai
-                cells.append(
-                    (
-                        setting.label,
-                        setting.model,
-                        setting.r_f,
-                        hyper,
-                        split.test_episodes,
-                        algorithm,
-                        seed,
-                        stream,
-                    )
-                )
-    return _run_cells(_study_cell, cells, jobs)
+    cells = study_cells(settings, hyper, seeds)
+    return _run_cells(partial(_study_cell, split.test_episodes), cells, jobs)
 
 
 def median_summary(rows: Sequence[PerformanceReport]) -> List[Dict[str, object]]:
@@ -253,36 +267,15 @@ def median_summary(rows: Sequence[PerformanceReport]) -> List[Dict[str, object]]
 # ---------------------------------------------------------------------------
 
 
-def _backtest_cell(args) -> PerformanceReport:
-    series, rolling, hyper, r_f, year, target, algorithm, seed, stream = args
-    spec = replace(hyper.spec, b=target)
-    hyper = replace(hyper, spec=spec)
-    decade = f"{year}-{year + rolling.test_months // 12 - 1}"
-    label = f"{decade} b={target:g}"
-
-    test_start = month_index(f"{year:04d}-01")
-    train_start = test_start - rolling.window_months
-    n_windows = rolling.test_months // rolling.horizon_months
-    try:
-        train_series = series.subseries(month_label(train_start), rolling.window_months)
-        test_values = series.slice_months(
-            month_label(test_start), n_windows * rolling.horizon_months
-        )
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(f"{label}: {exc}") from exc
-
-    rng = make_rng(seed, stream)
-    model = Historical(train_series)
-
-    learner, h = LEARNERS[algorithm], rolling.horizon_months
-    params = train(hyper, model, r_f, rng, learner).params
+def _backtest_cell(online_test: bool, cell_and_test: Tuple[Cell, np.ndarray]) -> PerformanceReport:
+    cell, test_values = cell_and_test
+    result, rng = train_cell(cell)
+    learner, h = LEARNERS[cell.algorithm], cell.hyper.spec.T
     # one (returns, policy normals) pair per test window, its normals drawn as it runs
     windows = ((test_values[j * h : (j + 1) * h].tolist(), rng.standard_normal(h).tolist())
-               for j in range(n_windows))
-    tested = run_episodes(learner, hyper, r_f, windows, params, rolling.online_test)
-    wealths = [rec.terminal_wealth for rec in tested.history]
-    mean, std, sharpe, n = terminal_stats(wealths, spec.x0)
-    return PerformanceReport(label, algorithm, seed, mean, std, sharpe, n)
+               for j in range(test_values.size // h))
+    tested = run_episodes(learner, cell.hyper, cell.r_f, windows, result.params, online_test)
+    return cell_report(cell, [rec.terminal_wealth for rec in tested.history])
 
 
 def rolling_backtest(
@@ -305,20 +298,30 @@ def rolling_backtest(
 
     Returns len(test_years) * len(targets) * 2 rows in (year, target,
     algorithm) order.  Raises InsufficientDataError naming the first month
-    an incomplete cell would need.
+    an incomplete cell would need, before any cell trains.
     """
     if hyper.spec.T != rolling.horizon_months:
         raise ValueError(
             f"hyper horizon T={hyper.spec.T} != rolling horizon {rolling.horizon_months}"
         )
+    n_test = rolling.test_months // rolling.horizon_months * rolling.horizon_months
     cells = []
-    idx = 0
     for year in rolling.test_years:
+        decade = f"{year}-{year + rolling.test_months // 12 - 1}"
+        test_start = month_index(f"{year:04d}-01")
+        try:
+            model = Historical(series.subseries(
+                month_label(test_start - rolling.window_months), rolling.window_months))
+            test_values = series.slice_months(month_label(test_start), n_test)
+        except InsufficientDataError as exc:
+            raise InsufficientDataError(f"{decade} b={rolling.targets[0]:g}: {exc}") from exc
         for target in rolling.targets:
+            cell_hyper = replace(hyper, spec=replace(hyper.spec, b=target))
             for algorithm in ALGORITHMS:
-                cells.append((series, rolling, hyper, r_f, year, target, algorithm, seed, idx))
-                idx += 1
-    return _run_cells(_backtest_cell, cells, jobs)
+                cell = Cell(f"{decade} b={target:g}", model, r_f, cell_hyper, algorithm, seed,
+                            len(cells))
+                cells.append((cell, test_values))
+    return _run_cells(partial(_backtest_cell, rolling.online_test), cells, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from dtmv.analytic import GaussianPolicy, ProblemSpec
+from dtmv.analytic import GaussianPolicy, ProblemSpec, discount_factor
 from dtmv.market import RNG_ALGORITHM, ReturnModel, episode_draws, sample_path
 
 ALGORITHM_DISCRETE = "emv-discrete"
@@ -214,15 +214,11 @@ class _Run(NamedTuple):
     hold_phi1: bool
 
 
-def _discount(t: int, T: int, r_f: float) -> float:
-    return r_f ** -(T - t)
-
-
 def _setup(learner: Learner, hyper: HyperParams, r_f) -> _Run:
     spec = hyper.spec
     T, lam = spec.T, spec.lam
     if learner.compounding:
-        rhos = tuple(_discount(t, T, r_f) for t in range(T + 1))
+        rhos = tuple(discount_factor(t, T, r_f) for t in range(T + 1))
         floor = -math.log(r_f) + PHI2_MARGIN
     else:
         rhos, floor = (1.0,) * (T + 1), PHI2_MARGIN
@@ -532,9 +528,7 @@ def policy_entropy(phi: PolicyParams, spec: ProblemSpec, t: int) -> float:
 def value_from_params(
     theta: ValueParams, spec: ProblemSpec, r_f: float, t: int, x: float, w: float
 ) -> float:
-    if not 0 <= t <= spec.T:
-        raise ValueError(f"t={t} outside 0..{spec.T}")
-    dev = x - _discount(t, spec.T, r_f) * w
+    dev = x - discount_factor(t, spec.T, r_f) * w  # raises for t outside 0..T
     return (
         theta.theta1 ** (spec.T - t) * dev * dev
         + theta.theta2 * t * t

@@ -131,6 +131,12 @@ def test_config_validation_rules(tmp_path):
         load_config(str(tmp_path / "absent.ini"))
 
 
+def test_build_model_rejects_an_unknown_market_name():
+    """An unknown name is an error, not the historical model over the bundled series."""
+    with pytest.raises(ValueError, match="nrmal"):
+        build_model(MarketConfig(model="nrmal"))
+
+
 def test_grid_needs_three_points(tmp_path, capsys):
     """The DP oracle needs three grid points; fewer is a config error that
     names the key, raised before any output is written."""
@@ -585,6 +591,20 @@ def test_compare_emits_curves_and_stabilization_summary(tmp_path, capsys):
     assert len(report) == 4
 
 
+def test_compare_reports_what_simulate_reports_on_its_one_market(tmp_path, capsys):
+    """With the volatility grid the one configured volatility, compare trains
+    simulate's cells on the same streams, so the two reports are the same bytes."""
+    cfg = _cfg_file(tmp_path)  # sigma_grid_annual = 0.2 = market.sigma_annual
+    assert load_config(cfg).evaluation.sigma_grid_annual == (MarketConfig.sigma_annual,)
+    reports = []
+    for command in ("compare", "simulate"):
+        out = tmp_path / command
+        code, _, _ = _run([command, "--config", cfg, "--out", str(out)], capsys)
+        assert code == 0
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_histogram_bins_sum_to_draws(tmp_path, capsys):
     cfg = _cfg_file(tmp_path)
     out = str(tmp_path / "h")
@@ -716,6 +736,37 @@ def test_every_traced_name_resolves_to_a_callable():
         module = importlib.import_module(module_name)
         for name in names:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+TRACER_ONLY = "# noqa: F401  (perfbench/spans.py wraps this binding)"
+
+
+def test_every_tracer_only_import_is_traced():
+    """A binding that src/ imports only for the tracer names a (module, name)
+    pair of perfbench/spans.py's WRAPPED, so none outlives the tracer's need."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "perfbench", "spans.py")) as fh:
+        tree = ast.parse(fh.read())
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+    ]
+    traced = {(module, name) for module, names in wrapped for name in names}
+    package = os.path.join(root, "src", "dtmv")
+    bindings = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename)) as fh:
+            for line in fh:
+                if TRACER_ONLY in line:
+                    (node,) = ast.parse(line.split("#", 1)[0]).body
+                    module = f"dtmv.{filename[:-3]}"
+                    bindings += [(module, a.asname or a.name) for a in node.names]
+    assert bindings
+    assert [b for b in bindings if b not in traced] == []
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dtmv.evaluation import (
     summary_text,
     terminal_stats,
 )
-from dtmv.learner import ALGORITHM_DISCRETE, HyperParams
+from dtmv.learner import ALGORITHM_DISCRETE, HyperParams, train
 from dtmv.market import (
     InsufficientDataError,
     NormalIID,
@@ -222,6 +222,19 @@ def test_rolling_backtest_names_the_missing_month():
     rolling = RollingSpec(test_years=(2004,), targets=(1.05,), test_months=12)
     with pytest.raises(InsufficientDataError, match="1994-01"):
         rolling_backtest(series, rolling, _hist_hyper(), R_F, seed=1)
+
+
+def test_rolling_backtest_fails_on_missing_data_before_any_cell_trains(monkeypatch):
+    """The decade that lacks data is the second one; its error, with the label
+    of its first cell, comes before the first decade's cells train."""
+    calls = []
+    monkeypatch.setattr("dtmv.evaluation.train", lambda *args: calls.append(args) or train(*args))
+    series = _noise_series()  # 1992-01 .. 2009-12
+    rolling = RollingSpec(test_years=(2002, 2009), targets=(1.03, 1.05), test_months=24)
+    with pytest.raises(InsufficientDataError) as info:
+        rolling_backtest(series, rolling, _hist_hyper(), R_F, seed=1)
+    assert str(info.value) == "2009-2010 b=1.03: series has no data for 2010-01"
+    assert calls == []
 
 
 def test_rolling_backtest_tolerates_constant_returns():
