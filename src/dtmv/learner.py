@@ -4,17 +4,20 @@ The learner never sees the return distribution.  It fits a parametric value
 surface and Gaussian policy by stochastic gradient steps on a squared
 Bellman-residual cost, and tunes the Lagrange target w from realized
 terminal wealths.  The policy's scale phi1 is not identified by that cost
-and keeps its initial value (see _descend); this departs from a plain
+and keeps its initial value (see _kernel_source); this departs from a plain
 gradient step on every parameter.  The riskless factor r_f is treated as
 known.
 
-One episode kernel serves both learners: _episode rolls out the policy
-(_policy), records the terminal wealth, refreshes w, and runs the
-growing-prefix updates and the cost (_descend) on local floats.
-run_episodes is its one driver: it runs the kernel on each (returns, policy
-normals) pair it is given, checks for divergence and returns a TrainResult;
-train feeds it each episode's draws (market.episode_draws), and the
-backtest's test windows feed it the windows.  A Learner is data: its
+One episode kernel serves both learners.  _kernel_source writes it as
+straight-line Python for each run structure (horizon, passes and the
+learner's constants): the policy, the rollout, and the learning episode,
+which rolls out, records the terminal wealth, refreshes w, and runs the
+growing-prefix updates and the cost on local floats.  _compile compiles a
+structure once; _setup binds a run's floats to it.  run_episodes is its one
+driver: it runs the kernel on each (returns, policy normals) pair it is
+given, checks for divergence and returns a TrainResult; train feeds it each
+episode's draws (market.episode_draws), and the backtest's test windows feed
+it the windows.  A Learner is data: its
 params, its records and the few constants in which the continuous-time
 comparator (dtmv.baseline.CONTINUOUS) differs from DISCRETE here.  The
 public functions on samples and parameters (cost, grad_theta, grad_phi,
@@ -24,6 +27,8 @@ the kernel.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
@@ -99,6 +104,9 @@ class HyperParams:
     init_phi2: float = 0.01
 
     def __post_init__(self) -> None:
+        for name in ("eta_theta", "eta_phi", "alpha", "init_phi1", "init_phi2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
         if self.refresh_every < 1:
@@ -160,7 +168,7 @@ class TrainResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the episode kernel, shared by both learners
+# the episode kernel, generated per run structure and shared by both learners
 # ---------------------------------------------------------------------------
 
 
@@ -175,7 +183,7 @@ class Learner:
     at period t, m = T - t - 1 periods after it, by gradient steps on the
     squared residuals
         q_{t+1} - q_t + theta2 (2t + 1) + theta3 - lam (phi1 + phi2 (m + shift))
-    of the transitions t -> t + 1 (_descend).
+    of the transitions t -> t + 1 (_kernel_source).
 
     fields names the values of its params, w (the Lagrange target) last:
     the kernel's theta1..w, or theta2..w for a learner that keeps no theta1.
@@ -191,87 +199,46 @@ class Learner:
     # and a slope with the root of r_f^2 - exp(-2 phi2), so phi2 > -ln(r_f);
     # else c_t = w and the root of 2 phi2, so phi2 > 0
     compounding: bool
-    hold_phi1: bool  # phi1 held, theta3 taking its move (_descend), or stepped
+    hold_phi1: bool  # phi1 held, theta3 taking its move (_kernel_source), or stepped
 
 
-class _Run(NamedTuple):
-    """A learner's constants over one run of the kernel."""
-
-    T: int
-    x0: float
-    b: float
-    lam: float
-    r_f: float
-    eta_theta: float
-    eta_phi: float
-    refresh_every: int
-    passes: tuple  # (n, step) of _descend over an episode: each prefix, then the cost
-    rhos: tuple  # c_t / w, t = 0..T
-    counts: tuple  # m + shift, t < T
-    steps: tuple  # (m, 2t + 1, m + shift, 2 (m + 1), 2m, lam (m + shift)), t < T
-    floor: float  # of phi2
-    compounding: bool
-    hold_phi1: bool
+def _names(prefix: str, periods) -> str:
+    """'x0, x1, ' for ('x', range(2)): a tuple's items, or its unpacking targets."""
+    return "".join(f"{prefix}{t}, " for t in periods)
 
 
-def _setup(learner: Learner, hyper: HyperParams, r_f) -> _Run:
-    spec = hyper.spec
-    T, lam = spec.T, spec.lam
-    if learner.compounding:
-        rhos = tuple(discount_factor(t, T, r_f) for t in range(T + 1))
-        floor = -math.log(r_f) + PHI2_MARGIN
-    else:
-        rhos, floor = (1.0,) * (T + 1), PHI2_MARGIN
-    counts = tuple(T - t - 1 + learner.shift for t in range(T))
-    steps = tuple(
-        (T - t - 1, 2.0 * t + 1.0, c, 2.0 * (T - t), 2.0 * (T - t - 1), lam * c)
-        for t, c in enumerate(counts)
-    )
-    prefixes = range(1, T + 1) if hyper.prefix_updates else (T,)
-    passes = tuple((n, True) for n in prefixes) + ((T, False),)
-    return _Run(T, spec.x0, spec.b, lam, r_f, hyper.eta_theta, hyper.eta_phi, hyper.refresh_every,
-                passes, rhos, counts, steps, floor, learner.compounding, learner.hold_phi1)
-
-
-def _values(learner: Learner, params) -> Tuple[Tuple[float, ...], int]:
-    """The kernel's values (theta1, theta2, theta3, theta4, phi1, phi2, w) of
-    params, theta1 = exp(-2 phi2), and the index of the first one the
-    learner keeps."""
-    f = learner.fields(params)
-    v = (math.exp(-2.0 * f["phi2"]), f["theta2"], f["theta3"], f["theta4"], f["phi1"],
-         f["phi2"], f["w"])
-    return v, 0 if "theta1" in f else 1
-
-
-def _policy(run: _Run, phi1: float, phi2: float, e2: float):
-    """(slope, [variance_t for t < T]) of the learner's policy, e2 being
-    exp(-2 phi2); raises InfeasiblePolicyError where the root under the
-    slope is not of a positive number or a variance is not positive."""
-    gap = run.r_f * run.r_f - e2 if run.compounding else 2.0 * phi2
-    if not gap > 0.0:
-        raise InfeasiblePolicyError(f"phi2={phi2} below the floor of the feasible region")
-    p1, p2, exp, two_pi = 2.0 * phi1, 2.0 * phi2, math.exp, 2.0 * math.pi
-    slope = -math.sqrt(gap / (run.lam * math.pi)) * exp((p1 - 1.0) / 2.0)
-    variances = [exp(p2 * c + p1 - 1.0) / two_pi for c in run.counts]
-    if not min(variances) > 0.0:
-        raise InfeasiblePolicyError(f"the policy variance is {min(variances)!r}")
-    return slope, variances
-
-
-def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1, phi2, e2, w,
-             grads=None):
-    """Passes over the residuals of the n transitions from period t_first
-    at the current values, one per (n, step) in passes.  With step set, a
-    pass sums the gradient (g_t2, g_t3, g_p1, g_p2) in (theta2, theta3,
-    phi1, phi2) of half their summed squares, then takes one gradient step
-    of sizes (eta_theta, eta_phi) on it, or on grads when they are given;
-    without, it sums their squares.  devs[k] is the deviation x - c_t of the
-    state at period t_first + k from the centers at w; a pass without a step
-    reads devs_after, the deviations from the centers at w after the
-    episode's refresh.  e2 is exp(-2 phi2), i.e. theta1: the value surface
-    and the policy share phi2.  Returns theta1..phi2 after the steps, with
-    theta1 and theta4 pinned at w, and the gradient and the summed squares
-    of the last pass.
+def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_first: int,
+                   passes: tuple) -> Tuple[str, ...]:
+    """Python sources of a learner's episode kernel at horizon T, with the
+    passes (n, step) over the residuals of the n transitions from period
+    t_first: one function each, compiled one at a time (_compile), which
+    read a run's floats as globals (_setup).  Of the values
+    v = (theta1, ..., w), theta1 being e2 = exp(-2 phi2):
+        policy(phi1, phi2, e2) -> (slope, variance_t for t < T); raises
+            InfeasiblePolicyError where the root under the slope is not of a
+            positive number or a variance is not positive;
+        rollout(v, rets, z) -> (x_0..x_T, u_0..u_{T-1}): one episode over
+            the T excess returns rets and the T standard normals z of the
+            policy, fixed for the episode, u_t = slope (x_t - c_t) +
+            sqrt(variance_t) z_t;
+        learn(v, lag, rets, z) -> (v after it, its cost, x_T): that
+            rollout, its terminal wealth recorded in lag, w refreshed every
+            refresh_every recorded wealths, then the passes; the cost is
+            half the summed squares of the last pass;
+        descend(theta2, theta3, phi1, phi2, e2, w, devs, devs_after, grads)
+            -> (theta1..phi2, the gradient of the last step pass, the summed
+            squares of the last pass without one): the passes alone.
+    With step set, a pass sums the gradient (g_t2, g_t3, g_p1, g_p2) in
+    (theta2, theta3, phi1, phi2) of half the summed squared residuals, then
+    takes one gradient step of sizes (eta_theta, eta_phi) on it, or on grads
+    when descend is given them; without, it sums their squares.  A step pass
+    reads the deviations x - c_t of the states from the centers at w
+    (devs[k] at period t_first + k), one without a step those at the w after
+    the episode's refresh (devs_after).  The steps leave theta1 and theta4
+    pinned at w.  Each run of passes of one kind is one more function, a
+    loop over their n around the straight-line residuals of the longest with
+    a break after each shorter n: no source grows faster than T, however
+    many growing prefixes there are, and neither does the compiler's memory.
 
     phi1 enters every residual only through theta3 - lam * phi1, so its
     partial g_p1 is always -lam times the theta3 partial g_t3: the cost is
@@ -295,86 +262,151 @@ def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1,
     evaluated in the float order each learner's pinned outputs were computed
     in: e2**(T - t) * dev * dev and T**2 where compounding is set (the
     discrete learner), dev * dev * exp(-2 phi2 (T - t)) and T * T otherwise.
+    Every other operation keeps the order of the loop kernel this source
+    replaced, sums starting at 0.0 included, so outputs are unchanged.
     """
-    T, b, lam, steps, floor = run.T, run.b, run.lam, run.steps, run.floor
-    eta_theta, eta_phi = run.eta_theta, run.eta_phi
-    hold, compounding = run.hold_phi1, run.compounding
-    exp = math.exp
-    for n, step in passes:
-        g_t2 = g_t3 = g_p2 = sq = 0.0
-        d = devs if step else devs_after
-        if n:
-            dev = d[0]
-            left = T - t_first
-            q1 = e2**left * dev * dev if compounding else dev * dev * exp(-2.0 * phi2 * left)
-            for k in range(n):
-                m, wt, count, a0, a1, lam_count = steps[t_first + k]
-                q0 = q1
-                dev = d[k + 1]
-                q1 = e2**m * dev * dev if compounding else dev * dev * exp(-2.0 * phi2 * m)
-                res = q1 - q0 + theta2 * wt + theta3 - lam * (phi1 + phi2 * count)
-                if step:
-                    g_t2 += res * wt
-                    g_t3 += res
-                    g_p2 += res * (a0 * q0 - a1 * q1 - lam_count)
-                else:
-                    sq += res * res
-        g_p1 = -lam * g_t3
-        if grads is not None:
-            g_t2, g_t3, g_p1, g_p2 = grads
+    ts, periods = range(T), range(T + 1)
+
+    def q(t, dev):  # the weighted square q_t of the deviation dev{t}
+        d = f"{dev}{t} * {dev}{t}"
+        return f"e2**{T - t} * {d}" if compounding else f"{d} * exp(-2.0 * phi2 * {T - t})"
+
+    def function(head, lines):
+        return "".join([f"def {head}:\n", *(f"    {line}\n" for line in lines)])
+
+    groups, learn_calls, descend_calls = [], [], []
+    for i, (step, group) in enumerate(itertools.groupby(passes, key=lambda p: p[1])):
+        ns, dev, body = tuple(n for n, _ in group), "d" if step else "a", []
+        for k in range(max(ns)):
+            t = t_first + k
+            body += [f"if n == {k}:", "    break"] * (k in ns)
+            body += [f"q{t} = {q(t, dev)}"] * (k == 0) + [
+                f"q{t + 1} = {q(t + 1, dev)}",
+                f"res = q{t + 1} - q{t} + theta2 * {2.0 * t + 1.0!r} + theta3"
+                f" - lam * (phi1 + phi2 * {T - t - 1 + shift})",
+            ] + ([f"g_t2 += res * {2.0 * t + 1.0!r}", "g_t3 += res",
+                  f"g_p2 += res * ({2.0 * (T - t)!r} * q{t} - {2.0 * (T - t - 1)!r}"
+                  f" * q{t + 1} - lc{t})"] if step else ["sq += res * res"])
+        lines = [f"for n in {ns!r}:", "    g_t2 = g_t3 = g_p2 = 0.0" if step else "    sq = 0.0",
+                 "    while True:", *(f"        {line}" for line in body), "        break"]
         if step:
-            theta2 = theta2 - eta_theta * g_t2
-            theta3 = theta3 - eta_theta * g_t3
-            if hold:
-                theta3 = theta3 + lam * eta_phi * g_p1
-            else:
-                phi1 = phi1 - eta_phi * g_p1
-            phi2 = phi2 - eta_phi * g_p2
-            if phi2 < floor:
-                phi2 = floor
-            e2 = exp(-2.0 * phi2)
-    theta4 = (-theta2 * T**2 if compounding else -theta2 * T * T) - theta3 * T - (w - b) ** 2
-    return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq
+            move = (["theta3 = theta3 - eta_theta * g_t3 + lam_eta_phi * g_p1"] if hold_phi1 else
+                    ["theta3 = theta3 - eta_theta * g_t3", "phi1 = phi1 - eta_phi * g_p1"])
+            lines += [f"    {line}" for line in [
+                "g_p1 = -lam * g_t3",
+                "if grads is not None:",
+                "    g_t2, g_t3, g_p1, g_p2 = grads",
+                "theta2 = theta2 - eta_theta * g_t2", *move,
+                "phi2 = phi2 - eta_phi * g_p2",
+                "if phi2 < floor:",
+                "    phi2 = floor",
+                "e2 = exp(-2.0 * phi2)",
+            ]]
+        state = "theta2, theta3, phi1, phi2, e2, g_t2, g_t3, g_p1, g_p2" if step else "sq"
+        reads = _names(dev, range(t_first, t_first + max(ns) + 1)) if max(ns) else ""
+        devs = ("*devs" if step else "*devs_after") * (max(ns) > 0)
+        grads, call = "grads, " * step, f"{state} = pass{i}(theta2, theta3, phi1, phi2, e2, "
+        groups.append(function(f"pass{i}(theta2, theta3, phi1, phi2, e2, {grads}{reads})",
+                               [*lines, f"return {state}"]))
+        learn_calls.append(f"{call}{'None, ' * step}{reads})")
+        descend_calls.append(f"{call}{grads}{devs})")
+    square = f"{T ** 2}" if compounding else f"{T} * {T}"
+    theta4 = f"theta4 = -theta2 * {square} - theta3 * {T} - (w - b) ** 2"
+    policy = [
+        "gap = r_f * r_f - e2" if compounding else "gap = 2.0 * phi2",
+        "if not gap > 0.0:",
+        "    raise InfeasiblePolicyError(f'phi2={phi2} below the floor of the feasible region')",
+        "p1 = 2.0 * phi1",
+        "p2 = 2.0 * phi2",
+        "slope = -sqrt(gap / lam_pi) * exp((p1 - 1.0) / 2.0)",
+        *(f"s{t} = exp(p2 * {T - t - 1 + shift} + p1 - 1.0) / two_pi" for t in ts),
+        f"if not min(({_names('s', ts)})) > 0.0:",
+        f"    raise InfeasiblePolicyError(f'the policy variance is {{min(({_names('s', ts)}))!r}}')",
+    ]
+    rollout = [f"{_names('r', ts)}= rets", f"{_names('z', ts)}= z", "x0 = x_init",
+               "d0 = x0 - rho0 * w"]
+    for t in ts:
+        rollout += [f"u{t} = slope * d{t} + sqrt(s{t}) * z{t}",
+                    f"x{t + 1} = r_f * x{t} + r{t} * u{t}",  # step_wealth
+                    f"d{t + 1} = x{t + 1} - rho{t + 1} * w"]
+    record = [
+        "tws = lag.terminal_wealths",
+        f"tws.append(x{T})",
+        "w_after = w",
+        "if len(tws) % refresh_every == 0:",
+        "    update_w(lag, b, refresh_every)",
+        "    w_after = lag.w",
+        *(f"    a{t} = x{t} - rho{t} * w_after" for t in periods),  # the centers move with w
+        "else:",
+        f"    {_names('a', periods)}= {_names('d', periods)}",
+    ]
+    return (
+        function("policy(phi1, phi2, e2)", [*policy, f"return slope, ({_names('s', ts)})"]),
+        function("rollout(v, rets, z)", ["e2, _, _, _, phi1, phi2, w = v", *policy, *rollout,
+                                         f"return ({_names('x', periods)}), ({_names('u', ts)})"]),
+        function("learn(v, lag, rets, z)", [
+            "e2, theta2, theta3, _, phi1, phi2, w = v", *policy, *rollout, *record, *learn_calls,
+            theta4, f"return (e2, theta2, theta3, theta4, phi1, phi2, w_after), 0.5 * sq, x{T}"]),
+        function("descend(theta2, theta3, phi1, phi2, e2, w, devs, devs_after, grads)", [
+            "g_t2 = g_t3 = g_p1 = g_p2 = sq = 0.0", *descend_calls, theta4,
+            "return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq"]),
+        *groups,
+    )
 
 
-def _episode(run: _Run, v, lag, rets, z, learn):
-    """One episode from the values v = (theta1, ..., w) over the excess
-    returns rets and the T standard normals z of the policy (floats).
+@functools.lru_cache(maxsize=32)
+def _compile(*structure) -> tuple:
+    """The code of each function of _kernel_source(*structure), compiled
+    once per structure and one function at a time."""
+    return tuple(compile(source, "<episode kernel>", "exec") for source in _kernel_source(*structure))
 
-    The policy is fixed for the episode: the control at period t is
-    u_t = slope * (x_t - c_t) + sqrt(variance_t) * z_t.  With learn set, its
-    terminal wealth is then recorded in lag, w refreshed every refresh_every
-    recorded wealths, and _descend takes one gradient step per growing prefix
-    of its transitions (or one on all of them when prefix_updates is off) and
-    the cost of all of them at the values after the episode.  Returns the
-    wealths x_0..x_T, the controls u_0..u_{T-1}, those values and, with
-    learn, that cost.
-    """
-    T, x, b, r_f, rhos = run.T, run.x0, run.b, run.r_f, run.rhos
-    e2, theta2, theta3, _, phi1, phi2, w = v
-    slope, variances = _policy(run, phi1, phi2, e2)
-    sqrt = math.sqrt
-    dev = x - rhos[0] * w
-    wealth, controls, devs = [x], [], [dev]
-    for t in range(T):
-        u = slope * dev + sqrt(variances[t]) * z[t]
-        x = r_f * x + rets[t] * u  # step_wealth
-        dev = x - rhos[t + 1] * w
-        wealth.append(x)
-        controls.append(u)
-        devs.append(dev)
-    if not learn:
-        return wealth, controls, v, None
-    lag.terminal_wealths.append(x)
-    w_after, devs_after = w, devs
-    if len(lag.terminal_wealths) % run.refresh_every == 0:
-        update_w(lag, b, run.refresh_every)
-        w_after = lag.w
-        # the centers move with w, and the deviations with them
-        devs_after = [xt - rho * w_after for xt, rho in zip(wealth, rhos)]
-    values, _, sq = _descend(run, run.passes, devs, devs_after, 0, theta2, theta3, phi1, phi2, e2,
-                             w)
-    return wealth, controls, (*values, w_after), 0.5 * sq
+
+class _Kernel(NamedTuple):
+    """A learner's generated functions (_kernel_source) bound to one run's
+    floats, and its centers c_t / w, t = 0..T."""
+
+    policy: Callable
+    rollout: Callable
+    learn: Callable
+    descend: Callable
+    rhos: tuple
+
+
+def _setup(learner: Learner, hyper: HyperParams, r_f, t_first: int = 0, passes=None) -> _Kernel:
+    """The learner's kernel for hyper at r_f, its functions reading the
+    run's floats as globals; passes default to a step on each growing
+    prefix (or on the whole episode) and then the cost."""
+    spec = hyper.spec
+    T, lam = spec.T, spec.lam
+    if learner.compounding:
+        rhos = tuple(discount_factor(t, T, r_f) for t in range(T + 1))
+        floor = -math.log(r_f) + PHI2_MARGIN
+    else:
+        rhos, floor = (1.0,) * (T + 1), PHI2_MARGIN
+    if passes is None:
+        prefixes = range(1, T + 1) if hyper.prefix_updates else (T,)
+        passes = tuple((n, True) for n in prefixes) + ((T, False),)
+    names = {
+        "exp": math.exp, "sqrt": math.sqrt, "two_pi": 2.0 * math.pi, "update_w": update_w,
+        "InfeasiblePolicyError": InfeasiblePolicyError, "x_init": spec.x0, "b": spec.b, "lam": lam,
+        "r_f": r_f, "eta_theta": hyper.eta_theta, "eta_phi": hyper.eta_phi,
+        "refresh_every": hyper.refresh_every, "floor": floor, "lam_pi": lam * math.pi,
+        "lam_eta_phi": lam * hyper.eta_phi, **{f"rho{t}": rho for t, rho in enumerate(rhos)},
+        **{f"lc{t}": lam * (T - t - 1 + learner.shift) for t in range(T)},
+    }
+    for code in _compile(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes):
+        exec(code, names)
+    return _Kernel(names["policy"], names["rollout"], names["learn"], names["descend"], rhos)
+
+
+def _values(learner: Learner, params) -> Tuple[Tuple[float, ...], int]:
+    """The kernel's values (theta1, theta2, theta3, theta4, phi1, phi2, w) of
+    params, theta1 = exp(-2 phi2), and the index of the first one the
+    learner keeps."""
+    f = learner.fields(params)
+    v = (math.exp(-2.0 * f["phi2"]), f["theta2"], f["theta3"], f["theta4"], f["phi1"],
+         f["phi2"], f["w"])
+    return v, 0 if "theta1" in f else 1
 
 
 def update_w(state: LagrangeState, b: float, n: int) -> LagrangeState:
@@ -398,10 +430,10 @@ def _diverged(learner: Learner, ep: int, why: str, values) -> TrainingDivergedEr
 
 def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, params=None,
                  learn: bool = True) -> TrainResult:
-    """Run the kernel once per (returns, policy normals) pair of float lists
-    in draws, from params (the learner's cold start from hyper when None);
-    returns the final params and one record per episode.  With learn off
-    the params stay as given and only the rollouts are recorded.
+    """Run the kernel once per (returns, policy normals) pair of T-float
+    lists in draws, from params (the learner's cold start from hyper when
+    None); returns the final params and one record per episode.  With learn
+    off the params stay as given and only the rollouts are recorded.
 
     Raises InfeasiblePolicyError when params define no policy.  With learn
     set, raises TrainingDivergedError when the residual cost exceeds
@@ -414,32 +446,34 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
     """
     if params is None:
         params = learner.cold_start(hyper.spec, r_f, hyper.init_phi1, hyper.init_phi2)
-    run = _setup(learner, hyper, r_f)
+    kernel = _setup(learner, hyper, r_f)
     v, kept = _values(learner, params)
-    _policy(run, v[4], v[5], v[0])  # raises where params define no policy
+    kernel.policy(v[4], v[5], v[0])  # raises where params define no policy
     lag = LagrangeState(w=v[-1], alpha=hyper.alpha)
     history = []
-    record = learner.record
+    record, episode, rollout = learner.record, kernel.learn, kernel.rollout
     for ep, (rets, z) in enumerate(draws, 1):
         try:
-            wealth, _, v_next, cost_ = _episode(run, v, lag, rets, z, learn)
+            if learn:
+                v, cost_, x_T = episode(v, lag, rets, z)
+            else:
+                x_T = rollout(v, rets, z)[0][-1]
         except (InfeasiblePolicyError, OverflowError) as exc:
             raise _diverged(learner, ep, f"{type(exc).__name__}: {exc}", v[kept:]) from exc
-        v = v_next
         if learn and not (all(map(math.isfinite, v)) and abs(cost_) <= DIVERGENCE_COST):
             raise _diverged(learner, ep, f"cost {cost_!r}", v[kept:])
-        history.append(record(ep, wealth[-1], *v[kept:]))
+        history.append(record(ep, x_T, *v[kept:]))
     return TrainResult(learner.params(*v[kept:]) if learn else params, tuple(history))
 
 
 def learner_policy(learner, spec: ProblemSpec, r_f, phi1: float, phi2: float, t: int, x: float,
                    w: float) -> GaussianPolicy:
-    """The learner's Gaussian control density at state (t, x) (_policy)."""
+    """The learner's Gaussian control density at state (t, x) (its kernel's policy)."""
     if not 0 <= t < spec.T:
         raise ValueError(f"t={t} outside 0..{spec.T - 1}")
-    run = _setup(learner, HyperParams(spec), r_f)
-    slope, variances = _policy(run, phi1, phi2, math.exp(-2.0 * phi2))
-    return GaussianPolicy(slope * (x - run.rhos[t] * w), variances[t])
+    kernel = _setup(learner, HyperParams(spec), r_f)
+    slope, variances = kernel.policy(phi1, phi2, math.exp(-2.0 * phi2))
+    return GaussianPolicy(slope * (x - kernel.rhos[t] * w), variances[t])
 
 
 def _check_samples(samples: Sequence[Tuple[int, float]], T: int) -> None:
@@ -451,26 +485,25 @@ def _check_samples(samples: Sequence[Tuple[int, float]], T: int) -> None:
 
 
 def _on_samples(learner, samples, params, spec: ProblemSpec, r_f, step: bool):
-    """One pass of _descend over (t, x) samples of consecutive periods in
-    0..T: the gradient (theta2, theta3, phi1, phi2) of half the summed
-    squared residual with step set (its step is not kept), else that sum; an
-    empty or single-state sample list has no transitions and sums to 0."""
+    """One pass of the kernel's descend over (t, x) samples of consecutive
+    periods in 0..T: the gradient (theta2, theta3, phi1, phi2) of half the
+    summed squared residual with step set (its step is not kept), else that
+    sum; an empty or single-state sample list has no transitions and sums
+    to 0."""
     _check_samples(samples, spec.T)
-    run = _setup(learner, HyperParams(spec), r_f)
-    (e2, theta2, theta3, _, phi1, phi2, w), _ = _values(learner, params)
-    devs = [x - run.rhos[t] * w for t, x in samples]
     t_first, n = (samples[0][0], len(samples) - 1) if samples else (0, 0)
-    _, grads, sq = _descend(run, ((n, step),), devs, devs, t_first, theta2, theta3, phi1, phi2,
-                            e2, w)
+    kernel = _setup(learner, HyperParams(spec), r_f, t_first, ((n, step),))
+    (e2, theta2, theta3, _, phi1, phi2, w), _ = _values(learner, params)
+    devs = [x - kernel.rhos[t] * w for t, x in samples]
+    _, grads, sq = kernel.descend(theta2, theta3, phi1, phi2, e2, w, devs, devs, None)
     return grads if step else sq
 
 
 def step_params(learner, params, grads, eta_theta: float, eta_phi: float, spec: ProblemSpec, r_f):
-    """params after the learner's gradient step (_descend) on grads."""
-    run = _setup(learner, HyperParams(spec, eta_theta, eta_phi), r_f)
+    """params after the learner's gradient step (its kernel's descend) on grads."""
+    kernel = _setup(learner, HyperParams(spec, eta_theta, eta_phi), r_f, 0, ((0, True),))
     (e2, theta2, theta3, _, phi1, phi2, w), kept = _values(learner, params)
-    stepped, _, _ = _descend(run, ((0, True),), (), (), 0, theta2, theta3, phi1, phi2, e2, w,
-                             grads)
+    stepped, _, _ = kernel.descend(theta2, theta3, phi1, phi2, e2, w, (), (), grads)
     return learner.params(*(*stepped, w)[kept:])
 
 
@@ -543,9 +576,8 @@ def sample_episode(phi: PolicyParams, w: float, model: ReturnModel, spec: Proble
     returns = sample_path(model, spec.T, rng)
     z = rng.standard_normal(spec.T).tolist()
     v = (math.exp(-2.0 * phi.phi2), 0.0, 0.0, 0.0, phi.phi1, phi.phi2, w)
-    run = _setup(DISCRETE, HyperParams(spec), r_f)
-    wealth, controls, _, _ = _episode(run, v, None, returns.tolist(), z, False)
-    return Episode(tuple(wealth), tuple(controls), tuple(returns))
+    wealth, controls = _setup(DISCRETE, HyperParams(spec), r_f).rollout(v, returns.tolist(), z)
+    return Episode(wealth, controls, tuple(returns))
 
 
 def cost(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyParams, w: float,
@@ -572,7 +604,7 @@ def grad_phi(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: Poli
 def apply_updates(theta: ValueParams, phi: PolicyParams, grads: Tuple[float, float, float, float],
                   eta_theta: float, eta_phi: float, w: float, spec: ProblemSpec,
                   r_f: float) -> Tuple[ValueParams, PolicyParams]:
-    """One gradient step on the cost with phi1 held (see _descend), phi2
+    """One gradient step on the cost with phi1 held (see _kernel_source), phi2
     projected onto the feasible region phi2 > -ln(r_f), theta1 pinned to
     exp(-2*phi2) and theta4 to value_from_params(T, x) = (x - w)^2 - (w - b)^2."""
     p = step_params(DISCRETE, DiscreteParams(theta, phi, w), grads, eta_theta, eta_phi, spec, r_f)

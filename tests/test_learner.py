@@ -23,7 +23,6 @@ from dtmv.baseline import (
 from dtmv.evaluation import ALGORITHMS, LEARNERS
 from dtmv.learner import (
     ALGORITHM_DISCRETE,
-    _descend,
     _setup,
     DiscreteParams,
     Episode,
@@ -250,17 +249,20 @@ def _public_cost(algorithm, samples, params, spec):
 
 
 def _residuals(algorithm, T, w, wealth):
-    """The shared residual function (_descend) of a learner at horizon T on
-    the deviations of the states wealth from its centers at w: f(n, step,
-    theta2, theta3, phi1, phi2) is the gradient of the cost of the first n
-    transitions with step set, else half their summed squared residual."""
+    """The shared residual pass (the generated kernel's descend) of a learner
+    at horizon T on the deviations of the states wealth from its centers at
+    w: f(n, step, theta2, theta3, phi1, phi2) is the gradient of the cost of
+    the first n transitions with step set, else half their summed squared
+    residual."""
     spec = replace(SPEC, T=T)
-    run = _setup(LEARNERS[algorithm], HyperParams(spec), R_F)
-    devs = [x - rho * w for x, rho in zip(wealth, run.rhos)]
+    rhos = _setup(LEARNERS[algorithm], HyperParams(spec), R_F).rhos
+    devs = [x - rho * w for x, rho in zip(wealth, rhos)]
 
     def f(n, step, theta2, theta3, phi1, phi2):
         e2 = math.exp(-2.0 * phi2)
-        _, grads, sq = _descend(run, ((n, step),), devs, devs, 0, theta2, theta3, phi1, phi2, e2, w)
+        kernel = _setup(LEARNERS[algorithm], HyperParams(spec), R_F, 0, ((n, step),))
+        _, grads, sq = kernel.descend(theta2, theta3, phi1, phi2, e2, w, devs[: n + 1],
+                                      devs[: n + 1], None)
         return grads if step else 0.5 * sq
 
     return spec, f
@@ -415,6 +417,15 @@ def test_update_w_fixed_point_and_short_buffer():
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["eta_theta", "eta_phi", "alpha", "init_phi1", "init_phi2"])
+def test_hyper_params_reject_non_finite_values(name, value):
+    """A NaN rate passed the positivity check alone (nan <= 0.0 is False),
+    and an infinite initial phi left the cold start undefined."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        HyperParams(SPEC, **{name: value})
 
 
 def _hyper(episodes, **kw):
