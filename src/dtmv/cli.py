@@ -552,7 +552,7 @@ def cmd_compare(cfg: RunConfig, out: str) -> None:
     stable: Dict[str, List[str]] = {}
     hyper = hyper_params(cfg, problem_spec(cfg))
     for cell in study_cells([_setting(cfg)], hyper, cfg.evaluation.seeds):
-        tws = [rec.terminal_wealth for rec in train_cell(cell)[0].history]
+        tws = train_cell(cell, records=False)[0].history
         report_rows.append(cell_report(cell, tws[-cfg.evaluation.test_episodes:]))
         means, variances = learning_curves(tws, cfg.evaluation.block)
         for i, (mu, var) in enumerate(zip(means, variances)):

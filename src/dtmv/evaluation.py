@@ -173,10 +173,10 @@ def first_stable_block(means: Sequence[float], target: float, rel_tol: float = 0
 # ---------------------------------------------------------------------------
 
 
-def train_cell(cell: Cell) -> Tuple[TrainResult, np.random.Generator]:
-    """Train the cell from a fresh generator; returns the result and the generator after it."""
+def train_cell(cell: Cell, records: bool = True) -> Tuple[TrainResult, np.random.Generator]:
+    """The cell trained from a fresh generator (train, records passed on), and that generator."""
     rng = make_rng(cell.seed, cell.stream)
-    return train(cell.hyper, cell.model, cell.r_f, rng, LEARNERS[cell.algorithm]), rng
+    return train(cell.hyper, cell.model, cell.r_f, rng, LEARNERS[cell.algorithm], records), rng
 
 
 def cell_report(cell: Cell, terminal_wealths: Sequence[float]) -> PerformanceReport:
@@ -208,8 +208,7 @@ def study_cells(settings: Sequence[StudySetting], hyper: HyperParams,
 
 
 def _study_cell(test_episodes: int, cell: Cell) -> PerformanceReport:
-    tail = train_cell(cell)[0].history[-test_episodes:]
-    return cell_report(cell, [rec.terminal_wealth for rec in tail])
+    return cell_report(cell, train_cell(cell, records=False)[0].history[-test_episodes:])
 
 
 def run_simulation_study(
@@ -269,13 +268,14 @@ def median_summary(rows: Sequence[PerformanceReport]) -> List[Dict[str, object]]
 
 def _backtest_cell(online_test: bool, cell_and_test: Tuple[Cell, np.ndarray]) -> PerformanceReport:
     cell, test_values = cell_and_test
-    result, rng = train_cell(cell)
+    result, rng = train_cell(cell, records=False)
     learner, h = LEARNERS[cell.algorithm], cell.hyper.spec.T
     # one (returns, policy normals) pair per test window, its normals drawn as it runs
     windows = ((test_values[j * h : (j + 1) * h].tolist(), rng.standard_normal(h).tolist())
                for j in range(test_values.size // h))
-    tested = run_episodes(learner, cell.hyper, cell.r_f, windows, result.params, online_test)
-    return cell_report(cell, [rec.terminal_wealth for rec in tested.history])
+    tested = run_episodes(learner, cell.hyper, cell.r_f, windows, result.params, online_test,
+                          records=False)
+    return cell_report(cell, tested.history)
 
 
 def rolling_backtest(

@@ -17,12 +17,13 @@ structure once; _setup binds a run's floats to it.  run_episodes is its one
 driver: it runs the kernel on each (returns, policy normals) pair it is
 given, checks for divergence and returns a TrainResult; train feeds it each
 episode's draws (market.episode_draws), and the backtest's test windows feed
-it the windows.  A Learner is data: its
-params, its records and the few constants in which the continuous-time
-comparator (dtmv.baseline.CONTINUOUS) differs from DISCRETE here.  The
-public functions on samples and parameters (cost, grad_theta, grad_phi,
-apply_updates, sample_episode, policy_from_params) are thin adapters over
-the kernel.
+it the windows.  Only train's log reads the per-episode records: with
+records off a run keeps each episode's terminal wealth alone.  A Learner is
+data: its params, its records and the few constants in which the
+continuous-time comparator (dtmv.baseline.CONTINUOUS) differs from DISCRETE
+here.  The public functions on samples and parameters (cost, grad_theta,
+grad_phi, apply_updates, sample_episode, policy_from_params) are thin
+adapters over the kernel.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class DiscreteParams:
 
 
 class TrainResult(NamedTuple):
-    """The params a run of the kernel ended with, and one record per episode."""
+    """The params a run ended with, and per episode its record (or terminal wealth)."""
 
     params: object
     history: tuple
@@ -429,11 +430,12 @@ def _diverged(learner: Learner, ep: int, why: str, values) -> TrainingDivergedEr
 
 
 def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, params=None,
-                 learn: bool = True) -> TrainResult:
+                 learn: bool = True, records: bool = True) -> TrainResult:
     """Run the kernel once per (returns, policy normals) pair of T-float
     lists in draws, from params (the learner's cold start from hyper when
-    None); returns the final params and one record per episode.  With learn
-    off the params stay as given and only the rollouts are recorded.
+    None); returns the final params and one record per episode, or with
+    records off only each episode's terminal wealth.  With learn off the
+    params stay as given and only the rollouts are recorded.
 
     Raises InfeasiblePolicyError when params define no policy.  With learn
     set, raises TrainingDivergedError when the residual cost exceeds
@@ -462,7 +464,7 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
             raise _diverged(learner, ep, f"{type(exc).__name__}: {exc}", v[kept:]) from exc
         if learn and not (all(map(math.isfinite, v)) and abs(cost_) <= DIVERGENCE_COST):
             raise _diverged(learner, ep, f"cost {cost_!r}", v[kept:])
-        history.append(record(ep, x_T, *v[kept:]))
+        history.append(record(ep, x_T, *v[kept:]) if records else x_T)
     return TrainResult(learner.params(*v[kept:]) if learn else params, tuple(history))
 
 
@@ -612,13 +614,14 @@ def apply_updates(theta: ValueParams, phi: PolicyParams, grads: Tuple[float, flo
 
 
 def train(hyper: HyperParams, model: ReturnModel, r_f: float, rng: np.random.Generator,
-          learner: Learner = DISCRETE) -> TrainResult:
-    """Run the learner for hyper.episodes episodes of its draws from
-    episode_draws (run_episodes), from the cold start in hyper."""
+          learner: Learner = DISCRETE, records: bool = True) -> TrainResult:
+    """Run the learner (run_episodes, records passed on) for hyper.episodes
+    episodes of its draws from episode_draws, from the cold start in hyper."""
     spec = hyper.spec
     if not hyper.episodes:
         return TrainResult(learner.cold_start(spec, r_f, hyper.init_phi1, hyper.init_phi2), ())
-    return run_episodes(learner, hyper, r_f, episode_draws(model, spec.T, rng, hyper.episodes))
+    draws = episode_draws(model, spec.T, rng, hyper.episodes)
+    return run_episodes(learner, hyper, r_f, draws, records=records)
 
 
 # ---------------------------------------------------------------------------

@@ -284,25 +284,25 @@ def _skewt_constants(nu: float, slant: float) -> Tuple[float, float, float, floa
     return delta, math.sqrt(1.0 - delta * delta), mean, math.sqrt(var)
 
 
+def _skewt_core(nu: float, slant: float, z0, z1, chi2) -> np.ndarray:
+    """Standardized skew-t variates of equal-shape arrays of two standard
+    normals and chi-square(nu) draws (the Azzalini construction): the
+    skew-normal delta |z0| + sqrt(1 - delta^2) z1 over sqrt(chi2 / nu),
+    shifted and scaled by the closed-form mean and variance."""
+    delta, delta_c, mean, sd = _skewt_constants(nu, slant)
+    return ((delta * np.abs(z0) + delta_c * z1) / np.sqrt(chi2 / nu) - mean) / sd
+
+
 def sample_skewt_core(
     nu: float, slant: float, rng: np.random.Generator, size: Optional[int] = None
 ) -> Union[float, np.ndarray]:
-    """Draw standardized skew-t variates (zero mean, unit variance).
-
-    Uses the Azzalini construction: a skew-normal (built from a reflected
-    and an independent normal) divided by sqrt(chi2_nu / nu), then shifted
-    and scaled by the closed-form mean and variance.
-    """
+    """Draw standardized skew-t variates (zero mean, unit variance): _skewt_core
+    of size draws of z0, then of z1, then of the chi-square."""
     n = 1 if size is None else int(size)
     if n < 1:
         raise ValueError("size must be >= 1")
-    delta, delta_c, mean, sd = _skewt_constants(nu, slant)
-    z0 = rng.standard_normal(n)
-    z1 = rng.standard_normal(n)
-    skew_normal = delta * np.abs(z0) + delta_c * z1
-    chi2 = rng.chisquare(nu, size=n)
-    t = skew_normal / np.sqrt(chi2 / nu)
-    core = (t - mean) / sd
+    normal = rng.standard_normal
+    core = _skewt_core(nu, slant, normal(n), normal(n), rng.chisquare(nu, size=n))
     if size is None:
         return float(core[0])
     return core
@@ -326,46 +326,43 @@ def sample_path(model: ReturnModel, T: int, rng: np.random.Generator) -> np.ndar
     raise TypeError(f"unknown return model {type(model).__name__}")
 
 
-# Normal-market episodes whose draws episode_draws takes in one call.
+# Episodes whose draws episode_draws makes in one block of generator calls.
 _DRAW_BLOCK = 64
 
 
 def episode_draws(model: ReturnModel, T: int, rng: np.random.Generator, episodes: int):
     """Yield each episode's T excess returns and T policy normals as float
-    lists: the values, and the final generator state, of sample_path(model,
-    T, rng) then rng.standard_normal(T) per episode.  Normals that no other
-    draw separates come from one call (_DRAW_BLOCK normal-market episodes;
-    on the skew-t market an episode's policy normals and the next episode's
-    return normals), so the generator runs ahead of the last episode yielded."""
+    lists, drawn for a block of n = _DRAW_BLOCK episodes (fewer in the last)
+    at a time: on the normal market standard_normal((n, 2, T)), rows
+    [returns, policy normals]; on the skew-t market standard_normal((n, 3,
+    T)), rows [z0, z1 of _skewt_core, policy normals], then chisquare(nu,
+    (n, T)); on the historical market integers(0, len - T + 1, n) window
+    starts, then standard_normal((n, T)).  So the generator runs ahead of
+    the last episode yielded, and only on the normal market are an
+    episode's draws those of sample_path then standard_normal(T)."""
     if T < 1:
         raise ValueError("T must be >= 1")
     normal = rng.standard_normal
-    if isinstance(model, NormalIID):
-        a, sigma = model.a, model.sigma
-        for done in range(0, episodes, _DRAW_BLOCK):
-            block = normal((min(_DRAW_BLOCK, episodes - done), 2, T))
-            yield from zip((a + sigma * block[:, 0]).tolist(), block[:, 1].tolist())
-    elif isinstance(model, SkewTIID):
-        nu, a, sigma, sqrt = model.nu, model.a, model.sigma, math.sqrt
-        delta, delta_c, mean, sd = _skewt_constants(nu, model.slant)
-        z = normal(2 * T).tolist() if episodes else []
-        for left in range(episodes - 1, -1, -1):
-            chi2 = rng.chisquare(nu, size=T).tolist()
-            # sample_skewt_core's arithmetic, element by element
-            rets = [a + sigma * (((delta * abs(u) + delta_c * v) / sqrt(c / nu) - mean) / sd)
-                    for u, v, c in zip(z[-2 * T :], z[-T:], chi2)]
-            # this episode's policy normals, then the next one's return normals
-            z = normal(3 * T if left else T).tolist()
-            yield rets, z[:T]
-    elif isinstance(model, Historical):
-        values = [float(v) for v in model.series.values]
-        if len(values) < T:
-            raise InsufficientDataError(f"series of {len(values)} months cannot supply {T}")
-        for _ in range(episodes):
-            start = int(rng.integers(0, len(values) - T + 1))
-            yield values[start : start + T], normal(T).tolist()
-    else:
+    if isinstance(model, Historical):
+        values = np.asarray(model.series.values, dtype=float)
+        if values.size < T:
+            raise InsufficientDataError(f"series of {values.size} months cannot supply {T}")
+    elif not isinstance(model, (NormalIID, SkewTIID)):
         raise TypeError(f"unknown return model {type(model).__name__}")
+    for done in range(0, episodes, _DRAW_BLOCK):
+        n = min(_DRAW_BLOCK, episodes - done)
+        if isinstance(model, NormalIID):
+            block = normal((n, 2, T))
+            rets, z = model.a + model.sigma * block[:, 0], block[:, 1]
+        elif isinstance(model, SkewTIID):
+            block = normal((n, 3, T))
+            chi2 = rng.chisquare(model.nu, (n, T))
+            core = _skewt_core(model.nu, model.slant, block[:, 0], block[:, 1], chi2)
+            rets, z = model.a + model.sigma * core, block[:, 2]
+        else:
+            starts = rng.integers(0, values.size - T + 1, n)
+            rets, z = values[starts[:, None] + np.arange(T)], normal((n, T))
+        yield from zip(rets.tolist(), z.tolist())
 
 
 # ---------------------------------------------------------------------------

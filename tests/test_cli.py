@@ -35,7 +35,9 @@ from dtmv.cli import (
     rolling_spec,
     validate_config,
 )
+from dtmv.baseline import BaselineRecord
 from dtmv.evaluation import LEARNERS, PerformanceReport
+from dtmv.learner import EpisodeRecord
 from dtmv.market import bundled_monthly_csv_path, make_rng, sample_path
 
 TINY = """
@@ -603,6 +605,42 @@ def test_compare_reports_what_simulate_reports_on_its_one_market(tmp_path, capsy
         assert code == 0
         reports.append((out / "report.csv").read_bytes())
     assert reports[0] == reports[1]
+
+
+def _counting_records(monkeypatch):
+    """Constructions of each per-episode record class from now on, by name."""
+    counts = {cls.__name__: 0 for cls in (EpisodeRecord, BaselineRecord)}
+    for cls in (EpisodeRecord, BaselineRecord):
+        def counted(klass, *args, _new=cls.__new__):
+            counts[klass.__name__] += 1
+            return _new(klass, *args)
+
+        monkeypatch.setattr(cls, "__new__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", TINY),
+    ("compare", TINY),
+    ("backtest", TINY),
+    ("backtest", TINY + "online_test = true\n"),
+    ("train", TINY),
+    ("train", BASELINE_TINY),
+], ids=["simulate", "compare", "backtest", "backtest-online", "train", "train-continuous"])
+def test_only_train_builds_episode_records(tmp_path, capsys, monkeypatch, command, config):
+    """simulate, compare and backtest read only terminal wealths and build
+    no per-episode record; train builds one per episode for its log."""
+    counts = _counting_records(monkeypatch)
+    code, _, err = _run([command, "--config", _cfg_file(tmp_path, config), "--out",
+                         str(tmp_path / "run")], capsys)
+    assert code == 0, err
+    want = {"EpisodeRecord": 0, "BaselineRecord": 0}
+    if command == "train":
+        cfg = load_config(_cfg_file(tmp_path, config))
+        record = LEARNERS[cfg.learning.algorithm].record.__name__
+        want[record] = cfg.learning.episodes
+        assert len((tmp_path / "run" / "log.ndjson").read_text().splitlines()) == want[record]
+    assert counts == want
 
 
 def test_histogram_bins_sum_to_draws(tmp_path, capsys):

@@ -1,21 +1,24 @@
 """Float identity of the training hot path and of the DP oracle.
 
 The golden digests pin every record of short training runs of both learners
-on the three market models, and the rows of one online-test backtest cell;
-they were computed with the per-step rollout and the ndarray samplers that
-the current code replaced, and must not move.  The two skew-t digests were
-computed again when the skew-t constant moved from scipy's gammaln to
-math.lgamma, which differ in the last bits at nu = 5; that swap alone gives
-the new values.  The cases beyond the default short run on each market (a
-12-period skew-t path, whole-episode updates, a 5-period historical horizon
-at lam = 0.5 with w refreshed every 7 episodes, and T = 1) were computed
-while each learner ran its own policy, residual and update functions behind
-per-learner hooks.  The properties check the identities that replacement
-rests on: one vector draw of T normals is T scalar draws, sample_path is the
-ndarray arithmetic of the reference sampler, and episode_draws, which makes
-each training episode's draws in fewer generator calls and computes on
-floats, gives per episode the values of sample_path and then T policy
-normals, and the same final generator state.
+on the three market models, and the rows of one online-test backtest cell.
+The normal-market digests were computed with the per-step rollout and the
+ndarray samplers that the current code replaced, and must not move.  The
+skew-t and historical digests, and the backtest cell's, were computed again
+when training's draws on those markets moved to whole blocks of episodes
+(one standard_normal and one chisquare call per skew-t block, one integers
+and one standard_normal call per historical block): each new value is what
+the loop kernel of reference_kernel.py gives on the plain numpy draws of
+reference_draws.py, with the skew-t constant from math.lgamma.  The cases
+beyond the default short run on each market (a 12-period skew-t path,
+whole-episode updates, a 5-period historical horizon at lam = 0.5 with w
+refreshed every 7 episodes, and T = 1) were first computed while each
+learner ran its own policy, residual and update functions behind
+per-learner hooks.  The properties check the identities the samplers rest
+on: one vector draw of T normals is T scalar draws, sample_path is the
+ndarray arithmetic of the reference sampler, and episode_draws gives,
+whatever the block size, the values and the final generator state of
+reference_draws.block_draws on every market.
 
 A further digest pins the run directory of `dtmv analytic` at a 60-period
 horizon.  It was computed while the oracle's trapezoid cross-check still ran
@@ -61,6 +64,7 @@ from dtmv.market import (
     sample_path,
     skewt_core_moments,
 )
+from reference_draws import block_draws
 
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
 A, SIGMA, R_F = annualize_market(0.30, 0.20, 0.02)
@@ -90,20 +94,20 @@ HISTORY_CASES = {
 GOLDEN_HISTORIES = {
     ("normal", "discrete"): "b585fcf95f595ace9e1cdf5a6530acb8f30d99ce84d737161b76ad7069e38306",
     ("normal", "continuous"): "59e66125829f0c30e3e6848521a8745ef31c7e910c9c1b92a4160fad05685ef7",
-    ("skewt", "discrete"): "d9b85538ae7d3b1a0edcbe6af971b9f43b2791667775a22555391d81a35112d1",
-    ("skewt", "continuous"): "56bb7f8fca284b3bc55febcf375c206efdeec04028adcf9f4afe7913b7dfd28c",
-    ("historical", "discrete"): "116c8fd857ea3dd576d55f6d380f92b5ed25ed09eb8149141c966cefdd2f40d0",
-    ("historical", "continuous"): "f400079154ee811747edd65dcf3423c36d70e2b8686e1ba23bb5e99fb7cc2d51",
-    ("skewt-T12", "discrete"): "2074a08b511e74efa731a5fba8e493991f021cd2dbaf5955b2af7086c075f6c8",
-    ("skewt-T12", "continuous"): "509e30fc32ba9aab8d89b41b3d3c6e17e5cdb7d30a6060dc8d3582ef2663b2c8",
+    ("skewt", "discrete"): "c12c8b00f26501124a94dabae233afaa0c8e186f13479d97386035f0fa019c6d",
+    ("skewt", "continuous"): "6b4b28cf2497468274286fd7e832b6638caa2c64056090961db86a8fe2f1591f",
+    ("historical", "discrete"): "9d72eebdeec82f2fe2540759e96d652ac0287d01957d3882c15b9010c3649f36",
+    ("historical", "continuous"): "4c5d512bc41b62f9751ef560c92f7be768f7d0da7b4a9cbfbf8ea96132d36595",
+    ("skewt-T12", "discrete"): "42a1be250cf5e113daf4ad18997965d0aab1a178a6799b46fbbb377b49675d63",
+    ("skewt-T12", "continuous"): "f33cda7526caa797d25e8feddd7fc00f2d9e134545dbbf06b40b775272938abc",
     ("normal-whole", "discrete"): "e540a135fe0e9aac25351f5894576cf16340866ef7cffddcd51b762a04f4b676",
     ("normal-whole", "continuous"): "166df1fc7c35bced29a3b60428c47baa764263de847b348e5775c825c1389eb8",
-    ("historical-T5", "discrete"): "8491e10401b106463c59636cbc0fb79fb9a69ea58a3e65b8e995fe957904d3e3",
-    ("historical-T5", "continuous"): "bbc80d1cc8f5b5c6d19731306dbda382bd179956424cacb680c607948bef1858",
+    ("historical-T5", "discrete"): "45ee47612ced40f7783a07e5838d9bb16bcf1ec64f2f88da474db18af268ac0e",
+    ("historical-T5", "continuous"): "dbd81d61ec7b07c6d315a995284882283b3b1605b3be6900d0ee265ddc05ac7c",
     ("normal-T1", "discrete"): "a0b249e5652491c7871a0cbf74501fb554abe0c73fe90dc116a719d8830df29f",
     ("normal-T1", "continuous"): "fd53dd241946060ae2b9c8cd5685c11e2c955ce001170eb9d515f49aee106951",
 }
-GOLDEN_ONLINE_BACKTEST = "90fdf570bdddb5d715714d9ed6b172d13d7dc1534cdf6d7a20c1cf918ef677d6"
+GOLDEN_ONLINE_BACKTEST = "b9d242a3ae4f95c7b824253dfea01a0002043a2c2d41955a09498b26c5493401"
 GOLDEN_ANALYTIC_RUN = "3221e3b055ad995651995cc68fa37c5d0c43bb8cc147a5dafea973d486d3a2f5"
 GOLDEN_TRAIN_RUNS = {
     "emv-discrete": "683acc352a22ca8693cd2df6f17998a34bf62b85506ecd2ee1521d2672accaba",
@@ -277,17 +281,15 @@ def test_sample_path_equals_the_ndarray_computation(model, seed, T):
     model=_MODELS,
     seed=st.integers(0, 2**32 - 1),
     T=st.integers(1, 12),
-    episodes=st.integers(0, 40),
-    block=st.sampled_from([1, 2, 7, market._DRAW_BLOCK]),
+    episodes=st.integers(0, 150),
+    block=st.sampled_from([1, 2, 7, 64]),
 )
-def test_episode_draws_equal_a_path_then_the_policy_normals(model, seed, T, episodes, block):
-    """Training's draws are, per episode, sample_path's returns and then T
-    policy normals, with the same final generator state, whatever the size
-    of the normal market's blocks."""
-    fused, stepped = make_rng(seed), make_rng(seed)
+def test_episode_draws_equal_the_plain_numpy_block_schedule(model, seed, T, episodes, block):
+    """Training's draws are, block by block, the plain numpy calls of
+    reference_draws.block_draws on every market: the same values and the
+    same final generator state, whatever the block size."""
+    fast, reference = make_rng(seed), make_rng(seed)
     with mock.patch.object(market, "_DRAW_BLOCK", block):
-        got = list(episode_draws(model, T, fused, episodes))
-    want = [(sample_path(model, T, stepped).tolist(), stepped.standard_normal(T).tolist())
-            for _ in range(episodes)]
-    assert got == want
-    assert fused.bit_generator.state == stepped.bit_generator.state
+        got = list(episode_draws(model, T, fast, episodes))
+    assert got == block_draws(model, T, reference, episodes, block)
+    assert fast.bit_generator.state == reference.bit_generator.state

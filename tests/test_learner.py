@@ -20,7 +20,7 @@ from dtmv.baseline import (
     baseline_train,
     default_baseline_params,
 )
-from dtmv.evaluation import ALGORITHMS, LEARNERS
+from dtmv.evaluation import ALGORITHMS, LEARNERS, Cell, train_cell
 from dtmv.learner import (
     ALGORITHM_DISCRETE,
     _setup,
@@ -59,6 +59,7 @@ from dtmv.market import (
     sample_path,
     step_wealth,
 )
+from reference_draws import block_draws
 
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
 R_F = 1.0 + 0.02 / 12.0
@@ -571,8 +572,8 @@ MARKETS = {
 def test_training_is_a_sequence_of_online_steps(
     algorithm, market, T, refresh_every, prefix_updates, episodes, seed
 ):
-    """train equals run_episodes on sample_path draws, each followed by its
-    T policy normals, from the same generator: the same params, the same
+    """train equals run_episodes on the plain numpy block draws of
+    reference_draws from the same generator: the same params, the same
     records and the same final generator state.  Training and the online
     test windows of the backtest run one driver."""
     learner, model = LEARNERS[algorithm], MARKETS[market]
@@ -581,10 +582,62 @@ def test_training_is_a_sequence_of_online_steps(
                         prefix_updates=prefix_updates)
     trained, stepped = make_rng(seed), make_rng(seed)
     result = train(hyper, model, R_F, trained, learner)
-    draws = ((sample_path(model, T, stepped).tolist(), stepped.standard_normal(T).tolist())
-             for _ in range(episodes))
+    draws = block_draws(model, T, stepped, episodes, _DRAW_BLOCK)
     assert run_episodes(learner, hyper, R_F, draws) == result
     assert stepped.bit_generator.state == trained.bit_generator.state
+
+
+def _outcome(run, *args, **kwargs):
+    """run's result, or the message of the TrainingDivergedError it raised."""
+    try:
+        return run(*args, **kwargs)
+    except TrainingDivergedError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    market=st.sampled_from(sorted(MARKETS)),
+    T=st.integers(1, 12),
+    eta=st.sampled_from([0.0005, 0.005, 0.05, 0.5]),
+    learn=st.booleans(),
+    episodes=st.integers(0, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_run_without_records_keeps_each_terminal_wealth(
+    algorithm, market, T, eta, learn, episodes, seed
+):
+    """With records off, run_episodes (and train and train_cell, which pass
+    records on) gives the params of a run with records and, in place of
+    each record, its terminal wealth; a run that diverges raises the same
+    TrainingDivergedError at the same episode, with the same message."""
+    learner, model = LEARNERS[algorithm], MARKETS[market]
+    hyper = HyperParams(replace(SPEC, T=T), eta_theta=eta, eta_phi=eta, episodes=episodes)
+    draws = block_draws(model, T, make_rng(seed), episodes, _DRAW_BLOCK)
+    full = _outcome(run_episodes, learner, hyper, R_F, draws, learn=learn)
+    bare = _outcome(run_episodes, learner, hyper, R_F, draws, learn=learn, records=False)
+    if isinstance(full, str):
+        assert bare == full
+    else:
+        assert bare.params == full.params
+        assert bare.history == tuple(rec.terminal_wealth for rec in full.history)
+    if learn:
+        cell = Cell("cell", model, R_F, hyper, algorithm, seed, 0)
+        assert _outcome(lambda: train_cell(cell, records=False)[0]) == bare
+        assert _outcome(train, hyper, model, R_F, make_rng(seed), learner, False) == bare
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_diverging_run_without_records_names_the_same_episode(algorithm):
+    """At a 60-period horizon the default step sizes diverge; without
+    records, training stops with the same message."""
+    model, hyper = MARKETS["skewt"], HyperParams(replace(SPEC, T=60), episodes=300)
+    with pytest.raises(TrainingDivergedError, match="training diverged at episode") as full:
+        train(hyper, model, R_F, make_rng(5), LEARNERS[algorithm])
+    with pytest.raises(TrainingDivergedError) as bare:
+        train(hyper, model, R_F, make_rng(5), LEARNERS[algorithm], records=False)
+    assert str(bare.value) == str(full.value)
 
 
 class _CountingGenerator:
@@ -606,18 +659,14 @@ class _CountingGenerator:
 @pytest.mark.parametrize("market", sorted(MARKETS))
 @pytest.mark.parametrize("episodes", [1, 2, _DRAW_BLOCK, 2 * _DRAW_BLOCK + 1])
 def test_training_draws_in_the_fused_schedule(market, episodes):
-    """Training makes one generator call per block of normal-market episodes,
-    two per historical episode (the window, then the policy normals) and two
-    per skew-t episode plus one (the chi-square draw, then this episode's
-    policy normals with the next one's return normals)."""
+    """Training makes one generator call per block of _DRAW_BLOCK episodes
+    on the normal market, and two on the skew-t (the normals, then the
+    chi-square draws) and historical (the window starts, then the policy
+    normals) markets."""
     rng = _CountingGenerator(make_rng(3))
     train(_hyper(episodes), MARKETS[market], R_F, rng)
-    want = {
-        "normal": -(-episodes // _DRAW_BLOCK),
-        "historical": 2 * episodes,
-        "skewt": 2 * episodes + 1,
-    }
-    assert rng.calls == want[market]
+    blocks = -(-episodes // _DRAW_BLOCK)
+    assert rng.calls == {"normal": blocks, "historical": 2 * blocks, "skewt": 2 * blocks}[market]
 
 
 def test_train_history_records_every_episode_in_order():
