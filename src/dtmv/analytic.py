@@ -304,7 +304,7 @@ class ValueGrid:
 
 
 # States per row block of the trapezoid cross-check, so that a block's arrays
-# stay in cache (of 4 to 64 rows, 8 and 16 ran fastest on a 2-vCPU Xeon).
+# stay in cache (of 4 to 64 rows, 16 ran fastest on a 2-vCPU Xeon).
 _TRAPEZOID_ROWS = 16
 
 
@@ -320,32 +320,30 @@ def _trapezoid_nodes(halfwidth: float, points: int) -> Tuple[np.ndarray, slice]:
 def _trapezoid_values(
     a2: float, a1: np.ndarray, center: np.ndarray, lam: float, halfwidth: float, points: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """E[phi] + lam * E[ln pi] per state, phi(u) = a2*u^2 + a1*u and pi ~ exp(-phi/lam),
-    by the trapezoid rule on the narrow and on the wide grid of _trapezoid_nodes
-    around center: phi is evaluated once at every wide node of every state, in
-    row blocks with one exp each, and the narrow rule sums the central columns."""
+    """min over pi of E_pi[phi] + lam * E_pi[ln pi] per state, phi(u) = a2*u^2 + a1*u, by
+    the trapezoid rule on the narrow and the wide grid of _trapezoid_nodes around center.
+    With weights w_j and e_j = exp(-phi_j/lam - top), top the row's largest exponent, that
+    value cancels node for node to the log-partition -lam * (top + ln sum w_j e_j).  phi is
+    expanded about center, phi(center) + beta*o + a2*o^2, with beta computed, not assumed 0,
+    so -a2*o^2/lam is one row for every state; the states go in row blocks, one exp each."""
     offs, inner = _trapezoid_nodes(halfwidth, points)
     narrow, wide = np.empty(center.size), np.empty(center.size)
     rules = []  # (values, columns, weights); each rule has its own end weights, as in np.trapezoid
     for out, cols in ((narrow, inner), (wide, slice(None))):
         half = 0.5 * np.diff(offs[cols])
         rules.append((out, cols, np.pad(half, (0, 1)) + np.pad(half, (1, 0))))
+    phi_center = a2 * center**2 + a1 * center
+    slope = (2.0 * a2 * center + a1) / -lam
+    curve = offs * offs * (-a2 / lam)
     for i in range(0, center.size, _TRAPEZOID_ROWS):
         rows = slice(i, i + _TRAPEZOID_ROWS)
-        # phi = a2*u*u + a1*u, then ex*phi and ex*lp, in place
-        u = center[rows, None] + offs
-        phi = a2 * u
-        phi *= u
-        u *= a1[rows, None]
-        phi += u
-        lp = phi / -lam
-        lp -= lp.max(axis=1, keepdims=True)
-        ex = np.exp(lp)
-        phi *= ex
-        lp *= ex
+        ex = np.multiply.outer(slope[rows], offs)
+        ex += curve
+        top = ex.max(axis=1)
+        ex -= top[:, None]
+        np.exp(ex, out=ex)
         for out, cols, wt in rules:
-            norm = ex[:, cols] @ wt
-            out[rows] = phi[:, cols] @ wt / norm + lam * (lp[:, cols] @ wt / norm - np.log(norm))
+            out[rows] = phi_center[rows] - lam * (top + np.log(ex[:, cols] @ wt))
     return narrow, wide
 
 
@@ -361,17 +359,17 @@ def dp_oracle(
 ) -> List[ValueGrid]:
     """Backward value iteration with explicit minimization over control densities.
 
-    Independent of the closed forms above: each Bellman step evaluates the
-    soft minimum over densities through Gauss-Hermite quadrature centered on
-    the Gibbs minimizer, cross-checked against the trapezoid rule on n_u
-    uniform nodes over +-halfwidth_sigmas, and the next layer is refit as a
-    quadratic in x.  The widening check repeats the trapezoid rule on that
-    grid extended at the same spacing by ceil((n_u - 1) / 4) nodes per side,
-    a window 1.5 times as wide when 4 divides n_u - 1 (as at the default) and
-    a little wider otherwise.  The integrand is evaluated once per state and
-    wide-grid node, walking the states in row blocks; the narrow rule sums the
-    central nodes.  Raises QuadratureError if widening the control window
-    moves any value beyond `tol` (scaled), if the two quadratures disagree,
+    Independent of the closed forms above: each Bellman step is the soft
+    minimum over densities, -lam * ln of the integral of exp(-phi/lam), and the
+    next layer is refit as a quadratic in x.  The value returned is the Gibbs
+    Gaussian's closed-form -lam * ln Z: the Gauss-Hermite nodes around its
+    center cancel in E[phi] + lam * E[ln pi] but for rounding.  The numerical
+    integration that checks it is the trapezoid rule on n_u uniform nodes over
+    +-halfwidth_sigmas; the widening check repeats it on that grid extended at
+    the same spacing by ceil((n_u - 1) / 4) nodes per side, 1.5 times as wide
+    when 4 divides n_u - 1 (as at the default), a little wider otherwise.
+    Raises QuadratureError if widening the control window moves any value
+    beyond `tol` (scaled), if the closed-form and trapezoid values disagree,
     or if a layer stops being quadratic.
 
     The x grid should cover the wealth range of interest with a few points to
@@ -406,7 +404,7 @@ def dp_oracle(
         s = math.sqrt(lam / (2.0 * a2))
         phi_min = a2 * center**2 + a1 * center
 
-        # primary: Gauss-Hermite around the Gibbs center
+        # value: the Gibbs Gaussian's -lam * ln Z, through Gauss-Hermite nodes around its center
         u_gh = center[:, None] + math.sqrt(2.0) * s * gh_nodes[None, :]
         phi_gh = a2 * u_gh**2 + a1[:, None] * u_gh
         e_phi = (phi_gh @ gh_weights) / gh_weights.sum()

@@ -463,8 +463,9 @@ def cmd_analytic(cfg: RunConfig, out: str) -> None:
         else:
             means, var = [""] * xs.size, ""
         tables.append((str(t), means, var, value, grid.j_values, err))
-    rows = ((t, repr(x), mean, var, repr(v), repr(o), repr(e)) for t, means, var, value, oracle, err in tables
-            for x, mean, v, o, e in zip(xs.tolist(), means, value.tolist(), oracle.tolist(), err.tolist()))
+    x_strs = list(map(repr, xs.tolist()))  # every layer's rows share these
+    rows = ((t, x, mean, var, repr(v), repr(o), repr(e)) for t, means, var, value, oracle, err in tables
+            for x, mean, v, o, e in zip(x_strs, means, value.tolist(), oracle.tolist(), err.tolist()))
     _write_csv(os.path.join(out, "report.csv"), header, rows)
     summary = [
         f"w = {_fmt(w)}",

@@ -402,6 +402,42 @@ def test_blocked_trapezoid_matches_the_whole_array_formulation(
     np.testing.assert_allclose(wide, want_wide, rtol=1e-13, atol=1e-13)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    market=st.sampled_from([M, MONTHLY]),
+    q=st.floats(0.01, 100.0),
+    c=st.floats(-3.0, 3.0),
+    lam=st.floats(0.01, 10.0),
+    x_min=st.floats(-3.0, 3.0),
+    span=st.floats(0.1, 6.0),
+    states=st.integers(3, 250),
+    width=st.sampled_from([2.0, 4.0, 8.0, 12.0]),
+    points=st.integers(51, 3001),
+    shift=st.floats(-2.0, 2.0),
+)
+def test_trapezoid_off_the_gibbs_center_matches_the_whole_array_formulation(
+    market, q, c, lam, x_min, span, states, width, points, shift
+):
+    """The property above with the window's center moved off the minimizer
+    by up to 2 Gibbs standard deviations s = sqrt(lam / (2 * a2)), a
+    different shift per state: the kernel expands phi about the center it is
+    given with a computed linear term, so it integrates the true integrand
+    whether or not that center is the minimizer."""
+    grid = np.linspace(x_min, x_min + span, states)
+    a2 = q * market.second_moment
+    a1 = 2.0 * q * market.a * (market.r_f * grid - c)
+    s = math.sqrt(lam / (2.0 * a2))
+    center = -a1 / (2.0 * a2) + shift * s * np.cos(np.arange(states))
+    halfwidth = width * s
+    narrow, wide = _trapezoid_values(a2, a1, center, lam, halfwidth, points)
+    k = math.ceil((points - 1) / 4)
+    wide_halfwidth = (points - 1 + 2 * k) / (points - 1) * halfwidth
+    want_narrow = _reference_trapezoid(a2, a1, center, lam, halfwidth, points)
+    want_wide = _reference_trapezoid(a2, a1, center, lam, wide_halfwidth, points + 2 * k)
+    np.testing.assert_allclose(narrow, want_narrow, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(wide, want_wide, rtol=1e-13, atol=1e-13)
+
+
 @given(s=st.floats(1e-6, 1e3))
 def test_wide_trapezoid_nodes_at_the_default_grid_are_the_linspace_over_1_5_widths(s):
     """At dp_oracle's default 2001 nodes the wide grid is exactly
