@@ -10,20 +10,20 @@ known.
 
 One episode kernel serves both learners.  _kernel_source writes it as
 straight-line Python for each run structure (horizon, passes and the
-learner's constants): the policy, the rollout, and the learning episode,
-which rolls out, records the terminal wealth, refreshes w, and runs the
-growing-prefix updates and the cost on local floats.  _compile compiles a
-structure once; _setup binds a run's floats to it.  run_episodes is its one
-driver: it runs the kernel on each (returns, policy normals) pair it is
-given, checks for divergence and returns a TrainResult; train feeds it each
-episode's draws (market.episode_draws), and the backtest's test windows feed
-it the windows.  Only train's log reads the per-episode records: with
+learner's constants): the policy, the rollout, and the training loop run,
+which per (returns, policy normals) pair rolls out, records the terminal
+wealth, refreshes w, runs the growing-prefix updates and the cost on local
+floats and checks for divergence.  _compile compiles a structure once;
+_setup binds a run's floats to it.  run_episodes calls run once per run
+(a frozen run rolls out each pair alone) and returns a TrainResult; train
+feeds it each episode's draws (market.episode_draws), the backtest's test
+windows the windows.  Only train's log reads the per-episode records: with
 records off a run keeps each episode's terminal wealth alone.  A Learner is
 data: its params, its records and the few constants in which the
 continuous-time comparator (dtmv.baseline.CONTINUOUS) differs from DISCRETE
-here.  The public functions on samples and parameters (cost, grad_theta,
-grad_phi, apply_updates, sample_episode, policy_from_params) are thin
-adapters over the kernel.
+here.  The sample adapters (cost, grad_theta, grad_phi, apply_updates) run
+the kernel's descend, sample_episode and policy_from_params its rollout and
+policy.
 """
 
 from __future__ import annotations
@@ -222,13 +222,15 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             the T excess returns rets and the T standard normals z of the
             policy, fixed for the episode, u_t = slope (x_t - c_t) +
             sqrt(variance_t) z_t;
-        learn(v, lag, rets, z) -> (v after it, its cost, x_T): that
-            rollout, its terminal wealth recorded in lag, w refreshed every
-            refresh_every recorded wealths, then the passes; the cost is
-            half the summed squares of the last pass;
+        run(v, lag, draws, kept, history) -> (v after the training loop,
+            history, or with history None the wealths it recorded in lag):
+            per (rets, z) pair of draws that rollout, its terminal wealth
+            recorded in lag, w refreshed every refresh_every recorded
+            wealths, the passes (the cost is half the summed squares of the
+            last), run_episodes' divergence check and the episode's record;
         descend(theta2, theta3, phi1, phi2, e2, w, devs, devs_after, grads)
-            -> (theta1..phi2, the gradient of the last step pass, the summed
-            squares of the last pass without one): the passes alone.
+            -> (theta1..phi2, the pass's gradient, its summed squares): in
+            place of run where passes holds one (the sample adapters).
     With step set, a pass sums the gradient (g_t2, g_t3, g_p1, g_p2) in
     (theta2, theta3, phi1, phi2) of half the summed squared residuals, then
     takes one gradient step of sizes (eta_theta, eta_phi) on it, or on grads
@@ -236,10 +238,10 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     reads the deviations x - c_t of the states from the centers at w
     (devs[k] at period t_first + k), one without a step those at the w after
     the episode's refresh (devs_after).  The steps leave theta1 and theta4
-    pinned at w.  Each run of passes of one kind is one more function, a
-    loop over their n around the straight-line residuals of the longest with
-    a break after each shorter n: no source grows faster than T, however
-    many growing prefixes there are, and neither does the compiler's memory.
+    pinned at w.  Each run of passes of one kind is a loop over their n
+    around the straight-line residuals of the longest with a break after
+    each shorter n: no source grows faster than T, however many growing
+    prefixes there are, and neither does the compiler's memory.
 
     phi1 enters every residual only through theta3 - lam * phi1, so its
     partial g_p1 is always -lam times the theta3 partial g_t3: the cost is
@@ -268,49 +270,42 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     """
     ts, periods = range(T), range(T + 1)
 
-    def q(t, dev):  # the weighted square q_t of the deviation dev{t}
-        d = f"{dev}{t} * {dev}{t}"
-        return f"e2**{T - t} * {d}" if compounding else f"{d} * exp(-2.0 * phi2 * {T - t})"
+    def q(t, dev):  # the weighted square q_t of dev{t}; e2**0 * left out, e2**1 is e2: same bits
+        d, weight = f"{dev}{t} * {dev}{t}", {0: "", 1: "e2 * "}.get(T - t, f"e2**{T - t} * ")
+        return weight + d if compounding else f"{d} * exp(-2.0 * phi2 * {T - t})"
+
+    def indent(lines, depth=1):
+        return [f"{'    ' * depth}{line}" for line in lines]
 
     def function(head, lines):
-        return "".join([f"def {head}:\n", *(f"    {line}\n" for line in lines)])
+        return "".join([f"def {head}:\n", *indent(f"{line}\n" for line in lines)])
 
-    groups, learn_calls, descend_calls = [], [], []
-    for i, (step, group) in enumerate(itertools.groupby(passes, key=lambda p: p[1])):
+    one = len(passes) == 1  # a sample adapter's structure: descend in place of the loop
+    looped = ["g_t2 = g_t3 = g_p1 = g_p2 = sq = 0.0"] * one
+    for step, group in itertools.groupby(passes, key=lambda p: p[1]):
         ns, dev, body = tuple(n for n, _ in group), "d" if step else "a", []
         for k in range(max(ns)):
             t = t_first + k
+            wt = f" * {2.0 * t + 1.0!r}" * (t > 0)  # the factor 2t + 1, left out where it is 1.0
             body += [f"if n == {k}:", "    break"] * (k in ns)
             body += [f"q{t} = {q(t, dev)}"] * (k == 0) + [
                 f"q{t + 1} = {q(t + 1, dev)}",
-                f"res = q{t + 1} - q{t} + theta2 * {2.0 * t + 1.0!r} + theta3"
+                f"res = q{t + 1} - q{t} + theta2{wt} + theta3"
                 f" - lam * (phi1 + phi2 * {T - t - 1 + shift})",
-            ] + ([f"g_t2 += res * {2.0 * t + 1.0!r}", "g_t3 += res",
+            ] + ([f"g_t2 += res{wt}", "g_t3 += res",
                   f"g_p2 += res * ({2.0 * (T - t)!r} * q{t} - {2.0 * (T - t - 1)!r}"
                   f" * q{t + 1} - lc{t})"] if step else ["sq += res * res"])
         lines = [f"for n in {ns!r}:", "    g_t2 = g_t3 = g_p2 = 0.0" if step else "    sq = 0.0",
-                 "    while True:", *(f"        {line}" for line in body), "        break"]
-        if step:
-            move = (["theta3 = theta3 - eta_theta * g_t3 + lam_eta_phi * g_p1"] if hold_phi1 else
-                    ["theta3 = theta3 - eta_theta * g_t3", "phi1 = phi1 - eta_phi * g_p1"])
-            lines += [f"    {line}" for line in [
-                "g_p1 = -lam * g_t3",
-                "if grads is not None:",
-                "    g_t2, g_t3, g_p1, g_p2 = grads",
-                "theta2 = theta2 - eta_theta * g_t2", *move,
-                "phi2 = phi2 - eta_phi * g_p2",
-                "if phi2 < floor:",
-                "    phi2 = floor",
-                "e2 = exp(-2.0 * phi2)",
-            ]]
-        state = "theta2, theta3, phi1, phi2, e2, g_t2, g_t3, g_p1, g_p2" if step else "sq"
-        reads = _names(dev, range(t_first, t_first + max(ns) + 1)) if max(ns) else ""
-        devs = ("*devs" if step else "*devs_after") * (max(ns) > 0)
-        grads, call = "grads, " * step, f"{state} = pass{i}(theta2, theta3, phi1, phi2, e2, "
-        groups.append(function(f"pass{i}(theta2, theta3, phi1, phi2, e2, {grads}{reads})",
-                               [*lines, f"return {state}"]))
-        learn_calls.append(f"{call}{'None, ' * step}{reads})")
-        descend_calls.append(f"{call}{grads}{devs})")
+                 "    while True:", *indent(body, 2), "        break"]
+        move = (["theta3 = theta3 - eta_theta * g_t3 + lam_eta_phi * g_p1"] if hold_phi1 else
+                ["theta3 = theta3 - eta_theta * g_t3", "phi1 = phi1 - eta_phi * g_p1"])
+        update = indent(["g_p1 = -lam * g_t3", "if grads is not None:",
+                         "    g_t2, g_t3, g_p1, g_p2 = grads", "theta2 = theta2 - eta_theta * g_t2",
+                         *move, "phi2 = phi2 - eta_phi * g_p2", "if phi2 < floor:",
+                         "    phi2 = floor", "e2 = exp(-2.0 * phi2)"] * step)
+        reads = f"{_names(dev, range(t_first, t_first + max(ns) + 1))}= devs{'_after' * (not step)}"
+        looped += ([reads] * (max(ns) > 0) + lines + update if one else
+                   lines + update[:1] + update[3:])  # the loop never steps on given grads
     square = f"{T ** 2}" if compounding else f"{T} * {T}"
     theta4 = f"theta4 = -theta2 * {square} - theta3 * {T} - (w - b) ** 2"
     policy = [
@@ -330,11 +325,12 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
         rollout += [f"u{t} = slope * d{t} + sqrt(s{t}) * z{t}",
                     f"x{t + 1} = r_f * x{t} + r{t} * u{t}",  # step_wealth
                     f"d{t + 1} = x{t + 1} - rho{t + 1} * w"]
-    record = [
-        "tws = lag.terminal_wealths",
+    refresh = [  # the terminal wealth recorded; phase counts the wealths since w last moved
         f"tws.append(x{T})",
+        "phase += 1",
         "w_after = w",
-        "if len(tws) % refresh_every == 0:",
+        "if phase == refresh_every:",
+        "    phase = 0",
         "    update_w(lag, b, refresh_every)",
         "    w_after = lag.w",
         *(f"    a{t} = x{t} - rho{t} * w_after" for t in periods),  # the centers move with w
@@ -345,13 +341,24 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
         function("policy(phi1, phi2, e2)", [*policy, f"return slope, ({_names('s', ts)})"]),
         function("rollout(v, rets, z)", ["e2, _, _, _, phi1, phi2, w = v", *policy, *rollout,
                                          f"return ({_names('x', periods)}), ({_names('u', ts)})"]),
-        function("learn(v, lag, rets, z)", [
-            "e2, theta2, theta3, _, phi1, phi2, w = v", *policy, *rollout, *record, *learn_calls,
-            theta4, f"return (e2, theta2, theta3, theta4, phi1, phi2, w_after), 0.5 * sq, x{T}"]),
         function("descend(theta2, theta3, phi1, phi2, e2, w, devs, devs_after, grads)", [
-            "g_t2 = g_t3 = g_p1 = g_p2 = sq = 0.0", *descend_calls, theta4,
-            "return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq"]),
-        *groups,
+            *looped, theta4,
+            "return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq"])
+        if one else function("run(v, lag, draws, kept, history)", [
+            "e2, theta2, theta3, theta4, phi1, phi2, w = v", "tws = lag.terminal_wealths",
+            "recorded = len(tws)", "phase = recorded % refresh_every",
+            "for ep, (rets, z) in enumerate(draws, 1):",
+            "    try:", *indent([*policy, *rollout, *refresh, *looped, theta4], 2),
+            "    except (InfeasiblePolicyError, OverflowError) as exc:",
+            "        raise diverged(ep, f'{type(exc).__name__}: {exc}', v[kept:]) from exc",
+            "    v, cost = (e2, theta2, theta3, theta4, phi1, phi2, w_after), 0.5 * sq",
+            "    if not ({} and abs(cost) <= DIVERGENCE_COST):".format(" and ".join(  # every v finite
+                f"isfinite({x})" for x in "e2 theta2 theta3 theta4 phi1 phi2 w_after".split())),
+            "        raise diverged(ep, f'cost {cost!r}', v[kept:])",
+            "    w = w_after",
+            "    if history is not None:",
+            f"        history.append(record(ep, x{T}, *v[kept:]))",
+            "return v, tws[recorded:] if history is None else history"]),
     )
 
 
@@ -364,11 +371,11 @@ def _compile(*structure) -> tuple:
 
 class _Kernel(NamedTuple):
     """A learner's generated functions (_kernel_source) bound to one run's
-    floats, and its centers c_t / w, t = 0..T."""
+    floats (one of run and descend None), and its centers c_t / w, t = 0..T."""
 
     policy: Callable
     rollout: Callable
-    learn: Callable
+    run: Callable
     descend: Callable
     rhos: tuple
 
@@ -393,11 +400,13 @@ def _setup(learner: Learner, hyper: HyperParams, r_f, t_first: int = 0, passes=N
         "r_f": r_f, "eta_theta": hyper.eta_theta, "eta_phi": hyper.eta_phi,
         "refresh_every": hyper.refresh_every, "floor": floor, "lam_pi": lam * math.pi,
         "lam_eta_phi": lam * hyper.eta_phi, **{f"rho{t}": rho for t, rho in enumerate(rhos)},
-        **{f"lc{t}": lam * (T - t - 1 + learner.shift) for t in range(T)},
+        **{f"lc{t}": lam * (T - t - 1 + learner.shift) for t in range(T)}, "isfinite": math.isfinite,
+        "DIVERGENCE_COST": DIVERGENCE_COST, "diverged": functools.partial(_diverged, learner),
+        "record": learner.record,
     }
     for code in _compile(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes):
         exec(code, names)
-    return _Kernel(names["policy"], names["rollout"], names["learn"], names["descend"], rhos)
+    return _Kernel(names["policy"], names["rollout"], names.get("run"), names.get("descend"), rhos)
 
 
 def _values(learner: Learner, params) -> Tuple[Tuple[float, ...], int]:
@@ -431,11 +440,11 @@ def _diverged(learner: Learner, ep: int, why: str, values) -> TrainingDivergedEr
 
 def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, params=None,
                  learn: bool = True, records: bool = True) -> TrainResult:
-    """Run the kernel once per (returns, policy normals) pair of T-float
-    lists in draws, from params (the learner's cold start from hyper when
-    None); returns the final params and one record per episode, or with
-    records off only each episode's terminal wealth.  With learn off the
-    params stay as given and only the rollouts are recorded.
+    """One episode per (returns, policy normals) pair of T-float lists in
+    draws, all in one call of the kernel's run, from params (the learner's
+    cold start from hyper when None); returns the final params and one
+    record per episode, or with records off only each episode's terminal
+    wealth.  With learn off the params stay as given: a rollout per pair.
 
     Raises InfeasiblePolicyError when params define no policy.  With learn
     set, raises TrainingDivergedError when the residual cost exceeds
@@ -451,21 +460,12 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
     kernel = _setup(learner, hyper, r_f)
     v, kept = _values(learner, params)
     kernel.policy(v[4], v[5], v[0])  # raises where params define no policy
-    lag = LagrangeState(w=v[-1], alpha=hyper.alpha)
-    history = []
-    record, episode, rollout = learner.record, kernel.learn, kernel.rollout
-    for ep, (rets, z) in enumerate(draws, 1):
-        try:
-            if learn:
-                v, cost_, x_T = episode(v, lag, rets, z)
-            else:
-                x_T = rollout(v, rets, z)[0][-1]
-        except (InfeasiblePolicyError, OverflowError) as exc:
-            raise _diverged(learner, ep, f"{type(exc).__name__}: {exc}", v[kept:]) from exc
-        if learn and not (all(map(math.isfinite, v)) and abs(cost_) <= DIVERGENCE_COST):
-            raise _diverged(learner, ep, f"cost {cost_!r}", v[kept:])
-        history.append(record(ep, x_T, *v[kept:]) if records else x_T)
-    return TrainResult(learner.params(*v[kept:]) if learn else params, tuple(history))
+    if not learn:
+        wealths = tuple(kernel.rollout(v, rets, z)[0][-1] for rets, z in draws)
+        return TrainResult(params, tuple(learner.record(ep, x_T, *v[kept:]) for ep, x_T in
+                                         enumerate(wealths, 1)) if records else wealths)
+    v, history = kernel.run(v, LagrangeState(v[-1], hyper.alpha), draws, kept, [] if records else None)
+    return TrainResult(learner.params(*v[kept:]), tuple(history))
 
 
 def learner_policy(learner, spec: ProblemSpec, r_f, phi1: float, phi2: float, t: int, x: float,

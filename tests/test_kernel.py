@@ -1,10 +1,12 @@
 """The generated episode kernel against the loop kernel it replaced
 (reference_kernel.py), float for float, and how often a run compiles it."""
 
+import ast
 import math
 from collections import Counter
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,19 @@ import reference_kernel as loop
 from dtmv import learner as learner_module
 from dtmv.analytic import ProblemSpec
 from dtmv.evaluation import ALGORITHMS, LEARNERS, RollingSpec, rolling_backtest
-from dtmv.learner import DISCRETE, HyperParams, LagrangeState, _setup, train
+from dtmv.learner import (
+    DISCRETE,
+    DIVERGENCE_COST,
+    HyperParams,
+    InfeasiblePolicyError,
+    LagrangeState,
+    TrainingDivergedError,
+    _diverged,
+    _kernel_source,
+    _setup,
+    _values,
+    train,
+)
 from dtmv.market import NormalIID, bundled_monthly_csv_path, load_monthly_csv, make_rng
 
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
@@ -26,11 +40,11 @@ def _identical(got, want) -> bool:
 
 
 def _outcome(fn, *args):
-    """fn's result, or the type and message of what it raised."""
+    """fn's result, or the type, message and cause type of what it raised."""
     try:
         return fn(*args)
-    except (ArithmeticError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
+    except (ArithmeticError, ValueError, TrainingDivergedError) as exc:
+        return type(exc).__name__, str(exc), type(exc.__cause__).__name__
 
 
 _FLOATS = st.floats(-0.3, 0.3)
@@ -42,6 +56,23 @@ _LAM = st.floats(0.1, 8.0)
 _ETAS = st.tuples(*[st.floats(1e-4, 0.5)] * 2)  # (eta_theta, eta_phi)
 
 
+def _driven(run, learner, v, lag, draws, kept, records, bound=DIVERGENCE_COST):
+    """run_episodes' training loop over the loop kernel, with its divergence
+    rule at the cost bound: (the values after the draws, one record or
+    terminal wealth per episode)."""
+    history = []
+    for ep, (rets, z) in enumerate(draws, 1):
+        try:
+            wealth, _, after, cost = loop._episode(run, v, lag, rets, z, True)
+        except (InfeasiblePolicyError, OverflowError) as exc:
+            raise _diverged(learner, ep, f"{type(exc).__name__}: {exc}", v[kept:]) from exc
+        v = after
+        if not (all(map(math.isfinite, v)) and abs(cost) <= bound):
+            raise _diverged(learner, ep, f"cost {cost!r}", v[kept:])
+        history.append(learner.record(ep, wealth[-1], *v[kept:]) if records else wealth[-1])
+    return v, history
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     algorithm=st.sampled_from(ALGORITHMS),
@@ -49,6 +80,7 @@ _ETAS = st.tuples(*[st.floats(1e-4, 0.5)] * 2)  # (eta_theta, eta_phi)
     prefix_updates=st.booleans(),
     refresh_every=st.integers(1, 5),
     recorded=st.integers(0, 5),
+    records=st.booleans(),
     theta=st.tuples(_FLOATS, _FLOATS),
     phi1=_PHI1,
     phi2=_PHI2,
@@ -58,31 +90,40 @@ _ETAS = st.tuples(*[st.floats(1e-4, 0.5)] * 2)  # (eta_theta, eta_phi)
     data=st.data(),
 )
 def test_generated_episode_equals_the_loop_kernel(
-    algorithm, T, prefix_updates, refresh_every, recorded, theta, phi1, phi2, w, lam, etas, data
+    algorithm, T, prefix_updates, refresh_every, recorded, records, theta, phi1, phi2, w, lam, etas,
+    data
 ):
-    """One learning episode and one frozen rollout of the generated kernel
-    give the loop kernel's wealths, controls, values after the episode, cost
-    and Lagrange state, or raise what it raises, for either learner at any
-    horizon, pass list and point in the w refresh cycle."""
-    rets = data.draw(st.lists(st.floats(-0.2, 0.2), min_size=T, max_size=T))
-    z = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=T, max_size=T))
+    """The generated training loop over 1 to 30 episodes gives what
+    run_episodes' divergence rule over the loop kernel gives: the values
+    after them, each episode's record (or terminal wealth with records off)
+    and the Lagrange state, or the same TrainingDivergedError at the same
+    episode with the same message and cause, for either learner at any
+    horizon, pass list and point in the w refresh cycle.  With the cost
+    bound below every cost the first episode's cost shows in the message,
+    bit for bit.  One frozen rollout gives the loop kernel's wealths and
+    controls, or raises what it raises."""
+    pairs = st.tuples(*[st.lists(st.floats(lo, hi), min_size=T, max_size=T)
+                        for lo, hi in ((-0.2, 0.2), (-4.0, 4.0))])  # (returns, policy normals)
+    draws = data.draw(st.lists(pairs, min_size=1, max_size=30))
     learner = LEARNERS[algorithm]
     hyper = HyperParams(replace(SPEC, T=T, lam=lam), *etas, refresh_every=refresh_every,
                         prefix_updates=prefix_updates)
     v = (math.exp(-2.0 * phi2), *theta, 0.0, phi1, phi2, w)
+    _, kept = _values(learner, learner.cold_start(hyper.spec, R_F, 1.0, 0.5))
     wealths = [1.0 + 0.01 * k for k in range(recorded)]
-    want_lag, got_lag = LagrangeState(w, 0.05, list(wealths)), LagrangeState(w, 0.05, list(wealths))
     run, kernel = loop._setup(learner, hyper, R_F), _setup(learner, hyper, R_F)
 
-    want = _outcome(loop._episode, run, v, want_lag, rets, z, True)
-    got = _outcome(kernel.learn, v, got_lag, rets, z)
-    if isinstance(want[0], str):  # raised
-        assert got == want
-    else:
-        wealth, _, values, cost = want
-        assert _identical(got, (values, cost, wealth[-1]))
-    assert _identical(vars(got_lag), vars(want_lag))
+    for bound in (DIVERGENCE_COST, -1.0):
+        kernel.run.__globals__["DIVERGENCE_COST"] = bound
+        want_lag, got_lag = LagrangeState(w, 0.05, list(wealths)), LagrangeState(w, 0.05, list(wealths))
+        want = _outcome(_driven, run, learner, v, want_lag, draws, kept, records, bound)
+        got = _outcome(kernel.run, v, got_lag, draws, kept, [] if records else None)
+        assert _identical(got, want)
+        assert _identical(vars(got_lag), vars(want_lag))
+        if bound < 0.0:
+            assert want[0] == "TrainingDivergedError" and "at episode 1 (" in want[1]
 
+    rets, z = draws[0]
     want = _outcome(loop._episode, run, v, None, rets, z, False)
     got = _outcome(kernel.rollout, v, rets, z)
     assert _identical(got, want if isinstance(want[0], str) else (tuple(want[0]), tuple(want[1])))
@@ -151,3 +192,38 @@ def test_a_backtest_decade_compiles_one_learning_kernel_per_learner(monkeypatch)
     per_learner = Counter(structure[1:4] for structure in compiled)  # shift, compounding, hold_phi1
     assert sorted(per_learner.values()) == [1, 1]
     assert (DISCRETE.shift, DISCRETE.compounding, DISCRETE.hold_phi1) in per_learner
+
+
+def _sources(learner, T, t_first, passes):
+    return _kernel_source(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_no_generated_source_grows_faster_than_the_horizon(algorithm):
+    """The training loop holds every pass of an episode, and the growing
+    prefixes hold T (T + 1) / 2 residuals; still, from T = 48 to T = 96
+    neither the kernel's whole source nor its longest function more than
+    doubles in lines."""
+    def lines(T):
+        passes = tuple((n, True) for n in range(1, T + 1)) + ((T, False),)
+        per_function = [source.count("\n") for source in _sources(LEARNERS[algorithm], T, 0, passes)]
+        return sum(per_function), max(per_function)
+
+    (total, longest), (total_2x, longest_2x) = lines(48), lines(96)
+    assert total_2x <= 2 * total and longest_2x <= 2 * longest
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_the_generated_source_is_python_3_10(algorithm):
+    """The package supports Python 3.10 (pyproject.toml) and no linter reads
+    the generated functions, so each one, for training runs with and
+    without prefix updates and for the one-pass structures of the sample
+    adapters, parses with the 3.10 grammar.  A syntax check only."""
+    for T in (1, 2, 12):
+        structures = [(0, tuple((n, True) for n in prefixes) + ((T, False),))
+                      for prefixes in (range(1, T + 1), (T,))]
+        structures += [(t_first, ((n, step),)) for t_first in (0, T - 1) for n in (0, 1)
+                       for step in (True, False)]
+        for t_first, passes in structures:
+            for source in _sources(LEARNERS[algorithm], T, t_first, passes):
+                ast.parse(source, feature_version=(3, 10))
