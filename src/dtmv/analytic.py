@@ -303,9 +303,14 @@ class ValueGrid:
     meta: Dict[str, float]
 
 
-# States per row block of the trapezoid cross-check, so that a block's arrays
-# stay in cache (of 4 to 64 rows, 16 ran fastest on a 2-vCPU Xeon).
+# States per row block of _blocked_log_partitions, so that a block's arrays stay in cache
+# (of 4 to 64 rows, 16 ran fastest on a 2-vCPU Xeon).
 _TRAPEZOID_ROWS = 16
+# The cross-check's moment series serves the states whose linear term reaches at most
+# _SERIES_REACH at the wide grid's end, with _SERIES_TERMS moments: its relative truncation
+# error is at most R^K e^(2R) / K! = 2^-36 e^(1/4) / 12! < 4e-20 for R = 1/8, K = 12.
+_SERIES_REACH = 0.125
+_SERIES_TERMS = 12
 
 
 def _trapezoid_nodes(halfwidth: float, points: int) -> Tuple[np.ndarray, slice]:
@@ -322,29 +327,70 @@ def _trapezoid_values(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """min over pi of E_pi[phi] + lam * E_pi[ln pi] per state, phi(u) = a2*u^2 + a1*u, by
     the trapezoid rule on the narrow and the wide grid of _trapezoid_nodes around center.
-    With weights w_j and e_j = exp(-phi_j/lam - top), top the row's largest exponent, that
-    value cancels node for node to the log-partition -lam * (top + ln sum w_j e_j).  phi is
-    expanded about center, phi(center) + beta*o + a2*o^2, with beta computed, not assumed 0,
-    so -a2*o^2/lam is one row for every state; the states go in row blocks, one exp each."""
+    With weights w_j that value cancels node for node to the log-partition
+    -lam * ln sum w_j exp(-phi_j/lam).  phi is expanded about center, phi(center) + beta*o
+    + a2*o^2, with beta computed, not assumed 0, so g = exp(-a2*o^2/lam - top) is one row
+    for every state and only the linear term's exp(-beta*o/lam) = exp(sigma*tau) differs,
+    with tau = o / o_max in [-1, 1] and sigma = -beta*o_max/lam, the term's reach.  A state
+    with |sigma| <= _SERIES_REACH sums that exp as a power series: per rule the moments
+    M_k = sum_j w_j g_j tau_j^k / k! (k < _SERIES_TERMS, each at most M_0) are taken once,
+    and S = sum_k sigma^k M_k (Horner) gives the value phi(center) - lam * (top + ln S).
+    At the Gibbs center, where dp_oracle puts every window, sigma is rounding noise.  The
+    other states, off-center windows, take _blocked_log_partitions: one exp per node."""
     offs, inner = _trapezoid_nodes(halfwidth, points)
-    narrow, wide = np.empty(center.size), np.empty(center.size)
-    rules = []  # (values, columns, weights); each rule has its own end weights, as in np.trapezoid
-    for out, cols in ((narrow, inner), (wide, slice(None))):
+    rules = []  # (columns, weights); each rule has its own end weights, as in np.trapezoid
+    for cols in (inner, slice(None)):
         half = 0.5 * np.diff(offs[cols])
-        rules.append((out, cols, np.pad(half, (0, 1)) + np.pad(half, (1, 0))))
+        rules.append((cols, np.concatenate((half, [0.0])) + np.concatenate(([0.0], half))))
     phi_center = a2 * center**2 + a1 * center
     slope = (2.0 * a2 * center + a1) / -lam
     curve = offs * offs * (-a2 / lam)
-    for i in range(0, center.size, _TRAPEZOID_ROWS):
+    reach = slope * offs[-1]
+    near = np.abs(reach) <= _SERIES_REACH
+
+    top = curve.max()
+    g = np.exp(curve - top)
+    powers = np.empty((_SERIES_TERMS, offs.size))  # row k: tau^k / k!
+    powers[0] = 1.0
+    tau = offs / offs[-1]
+    for k in range(1, _SERIES_TERMS):
+        np.multiply(powers[k - 1], tau / k, out=powers[k])
+    sigma = reach[near]
+    parts = []  # ln sum_j w_j exp(-(phi_j - phi(center))/lam) per state, one array per rule
+    for cols, wt in rules:
+        moments = powers[:, cols] @ (wt * g[cols])
+        s = moments[-1]
+        for m_k in moments[-2::-1]:
+            s = s * sigma + m_k
+        part = np.empty(center.size)
+        part[near] = top + np.log(s)
+        parts.append(part)
+
+    far = np.flatnonzero(~near)
+    if far.size:
+        for part, blocked in zip(parts, _blocked_log_partitions(slope[far], offs, curve, rules)):
+            part[far] = blocked
+    narrow, wide = (phi_center - lam * part for part in parts)
+    return narrow, wide
+
+
+def _blocked_log_partitions(
+    slope: np.ndarray, offs: np.ndarray, curve: np.ndarray, rules: List[Tuple[slice, np.ndarray]]
+) -> List[np.ndarray]:
+    """ln sum_j w_j exp(slope_i * o_j + curve_j) per state i and (columns, weights) rule,
+    with one exp per node: the states go in row blocks, each shifted by its largest
+    exponent, so that a block's arrays stay in cache."""
+    parts = [np.empty(slope.size) for _ in rules]
+    for i in range(0, slope.size, _TRAPEZOID_ROWS):
         rows = slice(i, i + _TRAPEZOID_ROWS)
         ex = np.multiply.outer(slope[rows], offs)
         ex += curve
         top = ex.max(axis=1)
         ex -= top[:, None]
         np.exp(ex, out=ex)
-        for out, cols, wt in rules:
-            out[rows] = phi_center[rows] - lam * (top + np.log(ex[:, cols] @ wt))
-    return narrow, wide
+        for part, (cols, wt) in zip(parts, rules):
+            part[rows] = top + np.log(ex[:, cols] @ wt)
+    return parts
 
 
 def dp_oracle(
@@ -370,13 +416,17 @@ def dp_oracle(
     when 4 divides n_u - 1 (as at the default), a little wider otherwise.
     Raises QuadratureError if widening the control window moves any value
     beyond `tol` (scaled), if the closed-form and trapezoid values disagree,
-    or if a layer stops being quadratic.
+    or if a layer stops being quadratic; a NaN fails each of these checks.
 
     The x grid should cover the wealth range of interest with a few points to
     spare; at least 3 strictly increasing values are required.  Returns one
     ValueGrid per period, ordered t = 0..T.
 
-    Runtime is O(T * len(x_values) * n_u).
+    Runtime is O(T * len(x_values) * (n_hermite + K)) plus O(T * K * n_u) for
+    the moments, K = _SERIES_TERMS terms of the trapezoid's series (see
+    _trapezoid_values).  Every window is centered on its Gibbs minimizer,
+    where the series' linear term is rounding noise, so no state takes the
+    O(n_u) off-center fallback.
     """
     grid = np.asarray(x_values, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
@@ -417,12 +467,12 @@ def dp_oracle(
         scale = 1.0 + np.abs(val_gh)
         widen_err = float(np.max(np.abs(val_wide - val_tr) / scale))
         cross_err = float(np.max(np.abs(val_gh - val_tr) / scale))
-        if widen_err > tol:
+        if not widen_err <= tol:  # written so that a NaN fails each gate
             raise QuadratureError(
                 f"control quadrature unconverged at t-layer against width "
                 f"{wide_sigmas:g} sigmas (err {widen_err:.3e} > {tol:g})"
             )
-        if cross_err > tol:
+        if not cross_err <= tol:
             raise QuadratureError(
                 f"Gauss-Hermite and trapezoid quadratures disagree (err {cross_err:.3e})"
             )
@@ -433,9 +483,9 @@ def dp_oracle(
         c0, c1, c2 = (float(v) for v in coefs)
         resid = float(np.max(np.abs(np.polynomial.polynomial.polyval(grid, coefs) - values)))
         resid_rel = resid / float(np.max(1.0 + np.abs(values)))
-        if resid_rel > 100.0 * tol:
+        if not resid_rel <= 100.0 * tol:
             raise QuadratureError(f"layer is not quadratic in x (residual {resid_rel:.3e})")
-        if c2 <= 0.0:
+        if not c2 > 0.0:
             raise QuadratureError("fitted layer lost convexity")
         return c2, -c1 / (2.0 * c2), c0 - c1 * c1 / (4.0 * c2), resid_rel
 

@@ -456,7 +456,7 @@ def cmd_analytic(cfg: RunConfig, out: str) -> None:
     for t, grid in enumerate(layers):  # whole layers: the closed forms take state arrays
         value = optimal_value(m, spec, t, xs, w)
         err = np.abs(value - grid.j_values) / np.maximum(1.0, np.abs(value))
-        max_err = max(max_err, *err.tolist())
+        max_err = float(np.maximum(max_err, err.max()))  # a NaN error stays NaN
         if t < spec.T:
             pol = optimal_policy(m, spec, t, xs, w)
             means, var = map(repr, pol.mean.tolist()), _fmt(pol.variance)

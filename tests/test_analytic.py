@@ -1,13 +1,17 @@
 """Tests for the closed-form solution, policy improvement, and the DP oracle."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtmv import analytic
 from dtmv.analytic import (
+    _SERIES_REACH,
     DegenerateFamilyError,
     GaussianPolicy,
     IterationFamily,
@@ -30,6 +34,7 @@ from dtmv.analytic import (
     step_factor,
     variance_growth,
 )
+from dtmv.cli import main
 from dtmv.market import make_rng
 
 M = MarketModel(a=0.1, sigma=0.2, r_f=1.05)
@@ -350,6 +355,47 @@ def test_dp_oracle_widening_gate_rejects_narrow_windows(halfwidth, converged):
             dp_oracle(M, spec, 1.3, xs, halfwidth_sigmas=halfwidth)
 
 
+def test_dp_oracle_rejects_a_nan_target():
+    """A NaN w makes every value of the first Bellman step NaN; each gate is
+    written so that a NaN fails it, so no NaN layer comes back."""
+    with pytest.raises(QuadratureError, match="unconverged"):
+        dp_oracle(M, SPEC, float("nan"), np.linspace(0.0, 2.0, 5))
+
+
+def test_dp_oracle_cross_check_catches_a_coarse_grid():
+    """51 nodes over +-40 sigmas are 1.6 sigmas apart: the trapezoid rule
+    misses the Gibbs integral by far more than tol, and the cross-check on
+    the series path says so."""
+    xs = np.linspace(0.0, 2.0, 5)
+    with pytest.raises(QuadratureError, match="disagree"):
+        dp_oracle(M, SPEC, 1.3, xs, n_u=51, halfwidth_sigmas=40.0)
+
+
+@contextlib.contextmanager
+def _fallback_states():
+    """The number of states of each _blocked_log_partitions call made inside."""
+    calls = []
+    blocked = analytic._blocked_log_partitions
+
+    def counted(slope, *args):
+        calls.append(slope.size)
+        return blocked(slope, *args)
+
+    with mock.patch.object(analytic, "_blocked_log_partitions", counted):
+        yield calls
+
+
+def test_dp_oracle_at_the_benchmark_grid_takes_only_the_series_path(tmp_path):
+    """`analytic` at horizon 60 on 201 states (the oracle-fine workload)
+    centers every window on its Gibbs minimizer, so no state of any layer
+    falls back to one exp per node."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[problem]\nhorizon = 60\n\n[grid]\nx_points = 201\n")
+    with _fallback_states() as fallback:
+        assert main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert fallback == []
+
+
 def _reference_trapezoid(a2, a1, center, lam, halfwidth, points):
     """dp_oracle's trapezoid cross-check as it was written over the whole
     (states x nodes) array, with two exps and np.trapezoid."""
@@ -432,6 +478,44 @@ def test_trapezoid_off_the_gibbs_center_matches_the_whole_array_formulation(
     narrow, wide = _trapezoid_values(a2, a1, center, lam, halfwidth, points)
     k = math.ceil((points - 1) / 4)
     wide_halfwidth = (points - 1 + 2 * k) / (points - 1) * halfwidth
+    want_narrow = _reference_trapezoid(a2, a1, center, lam, halfwidth, points)
+    want_wide = _reference_trapezoid(a2, a1, center, lam, wide_halfwidth, points + 2 * k)
+    np.testing.assert_allclose(narrow, want_narrow, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(wide, want_wide, rtol=1e-13, atol=1e-13)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    market=st.sampled_from([M, MONTHLY]),
+    q=st.floats(0.01, 100.0),
+    c=st.floats(-3.0, 3.0),
+    lam=st.floats(0.01, 10.0),
+    x_min=st.floats(-3.0, 3.0),
+    span=st.floats(0.1, 6.0),
+    states=st.integers(3, 250),
+    width=st.sampled_from([2.0, 4.0, 8.0, 12.0]),
+    points=st.integers(51, 3001),
+    reach=st.floats(2.0, 6.0),
+)
+def test_trapezoid_series_and_its_fallback_match_the_whole_array_formulation(
+    market, q, c, lam, x_min, span, states, width, points, reach
+):
+    """The properties above with each window moved off the minimizer so that
+    the linear term's reach at the wide grid's end, -beta * o_max / lam, runs
+    from 0 to `reach` times _SERIES_REACH, alternating in sign over the
+    states: one call sums the near states as the moment series and sends the
+    others to _blocked_log_partitions, and both match the reference."""
+    grid = np.linspace(x_min, x_min + span, states)
+    a2 = q * market.second_moment
+    a1 = 2.0 * q * market.a * (market.r_f * grid - c)
+    halfwidth = width * math.sqrt(lam / (2.0 * a2))
+    k = math.ceil((points - 1) / 4)
+    wide_halfwidth = (points - 1 + 2 * k) / (points - 1) * halfwidth
+    sigma = reach * _SERIES_REACH * np.linspace(0.0, 1.0, states) * (-1.0) ** np.arange(states)
+    center = -a1 / (2.0 * a2) - sigma * lam / (2.0 * a2 * wide_halfwidth)
+    with _fallback_states() as fallback:
+        narrow, wide = _trapezoid_values(a2, a1, center, lam, halfwidth, points)
+    assert len(fallback) == 1 and 0 < fallback[0] < states
     want_narrow = _reference_trapezoid(a2, a1, center, lam, halfwidth, points)
     want_wide = _reference_trapezoid(a2, a1, center, lam, wide_halfwidth, points + 2 * k)
     np.testing.assert_allclose(narrow, want_narrow, rtol=1e-13, atol=1e-13)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtmv import cli
 from dtmv.cli import (
     ConfigError,
     EvaluationConfig,
@@ -404,6 +405,25 @@ def test_analytic_means_do_not_depend_on_the_temperature(tmp_path, capsys):
     rows_b = _read_csv(os.path.join(out_b, "report.csv"))
     assert [r["policy_mean"] for r in rows_a] == [r["policy_mean"] for r in rows_b]
     assert [r["value"] for r in rows_a] != [r["value"] for r in rows_b]
+
+
+def test_analytic_summary_keeps_a_nan_error(tmp_path, capsys, monkeypatch):
+    """A NaN relative error that is not the first one still reaches
+    summary.txt's max_rel_error, instead of dropping out of the max."""
+    real = cli.optimal_value
+
+    def nan_at_one_state(m, spec, t, xs, w):
+        value = real(m, spec, t, xs, w)
+        if t == 1:
+            value = value.copy()
+            value[3] = math.nan
+        return value
+
+    monkeypatch.setattr(cli, "optimal_value", nan_at_one_state)
+    out = str(tmp_path / "a")
+    assert _run(["analytic", "--out", out], capsys)[0] == 0
+    summary = open(os.path.join(out, "summary.txt")).read()
+    assert "max_rel_error = nan\n" in summary
 
 
 def test_iterate_trace_descends_to_zero_residual(tmp_path, capsys):

@@ -23,7 +23,10 @@ reference_draws.block_draws on every market.
 A further digest pins the run directory of `dtmv analytic` at a 60-period
 horizon.  It was computed while the oracle's trapezoid cross-check still ran
 over whole arrays; that check gates the oracle's values without entering
-them, so running it in row blocks must not move a byte.
+them, so running it in row blocks, or as a moment series, must not move a
+byte.  A second pins the same command on the 201-state grid of the
+oracle-fine benchmark workload; it was computed while the check took one exp
+per node in row blocks.
 
 Two more pin whole `dtmv train` run directories, one per learner.  They were
 computed while the episode log was still written by json.dumps over every
@@ -109,6 +112,7 @@ GOLDEN_HISTORIES = {
 }
 GOLDEN_ONLINE_BACKTEST = "b9d242a3ae4f95c7b824253dfea01a0002043a2c2d41955a09498b26c5493401"
 GOLDEN_ANALYTIC_RUN = "3221e3b055ad995651995cc68fa37c5d0c43bb8cc147a5dafea973d486d3a2f5"
+GOLDEN_ANALYTIC_RUN_201 = "46ed7b93ff9436f824ee295a28950405bacff009562a9e710b5b374a251285ff"
 GOLDEN_TRAIN_RUNS = {
     "emv-discrete": "683acc352a22ca8693cd2df6f17998a34bf62b85506ecd2ee1521d2672accaba",
     "emv-continuous": "5297d6bd7916290b812d492d230d64695400d76f3963cb0f84ec5d5783a4a85b",
@@ -148,6 +152,12 @@ def _run_digest(tmp_path, capsys, command, config) -> str:
 def test_analytic_run_directory_matches_its_golden_digest(tmp_path, capsys):
     config = "[problem]\nhorizon = 60\n\n[grid]\nx_points = 21\n"
     assert _run_digest(tmp_path, capsys, "analytic", config) == GOLDEN_ANALYTIC_RUN
+
+
+def test_analytic_run_directory_at_the_benchmark_grid_matches_its_golden_digest(tmp_path, capsys):
+    """The oracle-fine workload's config: 61 layers of 201 states."""
+    config = "[problem]\nhorizon = 60\n\n[grid]\nx_points = 201\n"
+    assert _run_digest(tmp_path, capsys, "analytic", config) == GOLDEN_ANALYTIC_RUN_201
 
 
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN_TRAIN_RUNS))
