@@ -428,6 +428,10 @@ def dp_oracle(
     where the series' linear term is rounding noise, so no state takes the
     O(n_u) off-center fallback.
     """
+    if not 0.0 < halfwidth_sigmas < math.inf:
+        raise ValueError(f"halfwidth_sigmas must be finite and > 0, got {halfwidth_sigmas!r}")
+    if n_hermite < 1:
+        raise ValueError(f"n_hermite must be >= 1, got {n_hermite!r}")
     grid = np.asarray(x_values, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("x_values must be 1-D with at least 3 points")

@@ -11,18 +11,16 @@ parameters.  The period is the unit of time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from dtmv.analytic import GaussianPolicy, ProblemSpec
+from dtmv.analytic import ProblemSpec
 from dtmv.learner import (
     HyperParams,
     Learner,
     TrainResult,
-    learner_policy,
     _on_samples,
     step_params,
     train,
@@ -70,33 +68,6 @@ CONTINUOUS = Learner(
 )
 
 
-def default_baseline_params(spec: ProblemSpec) -> BaselineParams:
-    """Same cold start as the discrete learner; w begins at the target b."""
-    # the comparator's cold start does not depend on r_f
-    return CONTINUOUS.cold_start(spec, None, HyperParams.init_phi1, HyperParams.init_phi2)
-
-
-def baseline_policy(params: BaselineParams, spec: ProblemSpec, t: int, x: float) -> GaussianPolicy:
-    """Gaussian control density of the continuous-time learner at (t, x).
-
-    The mean is independent of the riskless rate by construction.  Requires
-    phi2 > 0.
-    """
-    return learner_policy(CONTINUOUS, spec, None, params.phi1, params.phi2, t, x, params.w)
-
-
-def baseline_value(params: BaselineParams, spec: ProblemSpec, t: int, x: float) -> float:
-    if not 0 <= t <= spec.T:
-        raise ValueError(f"t={t} outside 0..{spec.T}")
-    dev = x - params.w
-    return (
-        dev * dev * math.exp(-2.0 * params.phi2 * (spec.T - t))
-        + params.theta2 * t * t
-        + params.theta3 * t
-        + params.theta4
-    )
-
-
 def baseline_cost(
     samples: Sequence[Tuple[int, float]], params: BaselineParams, spec: ProblemSpec
 ) -> float:
@@ -118,7 +89,7 @@ def baseline_apply_updates(
     spec: ProblemSpec,
 ) -> BaselineParams:
     """Gradient steps, phi2 projected positive, theta4 pinned to the terminal
-    condition baseline_value(T, x) = (x - w)^2 - (w - b)^2."""
+    condition theta2 * T^2 + theta3 * T + theta4 = -(w - b)^2."""
     return step_params(CONTINUOUS, params, grads, eta_theta, eta_phi, spec, None)
 
 

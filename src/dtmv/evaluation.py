@@ -237,17 +237,11 @@ def run_simulation_study(
 def median_summary(rows: Sequence[PerformanceReport]) -> List[Dict[str, object]]:
     """Per (setting, algorithm): median across seeds of each statistic,
     in first-appearance order."""
-    order: List[Tuple[str, str]] = []
     groups: Dict[Tuple[str, str], List[PerformanceReport]] = {}
     for row in rows:
-        key = (row.setting, row.algorithm)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault((row.setting, row.algorithm), []).append(row)
     out = []
-    for key in order:
-        rs = groups[key]
+    for key, rs in groups.items():
         out.append(
             {
                 "setting": key[0],

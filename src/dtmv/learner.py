@@ -22,8 +22,7 @@ records off a run keeps each episode's terminal wealth alone.  A Learner is
 data: its params, its records and the few constants in which the
 continuous-time comparator (dtmv.baseline.CONTINUOUS) differs from DISCRETE
 here.  The sample adapters (cost, grad_theta, grad_phi, apply_updates) run
-the kernel's descend, sample_episode and policy_from_params its rollout and
-policy.
+the kernel's descend, sample_episode its rollout.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from dtmv.analytic import GaussianPolicy, ProblemSpec, discount_factor
+from dtmv.analytic import ProblemSpec, discount_factor
 from dtmv.market import RNG_ALGORITHM, ReturnModel, episode_draws, sample_path
 
 ALGORITHM_DISCRETE = "emv-discrete"
@@ -132,10 +131,6 @@ class Episode:
     @property
     def terminal_wealth(self) -> float:
         return self.wealth[-1]
-
-    @property
-    def states(self) -> Tuple[Tuple[int, float], ...]:
-        return tuple(enumerate(self.wealth))
 
 
 class EpisodeRecord(NamedTuple):
@@ -444,7 +439,8 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
     draws, all in one call of the kernel's run, from params (the learner's
     cold start from hyper when None); returns the final params and one
     record per episode, or with records off only each episode's terminal
-    wealth.  With learn off the params stay as given: a rollout per pair.
+    wealth.  With learn off the params stay as given: a rollout per pair,
+    and the terminal wealths whatever records says.
 
     Raises InfeasiblePolicyError when params define no policy.  With learn
     set, raises TrainingDivergedError when the residual cost exceeds
@@ -461,21 +457,9 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
     v, kept = _values(learner, params)
     kernel.policy(v[4], v[5], v[0])  # raises where params define no policy
     if not learn:
-        wealths = tuple(kernel.rollout(v, rets, z)[0][-1] for rets, z in draws)
-        return TrainResult(params, tuple(learner.record(ep, x_T, *v[kept:]) for ep, x_T in
-                                         enumerate(wealths, 1)) if records else wealths)
+        return TrainResult(params, tuple(kernel.rollout(v, rets, z)[0][-1] for rets, z in draws))
     v, history = kernel.run(v, LagrangeState(v[-1], hyper.alpha), draws, kept, [] if records else None)
     return TrainResult(learner.params(*v[kept:]), tuple(history))
-
-
-def learner_policy(learner, spec: ProblemSpec, r_f, phi1: float, phi2: float, t: int, x: float,
-                   w: float) -> GaussianPolicy:
-    """The learner's Gaussian control density at state (t, x) (its kernel's policy)."""
-    if not 0 <= t < spec.T:
-        raise ValueError(f"t={t} outside 0..{spec.T - 1}")
-    kernel = _setup(learner, HyperParams(spec), r_f)
-    slope, variances = kernel.policy(phi1, phi2, math.exp(-2.0 * phi2))
-    return GaussianPolicy(slope * (x - kernel.rhos[t] * w), variances[t])
 
 
 def _check_samples(samples: Sequence[Tuple[int, float]], T: int) -> None:
@@ -524,12 +508,6 @@ def cold_start(spec: ProblemSpec, r_f: float, phi1: float, phi2: float) -> Discr
     return DiscreteParams(theta, PolicyParams(phi1, phi2), spec.b)
 
 
-def default_params(spec: ProblemSpec, r_f: float) -> Tuple[ValueParams, PolicyParams]:
-    """Standard cold start: flat value drift terms, mild exploration decay."""
-    p = cold_start(spec, r_f, HyperParams.init_phi1, HyperParams.init_phi2)
-    return p.theta, p.phi
-
-
 # Discounted centers, phi1 held, the entropy count m = T - t - 1.
 DISCRETE = Learner(
     cold_start=cold_start,
@@ -540,36 +518,6 @@ DISCRETE = Learner(
     compounding=True,
     hold_phi1=True,
 )
-
-
-def policy_from_params(
-    phi: PolicyParams, spec: ProblemSpec, r_f: float, t: int, x: float, w: float
-) -> GaussianPolicy:
-    """Gaussian control density implied by phi at state (t, x).
-
-    Requires exp(-2*phi2) < r_f^2, otherwise the mean coefficient would be
-    imaginary (InfeasiblePolicyError).
-    """
-    return learner_policy(DISCRETE, spec, r_f, phi.phi1, phi.phi2, t, x, w)
-
-
-def policy_entropy(phi: PolicyParams, spec: ProblemSpec, t: int) -> float:
-    """Differential entropy of the learned policy; linear in phi by design."""
-    if not 0 <= t < spec.T:
-        raise ValueError(f"t={t} outside 0..{spec.T - 1}")
-    return phi.phi1 + phi.phi2 * (spec.T - t - 1)
-
-
-def value_from_params(
-    theta: ValueParams, spec: ProblemSpec, r_f: float, t: int, x: float, w: float
-) -> float:
-    dev = x - discount_factor(t, spec.T, r_f) * w  # raises for t outside 0..T
-    return (
-        theta.theta1 ** (spec.T - t) * dev * dev
-        + theta.theta2 * t * t
-        + theta.theta3 * t
-        + theta.theta4
-    )
 
 
 def sample_episode(phi: PolicyParams, w: float, model: ReturnModel, spec: ProblemSpec, r_f: float,
@@ -608,7 +556,8 @@ def apply_updates(theta: ValueParams, phi: PolicyParams, grads: Tuple[float, flo
                   r_f: float) -> Tuple[ValueParams, PolicyParams]:
     """One gradient step on the cost with phi1 held (see _kernel_source), phi2
     projected onto the feasible region phi2 > -ln(r_f), theta1 pinned to
-    exp(-2*phi2) and theta4 to value_from_params(T, x) = (x - w)^2 - (w - b)^2."""
+    exp(-2*phi2) and theta4 to the terminal condition
+    theta2 * T^2 + theta3 * T + theta4 = -(w - b)^2."""
     p = step_params(DISCRETE, DiscreteParams(theta, phi, w), grads, eta_theta, eta_phi, spec, r_f)
     return p.theta, p.phi
 

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it at import, not in make_rng)
@@ -293,21 +293,6 @@ def _skewt_core(nu: float, slant: float, z0, z1, chi2) -> np.ndarray:
     return ((delta * np.abs(z0) + delta_c * z1) / np.sqrt(chi2 / nu) - mean) / sd
 
 
-def sample_skewt_core(
-    nu: float, slant: float, rng: np.random.Generator, size: Optional[int] = None
-) -> Union[float, np.ndarray]:
-    """Draw standardized skew-t variates (zero mean, unit variance): _skewt_core
-    of size draws of z0, then of z1, then of the chi-square."""
-    n = 1 if size is None else int(size)
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    normal = rng.standard_normal
-    core = _skewt_core(nu, slant, normal(n), normal(n), rng.chisquare(nu, size=n))
-    if size is None:
-        return float(core[0])
-    return core
-
-
 def sample_path(model: ReturnModel, T: int, rng: np.random.Generator) -> np.ndarray:
     """Sample T consecutive per-period excess returns from a return model."""
     if T < 1:
@@ -315,7 +300,9 @@ def sample_path(model: ReturnModel, T: int, rng: np.random.Generator) -> np.ndar
     if isinstance(model, NormalIID):
         return model.a + model.sigma * rng.standard_normal(T)
     if isinstance(model, SkewTIID):
-        return model.a + model.sigma * sample_skewt_core(model.nu, model.slant, rng, size=T)
+        nu, normal = model.nu, rng.standard_normal
+        core = _skewt_core(nu, model.slant, normal(T), normal(T), rng.chisquare(nu, size=T))
+        return model.a + model.sigma * core
     if isinstance(model, Historical):
         values = model.series.values
         n = len(values)

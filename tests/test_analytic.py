@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -575,6 +576,17 @@ def test_dp_oracle_grid_validation():
         dp_oracle(M, SPEC, 1.3, [0.0, 1.0, 0.5])
     with pytest.raises(ValueError):
         dp_oracle(M, SPEC, 1.3, np.linspace(0, 2, 5), n_u=11)
+    # a window that is not finite and positive, or no Gauss-Hermite node, is
+    # rejected by name before numpy runs (and warns) on it
+    xs = np.linspace(0, 2, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for halfwidth in (-8.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^halfwidth_sigmas must be finite and > 0"):
+                dp_oracle(M, SPEC, 1.3, xs, halfwidth_sigmas=halfwidth)
+        for n_hermite in (0, -3):
+            with pytest.raises(ValueError, match="^n_hermite must be >= 1"):
+                dp_oracle(M, SPEC, 1.3, xs, n_hermite=n_hermite)
 
 
 def test_value_grid_metadata_records_geometry():

@@ -9,18 +9,19 @@ import pytest
 
 from dtmv.analytic import ProblemSpec, gaussian_entropy
 from dtmv.baseline import (
+    CONTINUOUS,
     BaselineParams,
     baseline_apply_updates,
     baseline_cost,
     baseline_gradients,
-    baseline_policy,
-    baseline_value,
-    default_baseline_params,
 )
-from dtmv.learner import PHI2_MARGIN, InfeasiblePolicyError
+from dtmv.learner import DISCRETE, PHI2_MARGIN, HyperParams, InfeasiblePolicyError
 from dtmv.market import make_rng
+from test_learner import _policy
 
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
+# the comparator's cold start does not depend on r_f
+COLD = CONTINUOUS.cold_start(SPEC, None, HyperParams.init_phi1, HyperParams.init_phi2)
 
 
 def _random_params(rng):
@@ -41,13 +42,13 @@ def _random_samples(rng, T):
 
 
 # ---------------------------------------------------------------------------
-# policy and value surface
+# policy and cold start
 # ---------------------------------------------------------------------------
 
 
 def test_baseline_policy_formula():
     p = BaselineParams(0.0, 0.0, 0.0, phi1=0.7, phi2=0.06, w=1.25)
-    pol = baseline_policy(p, SPEC, 1, 1.5)
+    pol = _policy(CONTINUOUS, p.phi1, p.phi2, 1, 1.5, p.w, r_f=None)
     dev = 1.5 - 1.25
     assert pol.mean == pytest.approx(
         -math.sqrt(2.0 * 0.06 / (SPEC.lam * math.pi)) * math.exp(0.2) * dev, rel=1e-14
@@ -61,28 +62,23 @@ def test_baseline_mean_depends_on_the_raw_deviation_only():
     """The comparator centers on x - w with no horizon discounting, so
     shifting x and w together leaves the whole policy unchanged.  The
     discrete learner's policy does not have this property when r_f != 1."""
-    from dtmv.learner import PolicyParams, policy_from_params
-
     p = BaselineParams(0.0, 0.0, 0.0, 0.9, 0.04, w=1.2)
-    ref = baseline_policy(p, SPEC, 0, 1.4)
+    ref = _policy(CONTINUOUS, p.phi1, p.phi2, 0, 1.4, p.w, r_f=None)
     for shift in (-0.7, 0.0, 2.5):
         moved = BaselineParams(0.0, 0.0, 0.0, 0.9, 0.04, w=1.2 + shift)
-        pol = baseline_policy(moved, SPEC, 0, 1.4 + shift)
+        pol = _policy(CONTINUOUS, moved.phi1, moved.phi2, 0, 1.4 + shift, moved.w, r_f=None)
         assert pol.mean == pytest.approx(ref.mean, rel=1e-12)
         assert pol.variance == ref.variance
     r_f = 1.0 + 0.02 / 12.0
-    phi = PolicyParams(0.9, 0.04)
-    a = policy_from_params(phi, SPEC, r_f, 0, 1.4, 1.2)
-    b = policy_from_params(phi, SPEC, r_f, 0, 1.4 + 0.5, 1.2 + 0.5)
+    a = _policy(DISCRETE, 0.9, 0.04, 0, 1.4, 1.2, r_f=r_f)
+    b = _policy(DISCRETE, 0.9, 0.04, 0, 1.4 + 0.5, 1.2 + 0.5, r_f=r_f)
     assert a.mean != b.mean  # discounted centering breaks translation
 
 
 def test_baseline_policy_requires_positive_phi2():
     p = BaselineParams(0.0, 0.0, 0.0, 1.0, 0.0, 1.1)
     with pytest.raises(InfeasiblePolicyError):
-        baseline_policy(p, SPEC, 0, 1.0)
-    with pytest.raises(ValueError):
-        baseline_policy(default_baseline_params(SPEC), SPEC, 3, 1.0)
+        _policy(CONTINUOUS, p.phi1, p.phi2, 0, 1.0, p.w, r_f=None)
 
 
 def test_baseline_entropy_matches_the_policy_variance():
@@ -91,32 +87,13 @@ def test_baseline_entropy_matches_the_policy_variance():
     for _ in range(40):
         p = _random_params(rng)
         t = int(rng.integers(0, SPEC.T))
-        pol = baseline_policy(p, SPEC, t, float(rng.uniform(0.0, 2.0)))
+        pol = _policy(CONTINUOUS, p.phi1, p.phi2, t, float(rng.uniform(0.0, 2.0)), p.w, r_f=None)
         entropy = p.phi1 + p.phi2 * (SPEC.T - t)
         assert abs(entropy - gaussian_entropy(pol.variance)) <= 1e-12
 
 
-def test_baseline_value_formula_and_terminal_time():
-    p = BaselineParams(0.2, -0.1, 0.05, 1.0, 0.03, 1.2)
-    t, x = 1, 1.5
-    expect = (
-        (x - 1.2) ** 2 * math.exp(-2.0 * 0.03 * (SPEC.T - t))
-        + 0.2 * t * t
-        - 0.1 * t
-        + 0.05
-    )
-    assert baseline_value(p, SPEC, t, x) == pytest.approx(expect, rel=1e-14)
-    # at t = T the exponential factor is 1
-    assert baseline_value(p, SPEC, SPEC.T, x) == pytest.approx(
-        (x - 1.2) ** 2 + 0.2 * 9 - 0.3 + 0.05, rel=1e-14
-    )
-    with pytest.raises(ValueError):
-        baseline_value(p, SPEC, 4, x)
-
-
 def test_default_baseline_params_start_at_the_target():
-    p = default_baseline_params(SPEC)
-    assert p == BaselineParams(0.0, 0.0, 0.0, 1.0, 0.01, SPEC.b)
+    assert COLD == BaselineParams(0.0, 0.0, 0.0, 1.0, 0.01, SPEC.b)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +127,7 @@ def test_baseline_cost_matches_independent_reimplementation():
 
 def test_baseline_cost_rejects_nonconsecutive_periods():
     with pytest.raises(ValueError, match="consecutive"):
-        baseline_cost([(0, 1.0), (2, 1.2)], default_baseline_params(SPEC), SPEC)
+        baseline_cost([(0, 1.0), (2, 1.2)], COLD, SPEC)
 
 
 def test_baseline_gradients_match_central_finite_differences():
@@ -181,14 +158,14 @@ def test_baseline_apply_updates_pins_the_terminal_condition():
     assert q.theta3 == pytest.approx(p.theta3 + 0.002)
     assert q.phi1 == pytest.approx(p.phi1 - 0.002)
     assert q.phi2 == pytest.approx(p.phi2 - 0.001)
-    for x in (-0.5, 1.0, 2.4):
-        assert baseline_value(q, SPEC, SPEC.T, x) == pytest.approx(
-            (x - q.w) ** 2 - (q.w - SPEC.b) ** 2, rel=1e-12, abs=1e-12
-        )
+    # the terminal condition: the value at T is (x - w)^2 - (w - b)^2 for any wealth x
+    T = SPEC.T
+    assert q.theta2 * T * T + q.theta3 * T + q.theta4 == pytest.approx(
+        -((q.w - SPEC.b) ** 2), rel=1e-12, abs=1e-12
+    )
 
 
 def test_baseline_phi2_projection_keeps_the_policy_defined():
-    p = default_baseline_params(SPEC)
-    q = baseline_apply_updates(p, (0.0, 0.0, 0.0, 1e9), 0.0005, 0.0005, SPEC)
+    q = baseline_apply_updates(COLD, (0.0, 0.0, 0.0, 1e9), 0.0005, 0.0005, SPEC)
     assert q.phi2 == PHI2_MARGIN
-    baseline_policy(q, SPEC, 0, 1.0)
+    _policy(CONTINUOUS, q.phi1, q.phi2, 0, 1.0, q.w, r_f=None)

@@ -777,18 +777,34 @@ def test_reruns_are_byte_identical(tmp_path, capsys, command):
 # ---------------------------------------------------------------------------
 
 
-def test_every_traced_name_resolves_to_a_callable():
-    """perfbench/spans.py wraps each (module, name) of its WRAPPED tuple; one
-    that no longer resolves makes every traced benchmark run fail."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
-    with open(path) as fh:
-        tree = ast.parse(fh.read())
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _parse(*path):
+    with open(os.path.join(ROOT, *path)) as fh:
+        return ast.parse(fh.read())
+
+
+def _wrapped():
+    """The (module, names) pairs of perfbench/spans.py's WRAPPED tuple."""
     (wrapped,) = [
         ast.literal_eval(node.value)
-        for node in tree.body
+        for node in _parse("perfbench", "spans.py").body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
     ]
+    return wrapped
+
+
+def _package_files():
+    package = os.path.join(ROOT, "src", "dtmv")
+    return [f for f in sorted(os.listdir(package)) if f.endswith(".py")]
+
+
+def test_every_traced_name_resolves_to_a_callable():
+    """perfbench/spans.py wraps each (module, name) of its WRAPPED tuple; one
+    that no longer resolves makes every traced benchmark run fail."""
+    wrapped = _wrapped()
     assert wrapped
     for module_name, names in wrapped:
         module = importlib.import_module(module_name)
@@ -802,22 +818,10 @@ TRACER_ONLY = "# noqa: F401  (perfbench/spans.py wraps this binding)"
 def test_every_tracer_only_import_is_traced():
     """A binding that src/ imports only for the tracer names a (module, name)
     pair of perfbench/spans.py's WRAPPED, so none outlives the tracer's need."""
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    with open(os.path.join(root, "perfbench", "spans.py")) as fh:
-        tree = ast.parse(fh.read())
-    (wrapped,) = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
-    ]
-    traced = {(module, name) for module, names in wrapped for name in names}
-    package = os.path.join(root, "src", "dtmv")
+    traced = {(module, name) for module, names in _wrapped() for name in names}
     bindings = []
-    for filename in sorted(os.listdir(package)):
-        if not filename.endswith(".py"):
-            continue
-        with open(os.path.join(package, filename)) as fh:
+    for filename in _package_files():
+        with open(os.path.join(ROOT, "src", "dtmv", filename)) as fh:
             for line in fh:
                 if TRACER_ONLY in line:
                     (node,) = ast.parse(line.split("#", 1)[0]).body
@@ -825,6 +829,47 @@ def test_every_tracer_only_import_is_traced():
                     bindings += [(module, a.asname or a.name) for a in node.names]
     assert bindings
     assert [b for b in bindings if b not in traced] == []
+
+
+# Defined for ROADMAP item 5, which gives it a caller.
+UNUSED_ALLOWED = {"expected_terminal_wealth"}
+
+
+def _imported(tree):
+    return {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for a in node.names}
+
+
+def test_every_top_level_name_in_src_has_a_user():
+    """Each function, class and constant defined at the top level of
+    src/dtmv/*.py is read by src/ code (an AST name or attribute, so a
+    docstring does not count), re-exported by dtmv/__init__.py, wrapped by
+    perfbench/spans.py, or imported by tests/test_acceptance.py or
+    perfbench/*.py: no wrapper outlives its last caller."""
+    defined, read = [], set()
+    for filename in _package_files():
+        tree = _parse("src", "dtmv", filename)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((filename, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(filename, n.id) for target in targets for n in ast.walk(target)
+                            if isinstance(n, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    used = read | _imported(_parse("src", "dtmv", "__init__.py"))
+    used |= {name for _, names in _wrapped() for name in names}
+    used |= _imported(_parse("tests", "test_acceptance.py"))
+    for filename in os.listdir(os.path.join(ROOT, "perfbench")):
+        if filename.endswith(".py"):
+            used |= _imported(_parse("perfbench", filename))
+    unused = [f"{filename}: {name}" for filename, name in defined
+              if name not in used | UNUSED_ALLOWED and not name.startswith("__")]
+    assert unused == []
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtmv.analytic import MarketModel, ProblemSpec, gaussian_entropy
+from dtmv.analytic import GaussianPolicy, MarketModel, ProblemSpec, gaussian_entropy
 from dtmv.baseline import (
     ALGORITHM_CONTINUOUS,
     BaselineParams,
     baseline_cost,
     baseline_gradients,
     baseline_train,
-    default_baseline_params,
 )
 from dtmv.evaluation import ALGORITHMS, LEARNERS, Cell, train_cell
 from dtmv.learner import (
     ALGORITHM_DISCRETE,
+    DISCRETE,
     _setup,
     DiscreteParams,
     Episode,
@@ -33,19 +33,16 @@ from dtmv.learner import (
     TrainingDivergedError,
     ValueParams,
     apply_updates,
+    cold_start,
     cost,
-    default_params,
     grad_phi,
     grad_theta,
     load_checkpoint,
-    policy_entropy,
-    policy_from_params,
     run_episodes,
     sample_episode,
     save_checkpoint,
     train,
     update_w,
-    value_from_params,
 )
 from dtmv.market import (
     _DRAW_BLOCK,
@@ -63,6 +60,11 @@ from reference_draws import block_draws
 
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
 R_F = 1.0 + 0.02 / 12.0
+COLD_STARTS = {
+    algorithm: LEARNERS[algorithm].cold_start(SPEC, R_F, HyperParams.init_phi1, HyperParams.init_phi2)
+    for algorithm in ALGORITHMS
+}
+COLD = COLD_STARTS[ALGORITHM_DISCRETE]
 
 
 def _random_params(rng, r_f=R_F):
@@ -84,15 +86,23 @@ def _random_samples(rng, T):
     return [(t, float(rng.uniform(0.2, 2.5))) for t in ts]
 
 
+def _policy(learner, phi1, phi2, t, x, w, spec=SPEC, r_f=R_F):
+    """The learner's Gaussian control density at state (t, x): its kernel's
+    policy around the center of w at period t."""
+    kernel = _setup(learner, HyperParams(spec), r_f)
+    slope, variances = kernel.policy(phi1, phi2, math.exp(-2.0 * phi2))
+    return GaussianPolicy(slope * (x - kernel.rhos[t] * w), variances[t])
+
+
 # ---------------------------------------------------------------------------
-# parametric policy and value surface
+# parametric policy and cold start
 # ---------------------------------------------------------------------------
 
 
 def test_policy_from_params_formula():
     phi = PolicyParams(0.8, 0.05)
     t, x, w = 1, 1.4, 1.25
-    pol = policy_from_params(phi, SPEC, R_F, t, x, w)
+    pol = _policy(DISCRETE, phi.phi1, phi.phi2, t, x, w)
     gap = R_F**2 - math.exp(-0.1)
     dev = x - R_F ** -(SPEC.T - t) * w
     assert pol.mean == pytest.approx(
@@ -105,52 +115,41 @@ def test_policy_from_params_formula():
 
 def test_policy_mean_sign_opposes_the_deviation():
     phi = PolicyParams(1.0, 0.01)
-    above = policy_from_params(phi, SPEC, R_F, 0, 2.0, 1.1)
-    below = policy_from_params(phi, SPEC, R_F, 0, 0.5, 1.1)
+    above = _policy(DISCRETE, phi.phi1, phi.phi2, 0, 2.0, 1.1)
+    below = _policy(DISCRETE, phi.phi1, phi.phi2, 0, 0.5, 1.1)
     assert above.mean < 0.0 < below.mean
 
 
 def test_policy_requires_feasible_phi2():
-    bad = PolicyParams(1.0, -math.log(R_F) - 1e-6)
     with pytest.raises(InfeasiblePolicyError):
-        policy_from_params(bad, SPEC, R_F, 0, 1.0, 1.1)
-    with pytest.raises(ValueError):
-        policy_from_params(PolicyParams(1.0, 0.01), SPEC, R_F, 3, 1.0, 1.1)
+        _policy(DISCRETE, 1.0, -math.log(R_F) - 1e-6, 0, 1.0, 1.1)
 
 
 def test_policy_entropy_is_the_gaussian_entropy_of_the_variance():
+    # the discrete learner's parametrization: entropy phi1 + phi2 * (T - t - 1)
     rng = make_rng(31, 0)
     for _ in range(50):
         _, phi = _random_params(rng)
         t = int(rng.integers(0, SPEC.T))
-        pol = policy_from_params(phi, SPEC, R_F, t, float(rng.uniform(0, 2)), 1.2)
-        assert abs(policy_entropy(phi, SPEC, t) - gaussian_entropy(pol.variance)) <= 1e-12
+        pol = _policy(DISCRETE, phi.phi1, phi.phi2, t, float(rng.uniform(0, 2)), 1.2)
+        entropy = phi.phi1 + phi.phi2 * (SPEC.T - t - 1)
+        assert abs(entropy - gaussian_entropy(pol.variance)) <= 1e-12
 
 
 def test_policy_entropy_is_linear_in_time_to_go():
-    phi = PolicyParams(0.4, 0.07)
-    ents = [policy_entropy(phi, SPEC, t) for t in range(SPEC.T)]
+    ents = [gaussian_entropy(_policy(DISCRETE, 0.4, 0.07, t, 1.0, 1.1).variance)
+            for t in range(SPEC.T)]
     diffs = [a - b for a, b in zip(ents, ents[1:])]
     assert all(d == pytest.approx(0.07, rel=1e-12) for d in diffs)
 
 
-def test_value_from_params_formula_and_bounds():
-    theta = ValueParams(0.9, 0.2, -0.1, 0.05)
-    t, x, w = 1, 1.5, 1.2
-    dev = x - R_F ** -(SPEC.T - t) * w
-    expect = 0.9 ** (SPEC.T - t) * dev * dev + 0.2 * t * t - 0.1 * t + 0.05
-    assert value_from_params(theta, SPEC, R_F, t, x, w) == pytest.approx(expect, rel=1e-14)
-    with pytest.raises(ValueError):
-        value_from_params(theta, SPEC, R_F, 4, x, w)
-
-
 def test_default_params_link_theta1_to_phi2():
-    theta, phi = default_params(SPEC, R_F)
+    theta, phi = COLD.theta, COLD.phi
     assert (phi.phi1, phi.phi2) == (1.0, 0.01)
     assert theta.theta1 == pytest.approx(math.exp(-0.02), rel=1e-15)
     assert (theta.theta2, theta.theta3, theta.theta4) == (0.0, 0.0, 0.0)
-    with pytest.raises(InfeasiblePolicyError):
-        default_params(SPEC, 0.95)  # phi2=0.01 is below the floor for this r_f
+    with pytest.raises(InfeasiblePolicyError):  # phi2=0.01 is below the floor for r_f=0.95
+        cold_start(SPEC, 0.95, HyperParams.init_phi1, HyperParams.init_phi2)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +162,11 @@ def test_episode_validation():
         Episode((1.0, 1.1), (0.5, 0.5), (0.01,))
     ep = Episode((1.0, 1.1, 1.2), (0.5, 0.4), (0.01, 0.02))
     assert ep.terminal_wealth == 1.2
-    assert ep.states == ((0, 1.0), (1, 1.1), (2, 1.2))
 
 
 def test_sample_episode_replays_the_wealth_recursion_exactly():
     model = NormalIID(0.025, 0.0577)
-    _, phi = default_params(SPEC, R_F)
+    phi = COLD.phi
     ep = sample_episode(phi, 1.2, model, SPEC, R_F, make_rng(41, 0))
     assert len(ep.wealth) == SPEC.T + 1 and ep.wealth[0] == SPEC.x0
     for t in range(SPEC.T):
@@ -179,7 +177,7 @@ def test_sample_episode_replays_the_wealth_recursion_exactly():
 
 def test_sample_episode_is_reproducible():
     model = NormalIID(0.025, 0.0577)
-    _, phi = default_params(SPEC, R_F)
+    phi = COLD.phi
     a = sample_episode(phi, 1.2, model, SPEC, R_F, make_rng(5, 1))
     b = sample_episode(phi, 1.2, model, SPEC, R_F, make_rng(5, 1))
     assert a == b
@@ -218,13 +216,13 @@ def test_cost_matches_independent_reimplementation():
 
 
 def test_cost_of_no_transitions_is_zero():
-    theta, phi = default_params(SPEC, R_F)
+    theta, phi = COLD.theta, COLD.phi
     assert cost([], theta, phi, 1.1, SPEC, R_F) == 0.0
     assert cost([(0, 1.0)], theta, phi, 1.1, SPEC, R_F) == 0.0
 
 
 def test_cost_rejects_nonconsecutive_periods():
-    theta, phi = default_params(SPEC, R_F)
+    theta, phi = COLD.theta, COLD.phi
     with pytest.raises(ValueError, match="consecutive"):
         cost([(0, 1.0), (2, 1.1)], theta, phi, 1.1, SPEC, R_F)
 
@@ -330,7 +328,7 @@ def test_prefix_hooks_equal_the_public_functions(algorithm, theta, phi1, phi2, w
 
 
 def test_gradient_of_empty_samples_is_zero():
-    theta, phi = default_params(SPEC, R_F)
+    theta, phi = COLD.theta, COLD.phi
     assert grad_theta([], theta, phi, 1.1, SPEC, R_F) == (0.0, 0.0)
     assert grad_phi([], theta, phi, 1.1, SPEC, R_F) == (0.0, 0.0)
 
@@ -341,7 +339,7 @@ def test_gradient_of_empty_samples_is_zero():
 
 
 def test_apply_updates_steps_and_pins_constrained_coefficients():
-    theta, phi = default_params(SPEC, R_F)
+    theta, phi = COLD.theta, COLD.phi
     new_theta, new_phi = apply_updates(
         theta, phi, (1.0, -2.0, 3.0, -0.5), 0.01, 0.02, 1.2, SPEC, R_F
     )
@@ -351,22 +349,22 @@ def test_apply_updates_steps_and_pins_constrained_coefficients():
     assert new_phi.phi1 == 1.0
     assert new_phi.phi2 == pytest.approx(0.01 + 0.01)
     assert new_theta.theta1 == pytest.approx(math.exp(-2.0 * new_phi.phi2), rel=1e-15)
-    # terminal identity for arbitrary wealth
-    for x in (-0.5, 1.0, 2.4):
-        assert value_from_params(new_theta, SPEC, R_F, SPEC.T, x, 1.2) == pytest.approx(
-            (x - 1.2) ** 2 - (1.2 - SPEC.b) ** 2, rel=1e-12, abs=1e-12
-        )
+    # the terminal condition: the value at T is (x - w)^2 - (w - b)^2 for any wealth x
+    T = SPEC.T
+    assert new_theta.theta2 * T**2 + new_theta.theta3 * T + new_theta.theta4 == pytest.approx(
+        -((1.2 - SPEC.b) ** 2), rel=1e-12, abs=1e-12
+    )
 
 
 def test_apply_updates_projects_phi2_onto_the_feasible_floor():
-    theta, phi = default_params(SPEC, R_F)
+    theta, phi = COLD.theta, COLD.phi
     new_theta, new_phi = apply_updates(
         theta, phi, (0.0, 0.0, 0.0, 1e9), 0.0005, 0.0005, 1.1, SPEC, R_F
     )
     assert new_phi.phi2 == -math.log(R_F) + 1e-8
     assert new_theta.theta1 == pytest.approx(math.exp(-2.0 * new_phi.phi2), rel=1e-15)
     assert new_theta.theta1 < R_F**2  # policy stays feasible after projection
-    policy_from_params(new_phi, SPEC, R_F, 0, 1.0, 1.1)
+    _policy(DISCRETE, new_phi.phi1, new_phi.phi2, 0, 1.0, 1.1)
 
 
 def test_apply_updates_holds_phi1_and_moves_the_residual_like_a_plain_step():
@@ -434,10 +432,6 @@ def _hyper(episodes, **kw):
 
 
 TRAINERS = {ALGORITHM_DISCRETE: train, ALGORITHM_CONTINUOUS: baseline_train}
-COLD_STARTS = {
-    ALGORITHM_DISCRETE: DiscreteParams(*default_params(SPEC, R_F), SPEC.b),
-    ALGORITHM_CONTINUOUS: default_baseline_params(SPEC),
-}
 both_learners = pytest.mark.parametrize("algorithm", ALGORITHMS)
 
 
@@ -522,10 +516,10 @@ def test_online_windows_refresh_w(algorithm):
     windows = ([0.02, -0.01, 0.03], [0.0, 0.05, -0.04], [0.01, 0.01, 0.01], [-0.03, 0.02, 0.04])
     draws = [(window, rng.standard_normal(3).tolist()) for window in windows]
     frozen = run_episodes(learner, hyper, R_F, draws, params, learn=False)
-    assert frozen.params is params and [rec.w for rec in frozen.history] == [SPEC.b] * 4
+    assert frozen.params is params and len(frozen.history) == 4
     result = run_episodes(learner, hyper, R_F, draws, params)
     wealths = [rec.terminal_wealth for rec in result.history]
-    assert wealths[0] == frozen.history[0].terminal_wealth
+    assert wealths[0] == frozen.history[0]
     assert [rec.w for rec in result.history[:3]] == [SPEC.b] * 3
     assert result.params.w == result.history[-1].w
     assert result.params.w == SPEC.b - hyper.alpha * (sum(wealths) / 4 - SPEC.b)
@@ -611,7 +605,8 @@ def test_a_run_without_records_keeps_each_terminal_wealth(
     """With records off, run_episodes (and train and train_cell, which pass
     records on) gives the params of a run with records and, in place of
     each record, its terminal wealth; a run that diverges raises the same
-    TrainingDivergedError at the same episode, with the same message."""
+    TrainingDivergedError at the same episode, with the same message.  A
+    frozen run gives the terminal wealths whatever records says."""
     learner, model = LEARNERS[algorithm], MARKETS[market]
     hyper = HyperParams(replace(SPEC, T=T), eta_theta=eta, eta_phi=eta, episodes=episodes)
     draws = block_draws(model, T, make_rng(seed), episodes, _DRAW_BLOCK)
@@ -621,7 +616,8 @@ def test_a_run_without_records_keeps_each_terminal_wealth(
         assert bare == full
     else:
         assert bare.params == full.params
-        assert bare.history == tuple(rec.terminal_wealth for rec in full.history)
+        assert bare.history == (tuple(rec.terminal_wealth for rec in full.history) if learn
+                                else full.history)
     if learn:
         cell = Cell("cell", model, R_F, hyper, algorithm, seed, 0)
         assert _outcome(lambda: train_cell(cell, records=False)[0]) == bare

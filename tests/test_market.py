@@ -23,7 +23,6 @@ from dtmv.market import (
     month_index,
     month_label,
     sample_path,
-    sample_skewt_core,
     skewt_core_moments,
     step_wealth,
 )
@@ -209,16 +208,17 @@ def test_skewt_core_moments_match_the_gammaln_formula(nu, slant):
 
 
 def test_skewt_core_is_standardized():
-    """Large-sample mean and variance of the core must sit at 0 and 1."""
+    """Large-sample mean and variance of the core (the skew-t market at
+    a = 0, sigma = 1) must sit at 0 and 1."""
     rng = make_rng(11, 0)
-    x = sample_skewt_core(10.0, -1.5, rng, size=1_000_000)
+    x = sample_path(SkewTIID(0.0, 1.0, 10.0, -1.5), 1_000_000, rng)
     assert abs(x.mean()) < 0.005
     assert abs(x.var() - 1.0) < 0.02
 
 
 def test_skewt_negative_slant_gives_negative_skew_and_fat_left_tail():
     rng = make_rng(12, 0)
-    x = sample_skewt_core(10.0, -1.5, rng, size=200_000)
+    x = sample_path(SkewTIID(0.0, 1.0, 10.0, -1.5), 200_000, rng)
     skew = np.mean(((x - x.mean()) / x.std()) ** 3)
     assert skew < -0.3
     # left 3-sigma exceedances outnumber right ones
@@ -227,7 +227,7 @@ def test_skewt_negative_slant_gives_negative_skew_and_fat_left_tail():
 
 def test_skewt_zero_slant_is_symmetric():
     rng = make_rng(13, 0)
-    x = sample_skewt_core(8.0, 0.0, rng, size=400_000)
+    x = sample_path(SkewTIID(0.0, 1.0, 8.0, 0.0), 400_000, rng)
     skew = np.mean(((x - x.mean()) / x.std()) ** 3)
     assert abs(skew) < 0.05
 
@@ -237,12 +237,6 @@ def test_skewt_requires_nu_above_two():
         skewt_core_moments(2.0, -1.0)
     with pytest.raises(ValueError):
         SkewTIID(0.01, 0.05, 1.5, -1.0)
-
-
-def test_skewt_scalar_draw_matches_vector_draw():
-    one = sample_skewt_core(10.0, -1.5, make_rng(4, 0))
-    vec = sample_skewt_core(10.0, -1.5, make_rng(4, 0), size=1)
-    assert one == vec[0]
 
 
 # ---------------------------------------------------------------------------
