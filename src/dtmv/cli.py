@@ -52,7 +52,7 @@ from .evaluation import (
     summary_text,
     train_cell,
 )
-from .learner import ALGORITHM_DISCRETE, HyperParams, save_checkpoint
+from .learner import ALGORITHM_DISCRETE, HyperParams, TrainingDivergedError, save_checkpoint
 from .learner import train  # noqa: F401  (perfbench/spans.py wraps this binding)
 from .market import (
     RNG_ALGORITHM,
@@ -645,6 +645,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cmd(cfg, out)
     except Exception as exc:  # one machine-readable record per failure
         record = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, TrainingDivergedError):  # the keys that size a step, with their values
+            keys = ["learning.eta_theta", "learning.eta_phi",
+                    "evaluation.horizon_months" if args.command == "backtest" else "problem.horizon"]
+            record["settings"] = {key: operator.attrgetter(key)(cfg) for key in keys}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1
     return 0

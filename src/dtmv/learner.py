@@ -12,8 +12,8 @@ One episode kernel serves both learners.  _kernel_source writes it as
 straight-line Python for each run structure (horizon, passes and the
 learner's constants): the policy, the rollout, and the training loop run,
 which per (returns, policy normals) pair rolls out, records the terminal
-wealth, refreshes w, runs the growing-prefix updates and the cost on local
-floats and checks for divergence.  _compile compiles a structure once;
+wealth, refreshes w, runs the growing-prefix updates on local floats and
+checks for divergence on the squared residuals of the last.  _compile compiles a structure once;
 _setup binds a run's floats to it.  run_episodes calls run once per run
 (a frozen run rolls out each pair alone) and returns a TrainResult; train
 feeds it each episode's draws (market.episode_draws), the backtest's test
@@ -204,7 +204,7 @@ def _names(prefix: str, periods) -> str:
 
 
 def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_first: int,
-                   passes: tuple) -> Tuple[str, ...]:
+                   passes: tuple, training: bool) -> Tuple[str, ...]:
     """Python sources of a learner's episode kernel at horizon T, with the
     passes (n, step) over the residuals of the n transitions from period
     t_first: one function each, compiled one at a time (_compile), which
@@ -218,21 +218,21 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             policy, fixed for the episode, u_t = slope (x_t - c_t) +
             sqrt(variance_t) z_t;
         run(v, lag, draws, kept, history) -> (v after the training loop,
-            history, or with history None the wealths it recorded in lag):
-            per (rets, z) pair of draws that rollout, its terminal wealth
-            recorded in lag, w refreshed every refresh_every recorded
-            wealths, the passes (the cost is half the summed squares of the
-            last), run_episodes' divergence check and the episode's record;
-        descend(theta2, theta3, phi1, phi2, e2, w, devs, devs_after, grads)
-            -> (theta1..phi2, the pass's gradient, its summed squares): in
-            place of run where passes holds one (the sample adapters).
+            history, or with history None the wealths it recorded in lag),
+            with training set: per (rets, z) pair of draws that rollout, its
+            terminal wealth recorded in lag, w refreshed every refresh_every
+            recorded wealths, the step passes, run_episodes' divergence check
+            on half the summed squares of the last, taken before its step,
+            and the episode's record;
+        descend(theta2, theta3, phi1, phi2, e2, w, devs, grads) -> (theta1..
+            phi2, the pass's gradient, its summed squares), without: the one
+            pass of the sample adapters.
     With step set, a pass sums the gradient (g_t2, g_t3, g_p1, g_p2) in
     (theta2, theta3, phi1, phi2) of half the summed squared residuals, then
     takes one gradient step of sizes (eta_theta, eta_phi) on it, or on grads
-    when descend is given them; without, it sums their squares.  A step pass
+    when descend is given them; without, it sums their squares.  A pass
     reads the deviations x - c_t of the states from the centers at w
-    (devs[k] at period t_first + k), one without a step those at the w after
-    the episode's refresh (devs_after).  The steps leave theta1 and theta4
+    (devs[k] at period t_first + k).  The steps leave theta1 and theta4
     pinned at w.  Each run of passes of one kind is a loop over their n
     around the straight-line residuals of the longest with a break after
     each shorter n: no source grows faster than T, however many growing
@@ -265,8 +265,8 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     """
     ts, periods = range(T), range(T + 1)
 
-    def q(t, dev):  # the weighted square q_t of dev{t}; e2**0 * left out, e2**1 is e2: same bits
-        d, weight = f"{dev}{t} * {dev}{t}", {0: "", 1: "e2 * "}.get(T - t, f"e2**{T - t} * ")
+    def q(t):  # the weighted square q_t of d{t}; e2**0 * left out, e2**1 is e2: same bits
+        d, weight = f"d{t} * d{t}", {0: "", 1: "e2 * "}.get(T - t, f"e2**{T - t} * ")
         return weight + d if compounding else f"{d} * exp(-2.0 * phi2 * {T - t})"
 
     def indent(lines, depth=1):
@@ -275,32 +275,32 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     def function(head, lines):
         return "".join([f"def {head}:\n", *indent(f"{line}\n" for line in lines)])
 
-    one = len(passes) == 1  # a sample adapter's structure: descend in place of the loop
-    looped = ["g_t2 = g_t3 = g_p1 = g_p2 = sq = 0.0"] * one
+    looped = [] if training else ["g_t2 = g_t3 = g_p1 = g_p2 = sq = 0.0"]
     for step, group in itertools.groupby(passes, key=lambda p: p[1]):
-        ns, dev, body = tuple(n for n, _ in group), "d" if step else "a", []
+        ns, body = tuple(n for n, _ in group), []
+        sums = ["g_t2", "g_t3", "g_p2"] * step + ["sq"] * (training or not step)
         for k in range(max(ns)):
             t = t_first + k
             wt = f" * {2.0 * t + 1.0!r}" * (t > 0)  # the factor 2t + 1, left out where it is 1.0
             body += [f"if n == {k}:", "    break"] * (k in ns)
-            body += [f"q{t} = {q(t, dev)}"] * (k == 0) + [
-                f"q{t + 1} = {q(t + 1, dev)}",
+            body += [f"q{t} = {q(t)}"] * (k == 0) + [
+                f"q{t + 1} = {q(t + 1)}",
                 f"res = q{t + 1} - q{t} + theta2{wt} + theta3"
                 f" - lam * (phi1 + phi2 * {T - t - 1 + shift})",
             ] + ([f"g_t2 += res{wt}", "g_t3 += res",
                   f"g_p2 += res * ({2.0 * (T - t)!r} * q{t} - {2.0 * (T - t - 1)!r}"
-                  f" * q{t + 1} - lc{t})"] if step else ["sq += res * res"])
-        lines = [f"for n in {ns!r}:", "    g_t2 = g_t3 = g_p2 = 0.0" if step else "    sq = 0.0",
-                 "    while True:", *indent(body, 2), "        break"]
+                  f" * q{t + 1} - lc{t})"] if step else []) + ["sq += res * res"] * ("sq" in sums)
+        lines = [f"for n in {ns!r}:", f"    {' = '.join(sums)} = 0.0", "    while True:",
+                 *indent(body, 2), "        break"]
         move = (["theta3 = theta3 - eta_theta * g_t3 + lam_eta_phi * g_p1"] if hold_phi1 else
                 ["theta3 = theta3 - eta_theta * g_t3", "phi1 = phi1 - eta_phi * g_p1"])
         update = indent(["g_p1 = -lam * g_t3", "if grads is not None:",
                          "    g_t2, g_t3, g_p1, g_p2 = grads", "theta2 = theta2 - eta_theta * g_t2",
                          *move, "phi2 = phi2 - eta_phi * g_p2", "if phi2 < floor:",
                          "    phi2 = floor", "e2 = exp(-2.0 * phi2)"] * step)
-        reads = f"{_names(dev, range(t_first, t_first + max(ns) + 1))}= devs{'_after' * (not step)}"
-        looped += ([reads] * (max(ns) > 0) + lines + update if one else
-                   lines + update[:1] + update[3:])  # the loop never steps on given grads
+        reads = f"{_names('d', range(t_first, t_first + max(ns) + 1))}= devs"
+        looped += (lines + update[:1] + update[3:] if training else  # run never steps on given grads
+                   [reads] * (max(ns) > 0) + lines + update)
     square = f"{T ** 2}" if compounding else f"{T} * {T}"
     theta4 = f"theta4 = -theta2 * {square} - theta3 * {T} - (w - b) ** 2"
     policy = [
@@ -314,46 +314,43 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
         f"if not min(({_names('s', ts)})) > 0.0:",
         f"    raise InfeasiblePolicyError(f'the policy variance is {{min(({_names('s', ts)}))!r}}')",
     ]
+    # where phi1 never moves, run takes the slope's factor once: where that overflows, so does s{T-1}
+    held = [policy[3], "try:", "    half = exp((p1 - 1.0) / 2.0)", "except OverflowError:",
+            "    half = inf"] * hold_phi1
+    moving = ([*policy[:3], policy[4], "slope = -sqrt(gap / lam_pi) * half", *policy[6:]]
+              if hold_phi1 else policy)
     rollout = [f"{_names('r', ts)}= rets", f"{_names('z', ts)}= z", "x0 = x_init",
                "d0 = x0 - rho0 * w"]
     for t in ts:
         rollout += [f"u{t} = slope * d{t} + sqrt(s{t}) * z{t}",
                     f"x{t + 1} = r_f * x{t} + r{t} * u{t}",  # step_wealth
                     f"d{t + 1} = x{t + 1} - rho{t + 1} * w"]
-    refresh = [  # the terminal wealth recorded; phase counts the wealths since w last moved
-        f"tws.append(x{T})",
-        "phase += 1",
-        "w_after = w",
-        "if phase == refresh_every:",
-        "    phase = 0",
-        "    update_w(lag, b, refresh_every)",
-        "    w_after = lag.w",
-        *(f"    a{t} = x{t} - rho{t} * w_after" for t in periods),  # the centers move with w
-        "else:",
-        f"    {_names('a', periods)}= {_names('d', periods)}",
-    ]
+    refresh = [f"tws.append(x{T})", "phase += 1", "w_after = w",  # phase: wealths since w moved
+               "if phase == refresh_every:", "    phase = 0", "    update_w(lag, b, refresh_every)",
+               "    w_after = lag.w"]
+    finite = " + ".join(f"({x} - {x})" for x in "e2 theta2 theta3 theta4 phi1 phi2 w_after".split())
     return (
         function("policy(phi1, phi2, e2)", [*policy, f"return slope, ({_names('s', ts)})"]),
         function("rollout(v, rets, z)", ["e2, _, _, _, phi1, phi2, w = v", *policy, *rollout,
                                          f"return ({_names('x', periods)}), ({_names('u', ts)})"]),
-        function("descend(theta2, theta3, phi1, phi2, e2, w, devs, devs_after, grads)", [
-            *looped, theta4,
-            "return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq"])
-        if one else function("run(v, lag, draws, kept, history)", [
-            "e2, theta2, theta3, theta4, phi1, phi2, w = v", "tws = lag.terminal_wealths",
+        function("run(v, lag, draws, kept, history)", [
+            "e2, theta2, theta3, theta4, phi1, phi2, w = v", *held, "tws = lag.terminal_wealths",
             "recorded = len(tws)", "phase = recorded % refresh_every",
             "for ep, (rets, z) in enumerate(draws, 1):",
-            "    try:", *indent([*policy, *rollout, *refresh, *looped, theta4], 2),
+            "    try:", *indent([*moving, *rollout, *refresh, *looped, theta4], 2),
             "    except (InfeasiblePolicyError, OverflowError) as exc:",
             "        raise diverged(ep, f'{type(exc).__name__}: {exc}', v[kept:]) from exc",
             "    v, cost = (e2, theta2, theta3, theta4, phi1, phi2, w_after), 0.5 * sq",
-            "    if not ({} and abs(cost) <= DIVERGENCE_COST):".format(" and ".join(  # every v finite
-                f"isfinite({x})" for x in "e2 theta2 theta3 theta4 phi1 phi2 w_after".split())),
+            # x - x is 0.0 for every finite x and NaN for the rest; the cost is >= 0 or NaN
+            f"    if not ({finite} == 0.0 and cost <= DIVERGENCE_COST):",
             "        raise diverged(ep, f'cost {cost!r}', v[kept:])",
             "    w = w_after",
             "    if history is not None:",
             f"        history.append(record(ep, x{T}, *v[kept:]))",
-            "return v, tws[recorded:] if history is None else history"]),
+            "return v, tws[recorded:] if history is None else history"])
+        if training else function("descend(theta2, theta3, phi1, phi2, e2, w, devs, grads)", [
+            *looped, theta4,
+            "return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq"]),
     )
 
 
@@ -377,8 +374,7 @@ class _Kernel(NamedTuple):
 
 def _setup(learner: Learner, hyper: HyperParams, r_f, t_first: int = 0, passes=None) -> _Kernel:
     """The learner's kernel for hyper at r_f, its functions reading the
-    run's floats as globals; passes default to a step on each growing
-    prefix (or on the whole episode) and then the cost."""
+    run's floats as globals: run, or with passes given descend over them."""
     spec = hyper.spec
     T, lam = spec.T, spec.lam
     if learner.compounding:
@@ -386,20 +382,20 @@ def _setup(learner: Learner, hyper: HyperParams, r_f, t_first: int = 0, passes=N
         floor = -math.log(r_f) + PHI2_MARGIN
     else:
         rhos, floor = (1.0,) * (T + 1), PHI2_MARGIN
-    if passes is None:
-        prefixes = range(1, T + 1) if hyper.prefix_updates else (T,)
-        passes = tuple((n, True) for n in prefixes) + ((T, False),)
+    training = passes is None  # run, with a step on each growing prefix or the whole episode
+    passes = passes or tuple((n, True) for n in (range(1, T + 1) if hyper.prefix_updates else (T,)))
     names = {
         "exp": math.exp, "sqrt": math.sqrt, "two_pi": 2.0 * math.pi, "update_w": update_w,
         "InfeasiblePolicyError": InfeasiblePolicyError, "x_init": spec.x0, "b": spec.b, "lam": lam,
         "r_f": r_f, "eta_theta": hyper.eta_theta, "eta_phi": hyper.eta_phi,
         "refresh_every": hyper.refresh_every, "floor": floor, "lam_pi": lam * math.pi,
         "lam_eta_phi": lam * hyper.eta_phi, **{f"rho{t}": rho for t, rho in enumerate(rhos)},
-        **{f"lc{t}": lam * (T - t - 1 + learner.shift) for t in range(T)}, "isfinite": math.isfinite,
+        **{f"lc{t}": lam * (T - t - 1 + learner.shift) for t in range(T)}, "inf": math.inf,
         "DIVERGENCE_COST": DIVERGENCE_COST, "diverged": functools.partial(_diverged, learner),
         "record": learner.record,
     }
-    for code in _compile(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes):
+    for code in _compile(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes,
+                         training):
         exec(code, names)
     return _Kernel(names["policy"], names["rollout"], names.get("run"), names.get("descend"), rhos)
 
@@ -443,9 +439,9 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
     and the terminal wealths whatever records says.
 
     Raises InfeasiblePolicyError when params define no policy.  With learn
-    set, raises TrainingDivergedError when the residual cost exceeds
-    DIVERGENCE_COST or any parameter stops being finite, naming the
-    learner's values after that episode by field; or when the values
+    set, raises TrainingDivergedError when the cost of an episode's last
+    step pass before its step exceeds DIVERGENCE_COST or a value after the
+    episode is not finite, naming those values by field; or when the values
     training reached leave an episode's policy undefined (a variance that
     underflows to 0) or its arithmetic out of the float range, naming the
     values the episode started from.  A generator behind draws may then
@@ -481,7 +477,7 @@ def _on_samples(learner, samples, params, spec: ProblemSpec, r_f, step: bool):
     kernel = _setup(learner, HyperParams(spec), r_f, t_first, ((n, step),))
     (e2, theta2, theta3, _, phi1, phi2, w), _ = _values(learner, params)
     devs = [x - kernel.rhos[t] * w for t, x in samples]
-    _, grads, sq = kernel.descend(theta2, theta3, phi1, phi2, e2, w, devs, devs, None)
+    _, grads, sq = kernel.descend(theta2, theta3, phi1, phi2, e2, w, devs, None)
     return grads if step else sq
 
 
@@ -489,7 +485,7 @@ def step_params(learner, params, grads, eta_theta: float, eta_phi: float, spec: 
     """params after the learner's gradient step (its kernel's descend) on grads."""
     kernel = _setup(learner, HyperParams(spec, eta_theta, eta_phi), r_f, 0, ((0, True),))
     (e2, theta2, theta3, _, phi1, phi2, w), kept = _values(learner, params)
-    stepped, _, _ = kernel.descend(theta2, theta3, phi1, phi2, e2, w, (), (), grads)
+    stepped, _, _ = kernel.descend(theta2, theta3, phi1, phi2, e2, w, (), grads)
     return learner.params(*(*stepped, w)[kept:])
 
 

@@ -3,7 +3,11 @@ test-only reference: tests/test_kernel.py checks that the generated code
 gives the same values, gradients, costs and rollouts, float for float.
 
 _Run, _setup, _policy, _descend and _episode are copied verbatim from
-dtmv.learner as they were before the kernel was generated.
+dtmv.learner as they were before the kernel was generated.  _episode's
+cost is the old divergence rule's: a pass without a step after the steps,
+at the centers after the episode's refresh.  _learn is an episode under
+the rule the generated run has now: the cost is that of the last step
+pass, before its step.
 """
 
 from __future__ import annotations
@@ -187,3 +191,25 @@ def _episode(run: _Run, v, lag, rets, z, learn):
                              w)
     return wealth, controls, (*values, w_after), 0.5 * sq
 
+
+
+def _learn(run: _Run, v, lag, rets, z):
+    """_episode with learn set, but the cost the divergence check reads is
+    half the summed squares of the last step pass's residuals, taken before
+    its step at the centers before the refresh; the steps are _episode's."""
+    wealth, controls, _, _ = _episode(run, v, None, rets, z, False)
+    _, theta2, theta3, _, phi1, phi2, w = v
+    lag.terminal_wealths.append(wealth[-1])
+    w_after = w
+    if len(lag.terminal_wealths) % run.refresh_every == 0:
+        update_w(lag, run.b, run.refresh_every)
+        w_after = lag.w
+    devs = [x - rho * w for x, rho in zip(wealth, run.rhos)]
+    *steps, last = run.passes[:-1]  # the step passes, without _episode's cost pass
+    values = v[:6]
+    if steps:
+        values, _, _ = _descend(run, steps, devs, devs, 0, *values[1:3], *values[4:6], values[0], w)
+    args = (*values[1:3], *values[4:6], values[0], w)
+    _, _, sq = _descend(run, ((last[0], False),), devs, devs, 0, *args)
+    values, _, _ = _descend(run, (last,), devs, devs, 0, *args)
+    return wealth, controls, (*values, w_after), 0.5 * sq

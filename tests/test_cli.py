@@ -371,6 +371,31 @@ def test_a_policy_that_underflows_is_reported_as_divergence(tmp_path, capsys):
     assert list(named) == ["theta2", "theta3", "theta4", "phi1", "phi2", "w"]
     assert float(named["phi1"]) < -400.0
     assert all(map(math.isfinite, map(float, named.values())))
+    assert record["settings"] == {"learning.eta_theta": 0.5, "learning.eta_phi": 0.5,
+                                  "problem.horizon": 3}
+
+
+@pytest.mark.parametrize("command, text, start, named", [
+    ("train", "[problem]\nhorizon = 60\n", "episode 1 (cost 1.449241874398283e+144; ",
+     {"learning.eta_theta": 0.0005, "learning.eta_phi": 0.0005, "problem.horizon": 60}),
+    ("backtest", TINY.replace("[learning]\n", "[learning]\neta_theta = 50.0\neta_phi = 50.0\n"),
+     "episode ", {"learning.eta_theta": 50.0, "learning.eta_phi": 50.0,
+                  "evaluation.horizon_months": 3}),
+])
+def test_a_diverged_run_names_the_keys_that_size_its_steps(tmp_path, capsys, command, text, start,
+                                                           named):
+    """At horizon 60 the default step sizes diverge in the first episode,
+    whose last step pass starts at a cost of 1.45e+144 (a backtest at steps
+    of 50 diverges too).  Beside the message, the error record names the
+    two step sizes and the horizon the command trains at, with their
+    values: a backtest's horizon is evaluation.horizon_months."""
+    code, _, err = _run([command, "--config", _cfg_file(tmp_path, text), "--out",
+                         str(tmp_path / "r")], capsys)
+    assert code == 1
+    record = json.loads(err)
+    assert record["error"] == "TrainingDivergedError"
+    assert record["message"].startswith("training diverged at " + start)
+    assert record["settings"] == named
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 (reference_kernel.py), float for float, and how often a run compiles it."""
 
 import ast
+import functools
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -56,14 +58,16 @@ _LAM = st.floats(0.1, 8.0)
 _ETAS = st.tuples(*[st.floats(1e-4, 0.5)] * 2)  # (eta_theta, eta_phi)
 
 
-def _driven(run, learner, v, lag, draws, kept, records, bound=DIVERGENCE_COST):
-    """run_episodes' training loop over the loop kernel, with its divergence
-    rule at the cost bound: (the values after the draws, one record or
-    terminal wealth per episode)."""
+def _driven(episode, learner, v, lag, draws, kept, records, bound=DIVERGENCE_COST):
+    """run_episodes' training loop over episode (the loop kernel's episode
+    with learn set, under one divergence rule: (v, lag, rets, z) -> (wealths,
+    controls, values after, the cost the rule reads)), with the check at the
+    cost bound: (the values after the draws, one record or terminal wealth
+    per episode)."""
     history = []
     for ep, (rets, z) in enumerate(draws, 1):
         try:
-            wealth, _, after, cost = loop._episode(run, v, lag, rets, z, True)
+            wealth, _, after, cost = episode(v, lag, rets, z)
         except (InfeasiblePolicyError, OverflowError) as exc:
             raise _diverged(learner, ep, f"{type(exc).__name__}: {exc}", v[kept:]) from exc
         v = after
@@ -73,8 +77,15 @@ def _driven(run, learner, v, lag, draws, kept, records, bound=DIVERGENCE_COST):
     return v, history
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+def _old_rule(run):
+    """The loop kernel's episode under the rule the generated run had before:
+    the cost of a pass after the steps, at the centers after the refresh."""
+    return lambda v, lag, rets, z: loop._episode(run, v, lag, rets, z, True)
+
+
+# a training run's horizon, passes, point in the w refresh cycle, values and
+# step sizes; and data, from which the test draws its 1 to 30 episodes
+_RUNS = dict(
     algorithm=st.sampled_from(ALGORITHMS),
     T=st.integers(1, 12),
     prefix_updates=st.booleans(),
@@ -89,19 +100,11 @@ def _driven(run, learner, v, lag, draws, kept, records, bound=DIVERGENCE_COST):
     etas=_ETAS,
     data=st.data(),
 )
-def test_generated_episode_equals_the_loop_kernel(
-    algorithm, T, prefix_updates, refresh_every, recorded, records, theta, phi1, phi2, w, lam, etas,
-    data
-):
-    """The generated training loop over 1 to 30 episodes gives what
-    run_episodes' divergence rule over the loop kernel gives: the values
-    after them, each episode's record (or terminal wealth with records off)
-    and the Lagrange state, or the same TrainingDivergedError at the same
-    episode with the same message and cause, for either learner at any
-    horizon, pass list and point in the w refresh cycle.  With the cost
-    bound below every cost the first episode's cost shows in the message,
-    bit for bit.  One frozen rollout gives the loop kernel's wealths and
-    controls, or raises what it raises."""
+
+
+def _run_case(algorithm, T, prefix_updates, refresh_every, recorded, theta, phi1, phi2, w, lam, etas,
+              data):
+    """(learner, hyper, values, kept, recorded wealths, draws) of one _RUNS case."""
     pairs = st.tuples(*[st.lists(st.floats(lo, hi), min_size=T, max_size=T)
                         for lo, hi in ((-0.2, 0.2), (-4.0, 4.0))])  # (returns, policy normals)
     draws = data.draw(st.lists(pairs, min_size=1, max_size=30))
@@ -110,13 +113,34 @@ def test_generated_episode_equals_the_loop_kernel(
                         prefix_updates=prefix_updates)
     v = (math.exp(-2.0 * phi2), *theta, 0.0, phi1, phi2, w)
     _, kept = _values(learner, learner.cold_start(hyper.spec, R_F, 1.0, 0.5))
-    wealths = [1.0 + 0.01 * k for k in range(recorded)]
+    return learner, hyper, v, kept, [1.0 + 0.01 * k for k in range(recorded)], draws
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_RUNS)
+def test_generated_episode_equals_the_loop_kernel(
+    algorithm, T, prefix_updates, refresh_every, recorded, records, theta, phi1, phi2, w, lam, etas,
+    data
+):
+    """The generated training loop over 1 to 30 episodes gives what
+    run_episodes' divergence rule over the loop kernel gives, the cost being
+    that of the last step pass before its step (loop._learn): the values
+    after them, each episode's record (or terminal wealth with records off)
+    and the Lagrange state, or the same TrainingDivergedError at the same
+    episode with the same message and cause, for either learner at any
+    horizon, pass list and point in the w refresh cycle.  With the cost
+    bound below every cost the first episode's last step pass's cost shows
+    in the message, bit for bit.  One frozen rollout gives the loop kernel's
+    wealths and controls, or raises what it raises."""
+    learner, hyper, v, kept, wealths, draws = _run_case(
+        algorithm, T, prefix_updates, refresh_every, recorded, theta, phi1, phi2, w, lam, etas, data)
     run, kernel = loop._setup(learner, hyper, R_F), _setup(learner, hyper, R_F)
+    episode = functools.partial(loop._learn, run)
 
     for bound in (DIVERGENCE_COST, -1.0):
         kernel.run.__globals__["DIVERGENCE_COST"] = bound
         want_lag, got_lag = LagrangeState(w, 0.05, list(wealths)), LagrangeState(w, 0.05, list(wealths))
-        want = _outcome(_driven, run, learner, v, want_lag, draws, kept, records, bound)
+        want = _outcome(_driven, episode, learner, v, want_lag, draws, kept, records, bound)
         got = _outcome(kernel.run, v, got_lag, draws, kept, [] if records else None)
         assert _identical(got, want)
         assert _identical(vars(got_lag), vars(want_lag))
@@ -127,6 +151,29 @@ def test_generated_episode_equals_the_loop_kernel(
     want = _outcome(loop._episode, run, v, None, rets, z, False)
     got = _outcome(kernel.rollout, v, rets, z)
     assert _identical(got, want if isinstance(want[0], str) else (tuple(want[0]), tuple(want[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_RUNS)
+def test_a_run_the_old_divergence_rule_finishes_keeps_its_bits(
+    algorithm, T, prefix_updates, refresh_every, recorded, records, theta, phi1, phi2, w, lam, etas,
+    data
+):
+    """The divergence check reads the training loop's floats and moves none
+    of them: over 1 to 30 episodes that the old rule (loop._episode's cost
+    pass after the steps, at the refreshed centers) finishes, the generated
+    run gives that run's values, records (or terminal wealths) and Lagrange
+    state, bit for bit."""
+    learner, hyper, v, kept, wealths, draws = _run_case(
+        algorithm, T, prefix_updates, refresh_every, recorded, theta, phi1, phi2, w, lam, etas, data)
+    want_lag, got_lag = LagrangeState(w, 0.05, list(wealths)), LagrangeState(w, 0.05, list(wealths))
+    want = _outcome(_driven, _old_rule(loop._setup(learner, hyper, R_F)), learner, v, want_lag,
+                    draws, kept, records)
+    if isinstance(want[0], str):
+        return
+    got = _outcome(_setup(learner, hyper, R_F).run, v, got_lag, draws, kept, [] if records else None)
+    assert _identical(got, want)
+    assert _identical(vars(got_lag), vars(want_lag))
 
 
 @settings(max_examples=300, deadline=None)
@@ -156,7 +203,7 @@ def test_generated_pass_equals_the_loop_kernel(algorithm, T, step, theta, phi1, 
     want = _outcome(loop._descend, loop._setup(learner, hyper, R_F), ((n, step),), devs, devs,
                     t_first, *args, grads)
     kernel = _setup(learner, hyper, R_F, t_first, ((n, step),))
-    got = _outcome(kernel.descend, *args, devs, devs, grads)
+    got = _outcome(kernel.descend, *args, devs, grads)
     if isinstance(want[0], str):
         assert got == want
     else:  # the adapters read the gradient of a step pass, the squares of the others
@@ -194,8 +241,13 @@ def test_a_backtest_decade_compiles_one_learning_kernel_per_learner(monkeypatch)
     assert (DISCRETE.shift, DISCRETE.compounding, DISCRETE.hold_phi1) in per_learner
 
 
-def _sources(learner, T, t_first, passes):
-    return _kernel_source(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes)
+def _sources(learner, T, t_first, passes, training):
+    return _kernel_source(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes,
+                          training)
+
+
+def _training_passes(T, prefix_updates=True):
+    return tuple((n, True) for n in (range(1, T + 1) if prefix_updates else (T,)))
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -205,8 +257,8 @@ def test_no_generated_source_grows_faster_than_the_horizon(algorithm):
     neither the kernel's whole source nor its longest function more than
     doubles in lines."""
     def lines(T):
-        passes = tuple((n, True) for n in range(1, T + 1)) + ((T, False),)
-        per_function = [source.count("\n") for source in _sources(LEARNERS[algorithm], T, 0, passes)]
+        sources = _sources(LEARNERS[algorithm], T, 0, _training_passes(T), True)
+        per_function = [source.count("\n") for source in sources]
         return sum(per_function), max(per_function)
 
     (total, longest), (total_2x, longest_2x) = lines(48), lines(96)
@@ -220,10 +272,65 @@ def test_the_generated_source_is_python_3_10(algorithm):
     without prefix updates and for the one-pass structures of the sample
     adapters, parses with the 3.10 grammar.  A syntax check only."""
     for T in (1, 2, 12):
-        structures = [(0, tuple((n, True) for n in prefixes) + ((T, False),))
-                      for prefixes in (range(1, T + 1), (T,))]
-        structures += [(t_first, ((n, step),)) for t_first in (0, T - 1) for n in (0, 1)
+        structures = [(0, _training_passes(T, prefix_updates), True) for prefix_updates in (True, False)]
+        structures += [(t_first, ((n, step),), False) for t_first in (0, T - 1) for n in (0, 1)
                        for step in (True, False)]
-        for t_first, passes in structures:
-            for source in _sources(LEARNERS[algorithm], T, t_first, passes):
+        for t_first, passes, training in structures:
+            for source in _sources(LEARNERS[algorithm], T, t_first, passes, training):
                 ast.parse(source, feature_version=(3, 10))
+
+
+def _residuals_per_episode(learner, T, prefix_updates, episodes=3):
+    """The residuals the generated run evaluates per episode: the line
+    events of its residual lines over a few episodes that do not diverge,
+    counted by a tracer."""
+    hyper = HyperParams(replace(SPEC, T=T), prefix_updates=prefix_updates)
+    kernel = _setup(learner, hyper, R_F)
+    source = _sources(learner, T, 0, _training_passes(T, prefix_updates), True)[2]
+    residual = {k for k, line in enumerate(source.splitlines(), 1) if line.lstrip().startswith("res = ")}
+    code, counted = kernel.run.__code__, []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno in residual:
+            counted.append(frame.f_lineno)
+        return trace
+
+    v, kept = _values(learner, learner.cold_start(hyper.spec, R_F, 1.0, 0.01))
+    sys.settrace(trace)
+    try:
+        kernel.run(v, LagrangeState(SPEC.b, 0.05), [([0.01] * T, [0.5] * T)] * episodes, kept, None)
+    finally:
+        sys.settrace(None)
+    return len(counted) / episodes
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_the_training_loop_evaluates_only_its_step_passes(algorithm):
+    """Per episode the generated run evaluates the residuals of its step
+    passes and no more, T (T + 1) / 2 with prefix updates and T without:
+    its divergence check reads the last step pass's squares.  The check
+    calls no isfinite."""
+    learner = LEARNERS[algorithm]
+    for T in (1, 2, 3, 7):
+        assert _residuals_per_episode(learner, T, True) == T * (T + 1) / 2
+        assert _residuals_per_episode(learner, T, False) == T
+    assert "isfinite" not in _setup(learner, HyperParams(SPEC), R_F).run.__code__.co_names
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("T, prefix_updates", [(1, True), (1, False), (3, False)])
+@pytest.mark.parametrize("adapter_first", [False, True])
+def test_a_one_pass_training_run_gets_run_not_descend(algorithm, T, prefix_updates, adapter_first):
+    """At T = 1, or with prefix updates off, a training run has one step
+    pass, as a sample adapter's structure may; it still gets run, and the
+    adapter descend, whichever of the two is compiled first."""
+    learner = LEARNERS[algorithm]
+    hyper = HyperParams(replace(SPEC, T=T), prefix_updates=prefix_updates)
+    learner_module._compile.cache_clear()
+    if adapter_first:
+        _setup(learner, hyper, R_F, 0, ((T, True),))
+    training, adapter = _setup(learner, hyper, R_F), _setup(learner, hyper, R_F, 0, ((T, True),))
+    assert callable(training.run) and training.descend is None
+    assert callable(adapter.descend) and adapter.run is None

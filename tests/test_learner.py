@@ -260,8 +260,7 @@ def _residuals(algorithm, T, w, wealth):
     def f(n, step, theta2, theta3, phi1, phi2):
         e2 = math.exp(-2.0 * phi2)
         kernel = _setup(LEARNERS[algorithm], HyperParams(spec), R_F, 0, ((n, step),))
-        _, grads, sq = kernel.descend(theta2, theta3, phi1, phi2, e2, w, devs[: n + 1],
-                                      devs[: n + 1], None)
+        _, grads, sq = kernel.descend(theta2, theta3, phi1, phi2, e2, w, devs[: n + 1], None)
         return grads if step else 0.5 * sq
 
     return spec, f
