@@ -303,16 +303,6 @@ class ValueGrid:
     meta: Dict[str, float]
 
 
-# States per row block of _blocked_log_partitions, so that a block's arrays stay in cache
-# (of 4 to 64 rows, 16 ran fastest on a 2-vCPU Xeon).
-_TRAPEZOID_ROWS = 16
-# The cross-check's moment series serves the states whose linear term reaches at most
-# _SERIES_REACH at the wide grid's end, with _SERIES_TERMS moments: its relative truncation
-# error is at most R^K e^(2R) / K! = 2^-36 e^(1/4) / 12! < 4e-20 for R = 1/8, K = 12.
-_SERIES_REACH = 0.125
-_SERIES_TERMS = 12
-
-
 def _trapezoid_nodes(halfwidth: float, points: int) -> Tuple[np.ndarray, slice]:
     """The wide trapezoid grid, and the slice of it that is the narrow grid of `points`
     nodes over +-halfwidth, extended at the same spacing by ceil((points - 1) / 4) nodes
@@ -322,75 +312,23 @@ def _trapezoid_nodes(halfwidth: float, points: int) -> Tuple[np.ndarray, slice]:
     return np.linspace(-wide, wide, points + 2 * k), slice(k, k + points)
 
 
-def _trapezoid_values(
-    a2: float, a1: np.ndarray, center: np.ndarray, lam: float, halfwidth: float, points: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """min over pi of E_pi[phi] + lam * E_pi[ln pi] per state, phi(u) = a2*u^2 + a1*u, by
-    the trapezoid rule on the narrow and the wide grid of _trapezoid_nodes around center.
-    With weights w_j that value cancels node for node to the log-partition
-    -lam * ln sum w_j exp(-phi_j/lam).  phi is expanded about center, phi(center) + beta*o
-    + a2*o^2, with beta computed, not assumed 0, so g = exp(-a2*o^2/lam - top) is one row
-    for every state and only the linear term's exp(-beta*o/lam) = exp(sigma*tau) differs,
-    with tau = o / o_max in [-1, 1] and sigma = -beta*o_max/lam, the term's reach.  A state
-    with |sigma| <= _SERIES_REACH sums that exp as a power series: per rule the moments
-    M_k = sum_j w_j g_j tau_j^k / k! (k < _SERIES_TERMS, each at most M_0) are taken once,
-    and S = sum_k sigma^k M_k (Horner) gives the value phi(center) - lam * (top + ln S).
-    At the Gibbs center, where dp_oracle puts every window, sigma is rounding noise.  The
-    other states, off-center windows, take _blocked_log_partitions: one exp per node."""
+def _trapezoid_values(a2: float, lam: float, halfwidth: float, points: int) -> Tuple[float, float]:
+    """-lam * ln of the trapezoid sum of exp(-a2*o^2/lam) on the narrow and the wide grid of
+    _trapezoid_nodes, each rule with its own end weights w_j (as np.trapezoid), the exps
+    shifted by their largest exponent top.  On a window centered on the minimizer of phi(u)
+    = a2*u^2 + a1*u, phi is phi_min + a2*o^2, so the rule's min over pi of E_pi[phi] + lam *
+    E_pi[ln pi], which cancels node for node to -lam * ln sum_j w_j exp(-phi_j/lam), is
+    phi_min plus this value: one per rule for every state of a layer."""
     offs, inner = _trapezoid_nodes(halfwidth, points)
-    rules = []  # (columns, weights); each rule has its own end weights, as in np.trapezoid
-    for cols in (inner, slice(None)):
-        half = 0.5 * np.diff(offs[cols])
-        rules.append((cols, np.concatenate((half, [0.0])) + np.concatenate(([0.0], half))))
-    phi_center = a2 * center**2 + a1 * center
-    slope = (2.0 * a2 * center + a1) / -lam
     curve = offs * offs * (-a2 / lam)
-    reach = slope * offs[-1]
-    near = np.abs(reach) <= _SERIES_REACH
-
     top = curve.max()
     g = np.exp(curve - top)
-    powers = np.empty((_SERIES_TERMS, offs.size))  # row k: tau^k / k!
-    powers[0] = 1.0
-    tau = offs / offs[-1]
-    for k in range(1, _SERIES_TERMS):
-        np.multiply(powers[k - 1], tau / k, out=powers[k])
-    sigma = reach[near]
-    parts = []  # ln sum_j w_j exp(-(phi_j - phi(center))/lam) per state, one array per rule
-    for cols, wt in rules:
-        moments = powers[:, cols] @ (wt * g[cols])
-        s = moments[-1]
-        for m_k in moments[-2::-1]:
-            s = s * sigma + m_k
-        part = np.empty(center.size)
-        part[near] = top + np.log(s)
-        parts.append(part)
-
-    far = np.flatnonzero(~near)
-    if far.size:
-        for part, blocked in zip(parts, _blocked_log_partitions(slope[far], offs, curve, rules)):
-            part[far] = blocked
-    narrow, wide = (phi_center - lam * part for part in parts)
-    return narrow, wide
-
-
-def _blocked_log_partitions(
-    slope: np.ndarray, offs: np.ndarray, curve: np.ndarray, rules: List[Tuple[slice, np.ndarray]]
-) -> List[np.ndarray]:
-    """ln sum_j w_j exp(slope_i * o_j + curve_j) per state i and (columns, weights) rule,
-    with one exp per node: the states go in row blocks, each shifted by its largest
-    exponent, so that a block's arrays stay in cache."""
-    parts = [np.empty(slope.size) for _ in rules]
-    for i in range(0, slope.size, _TRAPEZOID_ROWS):
-        rows = slice(i, i + _TRAPEZOID_ROWS)
-        ex = np.multiply.outer(slope[rows], offs)
-        ex += curve
-        top = ex.max(axis=1)
-        ex -= top[:, None]
-        np.exp(ex, out=ex)
-        for part, (cols, wt) in zip(parts, rules):
-            part[rows] = top + np.log(ex[:, cols] @ wt)
-    return parts
+    values = []
+    for cols in (inner, slice(None)):
+        half = 0.5 * np.diff(offs[cols])
+        wt = np.concatenate((half, [0.0])) + np.concatenate(([0.0], half))
+        values.append(-lam * (top + np.log(wt @ g[cols])))
+    return values[0], values[1]
 
 
 def dp_oracle(
@@ -405,28 +343,28 @@ def dp_oracle(
 ) -> List[ValueGrid]:
     """Backward value iteration with explicit minimization over control densities.
 
-    Independent of the closed forms above: each Bellman step is the soft
-    minimum over densities, -lam * ln of the integral of exp(-phi/lam), and the
-    next layer is refit as a quadratic in x.  The value returned is the Gibbs
-    Gaussian's closed-form -lam * ln Z: the Gauss-Hermite nodes around its
-    center cancel in E[phi] + lam * E[ln pi] but for rounding.  The numerical
-    integration that checks it is the trapezoid rule on n_u uniform nodes over
-    +-halfwidth_sigmas; the widening check repeats it on that grid extended at
-    the same spacing by ceil((n_u - 1) / 4) nodes per side, 1.5 times as wide
-    when 4 divides n_u - 1 (as at the default), a little wider otherwise.
-    Raises QuadratureError if widening the control window moves any value
-    beyond `tol` (scaled), if the closed-form and trapezoid values disagree,
-    or if a layer stops being quadratic; a NaN fails each of these checks.
+    Independent of the closed forms above are the backward recursion and the
+    quadratic refit: each layer comes from a Bellman step against the layer
+    after it, refit as a quadratic in x, and never from their coefficients.
+    Shared with them is the Gibbs soft minimum over densities, -lam * ln Z with
+    Z the integral of exp(-phi/lam): the value returned is the Gibbs
+    Gaussian's closed-form -lam * ln Z, and the Gauss-Hermite nodes around its
+    center cancel in E[phi] + lam * E[ln pi] but for rounding.  The trapezoid
+    rule on n_u uniform nodes over +-halfwidth_sigmas around that center checks
+    the control window (n_u, halfwidth_sigmas), not each state: there phi is
+    its minimum plus a2 * o^2, so the rule gives one value per layer, and the
+    widening check one more on that grid extended at the same spacing
+    (_trapezoid_nodes).  Raises QuadratureError if widening the control window
+    moves any value beyond `tol` (scaled), if the closed-form and trapezoid
+    values disagree, or if a layer stops being quadratic; a NaN fails each of
+    these checks.
 
     The x grid should cover the wealth range of interest with a few points to
     spare; at least 3 strictly increasing values are required.  Returns one
     ValueGrid per period, ordered t = 0..T.
 
-    Runtime is O(T * len(x_values) * (n_hermite + K)) plus O(T * K * n_u) for
-    the moments, K = _SERIES_TERMS terms of the trapezoid's series (see
-    _trapezoid_values).  Every window is centered on its Gibbs minimizer,
-    where the series' linear term is rounding noise, so no state takes the
-    O(n_u) off-center fallback.
+    Runtime is O(T * len(x_values) * n_hermite) plus O(T * n_u) for the
+    trapezoid pair, one per layer (see _trapezoid_values).
     """
     if not 0.0 < halfwidth_sigmas < math.inf:
         raise ValueError(f"halfwidth_sigmas must be finite and > 0, got {halfwidth_sigmas!r}")
@@ -466,8 +404,8 @@ def dp_oracle(
         e_lnpi = -e_phi / lam - ln_z
         val_gh = e_phi + lam * e_lnpi + base
 
-        val_tr, val_wide = _trapezoid_values(a2, a1, center, lam, halfwidth_sigmas * s, n_u)
-        val_tr, val_wide = val_tr + base, val_wide + base
+        narrow, wide = _trapezoid_values(a2, lam, halfwidth_sigmas * s, n_u)
+        val_tr, val_wide = phi_min + narrow + base, phi_min + wide + base
         scale = 1.0 + np.abs(val_gh)
         widen_err = float(np.max(np.abs(val_wide - val_tr) / scale))
         cross_err = float(np.max(np.abs(val_gh - val_tr) / scale))

@@ -53,6 +53,7 @@ from .evaluation import (
     train_cell,
 )
 from .learner import ALGORITHM_DISCRETE, HyperParams, TrainingDivergedError, save_checkpoint
+from .learner import check_cold_start
 from .learner import train  # noqa: F401  (perfbench/spans.py wraps this binding)
 from .market import (
     RNG_ALGORITHM,
@@ -279,7 +280,8 @@ def _domain_error(cfg: RunConfig) -> str:
     """The message of the first of the domain objects' own checks that rejects
     cfg, or ''; a historical series is checked when read."""
     try:
-        hyper_params(cfg, problem_spec(cfg))
+        spec = problem_spec(cfg)
+        hyper_params(cfg, spec)
         IterationFamily(cfg.family.mean_slope, cfg.family.var_base, cfg.family.var_ratio)
         for sigma in (cfg.market.sigma_annual, *cfg.evaluation.sigma_grid_annual):
             MarketModel(*_per_period(cfg.market, sigma))  # r_f > 0 for every model, and sigma > 0
@@ -287,6 +289,10 @@ def _domain_error(cfg: RunConfig) -> str:
             build_model(cfg.market)
         SplitSpec(cfg.learning.episodes - cfg.evaluation.test_episodes, cfg.evaluation.test_episodes)
         rolling_spec(cfg)
+        # each learner's cold start at the longer horizon, among whose variances are the other's
+        spec = dataclasses.replace(spec, T=max(spec.T, cfg.evaluation.horizon_months))
+        for learner in LEARNERS.values():
+            check_cold_start(learner, hyper_params(cfg, spec), _per_period(cfg.market)[2])
     except ValueError as exc:
         return str(exc)
     return ""

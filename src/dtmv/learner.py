@@ -212,7 +212,7 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     v = (theta1, ..., w), theta1 being e2 = exp(-2 phi2):
         policy(phi1, phi2, e2) -> (slope, variance_t for t < T); raises
             InfeasiblePolicyError where the root under the slope is not of a
-            positive number or a variance is not positive;
+            positive number, a value overflows or a variance is not positive;
         rollout(v, rets, z) -> (x_0..x_T, u_0..u_{T-1}): one episode over
             the T excess returns rets and the T standard normals z of the
             policy, fixed for the episode, u_t = slope (x_t - c_t) +
@@ -226,7 +226,7 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             and the episode's record;
         descend(theta2, theta3, phi1, phi2, e2, w, devs, grads) -> (theta1..
             phi2, the pass's gradient, its summed squares), without: the one
-            pass of the sample adapters.
+            pass of the sample adapters; with no passes the policy alone.
     With step set, a pass sums the gradient (g_t2, g_t3, g_p1, g_p2) in
     (theta2, theta3, phi1, phi2) of half the summed squared residuals, then
     takes one gradient step of sizes (eta_theta, eta_phi) on it, or on grads
@@ -329,8 +329,10 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
                "if phase == refresh_every:", "    phase = 0", "    update_w(lag, b, refresh_every)",
                "    w_after = lag.w"]
     finite = " + ".join(f"({x} - {x})" for x in "e2 theta2 theta3 theta4 phi1 phi2 w_after".split())
-    return (
-        function("policy(phi1, phi2, e2)", [*policy, f"return slope, ({_names('s', ts)})"]),
+    sources = (
+        function("policy(phi1, phi2, e2)", ["try:", *indent(policy), "except OverflowError:",
+                 "    raise InfeasiblePolicyError(f'phi1={phi1}, phi2={phi2} overflow the policy')",
+                 f"return slope, ({_names('s', ts)})"]),
         function("rollout(v, rets, z)", ["e2, _, _, _, phi1, phi2, w = v", *policy, *rollout,
                                          f"return ({_names('x', periods)}), ({_names('u', ts)})"]),
         function("run(v, lag, draws, kept, history)", [
@@ -352,6 +354,7 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             *looped, theta4,
             "return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq"]),
     )
+    return sources if passes else sources[:1]
 
 
 @functools.lru_cache(maxsize=32)
@@ -383,7 +386,8 @@ def _setup(learner: Learner, hyper: HyperParams, r_f, t_first: int = 0, passes=N
     else:
         rhos, floor = (1.0,) * (T + 1), PHI2_MARGIN
     training = passes is None  # run, with a step on each growing prefix or the whole episode
-    passes = passes or tuple((n, True) for n in (range(1, T + 1) if hyper.prefix_updates else (T,)))
+    if training:
+        passes = tuple((n, True) for n in (range(1, T + 1) if hyper.prefix_updates else (T,)))
     names = {
         "exp": math.exp, "sqrt": math.sqrt, "two_pi": 2.0 * math.pi, "update_w": update_w,
         "InfeasiblePolicyError": InfeasiblePolicyError, "x_init": spec.x0, "b": spec.b, "lam": lam,
@@ -397,7 +401,7 @@ def _setup(learner: Learner, hyper: HyperParams, r_f, t_first: int = 0, passes=N
     for code in _compile(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes,
                          training):
         exec(code, names)
-    return _Kernel(names["policy"], names["rollout"], names.get("run"), names.get("descend"), rhos)
+    return _Kernel(names["policy"], names.get("rollout"), names.get("run"), names.get("descend"), rhos)
 
 
 def _values(learner: Learner, params) -> Tuple[Tuple[float, ...], int]:
@@ -456,6 +460,13 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
         return TrainResult(params, tuple(kernel.rollout(v, rets, z)[0][-1] for rets, z in draws))
     v, history = kernel.run(v, LagrangeState(v[-1], hyper.alpha), draws, kept, [] if records else None)
     return TrainResult(learner.params(*v[kept:]), tuple(history))
+
+
+def check_cold_start(learner: Learner, hyper: HyperParams, r_f) -> None:
+    """run_episodes' check before its first episode, on the kernel's policy alone: raises
+    InfeasiblePolicyError where the learner's cold start from hyper at r_f defines none."""
+    v, _ = _values(learner, learner.cold_start(hyper.spec, r_f, hyper.init_phi1, hyper.init_phi2))
+    _setup(learner, hyper, r_f, 0, ()).policy(v[4], v[5], v[0])
 
 
 def _check_samples(samples: Sequence[Tuple[int, float]], T: int) -> None:

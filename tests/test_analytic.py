@@ -1,18 +1,14 @@
 """Tests for the closed-form solution, policy improvement, and the DP oracle."""
 
-import contextlib
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtmv import analytic
 from dtmv.analytic import (
-    _SERIES_REACH,
     DegenerateFamilyError,
     GaussianPolicy,
     IterationFamily,
@@ -35,7 +31,6 @@ from dtmv.analytic import (
     step_factor,
     variance_growth,
 )
-from dtmv.cli import main
 from dtmv.market import make_rng
 
 M = MarketModel(a=0.1, sigma=0.2, r_f=1.05)
@@ -365,36 +360,77 @@ def test_dp_oracle_rejects_a_nan_target():
 
 def test_dp_oracle_cross_check_catches_a_coarse_grid():
     """51 nodes over +-40 sigmas are 1.6 sigmas apart: the trapezoid rule
-    misses the Gibbs integral by far more than tol, and the cross-check on
-    the series path says so."""
+    misses the Gibbs integral by far more than tol, and the cross-check says
+    so."""
     xs = np.linspace(0.0, 2.0, 5)
     with pytest.raises(QuadratureError, match="disagree"):
         dp_oracle(M, SPEC, 1.3, xs, n_u=51, halfwidth_sigmas=40.0)
 
 
-@contextlib.contextmanager
-def _fallback_states():
-    """The number of states of each _blocked_log_partitions call made inside."""
-    calls = []
-    blocked = analytic._blocked_log_partitions
-
-    def counted(slope, *args):
-        calls.append(slope.size)
-        return blocked(slope, *args)
-
-    with mock.patch.object(analytic, "_blocked_log_partitions", counted):
-        yield calls
+def _moments(m, x, mu, v):
+    """E[Y] and E[Y^2] of Y = r_f x + r u, r of mean a and second moment m2
+    independent of u ~ N(mu, v)."""
+    y0 = m.r_f * x
+    return y0 + m.a * mu, y0 * y0 + 2.0 * y0 * m.a * mu + m.second_moment * (mu * mu + v)
 
 
-def test_dp_oracle_at_the_benchmark_grid_takes_only_the_series_path(tmp_path):
-    """`analytic` at horizon 60 on 201 states (the oracle-fine workload)
-    centers every window on its Gibbs minimizer, so no state of any layer
-    falls back to one exp per node."""
-    cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[problem]\nhorizon = 60\n\n[grid]\nx_points = 201\n")
-    with _fallback_states() as fallback:
-        assert main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-    assert fallback == []
+def _brute_force_step(m, lam, quad, x, zooms=4, nodes=41):
+    """min over Gaussian pi = N(mu, e^ell) of E_pi[J(r_f x + r u)] + lam *
+    E_pi[ln pi], for J(y) = sum_k quad[k] y^k, on a grid of (mu, ell) zoomed
+    `zooms` times to +-2 spacings about its argmin, with no Gibbs identity.
+    The objective is a convex function of mu plus one of ell, so the minimizer
+    lies within a spacing of the argmin and the nearest node within half a
+    spacing (h_mu, h_ell) of it; Taylor's bound about the minimizer then puts
+    the grid's minimum at most f_mu (h_mu / 2)^2 / 2 + f_ell (h_ell / 2)^2 / 2
+    above the true one, f_mu = 2 * q * m2 and f_ell = q * m2 * e^ell the
+    curvatures, the latter at its largest over that spacing.  Returns the
+    minimum, that bound and the argmin (mu, v)."""
+    c0, c1, c2 = quad
+
+    def objective(mu, ell):
+        ey, ey2 = _moments(m, x, mu, np.exp(ell))
+        return c2 * ey2 + c1 * ey + c0 - 0.5 * lam * (1.0 + math.log(2.0 * math.pi) + ell)
+
+    mus, ells = np.linspace(-100.0, 100.0, nodes), np.linspace(-20.0, 20.0, nodes)
+    for zoom in range(zooms + 1):
+        values = objective(mus[:, None], ells[None, :])
+        i, j = np.unravel_index(np.argmin(values), values.shape)
+        assert 0 < i < nodes - 1 and 0 < j < nodes - 1  # the minimizer is inside the box
+        h_mu, h_ell = mus[1] - mus[0], ells[1] - ells[0]
+        if zoom < zooms:
+            mus = np.linspace(mus[i] - 2.0 * h_mu, mus[i] + 2.0 * h_mu, nodes)
+            ells = np.linspace(ells[j] - 2.0 * h_ell, ells[j] + 2.0 * h_ell, nodes)
+    f_mu, f_ell = 2.0 * c2 * m.second_moment, c2 * m.second_moment * math.exp(ells[j] + h_ell)
+    bound = 0.5 * f_mu * (h_mu / 2.0) ** 2 + 0.5 * f_ell * (h_ell / 2.0) ** 2
+    return float(values[i, j]), bound, (mus[i], math.exp(ells[j]))
+
+
+@pytest.mark.parametrize("market, spec", [(M, SPEC), (MONTHLY, MONTHLY_SPEC)])
+@pytest.mark.parametrize("T", [1, 2])
+def test_dp_oracle_matches_a_brute_force_minimum_over_gaussians(market, spec, T):
+    """The Bellman minimum over Gaussian densities by brute force on a grid
+    of (mean, log-variance), the expectation in closed form through a and m2,
+    against dp_oracle's layers and optimal_value, with no Gibbs soft-min:
+    J_T is the terminal cost, and at T = 2 J_1 is the quadratic through its
+    brute-forced values at three states.  Those values lie above J_1 by at
+    most b_1, their grid bound (_brute_force_step), so at T = 2 the values at
+    t = 0 may move by b_1 * sum_i |E_pi[L_i(Y)]| further, L_i the Lagrange
+    basis of the three states, at the brute-force argmin pi."""
+    spec = ProblemSpec(T=T, x0=spec.x0, b=spec.b, lam=spec.lam)
+    w = lagrange_fixed_point(market, spec)
+    xs = np.array([0.4, 1.0, 1.7])
+    layers = dp_oracle(market, spec, w, xs)
+    quad, spread = (w * w - (w - spec.b) ** 2, -2.0 * w, 1.0), 0.0  # (y - w)^2 - (w - b)^2, exact
+    basis = [np.polynomial.polynomial.polyfit(xs, row, 2) for row in np.eye(3)]
+    for t in range(T - 1, -1, -1):
+        steps = [_brute_force_step(market, spec.lam, quad, x) for x in xs]
+        for x, j, (value, bound, (mu, v)) in zip(xs, layers[t].j_values, steps):
+            ey, ey2 = _moments(market, x, mu, v)
+            bound += spread * sum(abs(l2 * ey2 + l1 * ey + l0) for l0, l1, l2 in basis)
+            assert abs(value - j) <= bound
+            assert abs(value - optimal_value(market, spec, t, float(x), w)) <= bound
+        spread = max(b for _, b, _ in steps)  # the bound b_1 of J_1's values, for t = 0
+        quad = np.polynomial.polynomial.polyfit(xs, [value for value, _, _ in steps], 2)
 
 
 def _reference_trapezoid(a2, a1, center, lam, halfwidth, points):
@@ -425,102 +461,30 @@ def _reference_trapezoid(a2, a1, center, lam, halfwidth, points):
     width=st.sampled_from([2.0, 4.0, 8.0, 12.0]),
     points=st.integers(51, 3001),
 )
-def test_blocked_trapezoid_matches_the_whole_array_formulation(
+def test_trapezoid_pair_matches_the_whole_array_formulation(
     market, q, c, lam, x_min, span, states, width, points
 ):
-    """Both rules of the row-blocked kernel against the reference above, for
-    the layer q*(y - c)^2 + g (g only adds the same constant to both) on grids
-    of any size, block multiples or not: the narrow rule on `points` nodes over
-    +-halfwidth, the wide rule on that grid extended by ceil((points - 1) / 4)
-    nodes per side at the same spacing.  Windows of 2 and 4 sigmas leave
-    enough mass at the ends that a narrow window one node off shows.  The
-    tolerance is on the oracle gates' scale 1 + |value|."""
+    """Both rules' per-layer values, added to each state's minimum
+    phi(center), against the reference above for the layer q*(y - c)^2 + g
+    (g only adds the same constant to both) on grids of any size: the narrow
+    rule on `points` nodes over +-halfwidth, the wide rule on that grid
+    extended by ceil((points - 1) / 4) nodes per side at the same spacing.
+    Windows of 2 and 4 sigmas leave enough mass at the ends that a narrow
+    window one node off shows.  The tolerance is on the oracle gates' scale
+    1 + |value|."""
     grid = np.linspace(x_min, x_min + span, states)
     a2 = q * market.second_moment
     a1 = 2.0 * q * market.a * (market.r_f * grid - c)
     center = -a1 / (2.0 * a2)
+    phi_center = a2 * center**2 + a1 * center
     halfwidth = width * math.sqrt(lam / (2.0 * a2))
-    narrow, wide = _trapezoid_values(a2, a1, center, lam, halfwidth, points)
+    narrow, wide = _trapezoid_values(a2, lam, halfwidth, points)
     k = math.ceil((points - 1) / 4)
     wide_halfwidth = (points - 1 + 2 * k) / (points - 1) * halfwidth
     want_narrow = _reference_trapezoid(a2, a1, center, lam, halfwidth, points)
     want_wide = _reference_trapezoid(a2, a1, center, lam, wide_halfwidth, points + 2 * k)
-    np.testing.assert_allclose(narrow, want_narrow, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(wide, want_wide, rtol=1e-13, atol=1e-13)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    market=st.sampled_from([M, MONTHLY]),
-    q=st.floats(0.01, 100.0),
-    c=st.floats(-3.0, 3.0),
-    lam=st.floats(0.01, 10.0),
-    x_min=st.floats(-3.0, 3.0),
-    span=st.floats(0.1, 6.0),
-    states=st.integers(3, 250),
-    width=st.sampled_from([2.0, 4.0, 8.0, 12.0]),
-    points=st.integers(51, 3001),
-    shift=st.floats(-2.0, 2.0),
-)
-def test_trapezoid_off_the_gibbs_center_matches_the_whole_array_formulation(
-    market, q, c, lam, x_min, span, states, width, points, shift
-):
-    """The property above with the window's center moved off the minimizer
-    by up to 2 Gibbs standard deviations s = sqrt(lam / (2 * a2)), a
-    different shift per state: the kernel expands phi about the center it is
-    given with a computed linear term, so it integrates the true integrand
-    whether or not that center is the minimizer."""
-    grid = np.linspace(x_min, x_min + span, states)
-    a2 = q * market.second_moment
-    a1 = 2.0 * q * market.a * (market.r_f * grid - c)
-    s = math.sqrt(lam / (2.0 * a2))
-    center = -a1 / (2.0 * a2) + shift * s * np.cos(np.arange(states))
-    halfwidth = width * s
-    narrow, wide = _trapezoid_values(a2, a1, center, lam, halfwidth, points)
-    k = math.ceil((points - 1) / 4)
-    wide_halfwidth = (points - 1 + 2 * k) / (points - 1) * halfwidth
-    want_narrow = _reference_trapezoid(a2, a1, center, lam, halfwidth, points)
-    want_wide = _reference_trapezoid(a2, a1, center, lam, wide_halfwidth, points + 2 * k)
-    np.testing.assert_allclose(narrow, want_narrow, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(wide, want_wide, rtol=1e-13, atol=1e-13)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    market=st.sampled_from([M, MONTHLY]),
-    q=st.floats(0.01, 100.0),
-    c=st.floats(-3.0, 3.0),
-    lam=st.floats(0.01, 10.0),
-    x_min=st.floats(-3.0, 3.0),
-    span=st.floats(0.1, 6.0),
-    states=st.integers(3, 250),
-    width=st.sampled_from([2.0, 4.0, 8.0, 12.0]),
-    points=st.integers(51, 3001),
-    reach=st.floats(2.0, 6.0),
-)
-def test_trapezoid_series_and_its_fallback_match_the_whole_array_formulation(
-    market, q, c, lam, x_min, span, states, width, points, reach
-):
-    """The properties above with each window moved off the minimizer so that
-    the linear term's reach at the wide grid's end, -beta * o_max / lam, runs
-    from 0 to `reach` times _SERIES_REACH, alternating in sign over the
-    states: one call sums the near states as the moment series and sends the
-    others to _blocked_log_partitions, and both match the reference."""
-    grid = np.linspace(x_min, x_min + span, states)
-    a2 = q * market.second_moment
-    a1 = 2.0 * q * market.a * (market.r_f * grid - c)
-    halfwidth = width * math.sqrt(lam / (2.0 * a2))
-    k = math.ceil((points - 1) / 4)
-    wide_halfwidth = (points - 1 + 2 * k) / (points - 1) * halfwidth
-    sigma = reach * _SERIES_REACH * np.linspace(0.0, 1.0, states) * (-1.0) ** np.arange(states)
-    center = -a1 / (2.0 * a2) - sigma * lam / (2.0 * a2 * wide_halfwidth)
-    with _fallback_states() as fallback:
-        narrow, wide = _trapezoid_values(a2, a1, center, lam, halfwidth, points)
-    assert len(fallback) == 1 and 0 < fallback[0] < states
-    want_narrow = _reference_trapezoid(a2, a1, center, lam, halfwidth, points)
-    want_wide = _reference_trapezoid(a2, a1, center, lam, wide_halfwidth, points + 2 * k)
-    np.testing.assert_allclose(narrow, want_narrow, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(wide, want_wide, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(phi_center + narrow, want_narrow, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(phi_center + wide, want_wide, rtol=1e-13, atol=1e-13)
 
 
 @given(s=st.floats(1e-6, 1e3))

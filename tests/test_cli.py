@@ -38,7 +38,7 @@ from dtmv.cli import (
 )
 from dtmv.baseline import BaselineRecord
 from dtmv.evaluation import LEARNERS, PerformanceReport
-from dtmv.learner import EpisodeRecord
+from dtmv.learner import EpisodeRecord, check_cold_start
 from dtmv.market import bundled_monthly_csv_path, make_rng, sample_path
 
 TINY = """
@@ -180,6 +180,11 @@ def test_grid_needs_three_points(tmp_path, capsys):
         ("histogram", "evaluation", "histogram_draws", "0"),
         ("simulate", "evaluation", "sigma_grid_annual", "0.2, 0.0"),
         ("simulate", "run", "jobs", "0"),
+        # a cold start whose policy's exps overflow, or whose variances underflow to 0, for
+        # each command that trains; a phi2 of 0 leaves the comparator no policy
+        *((command, "learning", "init_phi1", phi1) for command in ("train", "simulate", "backtest")
+          for phi1 in ("400.0", "-400.0")),
+        ("compare", "learning", "init_phi2", "0.0"),
     ],
 )
 def test_domain_checks_reject_the_config_before_any_output(
@@ -221,7 +226,9 @@ _POSITIVE = st.floats(1e-6, 1e3)
 @st.composite
 def _configs(draw):
     """RunConfigs with every value inside the domain checks, but for seeds,
-    grid volatilities and histogram draws, which may also lie outside."""
+    grid volatilities and histogram draws, which may also lie outside; the
+    cold start's (phi1, phi2) are drawn where the policy stays in the float
+    range at horizons up to 120."""
     episodes = draw(st.integers(2, 10**6))
     horizon_months = draw(st.integers(1, 24))
     return RunConfig(
@@ -239,7 +246,7 @@ def _configs(draw):
             algorithm=draw(st.sampled_from(sorted(LEARNERS))), episodes=episodes,
             refresh_every=draw(st.integers(1, 1000)), alpha=draw(_POSITIVE),
             eta_theta=draw(_POSITIVE), eta_phi=draw(_POSITIVE), prefix_updates=draw(st.booleans()),
-            init_phi1=draw(_REAL), init_phi2=draw(_REAL),
+            init_phi1=draw(st.floats(-100.0, 100.0)), init_phi2=draw(st.floats(1e-3, 2.0)),
         ),
         evaluation=EvaluationConfig(
             test_episodes=draw(st.integers(2, episodes)), block=draw(st.integers(1, 1000)),
@@ -290,7 +297,9 @@ def test_a_valid_config_builds_what_every_command_builds_before_it_runs(cfg):
     """What validate_config accepts, no command rejects after config.effective
     is written: the per-volatility markets of simulate (a historical series
     is checked when read, so the bundled one stands in), a generator per
-    seed, the sample of histogram and the backtest horizon."""
+    seed, the sample of histogram, the backtest horizon and each learner's
+    cold start at either horizon, though validate_config checks only the
+    longer."""
     market = dataclasses.replace(cfg.market, csv_path="")
     for sigma in cfg.evaluation.sigma_grid_annual:
         build_model(market, sigma)
@@ -300,6 +309,10 @@ def test_a_valid_config_builds_what_every_command_builds_before_it_runs(cfg):
         sample_path(build_model(market)[0], cfg.evaluation.histogram_draws, make_rng(cfg.run.seed))
     hyper = hyper_params(cfg, dataclasses.replace(problem_spec(cfg), T=cfg.evaluation.horizon_months))
     assert hyper.spec.T == rolling_spec(cfg).horizon_months
+    r_f = build_model(market)[1]
+    for learner in LEARNERS.values():
+        for at_horizon in (hyper, hyper_params(cfg, problem_spec(cfg))):
+            check_cold_start(learner, at_horizon, r_f)
 
 
 def test_config_dataclasses_are_plain_values():
@@ -915,3 +928,25 @@ def test_import_loads_no_scipy_and_no_process_pool():
     assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
     assert "concurrent.futures.process" not in loaded
     assert {"numpy.random", "numpy.polynomial"} <= loaded
+
+
+# The public top-level modules `import dtmv.cli` adds to an interpreter that has loaded numpy,
+# numpy.random and numpy.polynomial: the package, the standard library modules it imports
+# (csv, statistics, argparse, configparser, dataclasses) and what those load in turn.
+CLI_IMPORTS = {"argparse", "configparser", "copy", "csv", "dataclasses", "decimal", "dtmv",
+               "fractions", "gettext", "statistics"}
+
+
+def test_import_adds_only_the_pinned_top_level_modules():
+    """In a fresh interpreter, `import dtmv.cli` loads no top-level module
+    beyond numpy's but CLI_IMPORTS (private ones, the C halves of the
+    standard library's, left out), so that a new eager import, and what it
+    costs every command, shows here for review."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    script = ("import json, sys; import numpy, numpy.random, numpy.polynomial; "
+              "before = set(sys.modules); import dtmv.cli; "
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    added = {name.partition(".")[0] for name in json.loads(proc.stdout)}
+    assert {name for name in added if not name.startswith("_")} == CLI_IMPORTS

@@ -33,6 +33,7 @@ from dtmv.learner import (
     TrainingDivergedError,
     ValueParams,
     apply_updates,
+    check_cold_start,
     cold_start,
     cost,
     grad_phi,
@@ -541,6 +542,22 @@ def test_online_windows_get_the_divergence_check(algorithm):
     assert str(online.value) == str(trained.value)
     frozen = run_episodes(learner, hyper, R_F, draws, learn=False)
     assert len(frozen.history) == 500
+
+
+@both_learners
+@pytest.mark.parametrize("phi1, why", [(400.0, "overflow the policy"), (-400.0, "variance is 0.0")])
+def test_a_cold_start_that_defines_no_policy_is_infeasible(algorithm, phi1, why):
+    """A cold start whose policy's exps overflow, or whose variances
+    underflow to 0, raises InfeasiblePolicyError before any episode, learning
+    or not, and so does check_cold_start."""
+    learner, hyper = LEARNERS[algorithm], _hyper(0, init_phi1=phi1)
+    draws = [([0.01, 0.02, -0.01], [0.5, -0.5, 0.1])]
+    for learn in (True, False):
+        with pytest.raises(InfeasiblePolicyError, match=why):
+            run_episodes(learner, hyper, R_F, draws, learn=learn)
+    with pytest.raises(InfeasiblePolicyError, match=why):
+        check_cold_start(learner, hyper, R_F)
+    check_cold_start(learner, _hyper(0), R_F)
 
 
 _A, _SIGMA, _ = annualize_market(0.30, 0.20, 0.02)
