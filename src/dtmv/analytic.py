@@ -14,11 +14,12 @@ All functions here are pure and all types immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 import numpy.polynomial  # noqa: F401  (numpy loads it lazily; load it at import, not in dp_oracle)
+
+from dtmv.records import checked
 
 
 class DegenerateFamilyError(ValueError):
@@ -34,8 +35,8 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarketModel:
+@checked
+class MarketModel(NamedTuple):
     """Per-period market primitives.
 
     a: mean excess return, sigma: excess return volatility (> 0),
@@ -46,7 +47,7 @@ class MarketModel:
     sigma: float
     r_f: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
         if self.r_f <= 0.0:
@@ -58,8 +59,8 @@ class MarketModel:
         return self.a * self.a + self.sigma * self.sigma
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+@checked
+class ProblemSpec(NamedTuple):
     """Horizon T (periods), initial wealth x0, wealth target b, and
     exploration temperature lam (> 0)."""
 
@@ -68,27 +69,27 @@ class ProblemSpec:
     b: float
     lam: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not isinstance(self.T, int) or self.T < 1:
             raise ValueError("T must be an integer >= 1")
         if self.lam <= 0.0:
             raise ValueError("lam must be positive")
 
 
-@dataclass(frozen=True)
-class GaussianPolicy:
+@checked
+class GaussianPolicy(NamedTuple):
     """A Gaussian control density over the risky allocation."""
 
     mean: float
     variance: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.variance > 0.0:
             raise ValueError("variance must be positive")
 
 
-@dataclass(frozen=True)
-class IterationFamily:
+@checked
+class IterationFamily(NamedTuple):
     """Seed policy family u ~ N(mean_slope * (x - rho_t * w), lam * var_base * var_ratio^(T-t-1)).
 
     mean_slope may take any sign; var_base and var_ratio must be positive.
@@ -98,7 +99,7 @@ class IterationFamily:
     var_base: float
     var_ratio: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.var_base <= 0.0:
             raise ValueError("var_base must be positive")
         if self.var_ratio <= 0.0:
@@ -289,8 +290,7 @@ def iterate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValueGrid:
+class ValueGrid(NamedTuple):
     """One backward-induction layer: cost-to-go j_values on x_values at period t.
 
     meta records the fitted quadratic (curvature, center, offset), the grid
@@ -370,6 +370,8 @@ def dp_oracle(
         raise ValueError(f"halfwidth_sigmas must be finite and > 0, got {halfwidth_sigmas!r}")
     if n_hermite < 1:
         raise ValueError(f"n_hermite must be >= 1, got {n_hermite!r}")
+    if not tol >= 1e-15:  # below it the gates would compare the values' rounding noise
+        raise ValueError(f"tol must be >= 1e-15, got {tol!r}")
     grid = np.asarray(x_values, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("x_values must be 1-D with at least 3 points")

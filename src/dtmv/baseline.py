@@ -11,7 +11,6 @@ parameters.  The period is the unit of time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -31,8 +30,7 @@ from dtmv.market import sample_path  # noqa: F401  (perfbench/spans.py wraps thi
 ALGORITHM_CONTINUOUS = "emv-continuous"
 
 
-@dataclass(frozen=True)
-class BaselineParams:
+class BaselineParams(NamedTuple):
     """Continuous-time learner state: value drift coefficients theta2..theta4,
     policy parameters phi1, phi2, and the Lagrange target w."""
 
@@ -59,7 +57,7 @@ class BaselineRecord(NamedTuple):
 # m + 1 = T - t.
 CONTINUOUS = Learner(
     cold_start=lambda spec, r_f, phi1, phi2: BaselineParams(0.0, 0.0, 0.0, phi1, phi2, spec.b),
-    fields=lambda p: dict(vars(p)),
+    fields=BaselineParams._asdict,
     params=BaselineParams,
     record=BaselineRecord,
     shift=1,

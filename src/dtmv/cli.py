@@ -14,14 +14,11 @@ printed to stderr and the status is zero.
 
 import argparse
 import configparser
-import dataclasses
-import json
 import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, get_type_hints
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -79,8 +76,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarketConfig:
+class MarketConfig(NamedTuple):
     """Return model selection.  Rates are annual; keys say so."""
 
     model: str = "skewt"  # normal | skewt | historical
@@ -93,45 +89,41 @@ class MarketConfig:
     csv_path: str = ""  # empty means the bundled synthetic series
 
 
-@dataclass(frozen=True)
-class ProblemConfig:
+class ProblemConfig(NamedTuple):
     horizon: int = 3
     x0: float = 1.0
     target_wealth: float = 1.1
     temperature: float = 2.0
 
 
-@dataclass(frozen=True)
-class LearningConfig:
+class LearningConfig(NamedTuple):
     algorithm: str = ALGORITHM_DISCRETE
-    episodes: int = HyperParams.episodes
-    refresh_every: int = HyperParams.refresh_every
-    alpha: float = HyperParams.alpha
-    eta_theta: float = HyperParams.eta_theta
-    eta_phi: float = HyperParams.eta_phi
-    prefix_updates: bool = HyperParams.prefix_updates
-    init_phi1: float = HyperParams.init_phi1
-    init_phi2: float = HyperParams.init_phi2
+    episodes: int = HyperParams._field_defaults["episodes"]
+    refresh_every: int = HyperParams._field_defaults["refresh_every"]
+    alpha: float = HyperParams._field_defaults["alpha"]
+    eta_theta: float = HyperParams._field_defaults["eta_theta"]
+    eta_phi: float = HyperParams._field_defaults["eta_phi"]
+    prefix_updates: bool = HyperParams._field_defaults["prefix_updates"]
+    init_phi1: float = HyperParams._field_defaults["init_phi1"]
+    init_phi2: float = HyperParams._field_defaults["init_phi2"]
 
 
-@dataclass(frozen=True)
-class EvaluationConfig:
+class EvaluationConfig(NamedTuple):
     test_episodes: int = 2000
     block: int = 50
     sigma_grid_annual: Tuple[float, ...] = (0.1, 0.2, 0.3)
     seeds: Tuple[int, ...] = (1, 2, 3)
     backtest_start_years: Tuple[int, ...] = tuple(range(2004, 2014))
-    backtest_targets: Tuple[float, ...] = RollingSpec.targets
-    window_months: int = RollingSpec.window_months
-    horizon_months: int = RollingSpec.horizon_months
-    test_months: int = RollingSpec.test_months
-    online_test: bool = RollingSpec.online_test
+    backtest_targets: Tuple[float, ...] = RollingSpec._field_defaults["targets"]
+    window_months: int = RollingSpec._field_defaults["window_months"]
+    horizon_months: int = RollingSpec._field_defaults["horizon_months"]
+    test_months: int = RollingSpec._field_defaults["test_months"]
+    online_test: bool = RollingSpec._field_defaults["online_test"]
     histogram_draws: int = 100000
     histogram_bins: int = 60
 
 
-@dataclass(frozen=True)
-class FamilyConfig:
+class FamilyConfig(NamedTuple):
     """Seed policy family for the iterate subcommand."""
 
     mean_slope: float = -0.5
@@ -139,8 +131,7 @@ class FamilyConfig:
     var_ratio: float = 1.2
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(NamedTuple):
     """State grid for the analytic and iterate subcommands.  w is either
     'auto' (solve the fixed point) or a number."""
 
@@ -150,15 +141,13 @@ class GridConfig:
     w: str = "auto"
 
 
-@dataclass(frozen=True)
-class RunControl:
+class RunControl(NamedTuple):
     seed: int = 1
     jobs: int = 1
     rng_algorithm: str = RNG_ALGORITHM
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     market: MarketConfig = MarketConfig()
     problem: ProblemConfig = ProblemConfig()
     learning: LearningConfig = LearningConfig()
@@ -168,7 +157,7 @@ class RunConfig:
     run: RunControl = RunControl()
 
 
-_SECTIONS = tuple(sorted((f.name, f.type) for f in dataclasses.fields(RunConfig)))
+_SECTIONS = sorted(RunConfig._field_defaults.items())  # (name, default block)
 
 
 def _parse_scalar(section: str, key: str, text: str, kind: type):
@@ -221,21 +210,18 @@ def load_config(path: Optional[str]) -> RunConfig:
             raise ConfigError(f"config: cannot read {path}: {exc.strerror}") from None
         except configparser.Error as exc:
             raise ConfigError(f"config: {path}: {exc}") from None
-    known = dict(_SECTIONS)
     for name in parser.sections():
-        if name not in known:
+        if name not in RunConfig._fields:
             raise ConfigError(f"config: unknown section [{name}]")
     sections = {}
-    for name, cls in _SECTIONS:
-        defaults = cls()
-        fields = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(cls)}
+    for name, defaults in _SECTIONS:
         values = {}
         if parser.has_section(name):
             for key, text in parser.items(name):
-                if key not in fields:
+                if key not in defaults._fields:
                     raise ConfigError(f"config: unknown key {name}.{key}")
-                values[key] = _parse_value(name, key, text, fields[key])
-        sections[name] = cls(**values)
+                values[key] = _parse_value(name, key, text, getattr(defaults, key))
+        sections[name] = defaults._replace(**values)
     cfg = RunConfig(**sections)
     validate_config(cfg)
     return cfg
@@ -290,7 +276,7 @@ def _domain_error(cfg: RunConfig) -> str:
         SplitSpec(cfg.learning.episodes - cfg.evaluation.test_episodes, cfg.evaluation.test_episodes)
         rolling_spec(cfg)
         # each learner's cold start at the longer horizon, among whose variances are the other's
-        spec = dataclasses.replace(spec, T=max(spec.T, cfg.evaluation.horizon_months))
+        spec = spec._replace(T=max(spec.T, cfg.evaluation.horizon_months))
         for learner in LEARNERS.values():
             check_cold_start(learner, hyper_params(cfg, spec), _per_period(cfg.market)[2])
     except ValueError as exc:
@@ -301,11 +287,11 @@ def _domain_error(cfg: RunConfig) -> str:
 def _rejected_key(cfg: RunConfig, message: str) -> str:
     """The key a domain check's message comes from: the first key set off its
     default whose default alone changes the message, else every key set off."""
-    changed = [(name, key, value) for name, cls in _SECTIONS for key, value in vars(cls()).items()
-               if getattr(getattr(cfg, name), key) != value]
+    changed = [(name, key, value) for name, defaults in _SECTIONS
+               for key, value in defaults._asdict().items() if getattr(getattr(cfg, name), key) != value]
     for name, key, value in changed:
-        reset = dataclasses.replace(getattr(cfg, name), **{key: value})
-        if _domain_error(dataclasses.replace(cfg, **{name: reset})) != message:
+        reset = getattr(cfg, name)._replace(**{key: value})
+        if _domain_error(cfg._replace(**{name: reset})) != message:
             return f"{name}.{key}"
     return ", ".join(f"{name}.{key}" for name, key, _ in changed)
 
@@ -314,12 +300,9 @@ def effective_config_text(cfg: RunConfig) -> str:
     """Canonical rendering: sorted sections, sorted keys, every value
     explicit.  load_config on this text reproduces cfg exactly."""
     lines = []
-    for name, _cls in _SECTIONS:
-        block = getattr(cfg, name)
-        lines.append(f"[{name}]")
-        for key in sorted(f.name for f in dataclasses.fields(block)):
-            lines.append(f"{key} = {_format_value(getattr(block, key))}")
-        lines.append("")
+    for name, _ in _SECTIONS:
+        items = sorted(getattr(cfg, name)._asdict().items())
+        lines += [f"[{name}]", *(f"{key} = {_format_value(value)}" for key, value in items), ""]
     return "\n".join(lines)
 
 
@@ -370,7 +353,7 @@ def problem_spec(cfg: RunConfig) -> ProblemSpec:
 
 
 def hyper_params(cfg: RunConfig, spec: ProblemSpec) -> HyperParams:
-    training = {k: v for k, v in vars(cfg.learning).items() if k != "algorithm"}
+    training = {k: v for k, v in cfg.learning._asdict().items() if k != "algorithm"}
     return HyperParams(spec=spec, **training)
 
 
@@ -540,7 +523,7 @@ def cmd_simulate(cfg: RunConfig, out: str) -> None:
 def cmd_backtest(cfg: RunConfig, out: str) -> None:
     """Rolling decade-by-decade evaluation on a monthly close series."""
     series = _load_series(cfg.market)
-    spec = dataclasses.replace(problem_spec(cfg), T=cfg.evaluation.horizon_months)
+    spec = problem_spec(cfg)._replace(T=cfg.evaluation.horizon_months)
     hyper = hyper_params(cfg, spec)
     _, _, r_f = _per_period(cfg.market)
     rows = rolling_backtest(series, rolling_spec(cfg), hyper, r_f, cfg.run.seed, cfg.run.jobs)
@@ -643,13 +626,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _write_text(os.path.join(out, "config.effective"), effective_config_text(cfg))
         # the flags override the config for this run; config.effective keeps the file's values
         if args.seed is not None:
-            cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, seed=args.seed),
-                                      evaluation=dataclasses.replace(cfg.evaluation, seeds=(args.seed,)))
+            cfg = cfg._replace(run=cfg.run._replace(seed=args.seed),
+                               evaluation=cfg.evaluation._replace(seeds=(args.seed,)))
         if args.jobs is not None:
-            cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, jobs=args.jobs))
+            cfg = cfg._replace(run=cfg.run._replace(jobs=args.jobs))
         cmd, _help = _COMMANDS[args.command]
         cmd(cfg, out)
     except Exception as exc:  # one machine-readable record per failure
+        import json  # here, not at the top: a successful command never uses it
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, TrainingDivergedError):  # the keys that size a step, with their values
             keys = ["learning.eta_theta", "learning.eta_phi",

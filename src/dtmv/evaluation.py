@@ -9,10 +9,8 @@ through the wealth dynamics).
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +26,7 @@ from dtmv.market import (
     month_index,
     month_label,
 )
+from dtmv.records import checked
 
 LEARNERS = {ALGORITHM_DISCRETE: DISCRETE, ALGORITHM_CONTINUOUS: CONTINUOUS}
 ALGORITHMS = tuple(LEARNERS)
@@ -37,8 +36,7 @@ class StatsError(ValueError):
     """Terminal-wealth statistics are undefined for the given sample."""
 
 
-@dataclass(frozen=True)
-class PerformanceReport:
+class PerformanceReport(NamedTuple):
     """One report row; sharpe * std_return equals mean_return by construction."""
 
     setting: str
@@ -50,8 +48,8 @@ class PerformanceReport:
     n: int
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+@checked
+class SplitSpec(NamedTuple):
     """Episode budget split of one uninterrupted training run: statistics are
     taken over the last test_episodes, the train_episodes before them are not
     measured.  Learning does not stop at the split: the learners' parameters
@@ -61,7 +59,7 @@ class SplitSpec:
     train_episodes: int
     test_episodes: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.train_episodes < 0 or self.test_episodes < 2:
             raise ValueError("need train_episodes >= 0 and test_episodes >= 2")
 
@@ -90,8 +88,8 @@ class Cell(NamedTuple):
     stream: int
 
 
-@dataclass(frozen=True)
-class RollingSpec:
+@checked
+class RollingSpec(NamedTuple):
     """Rolling backtest layout: for each test year Y, train on the
     window_months immediately preceding January Y, then measure frozen-policy
     performance on sequential nonoverlapping horizon_months windows covering
@@ -104,7 +102,7 @@ class RollingSpec:
     test_months: int = 120
     online_test: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.test_years or not self.targets:
             raise ValueError("test_years and targets must be nonempty")
         if self.horizon_months < 1 or self.window_months < self.horizon_months:
@@ -234,25 +232,22 @@ def run_simulation_study(
     return _run_cells(partial(_study_cell, split.test_episodes), cells, jobs)
 
 
+def _median(values: Iterable[float]) -> float:
+    """statistics.median's arithmetic: the middle sorted value, or (a + b) / 2 of the middle two."""
+    data = sorted(values)
+    half = len(data) // 2
+    return data[half] if len(data) % 2 else (data[half - 1] + data[half]) / 2
+
+
 def median_summary(rows: Sequence[PerformanceReport]) -> List[Dict[str, object]]:
     """Per (setting, algorithm): median across seeds of each statistic,
     in first-appearance order."""
     groups: Dict[Tuple[str, str], List[PerformanceReport]] = {}
     for row in rows:
         groups.setdefault((row.setting, row.algorithm), []).append(row)
-    out = []
-    for key, rs in groups.items():
-        out.append(
-            {
-                "setting": key[0],
-                "algorithm": key[1],
-                "mean_return": statistics.median(r.mean_return for r in rs),
-                "std_return": statistics.median(r.std_return for r in rs),
-                "sharpe": statistics.median(r.sharpe for r in rs),
-                "seeds": len(rs),
-            }
-        )
-    return out
+    stats = ("mean_return", "std_return", "sharpe")
+    return [{"setting": key[0], "algorithm": key[1], **{s: _median(getattr(r, s) for r in rs) for s in stats},
+             "seeds": len(rs)} for key, rs in groups.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +305,7 @@ def rolling_backtest(
         except InsufficientDataError as exc:
             raise InsufficientDataError(f"{decade} b={rolling.targets[0]:g}: {exc}") from exc
         for target in rolling.targets:
-            cell_hyper = replace(hyper, spec=replace(hyper.spec, b=target))
+            cell_hyper = hyper._replace(spec=hyper.spec._replace(b=target))
             for algorithm in ALGORITHMS:
                 cell = Cell(f"{decade} b={target:g}", model, r_f, cell_hyper, algorithm, seed,
                             len(cells))

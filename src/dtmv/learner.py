@@ -37,6 +37,7 @@ import numpy as np
 
 from dtmv.analytic import ProblemSpec, discount_factor
 from dtmv.market import RNG_ALGORITHM, ReturnModel, episode_draws, sample_path
+from dtmv.records import checked
 
 ALGORITHM_DISCRETE = "emv-discrete"
 
@@ -58,8 +59,7 @@ class TrainingDivergedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValueParams:
+class ValueParams(NamedTuple):
     """Coefficients of the value surface
     theta1^(T-t) * (x - rho_t * w)^2 + theta2 * t^2 + theta3 * t + theta4."""
 
@@ -69,8 +69,7 @@ class ValueParams:
     theta4: float
 
 
-@dataclass(frozen=True)
-class PolicyParams:
+class PolicyParams(NamedTuple):
     """Exploitation scale phi1 and time-decay rate phi2 of the learned policy."""
 
     phi1: float
@@ -87,8 +86,8 @@ class LagrangeState:
     terminal_wealths: List[float] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class HyperParams:
+@checked
+class HyperParams(NamedTuple):
     """Training configuration.  episodes is the total episode budget M,
     refresh_every the period N of the w update, and (init_phi1, init_phi2)
     the policy parameters of the cold start."""
@@ -103,7 +102,7 @@ class HyperParams:
     init_phi1: float = 1.0
     init_phi2: float = 0.01
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("eta_theta", "eta_phi", "alpha", "init_phi1", "init_phi2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -115,8 +114,8 @@ class HyperParams:
             raise ValueError("learning rates must be positive")
 
 
-@dataclass(frozen=True)
-class Episode:
+@checked
+class Episode(NamedTuple):
     """One sampled trajectory: wealth x_0..x_T, controls u_0..u_{T-1}, and
     the realized excess returns r_0..r_{T-1}."""
 
@@ -124,7 +123,7 @@ class Episode:
     controls: Tuple[float, ...]
     returns: Tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.wealth) != len(self.controls) + 1 or len(self.controls) != len(self.returns):
             raise ValueError("episode arrays inconsistent")
 
@@ -147,8 +146,7 @@ class EpisodeRecord(NamedTuple):
     w: float
 
 
-@dataclass(frozen=True)
-class DiscreteParams:
+class DiscreteParams(NamedTuple):
     """Discrete learner state: value surface, policy and the Lagrange target w."""
 
     theta: ValueParams
@@ -168,8 +166,7 @@ class TrainResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Learner:
+class Learner(NamedTuple):
     """A learner of the episode kernel: its params and records, and the
     constants in which it differs from the other one.
 
@@ -213,6 +210,7 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
         policy(phi1, phi2, e2) -> (slope, variance_t for t < T); raises
             InfeasiblePolicyError where the root under the slope is not of a
             positive number, a value overflows or a variance is not positive;
+            one loop sets its variances, a line each where inlined in rollout;
         rollout(v, rets, z) -> (x_0..x_T, u_0..u_{T-1}): one episode over
             the T excess returns rets and the T standard normals z of the
             policy, fixed for the episode, u_t = slope (x_t - c_t) +
@@ -226,7 +224,7 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             and the episode's record;
         descend(theta2, theta3, phi1, phi2, e2, w, devs, grads) -> (theta1..
             phi2, the pass's gradient, its summed squares), without: the one
-            pass of the sample adapters; with no passes the policy alone.
+            pass of the sample adapters; with no passes the policy (and rollout if training).
     With step set, a pass sums the gradient (g_t2, g_t3, g_p1, g_p2) in
     (theta2, theta3, phi1, phi2) of half the summed squared residuals, then
     takes one gradient step of sizes (eta_theta, eta_phi) on it, or on grads
@@ -303,6 +301,7 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
                    [reads] * (max(ns) > 0) + lines + update)
     square = f"{T ** 2}" if compounding else f"{T} * {T}"
     theta4 = f"theta4 = -theta2 * {square} - theta3 * {T} - (w - b) ** 2"
+    variance = "exp(p2 * {} + p1 - 1.0) / two_pi".format  # of period t at exponent T - t - 1 + shift
     policy = [
         "gap = r_f * r_f - e2" if compounding else "gap = 2.0 * phi2",
         "if not gap > 0.0:",
@@ -310,10 +309,12 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
         "p1 = 2.0 * phi1",
         "p2 = 2.0 * phi2",
         "slope = -sqrt(gap / lam_pi) * exp((p1 - 1.0) / 2.0)",
-        *(f"s{t} = exp(p2 * {T - t - 1 + shift} + p1 - 1.0) / two_pi" for t in ts),
+        *(f"s{t} = {variance(T - t - 1 + shift)}" for t in ts),
         f"if not min(({_names('s', ts)})) > 0.0:",
         f"    raise InfeasiblePolicyError(f'the policy variance is {{min(({_names('s', ts)}))!r}}')",
     ]
+    standalone = [*policy[:6], f"s = tuple({variance('k')} for k in reversed(range({shift}, {T + shift})))",
+                  *(line.replace(f"({_names('s', ts)})", "s") for line in policy[-2:])]
     # where phi1 never moves, run takes the slope's factor once: where that overflows, so does s{T-1}
     held = [policy[3], "try:", "    half = exp((p1 - 1.0) / 2.0)", "except OverflowError:",
             "    half = inf"] * hold_phi1
@@ -330,9 +331,9 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
                "    w_after = lag.w"]
     finite = " + ".join(f"({x} - {x})" for x in "e2 theta2 theta3 theta4 phi1 phi2 w_after".split())
     sources = (
-        function("policy(phi1, phi2, e2)", ["try:", *indent(policy), "except OverflowError:",
+        function("policy(phi1, phi2, e2)", ["try:", *indent(standalone), "except OverflowError:",
                  "    raise InfeasiblePolicyError(f'phi1={phi1}, phi2={phi2} overflow the policy')",
-                 f"return slope, ({_names('s', ts)})"]),
+                 "return slope, s"]),
         function("rollout(v, rets, z)", ["e2, _, _, _, phi1, phi2, w = v", *policy, *rollout,
                                          f"return ({_names('x', periods)}), ({_names('u', ts)})"]),
         function("run(v, lag, draws, kept, history)", [
@@ -354,7 +355,7 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             *looped, theta4,
             "return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq"]),
     )
-    return sources if passes else sources[:1]
+    return sources if passes else sources[:1 + training]
 
 
 @functools.lru_cache(maxsize=32)
@@ -375,9 +376,9 @@ class _Kernel(NamedTuple):
     rhos: tuple
 
 
-def _setup(learner: Learner, hyper: HyperParams, r_f, t_first: int = 0, passes=None) -> _Kernel:
-    """The learner's kernel for hyper at r_f, its functions reading the
-    run's floats as globals: run, or with passes given descend over them."""
+def _setup(learner: Learner, hyper: HyperParams, r_f, t_first=0, passes=None, training=False) -> _Kernel:
+    """The learner's kernel for hyper at r_f, its functions reading the run's floats as globals:
+    run, or descend over the passes given; for passes (), the policy (with training, its rollout)."""
     spec = hyper.spec
     T, lam = spec.T, spec.lam
     if learner.compounding:
@@ -385,8 +386,8 @@ def _setup(learner: Learner, hyper: HyperParams, r_f, t_first: int = 0, passes=N
         floor = -math.log(r_f) + PHI2_MARGIN
     else:
         rhos, floor = (1.0,) * (T + 1), PHI2_MARGIN
-    training = passes is None  # run, with a step on each growing prefix or the whole episode
-    if training:
+    training = training or passes is None  # run: a step on each growing prefix, or the episode
+    if passes is None:
         passes = tuple((n, True) for n in (range(1, T + 1) if hyper.prefix_updates else (T,)))
     names = {
         "exp": math.exp, "sqrt": math.sqrt, "two_pi": 2.0 * math.pi, "update_w": update_w,
@@ -518,7 +519,7 @@ def cold_start(spec: ProblemSpec, r_f: float, phi1: float, phi2: float) -> Discr
 # Discounted centers, phi1 held, the entropy count m = T - t - 1.
 DISCRETE = Learner(
     cold_start=cold_start,
-    fields=lambda p: {**vars(p.theta), **vars(p.phi), "w": p.w},
+    fields=lambda p: {**p.theta._asdict(), **p.phi._asdict(), "w": p.w},
     params=lambda *v: DiscreteParams(ValueParams(*v[:4]), PolicyParams(*v[4:6]), v[6]),
     record=EpisodeRecord,
     shift=0,
@@ -533,7 +534,7 @@ def sample_episode(phi: PolicyParams, w: float, model: ReturnModel, spec: Proble
     returns = sample_path(model, spec.T, rng)
     z = rng.standard_normal(spec.T).tolist()
     v = (math.exp(-2.0 * phi.phi2), 0.0, 0.0, 0.0, phi.phi1, phi.phi2, w)
-    wealth, controls = _setup(DISCRETE, HyperParams(spec), r_f).rollout(v, returns.tolist(), z)
+    wealth, controls = _setup(DISCRETE, HyperParams(spec), r_f, 0, (), True).rollout(v, returns.tolist(), z)
     return Episode(wealth, controls, tuple(returns))
 
 

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it at import, not in make_rng)
@@ -252,8 +252,7 @@ class SkewTIID:
             raise ValueError("nu must exceed 2 for a finite variance")
 
 
-@dataclass(frozen=True)
-class Historical:
+class Historical(NamedTuple):
     """Draws T-month windows from a recorded return series: each call picks
     a uniformly random contiguous window."""
 

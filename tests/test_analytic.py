@@ -333,8 +333,10 @@ def test_dp_oracle_terminal_layer_is_the_terminal_cost():
 
 
 def test_dp_oracle_flags_unreachable_tolerance():
+    """A tol below the values' rounding noise is rejected by name, before the
+    gates compare that noise."""
     xs = np.linspace(0.0, 2.0, 5)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(ValueError, match="^tol must be >= 1e-15, got 1e-18$"):
         dp_oracle(M, SPEC, 1.3, xs, tol=1e-18)
 
 
@@ -551,6 +553,12 @@ def test_dp_oracle_grid_validation():
         for n_hermite in (0, -3):
             with pytest.raises(ValueError, match="^n_hermite must be >= 1"):
                 dp_oracle(M, SPEC, 1.3, xs, n_hermite=n_hermite)
+        # a tol that is not a number, not positive, or below about 1e-15, where the gates would
+        # compare rounding noise
+        for tol in (math.nan, 0.0, -0.0, -1e-9, -math.inf, 1e-16, 9.9e-16, 1e-18):
+            with pytest.raises(ValueError, match="^tol must be >= 1e-15"):
+                dp_oracle(M, SPEC, 1.3, xs, tol=tol)
+    dp_oracle(M, SPEC, 1.3, xs, tol=1e-15)  # the floor itself is a tol
 
 
 def test_value_grid_metadata_records_geometry():

@@ -21,7 +21,7 @@ from test_learner import _policy
 
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
 # the comparator's cold start does not depend on r_f
-COLD = CONTINUOUS.cold_start(SPEC, None, HyperParams.init_phi1, HyperParams.init_phi2)
+COLD = CONTINUOUS.cold_start(SPEC, None, HyperParams(SPEC).init_phi1, HyperParams(SPEC).init_phi2)
 
 
 def _random_params(rng):

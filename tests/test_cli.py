@@ -2,7 +2,6 @@
 
 import ast
 import csv
-import dataclasses
 import importlib
 import json
 import math
@@ -300,14 +299,14 @@ def test_a_valid_config_builds_what_every_command_builds_before_it_runs(cfg):
     seed, the sample of histogram, the backtest horizon and each learner's
     cold start at either horizon, though validate_config checks only the
     longer."""
-    market = dataclasses.replace(cfg.market, csv_path="")
+    market = cfg.market._replace(csv_path="")
     for sigma in cfg.evaluation.sigma_grid_annual:
         build_model(market, sigma)
     for seed in (cfg.run.seed, *cfg.evaluation.seeds):
         make_rng(seed)
     if cfg.market.model != "historical":
         sample_path(build_model(market)[0], cfg.evaluation.histogram_draws, make_rng(cfg.run.seed))
-    hyper = hyper_params(cfg, dataclasses.replace(problem_spec(cfg), T=cfg.evaluation.horizon_months))
+    hyper = hyper_params(cfg, problem_spec(cfg)._replace(T=cfg.evaluation.horizon_months))
     assert hyper.spec.T == rolling_spec(cfg).horizon_months
     r_f = build_model(market)[1]
     for learner in LEARNERS.values():
@@ -315,7 +314,7 @@ def test_a_valid_config_builds_what_every_command_builds_before_it_runs(cfg):
             check_cold_start(learner, at_horizon, r_f)
 
 
-def test_config_dataclasses_are_plain_values():
+def test_config_sections_are_plain_values():
     assert MarketConfig().a_annual == 0.30
     assert LearningConfig().algorithm == "emv-discrete"
     assert EvaluationConfig().backtest_start_years == tuple(range(2004, 2014))
@@ -553,7 +552,7 @@ def test_a_third_learner_is_one_learners_entry(tmp_path, capsys, monkeypatch):
     command keeps a table of its own."""
     from dtmv.learner import DISCRETE, load_checkpoint
 
-    monkeypatch.setitem(LEARNERS, "emv-plain-step", dataclasses.replace(DISCRETE, hold_phi1=False))
+    monkeypatch.setitem(LEARNERS, "emv-plain-step", DISCRETE._replace(hold_phi1=False))
     cfg = _cfg_file(tmp_path, BASELINE_TINY.replace("emv-continuous", "emv-plain-step"))
     out = str(tmp_path / "third")
     code, _, err = _run(["train", "--config", cfg, "--out", out], capsys)
@@ -655,7 +654,7 @@ def test_compare_reports_what_simulate_reports_on_its_one_market(tmp_path, capsy
     """With the volatility grid the one configured volatility, compare trains
     simulate's cells on the same streams, so the two reports are the same bytes."""
     cfg = _cfg_file(tmp_path)  # sigma_grid_annual = 0.2 = market.sigma_annual
-    assert load_config(cfg).evaluation.sigma_grid_annual == (MarketConfig.sigma_annual,)
+    assert load_config(cfg).evaluation.sigma_grid_annual == (MarketConfig().sigma_annual,)
     reports = []
     for command in ("compare", "simulate"):
         out = tmp_path / command
@@ -932,9 +931,9 @@ def test_import_loads_no_scipy_and_no_process_pool():
 
 # The public top-level modules `import dtmv.cli` adds to an interpreter that has loaded numpy,
 # numpy.random and numpy.polynomial: the package, the standard library modules it imports
-# (csv, statistics, argparse, configparser, dataclasses) and what those load in turn.
-CLI_IMPORTS = {"argparse", "configparser", "copy", "csv", "dataclasses", "decimal", "dtmv",
-               "fractions", "gettext", "statistics"}
+# (csv, argparse, configparser, dataclasses) and what those load in turn.  json is imported
+# only by a failing command's error record.
+CLI_IMPORTS = {"argparse", "configparser", "copy", "csv", "dataclasses", "dtmv", "gettext"}
 
 
 def test_import_adds_only_the_pinned_top_level_modules():
@@ -943,10 +942,11 @@ def test_import_adds_only_the_pinned_top_level_modules():
     standard library's, left out), so that a new eager import, and what it
     costs every command, shows here for review."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    script = ("import json, sys; import numpy, numpy.random, numpy.polynomial; "
+    # the child prints with repr, so that the snapshot is not taken after a json import
+    script = ("import sys; import numpy, numpy.random, numpy.polynomial; "
               "before = set(sys.modules); import dtmv.cli; "
-              "print(json.dumps(sorted(set(sys.modules) - before)))")
+              "print(repr(sorted(set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True, timeout=120)
-    added = {name.partition(".")[0] for name in json.loads(proc.stdout)}
+    added = {name.partition(".")[0] for name in ast.literal_eval(proc.stdout)}
     assert {name for name in added if not name.startswith("_")} == CLI_IMPORTS

@@ -1,9 +1,13 @@
 """Tests for statistics, the simulation study, and the rolling backtest."""
 
 import math
+import statistics
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dtmv.analytic import ProblemSpec
 from dtmv.baseline import ALGORITHM_CONTINUOUS
@@ -14,6 +18,7 @@ from dtmv.evaluation import (
     SplitSpec,
     StatsError,
     StudySetting,
+    _median,
     first_stable_block,
     learning_curves,
     median_summary,
@@ -139,6 +144,21 @@ def test_run_simulation_study_parallel_matches_serial():
     serial = run_simulation_study(_settings(), _tiny_hyper(), SplitSpec(40, 40), (1, 2), jobs=1)
     parallel = run_simulation_study(_settings(), _tiny_hyper(), SplitSpec(40, 40), (1, 2), jobs=3)
     assert serial == parallel
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0])), min_size=1, max_size=12))
+@example([0.0, -0.0])
+@example([-0.0, 0.0])
+@example([-0.0, 0.0, 0.0])
+@example([1e308, 1e308])
+def test_the_local_median_is_statistics_median_bit_for_bit(values):
+    """median_summary's median keeps statistics.median's arithmetic: the
+    middle of the sorted values, or (a + b) / 2 of the middle two; the same
+    bits for odd and even counts, signed zeros, infinities and NaNs."""
+    def bits(x):
+        return struct.pack("<d", x)
+
+    assert bits(_median(iter(values))) == bits(statistics.median(values))
 
 
 def test_median_summary_groups_in_first_appearance_order():

@@ -40,7 +40,6 @@ import json
 import math
 import os
 import tracemalloc
-from dataclasses import astuple, replace
 from typing import NamedTuple
 from unittest import mock
 
@@ -85,13 +84,13 @@ HISTORY_CASES = {
     "normal": ("normal", HyperParams(spec=SPEC, episodes=300)),
     "skewt": ("skewt", HyperParams(spec=SPEC, episodes=300)),
     "historical": ("historical", HyperParams(spec=SPEC, episodes=300)),
-    "skewt-T12": ("skewt", HyperParams(spec=replace(SPEC, T=12), episodes=300)),
+    "skewt-T12": ("skewt", HyperParams(spec=SPEC._replace(T=12), episodes=300)),
     "normal-whole": ("normal", HyperParams(spec=SPEC, episodes=300, prefix_updates=False)),
     "historical-T5": (
         "historical",
-        HyperParams(spec=replace(SPEC, T=5, lam=0.5), episodes=300, refresh_every=7),
+        HyperParams(spec=SPEC._replace(T=5, lam=0.5), episodes=300, refresh_every=7),
     ),
-    "normal-T1": ("normal", HyperParams(spec=replace(SPEC, T=1), episodes=300)),
+    "normal-T1": ("normal", HyperParams(spec=SPEC._replace(T=1), episodes=300)),
 }
 
 GOLDEN_HISTORIES = {
@@ -134,7 +133,7 @@ def test_training_history_matches_its_golden_digest(case, learner):
 def test_online_backtest_cell_matches_its_golden_digest():
     rolling = RollingSpec(test_years=(2006,), targets=(1.05,), online_test=True)
     rows = rolling_backtest(SERIES, rolling, HyperParams(spec=SPEC, episodes=300), R_F, seed=4)
-    assert _digest(map(astuple, rows)) == GOLDEN_ONLINE_BACKTEST
+    assert _digest(map(tuple, rows)) == GOLDEN_ONLINE_BACKTEST
 
 
 def _run_digest(tmp_path, capsys, command, config) -> str:

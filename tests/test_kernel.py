@@ -6,7 +6,6 @@ import functools
 import math
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +21,14 @@ from dtmv.learner import (
     HyperParams,
     InfeasiblePolicyError,
     LagrangeState,
+    PolicyParams,
     TrainingDivergedError,
     _diverged,
     _kernel_source,
+    _names,
     _setup,
     _values,
+    sample_episode,
     train,
 )
 from dtmv.market import NormalIID, bundled_monthly_csv_path, load_monthly_csv, make_rng
@@ -109,7 +111,7 @@ def _run_case(algorithm, T, prefix_updates, refresh_every, recorded, theta, phi1
                         for lo, hi in ((-0.2, 0.2), (-4.0, 4.0))])  # (returns, policy normals)
     draws = data.draw(st.lists(pairs, min_size=1, max_size=30))
     learner = LEARNERS[algorithm]
-    hyper = HyperParams(replace(SPEC, T=T, lam=lam), *etas, refresh_every=refresh_every,
+    hyper = HyperParams(SPEC._replace(T=T, lam=lam), *etas, refresh_every=refresh_every,
                         prefix_updates=prefix_updates)
     v = (math.exp(-2.0 * phi2), *theta, 0.0, phi1, phi2, w)
     _, kept = _values(learner, learner.cold_start(hyper.spec, R_F, 1.0, 0.5))
@@ -198,7 +200,7 @@ def test_generated_pass_equals_the_loop_kernel(algorithm, T, step, theta, phi1, 
     n = data.draw(st.integers(0, T - t_first))
     devs = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n + 1, max_size=n + 1))
     grads = data.draw(st.none() | st.tuples(*[st.floats(-1.0, 1.0)] * 4)) if step else None
-    learner, hyper = LEARNERS[algorithm], HyperParams(replace(SPEC, T=T, lam=lam), *etas)
+    learner, hyper = LEARNERS[algorithm], HyperParams(SPEC._replace(T=T, lam=lam), *etas)
     args = (theta[0], theta[1], phi1, phi2, math.exp(-2.0 * phi2), w)
     want = _outcome(loop._descend, loop._setup(learner, hyper, R_F), ((n, step),), devs, devs,
                     t_first, *args, grads)
@@ -275,6 +277,7 @@ def test_the_generated_source_is_python_3_10(algorithm):
         structures = [(0, _training_passes(T, prefix_updates), True) for prefix_updates in (True, False)]
         structures += [(t_first, ((n, step),), False) for t_first in (0, T - 1) for n in (0, 1)
                        for step in (True, False)]
+        structures += [(0, (), False), (0, (), True)]  # the policy alone, and with its rollout
         for t_first, passes, training in structures:
             for source in _sources(LEARNERS[algorithm], T, t_first, passes, training):
                 ast.parse(source, feature_version=(3, 10))
@@ -284,7 +287,7 @@ def _residuals_per_episode(learner, T, prefix_updates, episodes=3):
     """The residuals the generated run evaluates per episode: the line
     events of its residual lines over a few episodes that do not diverge,
     counted by a tracer."""
-    hyper = HyperParams(replace(SPEC, T=T), prefix_updates=prefix_updates)
+    hyper = HyperParams(SPEC._replace(T=T), prefix_updates=prefix_updates)
     kernel = _setup(learner, hyper, R_F)
     source = _sources(learner, T, 0, _training_passes(T, prefix_updates), True)[2]
     residual = {k for k, line in enumerate(source.splitlines(), 1) if line.lstrip().startswith("res = ")}
@@ -327,10 +330,73 @@ def test_a_one_pass_training_run_gets_run_not_descend(algorithm, T, prefix_updat
     pass, as a sample adapter's structure may; it still gets run, and the
     adapter descend, whichever of the two is compiled first."""
     learner = LEARNERS[algorithm]
-    hyper = HyperParams(replace(SPEC, T=T), prefix_updates=prefix_updates)
+    hyper = HyperParams(SPEC._replace(T=T), prefix_updates=prefix_updates)
     learner_module._compile.cache_clear()
     if adapter_first:
         _setup(learner, hyper, R_F, 0, ((T, True),))
     training, adapter = _setup(learner, hyper, R_F), _setup(learner, hyper, R_F, 0, ((T, True),))
     assert callable(training.run) and training.descend is None
     assert callable(adapter.descend) and adapter.run is None
+
+
+def _inlined_policy(learner, T, r_f):
+    """The policy lines that rollout inlines (run inlines the same variance lines), as a
+    function of (phi1, phi2, e2) that returns what the standalone policy returns, reading
+    the same globals."""
+    lines = _sources(learner, T, 0, (), True)[1].splitlines()
+    body = lines[2:next(k for k, line in enumerate(lines) if line.endswith("= rets"))]
+    source = "\n".join(["def inlined(phi1, phi2, e2):", *body,
+                        f"    return slope, ({_names('s', range(T))})"])
+    standalone = _setup(learner, HyperParams(SPEC._replace(T=T)), r_f, 0, ()).policy
+    names = dict(standalone.__globals__)
+    exec(source, names)
+    return standalone, names["inlined"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(algorithm=st.sampled_from(ALGORITHMS), T=st.integers(1, 60),
+       phi1=st.one_of(_PHI1, st.floats(-400.0, 400.0)), phi2=st.one_of(_PHI2, st.floats(-20.0, 20.0)))
+def test_the_standalone_policy_is_the_inlined_policy_bit_for_bit(algorithm, T, phi1, phi2):
+    """The standalone policy sets its variances in one loop over the
+    exponents, rollout and run one line per variance: the slope and every
+    variance have the same bits, and where the inlined lines raise, the
+    standalone policy raises the same InfeasiblePolicyError, or reports the
+    OverflowError as one."""
+    learner = LEARNERS[algorithm]
+    standalone, inlined = _inlined_policy(learner, T, R_F)
+    e2 = math.exp(-2.0 * phi2)
+    got, want = _outcome(standalone, phi1, phi2, e2), _outcome(inlined, phi1, phi2, e2)
+    if want[0] == "OverflowError":
+        want = ("InfeasiblePolicyError", f"phi1={phi1}, phi2={phi2} overflow the policy", "NoneType")
+    assert _identical(got, want)
+
+
+def test_the_standalone_policy_does_not_grow_with_the_horizon():
+    """What check_cold_start compiles, the standalone policy, has as many
+    lines at T = 60 as at T = 1, so the check's compile cost does not grow
+    with the horizon."""
+    for learner in LEARNERS.values():
+        sizes = {len(_sources(learner, T, 0, (), False)[0].splitlines()) for T in (1, 60)}
+        assert len(sizes) == 1 and len(_sources(learner, 60, 0, (), False)) == 1
+
+
+def test_a_fresh_sample_episode_compiles_no_training_loop(monkeypatch):
+    """sample_episode compiles the policy and the rollout, which it calls,
+    and no run; and rolls out as the training structure's rollout does."""
+    compiled = []
+
+    def recording(*structure):
+        compiled.append(_kernel_source(*structure))
+        return compiled[-1]
+
+    spec, phi, model = SPEC._replace(T=60), PolicyParams(1.0, 0.01), NormalIID(0.004, 0.02)
+    learner_module._compile.cache_clear()
+    monkeypatch.setattr(learner_module, "_kernel_source", recording)
+    episode = sample_episode(phi, 1.1, model, spec, R_F, make_rng(3))
+    assert [[source.split("(")[0] for source in sources] for sources in compiled] == [
+        ["def policy", "def rollout"]]
+    draws = make_rng(3)
+    returns, z = model.a + model.sigma * draws.standard_normal(60), draws.standard_normal(60)
+    v = (math.exp(-2.0 * phi.phi2), 0.0, 0.0, 0.0, phi.phi1, phi.phi2, 1.1)
+    wealth, controls = _setup(DISCRETE, HyperParams(spec), R_F).rollout(v, returns.tolist(), z.tolist())
+    assert _identical((episode.wealth, episode.controls), (wealth, controls))

@@ -4,7 +4,6 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,8 +60,9 @@ from reference_draws import block_draws
 
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
 R_F = 1.0 + 0.02 / 12.0
+DEFAULTS = HyperParams(SPEC)
 COLD_STARTS = {
-    algorithm: LEARNERS[algorithm].cold_start(SPEC, R_F, HyperParams.init_phi1, HyperParams.init_phi2)
+    algorithm: LEARNERS[algorithm].cold_start(SPEC, R_F, DEFAULTS.init_phi1, DEFAULTS.init_phi2)
     for algorithm in ALGORITHMS
 }
 COLD = COLD_STARTS[ALGORITHM_DISCRETE]
@@ -150,7 +150,7 @@ def test_default_params_link_theta1_to_phi2():
     assert theta.theta1 == pytest.approx(math.exp(-0.02), rel=1e-15)
     assert (theta.theta2, theta.theta3, theta.theta4) == (0.0, 0.0, 0.0)
     with pytest.raises(InfeasiblePolicyError):  # phi2=0.01 is below the floor for r_f=0.95
-        cold_start(SPEC, 0.95, HyperParams.init_phi1, HyperParams.init_phi2)
+        cold_start(SPEC, 0.95, DEFAULTS.init_phi1, DEFAULTS.init_phi2)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def _residuals(algorithm, T, w, wealth):
     w: f(n, step, theta2, theta3, phi1, phi2) is the gradient of the cost of
     the first n transitions with step set, else half their summed squared
     residual."""
-    spec = replace(SPEC, T=T)
+    spec = SPEC._replace(T=T)
     rhos = _setup(LEARNERS[algorithm], HyperParams(spec), R_F).rhos
     devs = [x - rho * w for x, rho in zip(wealth, rhos)]
 
@@ -382,8 +382,8 @@ def test_apply_updates_holds_phi1_and_moves_the_residual_like_a_plain_step():
         new_theta, new_phi = apply_updates(theta, phi, grads, eta_theta, eta_phi, w, SPEC, R_F)
         assert new_phi.phi1 == phi.phi1
         # a plain step on all four parameters lands at the same cost
-        plain_theta = replace(new_theta, theta3=theta.theta3 - eta_theta * grads[1])
-        plain_phi = replace(new_phi, phi1=phi.phi1 - eta_phi * grads[2])
+        plain_theta = new_theta._replace(theta3=theta.theta3 - eta_theta * grads[1])
+        plain_phi = new_phi._replace(phi1=phi.phi1 - eta_phi * grads[2])
         assert new_theta.theta3 - SPEC.lam * new_phi.phi1 == pytest.approx(
             plain_theta.theta3 - SPEC.lam * plain_phi.phi1, rel=1e-12, abs=1e-15
         )
@@ -492,7 +492,7 @@ def test_arithmetic_out_of_range_is_divergence(algorithm, eta, lam, episode):
     TrainingDivergedError that names the episode and the finite values it
     started from, not with a bare OverflowError."""
     a, sigma, r_f = annualize_market(0.30, 0.20, 0.02)
-    hyper = HyperParams(replace(SPEC, lam=lam), eta_theta=eta, eta_phi=eta, episodes=300)
+    hyper = HyperParams(SPEC._replace(lam=lam), eta_theta=eta, eta_phi=eta, episodes=300)
     with pytest.raises(TrainingDivergedError) as info:
         TRAINERS[algorithm](hyper, NormalIID(a, sigma), r_f, make_rng(1))
     message = str(info.value)
@@ -538,7 +538,7 @@ def test_online_windows_get_the_divergence_check(algorithm):
     with pytest.raises(TrainingDivergedError, match="training diverged at episode") as online:
         run_episodes(learner, hyper, R_F, draws)
     with pytest.raises(TrainingDivergedError) as trained:
-        train(replace(hyper, episodes=500), model, R_F, make_rng(1, 1), learner)
+        train(hyper._replace(episodes=500), model, R_F, make_rng(1, 1), learner)
     assert str(online.value) == str(trained.value)
     frozen = run_episodes(learner, hyper, R_F, draws, learn=False)
     assert len(frozen.history) == 500
@@ -587,7 +587,7 @@ def test_training_is_a_sequence_of_online_steps(
     records and the same final generator state.  Training and the online
     test windows of the backtest run one driver."""
     learner, model = LEARNERS[algorithm], MARKETS[market]
-    spec = replace(SPEC, T=T)
+    spec = SPEC._replace(T=T)
     hyper = HyperParams(spec, episodes=episodes, refresh_every=refresh_every,
                         prefix_updates=prefix_updates)
     trained, stepped = make_rng(seed), make_rng(seed)
@@ -624,7 +624,7 @@ def test_a_run_without_records_keeps_each_terminal_wealth(
     TrainingDivergedError at the same episode, with the same message.  A
     frozen run gives the terminal wealths whatever records says."""
     learner, model = LEARNERS[algorithm], MARKETS[market]
-    hyper = HyperParams(replace(SPEC, T=T), eta_theta=eta, eta_phi=eta, episodes=episodes)
+    hyper = HyperParams(SPEC._replace(T=T), eta_theta=eta, eta_phi=eta, episodes=episodes)
     draws = block_draws(model, T, make_rng(seed), episodes, _DRAW_BLOCK)
     full = _outcome(run_episodes, learner, hyper, R_F, draws, learn=learn)
     bare = _outcome(run_episodes, learner, hyper, R_F, draws, learn=learn, records=False)
@@ -644,7 +644,7 @@ def test_a_run_without_records_keeps_each_terminal_wealth(
 def test_a_diverging_run_without_records_names_the_same_episode(algorithm):
     """At a 60-period horizon the default step sizes diverge; without
     records, training stops with the same message."""
-    model, hyper = MARKETS["skewt"], HyperParams(replace(SPEC, T=60), episodes=300)
+    model, hyper = MARKETS["skewt"], HyperParams(SPEC._replace(T=60), episodes=300)
     with pytest.raises(TrainingDivergedError, match="training diverged at episode") as full:
         train(hyper, model, R_F, make_rng(5), LEARNERS[algorithm])
     with pytest.raises(TrainingDivergedError) as bare:
