@@ -372,6 +372,8 @@ def dp_oracle(
         raise ValueError(f"n_hermite must be >= 1, got {n_hermite!r}")
     if not tol >= 1e-15:  # below it the gates would compare the values' rounding noise
         raise ValueError(f"tol must be >= 1e-15, got {tol!r}")
+    if tol == math.inf:  # every gate would pass
+        raise ValueError(f"tol must be finite, got {tol!r}")
     grid = np.asarray(x_values, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("x_values must be 1-D with at least 3 points")

@@ -410,15 +410,15 @@ def write_report_csv(rows: Iterable[PerformanceReport], path: str) -> None:
          repr(r.std_return), repr(r.sharpe), str(r.n)) for r in rows))
 
 
-def _ndjson_line(cls) -> Callable[[object], str]:
-    """rec -> json.dumps(rec._asdict(), sort_keys=True) + newline for the NamedTuple cls, from
-    one %-template of its sorted field names.  json writes ints and finite floats by their repr,
-    so the two agree on every record of finite values; cls declares int and float fields only."""
+def _ndjson_lines(cls, columns: Sequence[Iterable]) -> Iterable[str]:
+    """json.dumps(rec._asdict(), sort_keys=True) + newline per record rec of the NamedTuple cls over
+    columns (a field each, in order), from one %-template of its sorted field names.  json writes ints
+    and finite floats by repr, so the two agree on records of finite values; cls has int and float fields."""
     names = sorted(cls._fields)
     if not set(get_type_hints(cls).values()) <= {int, float}:
         raise TypeError(f"{cls.__name__}: the log takes int and float fields only")
-    template, values = "{" + ", ".join(f'"{n}": %r' for n in names) + "}\n", operator.attrgetter(*names)
-    return lambda rec: template % values(rec)
+    template, by_name = "{" + ", ".join(f'"{n}": %r' for n in names) + "}\n", dict(zip(cls._fields, columns))
+    return map(template.__mod__, zip(*(by_name[n] for n in names)))
 
 
 def _fmt(value: float) -> str:
@@ -500,9 +500,9 @@ def cmd_train(cfg: RunConfig, out: str) -> None:
     algorithm = cfg.learning.algorithm
     cell = Cell(*_setting(cfg), hyper_params(cfg, problem_spec(cfg)), algorithm, cfg.run.seed, 0)
     result, rng = train_cell(cell)
-    learner, tail = LEARNERS[algorithm], result.history[-cfg.evaluation.test_episodes:]
-    row = cell_report(cell, [rec.terminal_wealth for rec in tail])
-    _write_text(os.path.join(out, "log.ndjson"), map(_ndjson_line(learner.record), result.history))
+    learner, history = LEARNERS[algorithm], result.history
+    row = cell_report(cell, history.wealths[-cfg.evaluation.test_episodes:])
+    _write_text(os.path.join(out, "log.ndjson"), _ndjson_lines(learner.record, history.columns()))
     save_checkpoint(os.path.join(out, "checkpoint"), algorithm, learner.fields(result.params), rng)
     write_report_csv([row], os.path.join(out, "report.csv"))
     _write_text(os.path.join(out, "summary.txt"), summary_text([row]) + "\n")

@@ -17,8 +17,8 @@ checks for divergence on the squared residuals of the last.  _compile compiles a
 _setup binds a run's floats to it.  run_episodes calls run once per run
 (a frozen run rolls out each pair alone) and returns a TrainResult; train
 feeds it each episode's draws (market.episode_draws), the backtest's test
-windows the windows.  Only train's log reads the per-episode records: with
-records off a run keeps each episode's terminal wealth alone.  A Learner is
+windows the windows.  Only train's log reads the per-episode records, each
+built on access (History); with records off a run keeps its wealths alone.  A Learner is
 data: its params, its records and the few constants in which the
 continuous-time comparator (dtmv.baseline.CONTINUOUS) differs from DISCRETE
 here.  The sample adapters (cost, grad_theta, grad_phi, apply_updates) run
@@ -155,10 +155,37 @@ class DiscreteParams(NamedTuple):
 
 
 class TrainResult(NamedTuple):
-    """The params a run ended with, and per episode its record (or terminal wealth)."""
+    """The params a run ended with, and per episode its record (a History) or terminal wealth."""
 
     params: object
-    history: tuple
+    history: Sequence
+
+
+class History(Sequence):
+    """A run's records as columns: its terminal wealths and one float array of
+    the kernel's seven values (theta1, ..., w) after each episode.  An index, a
+    slice or iteration builds the records it reads, and nothing else does."""
+
+    def __init__(self, record: Callable, kept: int, wealths: List[float], values):  # values: array("d")
+        self.record, self.kept, self.wealths, self.values = record, kept, wealths, values
+
+    def __len__(self) -> int:
+        return len(self.wealths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        k = range(len(self))[index]
+        return self.record(k + 1, self.wealths[k], *self.values[7 * k + self.kept:7 * k + 7])
+
+    def __iter__(self):
+        return map(self.record, *self.columns())
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, History) else other)
+
+    def columns(self) -> tuple:  # the records' fields in order: episodes 1..n, wealths, kept values
+        return (range(1, len(self) + 1), self.wealths, *(self.values[k::7] for k in range(self.kept, 7)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +242,16 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             the T excess returns rets and the T standard normals z of the
             policy, fixed for the episode, u_t = slope (x_t - c_t) +
             sqrt(variance_t) z_t;
-        run(v, lag, draws, kept, history) -> (v after the training loop,
-            history, or with history None the wealths it recorded in lag),
-            with training set: per (rets, z) pair of draws that rollout, its
-            terminal wealth recorded in lag, w refreshed every refresh_every
-            recorded wealths, the step passes, run_episodes' divergence check
-            on half the summed squares of the last, taken before its step,
-            and the episode's record;
+        run(v, lag, draws, kept, history) -> (v after the training loop, the
+            wealths it recorded in lag), with training set: per (rets, z) pair
+            of draws that rollout, its terminal wealth recorded in lag, w
+            refreshed every refresh_every recorded wealths, the step passes,
+            run_episodes' divergence check on half the summed squares of the
+            last, taken before its step, and the values after the episode
+            appended to history, a float array, unless it is None;
         descend(theta2, theta3, phi1, phi2, e2, w, devs, grads) -> (theta1..
             phi2, the pass's gradient, its summed squares), without: the one
-            pass of the sample adapters; with no passes the policy (and rollout if training).
+            pass of the sample adapters, without rollout; with no passes the policy (and rollout if training).
     With step set, a pass sums the gradient (g_t2, g_t3, g_p1, g_p2) in
     (theta2, theta3, phi1, phi2) of half the summed squared residuals, then
     takes one gradient step of sizes (eta_theta, eta_phi) on it, or on grads
@@ -349,13 +376,13 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             "        raise diverged(ep, f'cost {cost!r}', v[kept:])",
             "    w = w_after",
             "    if history is not None:",
-            f"        history.append(record(ep, x{T}, *v[kept:]))",
-            "return v, tws[recorded:] if history is None else history"])
+            "        history.extend(v)",
+            "return v, tws[recorded:]"])
         if training else function("descend(theta2, theta3, phi1, phi2, e2, w, devs, grads)", [
             *looped, theta4,
             "return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq"]),
     )
-    return sources if passes else sources[:1 + training]
+    return sources[:1 + training] + sources[2:] * bool(passes)  # rollout if training, run or descend if passes
 
 
 @functools.lru_cache(maxsize=32)
@@ -397,7 +424,6 @@ def _setup(learner: Learner, hyper: HyperParams, r_f, t_first=0, passes=None, tr
         "lam_eta_phi": lam * hyper.eta_phi, **{f"rho{t}": rho for t, rho in enumerate(rhos)},
         **{f"lc{t}": lam * (T - t - 1 + learner.shift) for t in range(T)}, "inf": math.inf,
         "DIVERGENCE_COST": DIVERGENCE_COST, "diverged": functools.partial(_diverged, learner),
-        "record": learner.record,
     }
     for code in _compile(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes,
                          training):
@@ -438,10 +464,10 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
                  learn: bool = True, records: bool = True) -> TrainResult:
     """One episode per (returns, policy normals) pair of T-float lists in
     draws, all in one call of the kernel's run, from params (the learner's
-    cold start from hyper when None); returns the final params and one
-    record per episode, or with records off only each episode's terminal
-    wealth.  With learn off the params stay as given: a rollout per pair,
-    and the terminal wealths whatever records says.
+    cold start from hyper when None); returns the final params and a History
+    of one record per episode, or with records off a tuple of each episode's
+    terminal wealth.  With learn off the params stay as given: a rollout per
+    pair, and the terminal wealths whatever records says.
 
     Raises InfeasiblePolicyError when params define no policy.  With learn
     set, raises TrainingDivergedError when the cost of an episode's last
@@ -459,8 +485,13 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
     kernel.policy(v[4], v[5], v[0])  # raises where params define no policy
     if not learn:
         return TrainResult(params, tuple(kernel.rollout(v, rets, z)[0][-1] for rets, z in draws))
-    v, history = kernel.run(v, LagrangeState(v[-1], hyper.alpha), draws, kept, [] if records else None)
-    return TrainResult(learner.params(*v[kept:]), tuple(history))
+    values = None
+    if records:  # array is loaded by a run with records alone (train's), not by every import
+        from array import array
+        values = array("d")
+    v, wealths = kernel.run(v, LagrangeState(v[-1], hyper.alpha), draws, kept, values)
+    history = tuple(wealths) if values is None else History(learner.record, kept, wealths, values)
+    return TrainResult(learner.params(*v[kept:]), history)
 
 
 def check_cold_start(learner: Learner, hyper: HyperParams, r_f) -> None:

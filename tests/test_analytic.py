@@ -340,6 +340,17 @@ def test_dp_oracle_flags_unreachable_tolerance():
         dp_oracle(M, SPEC, 1.3, xs, tol=1e-18)
 
 
+def test_dp_oracle_rejects_an_infinite_tolerance():
+    """An infinite tol would pass every gate: 51 nodes over +-2 sigmas, which
+    the widening gate rejects at the default tol, would come back with a
+    quadrature error of 1.4e-2.  It is rejected by name instead."""
+    xs = np.linspace(0.0, 2.0, 5)
+    with pytest.raises(QuadratureError, match="unconverged"):
+        dp_oracle(M, SPEC, 1.3, xs, n_u=51, halfwidth_sigmas=2.0)
+    with pytest.raises(ValueError, match="^tol must be finite, got inf$"):
+        dp_oracle(M, SPEC, 1.3, xs, n_u=51, halfwidth_sigmas=2.0, tol=math.inf)
+
+
 @pytest.mark.parametrize("halfwidth, converged", [(2.0, False), (4.0, False), (6.0, True)])
 def test_dp_oracle_widening_gate_rejects_narrow_windows(halfwidth, converged):
     """At the default tol, a control window of 2 or 4 sigmas moves the value

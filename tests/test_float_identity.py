@@ -51,7 +51,7 @@ from hypothesis import strategies as st
 from dtmv import market
 from dtmv.analytic import ProblemSpec
 from dtmv.baseline import BaselineRecord, baseline_train
-from dtmv.cli import _ndjson_line, _write_text, main
+from dtmv.cli import _ndjson_lines, _write_text, main
 from dtmv.evaluation import RollingSpec, rolling_backtest
 from dtmv.learner import EpisodeRecord, HyperParams, train
 from dtmv.market import (
@@ -183,7 +183,7 @@ def test_log_line_is_the_json_dumps_line(cls, data):
     writes with sorted keys, for both record classes."""
     episode = data.draw(st.integers(-(2**70), 2**70))
     rec = cls(episode, *(data.draw(_LOGGED_FLOATS) for _ in cls._fields[1:]))
-    line = _ndjson_line(cls)(rec)
+    (line,) = _ndjson_lines(cls, [[x] for x in rec])
     assert line == json.dumps(rec._asdict(), sort_keys=True) + "\n"
     assert json.loads(line) == rec._asdict()
 
@@ -201,7 +201,7 @@ class _Probe:
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_log_template_writes_every_field_by_repr_in_sorted_key_order(cls):
     names = sorted(cls._fields)
-    line = _ndjson_line(cls)(cls(*[_Probe()] * len(names)))
+    (line,) = _ndjson_lines(cls, [[_Probe()]] * len(names))
     assert line == "{" + ", ".join(f'"{name}": R' for name in names) + "}\n"
 
 
@@ -211,19 +211,19 @@ def test_log_template_rejects_fields_json_would_not_write_by_repr():
         diverged: bool
 
     with pytest.raises(TypeError, match="int and float"):
-        _ndjson_line(Flagged)
+        _ndjson_lines(Flagged, [])
 
 
 def test_log_is_written_without_holding_the_file_in_memory(tmp_path):
-    """Streaming 20,000 records holds a few lines at a time: the traced peak
-    of the write stays below a fiftieth of the bytes it writes."""
+    """Streaming the columns of 20,000 records holds a few lines at a time:
+    the traced peak of the write stays below a fiftieth of the bytes it
+    writes."""
     records = [EpisodeRecord(k, 1.1 + k * 1e-7, 0.99, -1e-5, 3e-4, -0.1, 1.0, 0.2, 1.25 + 1e-9 * k)
                for k in range(1, 20001)]
-    path = tmp_path / "log.ndjson"
-    line = _ndjson_line(EpisodeRecord)
+    path, columns = tmp_path / "log.ndjson", list(zip(*records))
     tracemalloc.start()
     try:
-        _write_text(str(path), map(line, records))
+        _write_text(str(path), _ndjson_lines(EpisodeRecord, columns))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -3,8 +3,10 @@
 
 import ast
 import functools
+import json
 import math
 import sys
+from array import array
 from collections import Counter
 
 import pytest
@@ -14,27 +16,40 @@ from hypothesis import strategies as st
 import reference_kernel as loop
 from dtmv import learner as learner_module
 from dtmv.analytic import ProblemSpec
+from dtmv.cli import _ndjson_lines
 from dtmv.evaluation import ALGORITHMS, LEARNERS, RollingSpec, rolling_backtest
 from dtmv.learner import (
     DISCRETE,
     DIVERGENCE_COST,
+    History,
     HyperParams,
     InfeasiblePolicyError,
     LagrangeState,
     PolicyParams,
     TrainingDivergedError,
+    ValueParams,
     _diverged,
     _kernel_source,
     _names,
     _setup,
     _values,
+    cost,
+    run_episodes,
     sample_episode,
     train,
 )
-from dtmv.market import NormalIID, bundled_monthly_csv_path, load_monthly_csv, make_rng
+from dtmv.market import (
+    NormalIID,
+    SkewTIID,
+    bundled_monthly_csv_path,
+    episode_draws,
+    load_monthly_csv,
+    make_rng,
+)
 
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
 R_F = 1.0 + 0.02 / 12.0
+_MARKETS = {"normal": NormalIID(0.025, 0.0577), "skewt": SkewTIID(0.025, 0.0577, 5.0, -1.5)}
 
 
 def _identical(got, want) -> bool:
@@ -77,6 +92,15 @@ def _driven(episode, learner, v, lag, draws, kept, records, bound=DIVERGENCE_COS
             raise _diverged(learner, ep, f"cost {cost!r}", v[kept:])
         history.append(learner.record(ep, wealth[-1], *v[kept:]) if records else wealth[-1])
     return v, history
+
+
+def _run(kernel, learner, v, lag, draws, kept, records):
+    """The generated run as run_episodes calls it, in _driven's terms: (the
+    values after the draws, the History of its value array and wealths, or
+    with records off the wealths)."""
+    values = array("d") if records else None
+    v, wealths = kernel.run(v, lag, draws, kept, values)
+    return v, wealths if values is None else list(History(learner.record, kept, wealths, values))
 
 
 def _old_rule(run):
@@ -143,7 +167,7 @@ def test_generated_episode_equals_the_loop_kernel(
         kernel.run.__globals__["DIVERGENCE_COST"] = bound
         want_lag, got_lag = LagrangeState(w, 0.05, list(wealths)), LagrangeState(w, 0.05, list(wealths))
         want = _outcome(_driven, episode, learner, v, want_lag, draws, kept, records, bound)
-        got = _outcome(kernel.run, v, got_lag, draws, kept, [] if records else None)
+        got = _outcome(_run, kernel, learner, v, got_lag, draws, kept, records)
         assert _identical(got, want)
         assert _identical(vars(got_lag), vars(want_lag))
         if bound < 0.0:
@@ -173,7 +197,7 @@ def test_a_run_the_old_divergence_rule_finishes_keeps_its_bits(
                     draws, kept, records)
     if isinstance(want[0], str):
         return
-    got = _outcome(_setup(learner, hyper, R_F).run, v, got_lag, draws, kept, [] if records else None)
+    got = _outcome(_run, _setup(learner, hyper, R_F), learner, v, got_lag, draws, kept, records)
     assert _identical(got, want)
     assert _identical(vars(got_lag), vars(want_lag))
 
@@ -400,3 +424,55 @@ def test_a_fresh_sample_episode_compiles_no_training_loop(monkeypatch):
     v = (math.exp(-2.0 * phi.phi2), 0.0, 0.0, 0.0, phi.phi1, phi.phi2, 1.1)
     wealth, controls = _setup(DISCRETE, HyperParams(spec), R_F).rollout(v, returns.tolist(), z.tolist())
     assert _identical((episode.wealth, episode.controls), (wealth, controls))
+
+
+def test_a_fresh_cost_call_compiles_no_rollout(monkeypatch):
+    """The sample adapters call only descend: a fresh cost call compiles the
+    policy and the descend, and no rollout."""
+    compiled = []
+
+    def recording(*structure):
+        compiled.append(_kernel_source(*structure))
+        return compiled[-1]
+
+    learner_module._compile.cache_clear()
+    monkeypatch.setattr(learner_module, "_kernel_source", recording)
+    samples = [(t, 1.0 + 0.01 * t) for t in range(61)]
+    cost(samples, ValueParams(0.99, 0.0, 0.0, 0.0), PolicyParams(1.0, 0.01), 1.1, SPEC._replace(T=60), R_F)
+    assert [[source.split("(")[0] for source in sources] for sources in compiled] == [
+        ["def policy", "def descend"]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(algorithm=st.sampled_from(ALGORITHMS), market=st.sampled_from(["normal", "skewt"]),
+       T=st.integers(1, 4), episodes=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_the_columnar_log_is_the_json_dumps_log_of_the_reference_records(
+    algorithm, market, T, episodes, seed, data
+):
+    """A run's History writes, through train's log writer, the line
+    json.dumps writes with sorted keys for each of its records; those records
+    are the reference driver's over the loop kernel on the same draws; and
+    the History indexes, slices and counts as the tuple of its records."""
+    learner, model = LEARNERS[algorithm], _MARKETS[market]
+    hyper = HyperParams(SPEC._replace(T=T))
+    draws = list(episode_draws(model, T, make_rng(seed), episodes))
+    v, kept = _values(learner, learner.cold_start(hyper.spec, R_F, hyper.init_phi1, hyper.init_phi2))
+    want = _outcome(_driven, functools.partial(loop._learn, loop._setup(learner, hyper, R_F)), learner,
+                    v, LagrangeState(v[-1], hyper.alpha), draws, kept, True)
+    result = _outcome(run_episodes, learner, hyper, R_F, draws)
+    if isinstance(want[0], str):
+        assert result == want
+        return
+    history = result.history
+    records = tuple(history)
+    assert _identical(list(records), want[1])
+    assert list(_ndjson_lines(learner.record, history.columns())) == [
+        json.dumps(rec._asdict(), sort_keys=True) + "\n" for rec in records]
+    index = data.draw(st.integers(-episodes, episodes - 1))
+    window = data.draw(st.slices(episodes + 2))
+    assert len(history) == len(records) == episodes
+    assert history[index] == records[index] and history[window] == records[window]
+    for outside in (episodes, -episodes - 1):
+        with pytest.raises(IndexError):
+            history[outside]

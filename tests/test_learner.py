@@ -1,9 +1,11 @@
 """Tests for the episodic learner: parametric surfaces, gradients, training."""
 
+import gc
 import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -685,6 +687,25 @@ def test_train_history_records_every_episode_in_order():
     model = NormalIID(0.025, 0.0577)
     result = train(_hyper(25), model, R_F, make_rng(2, 0))
     assert [rec.episode for rec in result.history] == list(range(1, 26))
+
+
+@both_learners
+def test_a_train_history_retains_at_most_128_bytes_an_episode(algorithm):
+    """A run with records keeps them as columns, not as record objects: the
+    memory a 5,000-episode result holds is the kernel's seven floats an
+    episode in one array and its terminal wealth, not a record and its floats
+    (which took some 280 bytes an episode)."""
+    model = NormalIID(0.025, 0.0577)
+    TRAINERS[algorithm](_hyper(1), model, R_F, make_rng(2, 0))  # the kernel compiled and cached
+    tracemalloc.start()
+    try:
+        result = TRAINERS[algorithm](_hyper(5000), model, R_F, make_rng(2, 0))
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.history) == 5000
+    assert retained <= 128 * 5000, retained / 5000
 
 
 def test_train_whole_episode_updates_also_run():
