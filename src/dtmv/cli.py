@@ -210,7 +210,7 @@ def load_config(path: Optional[str]) -> RunConfig:
             raise ConfigError(f"config: cannot read {path}: {exc.strerror}") from None
         except configparser.Error as exc:
             raise ConfigError(f"config: {path}: {exc}") from None
-    for name in parser.sections():
+    for name in parser.sections() + ["DEFAULT"] * bool(parser.defaults()):  # its keys reach only sections present
         if name not in RunConfig._fields:
             raise ConfigError(f"config: unknown section [{name}]")
     sections = {}
@@ -238,8 +238,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("config: grid.x_points must be >= 3")
     if not cfg.grid.x_max > cfg.grid.x_min:
         raise ConfigError("config: need grid.x_max > grid.x_min")
-    if cfg.grid.w != "auto":
-        _parse_scalar("grid", "w", cfg.grid.w, float)
+    if cfg.grid.w != "auto":  # analytic and iterate square w - b
+        gap = _parse_scalar("grid", "w", cfg.grid.w, float) - cfg.problem.target_wealth
+        if gap * gap == math.inf:
+            raise ConfigError("config: grid.w is so far from problem.target_wealth that (w - b)^2 overflows")
     ev = cfg.evaluation
     for key, values, least in (
         ("evaluation.block", (ev.block,), 1),

@@ -228,11 +228,12 @@ def _names(prefix: str, periods) -> str:
 
 
 def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_first: int,
-                   passes: tuple, training: bool) -> Tuple[str, ...]:
+                   passes: tuple, training: bool, bound: tuple) -> Tuple[str, ...]:
     """Python sources of a learner's episode kernel at horizon T, with the
     passes (n, step) over the residuals of the n transitions from period
     t_first: one function each, compiled one at a time (_compile), which
-    read a run's floats as globals (_setup).  Of the values
+    read a run's floats (_setup's names, bound here) as globals, or run as
+    keyword-only defaults, locals.  Of the values
     v = (theta1, ..., w), theta1 being e2 = exp(-2 phi2):
         policy(phi1, phi2, e2) -> (slope, variance_t for t < T); raises
             InfeasiblePolicyError where the root under the slope is not of a
@@ -248,7 +249,9 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             refreshed every refresh_every recorded wealths, the step passes,
             run_episodes' divergence check on half the summed squares of the
             last, taken before its step, and the values after the episode
-            appended to history, a float array, unless it is None;
+            appended to history, a float array, unless it is None; it forms
+            c_t = rho_t w, x_0 - c_0 and (w - b)^2 once per w, and the last
+            again for theta4 where it overflowed, so that episode raises;
         descend(theta2, theta3, phi1, phi2, e2, w, devs, grads) -> (theta1..
             phi2, the pass's gradient, its summed squares), without: the one
             pass of the sample adapters, without rollout; with no passes the policy (and rollout if training).
@@ -286,13 +289,15 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     in: e2**(T - t) * dev * dev and T**2 where compounding is set (the
     discrete learner), dev * dev * exp(-2 phi2 (T - t)) and T * T otherwise.
     Every other operation keeps the order of the loop kernel this source
-    replaced, sums starting at 0.0 included, so outputs are unchanged.
+    replaced, sums starting at 0.0 included, so outputs are unchanged (p2 * 0
+    and p2 * 1 are trimmed: exact for the finite phi2 an episode starts at).
     """
-    ts, periods = range(T), range(T + 1)
+    ts = range(T)
 
     def q(t):  # the weighted square q_t of d{t}; e2**0 * left out, e2**1 is e2: same bits
-        d, weight = f"d{t} * d{t}", {0: "", 1: "e2 * "}.get(T - t, f"e2**{T - t} * ")
-        return weight + d if compounding else f"{d} * exp(-2.0 * phi2 * {T - t})"
+        if compounding:  # the comparator's exp(-2.0 * phi2 * 0) stays: NaN where a pass makes phi2 inf
+            return {0: "", 1: "e2 * "}.get(T - t, f"e2**{T - t} * ") + f"d{t} * d{t}"
+        return {1: f"dd{t} * e2"}.get(T - t, f"dd{t} * exp(-2.0 * phi2 * {T - t})")
 
     def indent(lines, depth=1):
         return [f"{'    ' * depth}{line}" for line in lines]
@@ -303,6 +308,8 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     looped = [] if training else ["g_t2 = g_t3 = g_p1 = g_p2 = sq = 0.0"]
     for step, group in itertools.groupby(passes, key=lambda p: p[1]):
         ns, body = tuple(n for n, _ in group), []
+        span = range(t_first, t_first + max(ns) + 1) if max(ns) else ()
+        squares = [f"dd{t} = d{t} * d{t}" for t in span] * (not compounding)
         sums = ["g_t2", "g_t3", "g_p2"] * step + ["sq"] * (training or not step)
         for k in range(max(ns)):
             t = t_first + k
@@ -323,36 +330,39 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
                          "    g_t2, g_t3, g_p1, g_p2 = grads", "theta2 = theta2 - eta_theta * g_t2",
                          *move, "phi2 = phi2 - eta_phi * g_p2", "if phi2 < floor:",
                          "    phi2 = floor", "e2 = exp(-2.0 * phi2)"] * step)
-        reads = f"{_names('d', range(t_first, t_first + max(ns) + 1))}= devs"
-        looped += (lines + update[:1] + update[3:] if training else  # run never steps on given grads
-                   [reads] * (max(ns) > 0) + lines + update)
+        looped += (squares + lines + update[:1] + update[3:] if training else  # run never steps on grads
+                   [f"{_names('d', span)}= devs"] * bool(span) + squares + lines + update)
     square = f"{T ** 2}" if compounding else f"{T} * {T}"
-    theta4 = f"theta4 = -theta2 * {square} - theta3 * {T} - (w - b) ** 2"
-    variance = "exp(p2 * {} + p1 - 1.0) / two_pi".format  # of period t at exponent T - t - 1 + shift
+    theta4 = f"theta4 = -theta2 * {square} - theta3 * {T} - {{}}".format
+
+    def variance(k):  # of period t at exponent k = T - t - 1 + shift: p2 * 0 + left out, p2 * 1 is p2
+        return f"exp({ {0: '', 1: 'p2 + '}.get(k, f'p2 * {k} + ') }p1 - 1.0) / two_pi"
+    least = f"{{min(({_names('s', ts)}))!r}}"
     policy = [
-        "gap = r_f * r_f - e2" if compounding else "gap = 2.0 * phi2",
+        "gap = rf2 - e2" if compounding else "gap = 2.0 * phi2",
         "if not gap > 0.0:",
         "    raise InfeasiblePolicyError(f'phi2={phi2} below the floor of the feasible region')",
         "p1 = 2.0 * phi1",
         "p2 = 2.0 * phi2",
         "slope = -sqrt(gap / lam_pi) * exp((p1 - 1.0) / 2.0)",
         *(f"s{t} = {variance(T - t - 1 + shift)}" for t in ts),
-        f"if not min(({_names('s', ts)})) > 0.0:",
-        f"    raise InfeasiblePolicyError(f'the policy variance is {{min(({_names('s', ts)}))!r}}')",
+        f"if not ({' and '.join(f's{t} > 0.0' for t in ts)}):",
+        f"    raise InfeasiblePolicyError(f'the policy variance is {least}')",
     ]
     standalone = [*policy[:6], f"s = tuple({variance('k')} for k in reversed(range({shift}, {T + shift})))",
-                  *(line.replace(f"({_names('s', ts)})", "s") for line in policy[-2:])]
+                  "if not min(s) > 0.0:", policy[-1].replace(least, "{min(s)!r}")]
     # where phi1 never moves, run takes the slope's factor once: where that overflows, so does s{T-1}
     held = [policy[3], "try:", "    half = exp((p1 - 1.0) / 2.0)", "except OverflowError:",
             "    half = inf"] * hold_phi1
     moving = ([*policy[:3], policy[4], "slope = -sqrt(gap / lam_pi) * half", *policy[6:]]
               if hold_phi1 else policy)
-    rollout = [f"{_names('r', ts)}= rets", f"{_names('z', ts)}= z", "x0 = x_init",
-               "d0 = x0 - rho0 * w"]
+    centers = [*(f"c{t} = rho{t} * w" for t in range(1, T + 1)), "d0 = x_init - rho0 * w"]
+    hoisted = [*centers, "try:", "    wb2 = (w - b) ** 2", "except OverflowError:", "    wb2 = None"]
+    rollout = [f"{_names('r', ts)}= rets", f"{_names('z', ts)}= z"]
     for t in ts:
         rollout += [f"u{t} = slope * d{t} + sqrt(s{t}) * z{t}",
-                    f"x{t + 1} = r_f * x{t} + r{t} * u{t}",  # step_wealth
-                    f"d{t + 1} = x{t + 1} - rho{t + 1} * w"]
+                    f"x{t + 1} = {f'r_f * x{t}' if t else 'rf_x0'} + r{t} * u{t}",  # step_wealth
+                    f"d{t + 1} = x{t + 1} - c{t + 1}"]
     refresh = [f"tws.append(x{T})", "phase += 1", "w_after = w",  # phase: wealths since w moved
                "if phase == refresh_every:", "    phase = 0", "    update_w(lag, b, refresh_every)",
                "    w_after = lag.w"]
@@ -361,25 +371,27 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
         function("policy(phi1, phi2, e2)", ["try:", *indent(standalone), "except OverflowError:",
                  "    raise InfeasiblePolicyError(f'phi1={phi1}, phi2={phi2} overflow the policy')",
                  "return slope, s"]),
-        function("rollout(v, rets, z)", ["e2, _, _, _, phi1, phi2, w = v", *policy, *rollout,
-                                         f"return ({_names('x', periods)}), ({_names('u', ts)})"]),
-        function("run(v, lag, draws, kept, history)", [
-            "e2, theta2, theta3, theta4, phi1, phi2, w = v", *held, "tws = lag.terminal_wealths",
+        function("rollout(v, rets, z)", [
+            "e2, _, _, _, phi1, phi2, w = v", *policy, *rollout[:2], *centers, *rollout[2:],
+            f"return (x_init, {_names('x', range(1, T + 1))}), ({_names('u', ts)})"]),
+        function(f"run(v, lag, draws, kept, history, *, {', '.join(f'{n}={n}' for n in bound)})", [
+            "e2, theta2, theta3, theta4, phi1, phi2, w = v", *held, *hoisted, "tws = lag.terminal_wealths",
             "recorded = len(tws)", "phase = recorded % refresh_every",
             "for ep, (rets, z) in enumerate(draws, 1):",
-            "    try:", *indent([*moving, *rollout, *refresh, *looped, theta4], 2),
+            "    try:", *indent([*moving, *rollout, *refresh, *looped, theta4("(wb2 or (w - b) ** 2)")], 2),
             "    except (InfeasiblePolicyError, OverflowError) as exc:",
             "        raise diverged(ep, f'{type(exc).__name__}: {exc}', v[kept:]) from exc",
             "    v, cost = (e2, theta2, theta3, theta4, phi1, phi2, w_after), 0.5 * sq",
             # x - x is 0.0 for every finite x and NaN for the rest; the cost is >= 0 or NaN
             f"    if not ({finite} == 0.0 and cost <= DIVERGENCE_COST):",
             "        raise diverged(ep, f'cost {cost!r}', v[kept:])",
-            "    w = w_after",
             "    if history is not None:",
             "        history.extend(v)",
+            "    if not phase:  # the refresh moved w",
+            *indent(["w = w_after", *hoisted], 2),
             "return v, tws[recorded:]"])
         if training else function("descend(theta2, theta3, phi1, phi2, e2, w, devs, grads)", [
-            *looped, theta4,
+            *looped, theta4("(w - b) ** 2"),
             "return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq"]),
     )
     return sources[:1 + training] + sources[2:] * bool(passes)  # rollout if training, run or descend if passes
@@ -404,7 +416,7 @@ class _Kernel(NamedTuple):
 
 
 def _setup(learner: Learner, hyper: HyperParams, r_f, t_first=0, passes=None, training=False) -> _Kernel:
-    """The learner's kernel for hyper at r_f, its functions reading the run's floats as globals:
+    """The learner's kernel for hyper at r_f, bound to the run's floats (names):
     run, or descend over the passes given; for passes (), the policy (with training, its rollout)."""
     spec = hyper.spec
     T, lam = spec.T, spec.lam
@@ -422,11 +434,12 @@ def _setup(learner: Learner, hyper: HyperParams, r_f, t_first=0, passes=None, tr
         "r_f": r_f, "eta_theta": hyper.eta_theta, "eta_phi": hyper.eta_phi,
         "refresh_every": hyper.refresh_every, "floor": floor, "lam_pi": lam * math.pi,
         "lam_eta_phi": lam * hyper.eta_phi, **{f"rho{t}": rho for t, rho in enumerate(rhos)},
+        **({} if r_f is None else {"rf2": r_f * r_f, "rf_x0": r_f * spec.x0}),  # None: no run, no rollout
         **{f"lc{t}": lam * (T - t - 1 + learner.shift) for t in range(T)}, "inf": math.inf,
         "DIVERGENCE_COST": DIVERGENCE_COST, "diverged": functools.partial(_diverged, learner),
     }
     for code in _compile(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes,
-                         training):
+                         training, tuple(names)):
         exec(code, names)
     return _Kernel(names["policy"], names.get("rollout"), names.get("run"), names.get("descend"), rhos)
 

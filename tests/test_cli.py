@@ -111,6 +111,22 @@ def test_unknown_sections_and_keys_are_rejected(tmp_path):
         load_config(_cfg_file(tmp_path, "[market]\nvolatility = 0.2\n"))
 
 
+@pytest.mark.parametrize("text", ["", "[problem]\n"], ids=["alone", "with-its-section"])
+def test_a_key_under_default_is_rejected_before_any_output(tmp_path, capsys, text):
+    """configparser copies a [DEFAULT] key into each section the file has, so
+    horizon = 5 there set problem.horizon only beside a [problem] section;
+    either way it is a config error that names [DEFAULT], and no file is
+    written.  An empty [DEFAULT] sets nothing and passes."""
+    assert load_config(_cfg_file(tmp_path, "[DEFAULT]\n" + text)) == load_config(None)
+    bad = _cfg_file(tmp_path, "[DEFAULT]\nhorizon = 5\n" + text)
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        load_config(bad)
+    out = tmp_path / "run"
+    code, _, err = _run(["analytic", "--config", bad, "--out", str(out)], capsys)
+    assert code == 1 and json.loads(err)["error"] == "ConfigError" and "[DEFAULT]" in err
+    assert not out.exists()
+
+
 def test_bad_values_name_the_field(tmp_path):
     with pytest.raises(ConfigError, match="market.nu"):
         load_config(_cfg_file(tmp_path, "[market]\nnu = ten\n"))
@@ -184,6 +200,9 @@ def test_grid_needs_three_points(tmp_path, capsys):
         *((command, "learning", "init_phi1", phi1) for command in ("train", "simulate", "backtest")
           for phi1 in ("400.0", "-400.0")),
         ("compare", "learning", "init_phi2", "0.0"),
+        # (w - b) ** 2 overflows in the closed forms and the oracle
+        ("analytic", "grid", "w", "1e308"),
+        ("iterate", "grid", "w", "-1e200"),
     ],
 )
 def test_domain_checks_reject_the_config_before_any_output(
@@ -684,7 +703,7 @@ def _counting_records(monkeypatch):
     ("train", TINY),
     ("train", BASELINE_TINY),
 ], ids=["simulate", "compare", "backtest", "backtest-online", "train", "train-continuous"])
-def test_only_train_builds_episode_records(tmp_path, capsys, monkeypatch, command, config):
+def test_no_command_builds_episode_records(tmp_path, capsys, monkeypatch, command, config):
     """simulate, compare and backtest read only terminal wealths, and train,
     the one command that trains with records, writes its log of one line
     per episode from the history's columns: no command builds a per-episode

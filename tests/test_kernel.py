@@ -2,6 +2,8 @@
 (reference_kernel.py), float for float, and how often a run compiles it."""
 
 import ast
+import builtins
+import dis
 import functools
 import json
 import math
@@ -68,8 +70,8 @@ def _outcome(fn, *args):
 
 _FLOATS = st.floats(-0.3, 0.3)
 # mostly feasible policies, some below either learner's phi2 floor, some
-# whose scale overflows exp
-_PHI1 = st.one_of(st.floats(-0.5, 1.5), st.floats(300.0, 400.0))
+# whose scale overflows exp, beyond 710 in the slope's factor too
+_PHI1 = st.one_of(st.floats(-0.5, 1.5), st.floats(300.0, 400.0), st.floats(710.0, 800.0))
 _PHI2 = st.one_of(st.floats(0.01, 0.3), st.floats(-0.05, 0.01))
 _LAM = st.floats(0.1, 8.0)
 _ETAS = st.tuples(*[st.floats(1e-4, 0.5)] * 2)  # (eta_theta, eta_phi)
@@ -116,7 +118,7 @@ _RUNS = dict(
     T=st.integers(1, 12),
     prefix_updates=st.booleans(),
     refresh_every=st.integers(1, 5),
-    recorded=st.integers(0, 5),
+    recorded=st.integers(0, 5).map(lambda k: [1.0 + 0.01 * j for j in range(k)]),  # wealths
     records=st.booleans(),
     theta=st.tuples(_FLOATS, _FLOATS),
     phi1=_PHI1,
@@ -139,7 +141,7 @@ def _run_case(algorithm, T, prefix_updates, refresh_every, recorded, theta, phi1
                         prefix_updates=prefix_updates)
     v = (math.exp(-2.0 * phi2), *theta, 0.0, phi1, phi2, w)
     _, kept = _values(learner, learner.cold_start(hyper.spec, R_F, 1.0, 0.5))
-    return learner, hyper, v, kept, [1.0 + 0.01 * k for k in range(recorded)], draws
+    return learner, hyper, v, kept, recorded, draws
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,13 +160,67 @@ def test_generated_episode_equals_the_loop_kernel(
     bound below every cost the first episode's last step pass's cost shows
     in the message, bit for bit.  One frozen rollout gives the loop kernel's
     wealths and controls, or raises what it raises."""
+    _equals_the_loop_kernel(algorithm, T, prefix_updates, refresh_every, recorded, records, theta, phi1,
+                            phi2, w, lam, etas, data)
+
+
+# w, or a wealth recorded before the run, so far out that the squared deviations
+# overflow in the passes, (w - b) ** 2 where theta4 is formed, or the w a refresh moves to
+_FAR = st.floats(1e20, 1.7e308) | st.floats(-1.7e308, -1e20)
+_OVERFLOWING = dict(_RUNS, refresh_every=st.integers(1, 3), phi1=st.floats(-0.5, 1.5),
+                    recorded=st.lists(st.floats(0.9, 1.6) | _FAR, max_size=3),
+                    w=st.floats(0.9, 1.6) | _FAR)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_OVERFLOWING)
+def test_an_overflowing_w_diverges_as_in_the_loop_kernel(
+    algorithm, T, prefix_updates, refresh_every, recorded, records, theta, phi1, phi2, w, lam, etas,
+    data
+):
+    """test_generated_episode_equals_the_loop_kernel's check where w starts,
+    or a refresh moves it, beyond where (w - b) ** 2 or w itself overflows:
+    run forms the centers and (w - b) ** 2 once per w, and still diverges at
+    the episode, with the message and cause, that the loop kernel does."""
+    _equals_the_loop_kernel(algorithm, T, prefix_updates, refresh_every, recorded, records, theta, phi1,
+                            phi2, w, lam, etas, data)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("w, recorded, refresh_every, lam, eta, episode, why", [
+    (1e200, [], 1, 2.0, 5e-4, 1, "OverflowError"),  # (w - b) ** 2 overflows from the start
+    (1.1, [1e200], 2, 2.0, 5e-4, 2, "OverflowError"),  # the refresh of episode 1 moves w to where it does
+    (1.1, [1.7e308, 1.7e308], 3, 2.0, 5e-4, 1, "cost"),  # the refreshed w overflows to -inf
+    # the squared deviations overflow, and a pass takes phi2 to inf: the comparator's
+    # q_T = dd_T * exp(-2.0 * phi2 * 0) is then NaN, not dd_T
+    (1e80, [], 5, 0.5, 0.1, 1, "cost"),
+])
+def test_an_overflowing_w_diverges_at_the_episode_it_reaches(algorithm, w, recorded, refresh_every, lam,
+                                                            eta, episode, why):
+    """Three episodes from the cold start but for w: the generated run and the
+    loop kernel diverge at the same episode, for the same reason, alike."""
+    learner = LEARNERS[algorithm]
+    hyper = HyperParams(SPEC._replace(lam=lam), eta, eta, refresh_every=refresh_every)
+    v, kept = _values(learner, learner.cold_start(SPEC, R_F, 1.0, 0.05))
+    v = (*v[:6], w)
+    draws = [([0.01, -0.02, 0.03], [0.5, -1.0, 0.2])] * 3
+    want_lag, got_lag = LagrangeState(w, 0.05, list(recorded)), LagrangeState(w, 0.05, list(recorded))
+    want = _outcome(_driven, functools.partial(loop._learn, loop._setup(learner, hyper, R_F)), learner,
+                    v, want_lag, draws, kept, True)
+    got = _outcome(_run, _setup(learner, hyper, R_F), learner, v, got_lag, draws, kept, True)
+    assert _identical(got, want) and _identical(vars(got_lag), vars(want_lag))
+    assert got[0] == "TrainingDivergedError" and f"at episode {episode} ({why}" in got[1]
+
+
+def _equals_the_loop_kernel(algorithm, T, prefix_updates, refresh_every, recorded, records, theta, phi1,
+                            phi2, w, lam, etas, data):
     learner, hyper, v, kept, wealths, draws = _run_case(
         algorithm, T, prefix_updates, refresh_every, recorded, theta, phi1, phi2, w, lam, etas, data)
     run, kernel = loop._setup(learner, hyper, R_F), _setup(learner, hyper, R_F)
     episode = functools.partial(loop._learn, run)
 
     for bound in (DIVERGENCE_COST, -1.0):
-        kernel.run.__globals__["DIVERGENCE_COST"] = bound
+        kernel.run.__kwdefaults__["DIVERGENCE_COST"] = bound
         want_lag, got_lag = LagrangeState(w, 0.05, list(wealths)), LagrangeState(w, 0.05, list(wealths))
         want = _outcome(_driven, episode, learner, v, want_lag, draws, kept, records, bound)
         got = _outcome(_run, kernel, learner, v, got_lag, draws, kept, records)
@@ -268,8 +324,10 @@ def test_a_backtest_decade_compiles_one_learning_kernel_per_learner(monkeypatch)
 
 
 def _sources(learner, T, t_first, passes, training):
+    """The structure's sources, run's keyword-only constants those _setup binds at T."""
+    bound = tuple(_setup(learner, HyperParams(SPEC._replace(T=T)), R_F).run.__kwdefaults__)
     return _kernel_source(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes,
-                          training)
+                          training, bound)
 
 
 def _training_passes(T, prefix_updates=True):
@@ -344,6 +402,31 @@ def test_the_training_loop_evaluates_only_its_step_passes(algorithm):
         assert _residuals_per_episode(learner, T, True) == T * (T + 1) / 2
         assert _residuals_per_episode(learner, T, False) == T
     assert "isfinite" not in _setup(learner, HyperParams(SPEC), R_F).run.__code__.co_names
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_reads_no_constant_as_a_global_and_centers_only_where_w_moves(algorithm):
+    """run binds every name _setup gives the kernel as a keyword-only default,
+    so the only globals it reads are builtins; and it forms rho_t * w, the
+    centers and the first deviation, only before its episode loop and in the
+    branch after a refresh moves w, not once per episode."""
+    learner = LEARNERS[algorithm]
+    for T in (1, 3, 12):
+        run = _setup(learner, HyperParams(SPEC._replace(T=T)), R_F).run
+        constants = set(run.__globals__) - {"__builtins__", "policy", "rollout", "run"}
+        loads = {i.argval for i in dis.get_instructions(run) if i.opname == "LOAD_GLOBAL"}
+        assert constants <= set(run.__kwdefaults__) and loads <= set(vars(builtins))
+
+        def centers(node):
+            return sum(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                       and isinstance(n.left, ast.Name) and n.left.id.startswith("rho")
+                       and isinstance(n.right, ast.Name) and n.right.id == "w" for n in ast.walk(node))
+
+        (source,) = ast.parse(_sources(learner, T, 0, _training_passes(T), True)[2]).body
+        (loop_,) = [node for node in source.body if isinstance(node, ast.For)]
+        refresh = [node for node in loop_.body if ast.unparse(node).startswith("if not phase:")]
+        assert len(refresh) == 1 and centers(refresh[0]) == T + 1 == centers(source) - centers(loop_)
+        assert centers(loop_) == T + 1
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
