@@ -436,14 +436,15 @@ def dp_oracle(
         return c2, -c1 / (2.0 * c2), c0 - c1 * c1 / (4.0 * c2), resid_rel
 
     q, c, g = 1.0, w, -((w - spec.b) ** 2)
-    vals, fit_resid, quad_err = (grid - w) ** 2 - (w - spec.b) ** 2, 0.0, 0.0  # the terminal layer
     layers: List[ValueGrid] = []
-    for t in range(spec.T, -1, -1):
-        if t < spec.T:
-            vals, quad_err = soft_min_layer(q, c, g)
-            q, c, g, fit_resid = fit_quadratic(vals)
-        meta = {"curvature": q, "center": c, "offset": g, "fit_residual": fit_resid,
-                "quadrature_error": quad_err, "halfwidth_sigmas": halfwidth_sigmas, "n_u": float(n_u)}
-        layers.append(ValueGrid(t=t, x_values=grid.copy(), j_values=vals, meta=meta))
+    with np.errstate(all="ignore"):  # an overflow or a NaN fails a gate, and warns nothing
+        vals, fit_resid, quad_err = (grid - w) ** 2 - (w - spec.b) ** 2, 0.0, 0.0  # the terminal layer
+        for t in range(spec.T, -1, -1):
+            if t < spec.T:
+                vals, quad_err = soft_min_layer(q, c, g)
+                q, c, g, fit_resid = fit_quadratic(vals)
+            meta = {"curvature": q, "center": c, "offset": g, "fit_residual": fit_resid,
+                    "quadrature_error": quad_err, "halfwidth_sigmas": halfwidth_sigmas, "n_u": float(n_u)}
+            layers.append(ValueGrid(t=t, x_values=grid.copy(), j_values=vals, meta=meta))
     layers.reverse()
     return layers

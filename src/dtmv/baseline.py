@@ -69,14 +69,14 @@ CONTINUOUS = Learner(
 def baseline_cost(
     samples: Sequence[Tuple[int, float]], params: BaselineParams, spec: ProblemSpec
 ) -> float:
-    return 0.5 * _on_samples(CONTINUOUS, samples, params, spec, None, False)
+    return 0.5 * _on_samples(CONTINUOUS, samples, params, spec, None)[1]
 
 
 def baseline_gradients(
     samples: Sequence[Tuple[int, float]], params: BaselineParams, spec: ProblemSpec
 ) -> Tuple[float, float, float, float]:
     """Cost gradient in (theta2, theta3, phi1, phi2)."""
-    return _on_samples(CONTINUOUS, samples, params, spec, None, True)
+    return _on_samples(CONTINUOUS, samples, params, spec, None)[0]
 
 
 def baseline_apply_updates(

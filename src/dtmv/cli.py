@@ -26,6 +26,7 @@ from .analytic import (
     IterationFamily,
     MarketModel,
     ProblemSpec,
+    QuadratureError,
     dp_oracle,
     iterate,
     lagrange_fixed_point,
@@ -637,9 +638,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # one machine-readable record per failure
         import json  # here, not at the top: a successful command never uses it
         record = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, TrainingDivergedError):  # the keys that size a step, with their values
+        keys = []  # the keys behind the failure, named with their values
+        if isinstance(exc, TrainingDivergedError):  # those that size a step
             keys = ["learning.eta_theta", "learning.eta_phi",
                     "evaluation.horizon_months" if args.command == "backtest" else "problem.horizon"]
+        elif isinstance(exc, QuadratureError):  # the oracle's w and its grid of states
+            keys = ["grid.w", "grid.x_min", "grid.x_max"]
+        if keys:
             record["settings"] = {key: operator.attrgetter(key)(cfg) for key in keys}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1

@@ -28,7 +28,6 @@ the kernel's descend, sample_episode its rollout.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
@@ -229,11 +228,11 @@ def _names(prefix: str, periods) -> str:
 
 def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_first: int,
                    passes: tuple, training: bool, bound: tuple) -> Tuple[str, ...]:
-    """Python sources of a learner's episode kernel at horizon T, with the
-    passes (n, step) over the residuals of the n transitions from period
-    t_first: one function each, compiled one at a time (_compile), which
-    read a run's floats (_setup's names, bound here) as globals, or run as
-    keyword-only defaults, locals.  Of the values
+    """Python sources of a learner's episode kernel at horizon T, with one
+    pass over the residuals of the n transitions from period t_first per n
+    in passes: one function each, compiled one at a time (_compile).  run
+    reads a run's floats (_setup's names, bound here) as keyword-only
+    defaults, locals; the others read them as globals.  Of the values
     v = (theta1, ..., w), theta1 being e2 = exp(-2 phi2):
         policy(phi1, phi2, e2) -> (slope, variance_t for t < T); raises
             InfeasiblePolicyError where the root under the slope is not of a
@@ -246,25 +245,26 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
         run(v, lag, draws, kept, history) -> (v after the training loop, the
             wealths it recorded in lag), with training set: per (rets, z) pair
             of draws that rollout, its terminal wealth recorded in lag, w
-            refreshed every refresh_every recorded wealths, the step passes,
+            refreshed every refresh_every recorded wealths, the passes,
             run_episodes' divergence check on half the summed squares of the
             last, taken before its step, and the values after the episode
             appended to history, a float array, unless it is None; it forms
             c_t = rho_t w, x_0 - c_0 and (w - b)^2 once per w, and the last
             again for theta4 where it overflowed, so that episode raises;
         descend(theta2, theta3, phi1, phi2, e2, w, devs, grads) -> (theta1..
-            phi2, the pass's gradient, its summed squares), without: the one
-            pass of the sample adapters, without rollout; with no passes the policy (and rollout if training).
-    With step set, a pass sums the gradient (g_t2, g_t3, g_p1, g_p2) in
-    (theta2, theta3, phi1, phi2) of half the summed squared residuals, then
-    takes one gradient step of sizes (eta_theta, eta_phi) on it, or on grads
-    when descend is given them; without, it sums their squares.  A pass
-    reads the deviations x - c_t of the states from the centers at w
-    (devs[k] at period t_first + k).  The steps leave theta1 and theta4
-    pinned at w.  Each run of passes of one kind is a loop over their n
-    around the straight-line residuals of the longest with a break after
-    each shorter n: no source grows faster than T, however many growing
-    prefixes there are, and neither does the compiler's memory.
+            phi2 after the passes, the last one's gradient and summed
+            squares), without: the one pass of the sample adapters, without
+            rollout; with no passes the policy (and rollout if training).
+    A pass sums the gradient (g_t2, g_t3, g_p1, g_p2) in (theta2, theta3,
+    phi1, phi2) of half the summed squared residuals, and their squares,
+    then takes one gradient step of sizes (eta_theta, eta_phi) on it, or on
+    grads when descend is given them.  It reads the deviations x - c_t of
+    the states from the centers at w (devs[k] at period t_first + k) and
+    weights their squares as e2**(T - t) * dev * dev.  The steps leave theta1
+    and theta4 pinned at w.  The passes are a loop over their n around the
+    straight-line residuals of the longest with a break after each shorter
+    n: no source grows faster than T, however many growing prefixes there
+    are, and neither does the compiler's memory.
 
     phi1 enters every residual only through theta3 - lam * phi1, so its
     partial g_p1 is always -lam times the theta3 partial g_t3: the cost is
@@ -283,21 +283,14 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
 
     phi2 is projected onto its floor; theta1 is pinned to exp(-2 phi2) and
     theta4 to the terminal condition value(T, x) = (x - w)^2 - (w - b)^2.
-
-    The weights exp(-2 phi2 (T - t)) of q_t and the T^2 of theta4 are
-    evaluated in the float order each learner's pinned outputs were computed
-    in: e2**(T - t) * dev * dev and T**2 where compounding is set (the
-    discrete learner), dev * dev * exp(-2 phi2 (T - t)) and T * T otherwise.
-    Every other operation keeps the order of the loop kernel this source
-    replaced, sums starting at 0.0 included, so outputs are unchanged (p2 * 0
-    and p2 * 1 are trimmed: exact for the finite phi2 an episode starts at).
+    Every operation keeps the float order of the loop kernel this source
+    replaced, sums starting at 0.0 included (p2 * 0 and p2 * 1 are trimmed:
+    exact for the finite phi2 an episode starts at).
     """
     ts = range(T)
 
     def q(t):  # the weighted square q_t of d{t}; e2**0 * left out, e2**1 is e2: same bits
-        if compounding:  # the comparator's exp(-2.0 * phi2 * 0) stays: NaN where a pass makes phi2 inf
-            return {0: "", 1: "e2 * "}.get(T - t, f"e2**{T - t} * ") + f"d{t} * d{t}"
-        return {1: f"dd{t} * e2"}.get(T - t, f"dd{t} * exp(-2.0 * phi2 * {T - t})")
+        return {0: "", 1: "e2 * "}.get(T - t, f"e2**{T - t} * ") + f"d{t} * d{t}"
 
     def indent(lines, depth=1):
         return [f"{'    ' * depth}{line}" for line in lines]
@@ -305,35 +298,28 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     def function(head, lines):
         return "".join([f"def {head}:\n", *indent(f"{line}\n" for line in lines)])
 
-    looped = [] if training else ["g_t2 = g_t3 = g_p1 = g_p2 = sq = 0.0"]
-    for step, group in itertools.groupby(passes, key=lambda p: p[1]):
-        ns, body = tuple(n for n, _ in group), []
-        span = range(t_first, t_first + max(ns) + 1) if max(ns) else ()
-        squares = [f"dd{t} = d{t} * d{t}" for t in span] * (not compounding)
-        sums = ["g_t2", "g_t3", "g_p2"] * step + ["sq"] * (training or not step)
-        for k in range(max(ns)):
-            t = t_first + k
-            wt = f" * {2.0 * t + 1.0!r}" * (t > 0)  # the factor 2t + 1, left out where it is 1.0
-            body += [f"if n == {k}:", "    break"] * (k in ns)
-            body += [f"q{t} = {q(t)}"] * (k == 0) + [
-                f"q{t + 1} = {q(t + 1)}",
-                f"res = q{t + 1} - q{t} + theta2{wt} + theta3"
-                f" - lam * (phi1 + phi2 * {T - t - 1 + shift})",
-            ] + ([f"g_t2 += res{wt}", "g_t3 += res",
-                  f"g_p2 += res * ({2.0 * (T - t)!r} * q{t} - {2.0 * (T - t - 1)!r}"
-                  f" * q{t + 1} - lc{t})"] if step else []) + ["sq += res * res"] * ("sq" in sums)
-        lines = [f"for n in {ns!r}:", f"    {' = '.join(sums)} = 0.0", "    while True:",
-                 *indent(body, 2), "        break"]
-        move = (["theta3 = theta3 - eta_theta * g_t3 + lam_eta_phi * g_p1"] if hold_phi1 else
-                ["theta3 = theta3 - eta_theta * g_t3", "phi1 = phi1 - eta_phi * g_p1"])
-        update = indent(["g_p1 = -lam * g_t3", "if grads is not None:",
-                         "    g_t2, g_t3, g_p1, g_p2 = grads", "theta2 = theta2 - eta_theta * g_t2",
-                         *move, "phi2 = phi2 - eta_phi * g_p2", "if phi2 < floor:",
-                         "    phi2 = floor", "e2 = exp(-2.0 * phi2)"] * step)
-        looped += (squares + lines + update[:1] + update[3:] if training else  # run never steps on grads
-                   [f"{_names('d', span)}= devs"] * bool(span) + squares + lines + update)
-    square = f"{T ** 2}" if compounding else f"{T} * {T}"
-    theta4 = f"theta4 = -theta2 * {square} - theta3 * {T} - {{}}".format
+    span = range(t_first, t_first + max(passes) + 1) if any(passes) else ()
+    body = []
+    for k in range(max(passes, default=0)):
+        t = t_first + k
+        wt = f" * {2.0 * t + 1.0!r}" * (t > 0)  # the factor 2t + 1, left out where it is 1.0
+        body += [f"if n == {k}:", "    break"] * (k in passes)
+        body += [f"q{t} = {q(t)}"] * (k == 0) + [
+            f"q{t + 1} = {q(t + 1)}",
+            f"res = q{t + 1} - q{t} + theta2{wt} + theta3"
+            f" - lam * (phi1 + phi2 * {T - t - 1 + shift})",
+            f"g_t2 += res{wt}", "g_t3 += res",
+            f"g_p2 += res * ({2.0 * (T - t)!r} * q{t} - {2.0 * (T - t - 1)!r} * q{t + 1} - lc{t})",
+            "sq += res * res"]
+    move = (["theta3 = theta3 - eta_theta * g_t3 + lam_eta_phi * g_p1"] if hold_phi1 else
+            ["theta3 = theta3 - eta_theta * g_t3", "phi1 = phi1 - eta_phi * g_p1"])
+    update = ["g_p1 = -lam * g_t3", "if grads is not None:", "    g_t2, g_t3, g_p1, g_p2 = grads",
+              "theta2 = theta2 - eta_theta * g_t2", *move, "phi2 = phi2 - eta_phi * g_p2",
+              "if phi2 < floor:", "    phi2 = floor", "e2 = exp(-2.0 * phi2)"]
+    looped = [f"for n in {passes!r}:", "    g_t2 = g_t3 = g_p2 = sq = 0.0", "    while True:",
+              *indent(body, 2), "        break",
+              *indent(update[:1] + update[3:] if training else update)]  # run never steps on grads
+    theta4 = f"theta4 = -theta2 * {T ** 2} - theta3 * {T} - {{}}".format
 
     def variance(k):  # of period t at exponent k = T - t - 1 + shift: p2 * 0 + left out, p2 * 1 is p2
         return f"exp({ {0: '', 1: 'p2 + '}.get(k, f'p2 * {k} + ') }p1 - 1.0) / two_pi"
@@ -391,7 +377,7 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             *indent(["w = w_after", *hoisted], 2),
             "return v, tws[recorded:]"])
         if training else function("descend(theta2, theta3, phi1, phi2, e2, w, devs, grads)", [
-            *looped, theta4("(w - b) ** 2"),
+            *[f"{_names('d', span)}= devs"] * bool(span), *looped, theta4("(w - b) ** 2"),
             "return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq"]),
     )
     return sources[:1 + training] + sources[2:] * bool(passes)  # rollout if training, run or descend if passes
@@ -427,7 +413,7 @@ def _setup(learner: Learner, hyper: HyperParams, r_f, t_first=0, passes=None, tr
         rhos, floor = (1.0,) * (T + 1), PHI2_MARGIN
     training = training or passes is None  # run: a step on each growing prefix, or the episode
     if passes is None:
-        passes = tuple((n, True) for n in (range(1, T + 1) if hyper.prefix_updates else (T,)))
+        passes = tuple(range(1, T + 1)) if hyper.prefix_updates else (T,)
     names = {
         "exp": math.exp, "sqrt": math.sqrt, "two_pi": 2.0 * math.pi, "update_w": update_w,
         "InfeasiblePolicyError": InfeasiblePolicyError, "x_init": spec.x0, "b": spec.b, "lam": lam,
@@ -522,24 +508,23 @@ def _check_samples(samples: Sequence[Tuple[int, float]], T: int) -> None:
         raise ValueError("sample periods outside 0..T")
 
 
-def _on_samples(learner, samples, params, spec: ProblemSpec, r_f, step: bool):
+def _on_samples(learner, samples, params, spec: ProblemSpec, r_f):
     """One pass of the kernel's descend over (t, x) samples of consecutive
     periods in 0..T: the gradient (theta2, theta3, phi1, phi2) of half the
-    summed squared residual with step set (its step is not kept), else that
-    sum; an empty or single-state sample list has no transitions and sums
+    summed squared residuals, and the summed squares (its step is not
+    kept); an empty or single-state sample list has no transitions and sums
     to 0."""
     _check_samples(samples, spec.T)
     t_first, n = (samples[0][0], len(samples) - 1) if samples else (0, 0)
-    kernel = _setup(learner, HyperParams(spec), r_f, t_first, ((n, step),))
+    kernel = _setup(learner, HyperParams(spec), r_f, t_first, (n,))
     (e2, theta2, theta3, _, phi1, phi2, w), _ = _values(learner, params)
     devs = [x - kernel.rhos[t] * w for t, x in samples]
-    _, grads, sq = kernel.descend(theta2, theta3, phi1, phi2, e2, w, devs, None)
-    return grads if step else sq
+    return kernel.descend(theta2, theta3, phi1, phi2, e2, w, devs, None)[1:]
 
 
 def step_params(learner, params, grads, eta_theta: float, eta_phi: float, spec: ProblemSpec, r_f):
     """params after the learner's gradient step (its kernel's descend) on grads."""
-    kernel = _setup(learner, HyperParams(spec, eta_theta, eta_phi), r_f, 0, ((0, True),))
+    kernel = _setup(learner, HyperParams(spec, eta_theta, eta_phi), r_f, 0, (0,))
     (e2, theta2, theta3, _, phi1, phi2, w), kept = _values(learner, params)
     stepped, _, _ = kernel.descend(theta2, theta3, phi1, phi2, e2, w, (), grads)
     return learner.params(*(*stepped, w)[kept:])
@@ -588,19 +573,19 @@ def cost(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyPa
 
     An empty or single-state sample list has no transitions and costs 0.
     """
-    return 0.5 * _on_samples(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f, False)
+    return 0.5 * _on_samples(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f)[1]
 
 
 def grad_theta(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyParams,
                w: float, spec: ProblemSpec, r_f: float) -> Tuple[float, float]:
     """Cost gradient in (theta2, theta3)."""
-    return _on_samples(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f, True)[:2]
+    return _on_samples(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f)[0][:2]
 
 
 def grad_phi(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyParams,
              w: float, spec: ProblemSpec, r_f: float) -> Tuple[float, float]:
     """Cost gradient in (phi1, phi2)."""
-    return _on_samples(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f, True)[2:]
+    return _on_samples(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f)[0][2:]
 
 
 def apply_updates(theta: ValueParams, phi: PolicyParams, grads: Tuple[float, float, float, float],

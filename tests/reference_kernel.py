@@ -3,11 +3,13 @@ test-only reference: tests/test_kernel.py checks that the generated code
 gives the same values, gradients, costs and rollouts, float for float.
 
 _Run, _setup, _policy, _descend and _episode are copied verbatim from
-dtmv.learner as they were before the kernel was generated.  _episode's
-cost is the old divergence rule's: a pass without a step after the steps,
-at the centers after the episode's refresh.  _learn is an episode under
-the rule the generated run has now: the cost is that of the last step
-pass, before its step.
+dtmv.learner as they were before the kernel was generated, but that
+_descend weights the comparator's squared deviations, and squares its T,
+in the discrete learner's float order, which the generated kernel uses for
+both learners.  _episode's cost is the old divergence rule's: a pass
+without a step after the steps, at the centers after the episode's
+refresh.  _learn is an episode under the rule the generated run has now:
+the cost is that of the last step pass, before its step.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1,
     episode's refresh.  e2 is exp(-2 phi2), i.e. theta1: the value surface
     and the policy share phi2.  Returns theta1..phi2 after the steps, with
     theta1 and theta4 pinned at w, and the gradient and the summed squares
-    of the last pass.
+    of the last pass.  q_t is e2**(T - t) * dev * dev.
 
     phi1 enters every residual only through theta3 - lam * phi1, so its
     partial g_p1 is always -lam times the theta3 partial g_t3: the cost is
@@ -105,15 +107,10 @@ def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1,
 
     phi2 is projected onto its floor; theta1 is pinned to exp(-2 phi2) and
     theta4 to the terminal condition value(T, x) = (x - w)^2 - (w - b)^2.
-
-    The weights exp(-2 phi2 (T - t)) of q_t and the T^2 of theta4 are
-    evaluated in the float order each learner's pinned outputs were computed
-    in: e2**(T - t) * dev * dev and T**2 where compounding is set (the
-    discrete learner), dev * dev * exp(-2 phi2 (T - t)) and T * T otherwise.
     """
     T, b, lam, steps, floor = run.T, run.b, run.lam, run.steps, run.floor
     eta_theta, eta_phi = run.eta_theta, run.eta_phi
-    hold, compounding = run.hold_phi1, run.compounding
+    hold = run.hold_phi1
     exp = math.exp
     for n, step in passes:
         g_t2 = g_t3 = g_p2 = sq = 0.0
@@ -121,12 +118,12 @@ def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1,
         if n:
             dev = d[0]
             left = T - t_first
-            q1 = e2**left * dev * dev if compounding else dev * dev * exp(-2.0 * phi2 * left)
+            q1 = e2**left * dev * dev
             for k in range(n):
                 m, wt, count, a0, a1, lam_count = steps[t_first + k]
                 q0 = q1
                 dev = d[k + 1]
-                q1 = e2**m * dev * dev if compounding else dev * dev * exp(-2.0 * phi2 * m)
+                q1 = e2**m * dev * dev
                 res = q1 - q0 + theta2 * wt + theta3 - lam * (phi1 + phi2 * count)
                 if step:
                     g_t2 += res * wt
@@ -148,7 +145,7 @@ def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1,
             if phi2 < floor:
                 phi2 = floor
             e2 = exp(-2.0 * phi2)
-    theta4 = (-theta2 * T**2 if compounding else -theta2 * T * T) - theta3 * T - (w - b) ** 2
+    theta4 = -theta2 * T**2 - theta3 * T - (w - b) ** 2
     return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq
 
 

@@ -451,6 +451,31 @@ def test_analytic_outputs_cover_the_grid(tmp_path, capsys):
     assert "max_rel_error" in summary
 
 
+@pytest.mark.parametrize("w", ["1e154", "1e100", "-1e154"])
+def test_an_oracle_failing_at_a_far_w_prints_one_line_naming_the_grid(tmp_path, w):
+    """At a grid.w this far from the target (w - b)^2 is finite, but the DP
+    oracle's layers overflow: analytic exits 1 with its one JSON error
+    record on stderr, no numpy warning beside it, naming grid.w and the
+    grid's bounds; iterate, which runs no oracle, succeeds with stderr
+    silent.  Each command runs in a child, whose warnings reach stderr."""
+    cfg = _cfg_file(tmp_path, f"[grid]\nw = {w}\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+    def cli_run(command):
+        argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
+        return subprocess.run([sys.executable, "-c", "import sys; from dtmv.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *argv],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                              timeout=120)
+
+    analytic, iterate = cli_run("analytic"), cli_run("iterate")
+    assert analytic.returncode == 1 and len(analytic.stderr.splitlines()) == 1, analytic.stderr
+    record = json.loads(analytic.stderr)
+    assert record["error"] == "QuadratureError"
+    assert record["settings"] == {"grid.w": w, "grid.x_min": -1.0, "grid.x_max": 3.0}
+    assert iterate.returncode == 0 and iterate.stderr == ""
+
+
 def test_analytic_means_do_not_depend_on_the_temperature(tmp_path, capsys):
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")

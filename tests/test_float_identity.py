@@ -3,18 +3,22 @@
 The golden digests pin every record of short training runs of both learners
 on the three market models, and the rows of one online-test backtest cell.
 The normal-market digests were computed with the per-step rollout and the
-ndarray samplers that the current code replaced, and must not move.  The
-skew-t and historical digests, and the backtest cell's, were computed again
-when training's draws on those markets moved to whole blocks of episodes
-(one standard_normal and one chisquare call per skew-t block, one integers
-and one standard_normal call per historical block): each new value is what
-the loop kernel of reference_kernel.py gives on the plain numpy draws of
-reference_draws.py, with the skew-t constant from math.lgamma.  The cases
-beyond the default short run on each market (a 12-period skew-t path,
-whole-episode updates, a 5-period historical horizon at lam = 0.5 with w
-refreshed every 7 episodes, and T = 1) were first computed while each
-learner ran its own policy, residual and update functions behind
-per-learner hooks.  The properties check the identities the samplers rest
+ndarray samplers that the current code replaced, and the discrete learner's
+must not move.  The skew-t and historical digests, and the backtest cell's,
+were computed again when training's draws on those markets moved to whole
+blocks of episodes (one standard_normal and one chisquare call per skew-t
+block, one integers and one standard_normal call per historical block):
+each new value is what the loop kernel of reference_kernel.py gives on the
+plain numpy draws of reference_draws.py, with the skew-t constant from
+math.lgamma.  Every comparator digest but T = 1's was computed again when
+its value weights and theta4 took the discrete learner's float order
+(e2**(T - t) * dev * dev and T**2, where it had dev * dev * exp(-2 phi2
+(T - t)) and T * T): the same numbers but for the last bits, as the loop
+kernel gives them in that order.  The cases beyond the default short run
+on each market (a 12-period skew-t path, whole-episode updates, a 5-period
+historical horizon at lam = 0.5 with w refreshed every 7 episodes, and
+T = 1) were first computed while each learner ran its own policy, residual
+and update functions behind per-learner hooks.  The properties check the identities the samplers rest
 on: one vector draw of T normals is T scalar draws, sample_path is the
 ndarray arithmetic of the reference sampler, and episode_draws gives,
 whatever the block size, the values and the final generator state of
@@ -30,7 +34,7 @@ per node in row blocks.
 
 Two more pin whole `dtmv train` run directories, one per learner.  They were
 computed while the episode log was still written by json.dumps over every
-record and one joined text; the log is now streamed through one %-template
+record and one joined text (the comparator's again with its float order); the log is now streamed through one %-template
 per record class, which the last tests hold to json.dumps's layout and to a
 small memory footprint.
 """
@@ -95,17 +99,17 @@ HISTORY_CASES = {
 
 GOLDEN_HISTORIES = {
     ("normal", "discrete"): "b585fcf95f595ace9e1cdf5a6530acb8f30d99ce84d737161b76ad7069e38306",
-    ("normal", "continuous"): "59e66125829f0c30e3e6848521a8745ef31c7e910c9c1b92a4160fad05685ef7",
+    ("normal", "continuous"): "ad3bca1134f2fbd360c1b39bd2b645b1ee011c14ab41dba4de7400de26e50b4b",
     ("skewt", "discrete"): "c12c8b00f26501124a94dabae233afaa0c8e186f13479d97386035f0fa019c6d",
-    ("skewt", "continuous"): "6b4b28cf2497468274286fd7e832b6638caa2c64056090961db86a8fe2f1591f",
+    ("skewt", "continuous"): "fcb7892f702fdc3f1c508faf7dcc6e085389897ce10efab2d03113eebff6bbec",
     ("historical", "discrete"): "9d72eebdeec82f2fe2540759e96d652ac0287d01957d3882c15b9010c3649f36",
-    ("historical", "continuous"): "4c5d512bc41b62f9751ef560c92f7be768f7d0da7b4a9cbfbf8ea96132d36595",
+    ("historical", "continuous"): "1178335d81eb559a05d8d3019e76b9bd0ee1f615fb97bbc97705992d64211d9f",
     ("skewt-T12", "discrete"): "42a1be250cf5e113daf4ad18997965d0aab1a178a6799b46fbbb377b49675d63",
-    ("skewt-T12", "continuous"): "f33cda7526caa797d25e8feddd7fc00f2d9e134545dbbf06b40b775272938abc",
+    ("skewt-T12", "continuous"): "3dc18abd4a81f99f850824023edfe41b0dd38d0394e6da8bca5c630c5e343faa",
     ("normal-whole", "discrete"): "e540a135fe0e9aac25351f5894576cf16340866ef7cffddcd51b762a04f4b676",
-    ("normal-whole", "continuous"): "166df1fc7c35bced29a3b60428c47baa764263de847b348e5775c825c1389eb8",
+    ("normal-whole", "continuous"): "05bce79f8db61bef6ac039764d3e9001878ac892ffb0813d7a4f5ca10ae33a4e",
     ("historical-T5", "discrete"): "45ee47612ced40f7783a07e5838d9bb16bcf1ec64f2f88da474db18af268ac0e",
-    ("historical-T5", "continuous"): "dbd81d61ec7b07c6d315a995284882283b3b1605b3be6900d0ee265ddc05ac7c",
+    ("historical-T5", "continuous"): "12921299efe21b8a9b5dc7bfd212f9a4748b6da4853eedde22541629f22f68f6",
     ("normal-T1", "discrete"): "a0b249e5652491c7871a0cbf74501fb554abe0c73fe90dc116a719d8830df29f",
     ("normal-T1", "continuous"): "fd53dd241946060ae2b9c8cd5685c11e2c955ce001170eb9d515f49aee106951",
 }
@@ -114,7 +118,7 @@ GOLDEN_ANALYTIC_RUN = "3221e3b055ad995651995cc68fa37c5d0c43bb8cc147a5dafea973d48
 GOLDEN_ANALYTIC_RUN_201 = "46ed7b93ff9436f824ee295a28950405bacff009562a9e710b5b374a251285ff"
 GOLDEN_TRAIN_RUNS = {
     "emv-discrete": "683acc352a22ca8693cd2df6f17998a34bf62b85506ecd2ee1521d2672accaba",
-    "emv-continuous": "5297d6bd7916290b812d492d230d64695400d76f3963cb0f84ec5d5783a4a85b",
+    "emv-continuous": "34bbc517beea7c001fb05a9335784fbde15582a06998ea659a975f39502f26f3",
 }
 RECORDS = (EpisodeRecord, BaselineRecord)
 

@@ -191,8 +191,8 @@ def test_an_overflowing_w_diverges_as_in_the_loop_kernel(
     (1e200, [], 1, 2.0, 5e-4, 1, "OverflowError"),  # (w - b) ** 2 overflows from the start
     (1.1, [1e200], 2, 2.0, 5e-4, 2, "OverflowError"),  # the refresh of episode 1 moves w to where it does
     (1.1, [1.7e308, 1.7e308], 3, 2.0, 5e-4, 1, "cost"),  # the refreshed w overflows to -inf
-    # the squared deviations overflow, and a pass takes phi2 to inf: the comparator's
-    # q_T = dd_T * exp(-2.0 * phi2 * 0) is then NaN, not dd_T
+    # the squared deviations overflow, and a pass takes phi2 to inf: the discrete learner
+    # reports cost nan, the comparator, with the same weights, cost inf (theta2 = inf)
     (1e80, [], 5, 0.5, 0.1, 1, "cost"),
 ])
 def test_an_overflowing_w_diverges_at_the_episode_it_reaches(algorithm, w, recorded, refresh_every, lam,
@@ -262,7 +262,6 @@ def test_a_run_the_old_divergence_rule_finishes_keeps_its_bits(
 @given(
     algorithm=st.sampled_from(ALGORITHMS),
     T=st.integers(1, 12),
-    step=st.booleans(),
     theta=st.tuples(_FLOATS, _FLOATS),
     phi1=st.floats(-0.5, 1.5),
     phi2=_PHI2,
@@ -271,26 +270,26 @@ def test_a_run_the_old_divergence_rule_finishes_keeps_its_bits(
     etas=_ETAS,
     data=st.data(),
 )
-def test_generated_pass_equals_the_loop_kernel(algorithm, T, step, theta, phi1, phi2, w, lam, etas,
-                                               data):
+def test_generated_pass_equals_the_loop_kernel(algorithm, T, theta, phi1, phi2, w, lam, etas, data):
     """The one pass of the sample adapters (the n transitions from period
     t_first, a step on given grads for apply_updates) gives the loop
-    kernel's values, gradient and summed squares."""
+    kernel's values and gradient after its step pass, and the summed
+    squares of its pass without a step."""
     t_first = data.draw(st.integers(0, T))
     n = data.draw(st.integers(0, T - t_first))
     devs = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n + 1, max_size=n + 1))
-    grads = data.draw(st.none() | st.tuples(*[st.floats(-1.0, 1.0)] * 4)) if step else None
+    grads = data.draw(st.none() | st.tuples(*[st.floats(-1.0, 1.0)] * 4))
     learner, hyper = LEARNERS[algorithm], HyperParams(SPEC._replace(T=T, lam=lam), *etas)
     args = (theta[0], theta[1], phi1, phi2, math.exp(-2.0 * phi2), w)
-    want = _outcome(loop._descend, loop._setup(learner, hyper, R_F), ((n, step),), devs, devs,
-                    t_first, *args, grads)
-    kernel = _setup(learner, hyper, R_F, t_first, ((n, step),))
-    got = _outcome(kernel.descend, *args, devs, grads)
+    run = loop._setup(learner, hyper, R_F)
+    want = _outcome(loop._descend, run, ((n, True),), devs, devs, t_first, *args, grads)
+    squares = _outcome(loop._descend, run, ((n, False),), devs, devs, t_first, *args)
+    got = _outcome(_setup(learner, hyper, R_F, t_first, (n,)).descend, *args, devs, grads)
     if isinstance(want[0], str):
-        assert got == want
-    else:  # the adapters read the gradient of a step pass, the squares of the others
-        assert _identical(got[0], want[0])
-        assert _identical(got[1] if step else got[2], want[1] if step else want[2])
+        assert got == want == squares
+    else:  # the adapters read the gradient and the squares of the one pass, and its step
+        assert _identical(got[:2], want[:2])
+        assert _identical(got[2], squares[2])
 
 
 def _counting_compiles(monkeypatch):
@@ -331,7 +330,7 @@ def _sources(learner, T, t_first, passes, training):
 
 
 def _training_passes(T, prefix_updates=True):
-    return tuple((n, True) for n in (range(1, T + 1) if prefix_updates else (T,)))
+    return tuple(range(1, T + 1)) if prefix_updates else (T,)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -349,20 +348,38 @@ def test_no_generated_source_grows_faster_than_the_horizon(algorithm):
     assert total_2x <= 2 * total and longest_2x <= 2 * longest
 
 
+def _structures(T):
+    """(t_first, passes, training) of training runs with and without prefix
+    updates, of the one-pass structures of the sample adapters, and of the
+    policy alone and with its rollout."""
+    structures = [(0, _training_passes(T, prefix_updates), True) for prefix_updates in (True, False)]
+    structures += [(t_first, (n,), False) for t_first in (0, T - 1) for n in (0, 1)]
+    return structures + [(0, (), False), (0, (), True)]
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_the_generated_source_is_python_3_10(algorithm):
     """The package supports Python 3.10 (pyproject.toml) and no linter reads
-    the generated functions, so each one, for training runs with and
-    without prefix updates and for the one-pass structures of the sample
-    adapters, parses with the 3.10 grammar.  A syntax check only."""
+    the generated functions, so each one of every structure (_structures)
+    parses with the 3.10 grammar.  A syntax check only."""
     for T in (1, 2, 12):
-        structures = [(0, _training_passes(T, prefix_updates), True) for prefix_updates in (True, False)]
-        structures += [(t_first, ((n, step),), False) for t_first in (0, T - 1) for n in (0, 1)
-                       for step in (True, False)]
-        structures += [(0, (), False), (0, (), True)]  # the policy alone, and with its rollout
-        for t_first, passes, training in structures:
+        for t_first, passes, training in _structures(T):
             for source in _sources(LEARNERS[algorithm], T, t_first, passes, training):
                 ast.parse(source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_both_learners_share_one_float_order(algorithm):
+    """Either learner's generated functions weight q_t as e2**(T - t) * d_t *
+    d_t and square T as T**2: none takes an exp(-2.0 * phi2 * k) per weight,
+    names a squared deviation dd_t or forms theta4 from T * T."""
+    for T in (1, 3, 12):
+        for t_first, passes, training in _structures(T):
+            for source in _sources(LEARNERS[algorithm], T, t_first, passes, training):
+                names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+                assert "exp(-2.0 * phi2 *" not in source
+                assert not [name for name in names if name.startswith("dd")]
+                assert "theta4 = " not in source or f"theta4 = -theta2 * {T ** 2} - " in source
 
 
 def _residuals_per_episode(learner, T, prefix_updates, episodes=3):
@@ -433,15 +450,15 @@ def test_run_reads_no_constant_as_a_global_and_centers_only_where_w_moves(algori
 @pytest.mark.parametrize("T, prefix_updates", [(1, True), (1, False), (3, False)])
 @pytest.mark.parametrize("adapter_first", [False, True])
 def test_a_one_pass_training_run_gets_run_not_descend(algorithm, T, prefix_updates, adapter_first):
-    """At T = 1, or with prefix updates off, a training run has one step
-    pass, as a sample adapter's structure may; it still gets run, and the
-    adapter descend, whichever of the two is compiled first."""
+    """At T = 1, or with prefix updates off, a training run has one pass, as
+    a sample adapter's structure does; it still gets run, and the adapter
+    descend, whichever of the two is compiled first."""
     learner = LEARNERS[algorithm]
     hyper = HyperParams(SPEC._replace(T=T), prefix_updates=prefix_updates)
     learner_module._compile.cache_clear()
     if adapter_first:
-        _setup(learner, hyper, R_F, 0, ((T, True),))
-    training, adapter = _setup(learner, hyper, R_F), _setup(learner, hyper, R_F, 0, ((T, True),))
+        _setup(learner, hyper, R_F, 0, (T,))
+    training, adapter = _setup(learner, hyper, R_F), _setup(learner, hyper, R_F, 0, (T,))
     assert callable(training.run) and training.descend is None
     assert callable(adapter.descend) and adapter.run is None
 

@@ -253,18 +253,18 @@ def _public_cost(algorithm, samples, params, spec):
 def _residuals(algorithm, T, w, wealth):
     """The shared residual pass (the generated kernel's descend) of a learner
     at horizon T on the deviations of the states wealth from its centers at
-    w: f(n, step, theta2, theta3, phi1, phi2) is the gradient of the cost of
-    the first n transitions with step set, else half their summed squared
-    residual."""
+    w: f(n, gradient, theta2, theta3, phi1, phi2) is the gradient of the cost
+    of the first n transitions with gradient set, else half their summed
+    squared residual, both from the one pass over them."""
     spec = SPEC._replace(T=T)
     rhos = _setup(LEARNERS[algorithm], HyperParams(spec), R_F).rhos
     devs = [x - rho * w for x, rho in zip(wealth, rhos)]
 
-    def f(n, step, theta2, theta3, phi1, phi2):
+    def f(n, gradient, theta2, theta3, phi1, phi2):
         e2 = math.exp(-2.0 * phi2)
-        kernel = _setup(LEARNERS[algorithm], HyperParams(spec), R_F, 0, ((n, step),))
+        kernel = _setup(LEARNERS[algorithm], HyperParams(spec), R_F, 0, (n,))
         _, grads, sq = kernel.descend(theta2, theta3, phi1, phi2, e2, w, devs[: n + 1], None)
-        return grads if step else 0.5 * sq
+        return grads if gradient else 0.5 * sq
 
     return spec, f
 
