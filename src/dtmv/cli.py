@@ -413,14 +413,28 @@ def write_report_csv(rows: Iterable[PerformanceReport], path: str) -> None:
          repr(r.std_return), repr(r.sharpe), str(r.n)) for r in rows))
 
 
+def _held_texts(column: Iterable) -> Iterable[str]:
+    """repr of each value of column, formed once per run of equal nonzero values (0.0 and -0.0 are
+    equal, their reprs are not); the values are of one type, as a float column's are."""
+    last = text = None
+    for x in column:
+        if x != last or not x:
+            last, text = x, repr(x)
+        yield text
+
+
 def _ndjson_lines(cls, columns: Sequence[Iterable]) -> Iterable[str]:
     """json.dumps(rec._asdict(), sort_keys=True) + newline per record rec of the NamedTuple cls over
     columns (a field each, in order), from one %-template of its sorted field names.  json writes ints
-    and finite floats by repr, so the two agree on records of finite values; cls has int and float fields."""
+    and finite floats by repr, so the two agree on records of finite values; cls has int and float fields.
+    A w field, which the learners hold between refreshes, is formatted once per run (_held_texts)."""
     names = sorted(cls._fields)
     if not set(get_type_hints(cls).values()) <= {int, float}:
         raise TypeError(f"{cls.__name__}: the log takes int and float fields only")
-    template, by_name = "{" + ", ".join(f'"{n}": %r' for n in names) + "}\n", dict(zip(cls._fields, columns))
+    template = "{" + ", ".join(f'"{n}": %{"s" if n == "w" else "r"}' for n in names) + "}\n"
+    by_name = dict(zip(cls._fields, columns))
+    if "w" in by_name:
+        by_name["w"] = _held_texts(by_name["w"])
     return map(template.__mod__, zip(*(by_name[n] for n in names)))
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -191,6 +192,9 @@ class History(Sequence):
 # the episode kernel, generated per run structure and shared by both learners
 # ---------------------------------------------------------------------------
 
+# the kernel's seven values (theta1, ..., w) as the native doubles of one History row
+_PACK = struct.Struct("7d").pack
+
 
 class Learner(NamedTuple):
     """A learner of the episode kernel: its params and records, and the
@@ -245,12 +249,15 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
         run(v, lag, draws, kept, history) -> (v after the training loop, the
             wealths it recorded in lag), with training set: per (rets, z) pair
             of draws that rollout, its terminal wealth recorded in lag, w
-            refreshed every refresh_every recorded wealths, the passes,
-            run_episodes' divergence check on half the summed squares of the
-            last, taken before its step, and the values after the episode
-            appended to history, a float array, unless it is None; it forms
-            c_t = rho_t w, x_0 - c_0 and (w - b)^2 once per w, and the last
-            again for theta4 where it overflowed, so that episode raises;
+            refreshed every refresh_every recorded wealths (inline: lag.w -
+            lag.alpha * (their mean - b)), the passes, run_episodes'
+            divergence check on half the summed squares of the last, taken
+            before its step, and the values after the episode packed into
+            history, a float array, with one frombytes(pack(*v)) call,
+            unless it is None; its episode loop calls no Python function.
+            It forms c_t = rho_t w, x_0 - c_0 and (w - b)^2 once per w, and
+            the last again for theta4 where it overflowed, so that episode
+            raises;
         descend(theta2, theta3, phi1, phi2, e2, w, devs, grads) -> (theta1..
             phi2 after the passes, the last one's gradient and summed
             squares), without: the one pass of the sample adapters, without
@@ -350,8 +357,8 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
                     f"x{t + 1} = {f'r_f * x{t}' if t else 'rf_x0'} + r{t} * u{t}",  # step_wealth
                     f"d{t + 1} = x{t + 1} - c{t + 1}"]
     refresh = [f"tws.append(x{T})", "phase += 1", "w_after = w",  # phase: wealths since w moved
-               "if phase == refresh_every:", "    phase = 0", "    update_w(lag, b, refresh_every)",
-               "    w_after = lag.w"]
+               "if phase == refresh_every:", "    phase = 0",
+               "    lag.w = w_after = lag.w - lag.alpha * (sum(tws[-refresh_every:]) / refresh_every - b)"]
     finite = " + ".join(f"({x} - {x})" for x in "e2 theta2 theta3 theta4 phi1 phi2 w_after".split())
     sources = (
         function("policy(phi1, phi2, e2)", ["try:", *indent(standalone), "except OverflowError:",
@@ -372,7 +379,7 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             f"    if not ({finite} == 0.0 and cost <= DIVERGENCE_COST):",
             "        raise diverged(ep, f'cost {cost!r}', v[kept:])",
             "    if history is not None:",
-            "        history.extend(v)",
+            "        history.frombytes(pack(*v))",
             "    if not phase:  # the refresh moved w",
             *indent(["w = w_after", *hoisted], 2),
             "return v, tws[recorded:]"])
@@ -415,7 +422,7 @@ def _setup(learner: Learner, hyper: HyperParams, r_f, t_first=0, passes=None, tr
     if passes is None:
         passes = tuple(range(1, T + 1)) if hyper.prefix_updates else (T,)
     names = {
-        "exp": math.exp, "sqrt": math.sqrt, "two_pi": 2.0 * math.pi, "update_w": update_w,
+        "exp": math.exp, "sqrt": math.sqrt, "two_pi": 2.0 * math.pi, "pack": _PACK,
         "InfeasiblePolicyError": InfeasiblePolicyError, "x_init": spec.x0, "b": spec.b, "lam": lam,
         "r_f": r_f, "eta_theta": hyper.eta_theta, "eta_phi": hyper.eta_phi,
         "refresh_every": hyper.refresh_every, "floor": floor, "lam_pi": lam * math.pi,
@@ -440,20 +447,6 @@ def _values(learner: Learner, params) -> Tuple[Tuple[float, ...], int]:
     return v, 0 if "theta1" in f else 1
 
 
-def update_w(state: LagrangeState, b: float, n: int) -> LagrangeState:
-    """Move w against the mean of the last n terminal wealths:
-    w <- w - alpha * (mean - b).  Requires at least n recorded wealths."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(state.terminal_wealths) < n:
-        raise ValueError(
-            f"w update needs {n} terminal wealths, have {len(state.terminal_wealths)}"
-        )
-    recent = state.terminal_wealths[-n:]
-    state.w = state.w - state.alpha * (sum(recent) / n - b)
-    return state
-
-
 def _diverged(learner: Learner, ep: int, why: str, values) -> TrainingDivergedError:
     named = ", ".join(f"{k}={x!r}" for k, x in learner.fields(learner.params(*values)).items())
     return TrainingDivergedError(f"training diverged at episode {ep} ({why}; {named})")
@@ -464,7 +457,8 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
     """One episode per (returns, policy normals) pair of T-float lists in
     draws, all in one call of the kernel's run, from params (the learner's
     cold start from hyper when None); returns the final params and a History
-    of one record per episode, or with records off a tuple of each episode's
+    of one record per episode, over the float array run packs each episode's
+    seven values into, or with records off a tuple of each episode's
     terminal wealth.  With learn off the params stay as given: a rollout per
     pair, and the terminal wealths whatever records says.
 

@@ -2,8 +2,9 @@
 test-only reference: tests/test_kernel.py checks that the generated code
 gives the same values, gradients, costs and rollouts, float for float.
 
-_Run, _setup, _policy, _descend and _episode are copied verbatim from
-dtmv.learner as they were before the kernel was generated, but that
+_Run, _setup, _policy, _descend, _episode and update_w are copied verbatim
+from dtmv.learner as they were before the kernel was generated (update_w
+until the generated run took its w correction inline), but that
 _descend weights the comparator's squared deviations, and squares its T,
 in the discrete learner's float order, which the generated kernel uses for
 both learners.  _episode's cost is the old divergence rule's: a pass
@@ -18,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from dtmv.analytic import discount_factor
-from dtmv.learner import PHI2_MARGIN, HyperParams, InfeasiblePolicyError, Learner, update_w
+from dtmv.learner import PHI2_MARGIN, HyperParams, InfeasiblePolicyError, LagrangeState, Learner
 
 
 class _Run(NamedTuple):
@@ -39,6 +40,20 @@ class _Run(NamedTuple):
     floor: float  # of phi2
     compounding: bool
     hold_phi1: bool
+
+
+def update_w(state: LagrangeState, b: float, n: int) -> LagrangeState:
+    """Move w against the mean of the last n terminal wealths:
+    w <- w - alpha * (mean - b).  Requires at least n recorded wealths."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if len(state.terminal_wealths) < n:
+        raise ValueError(
+            f"w update needs {n} terminal wealths, have {len(state.terminal_wealths)}"
+        )
+    recent = state.terminal_wealths[-n:]
+    state.w = state.w - state.alpha * (sum(recent) / n - b)
+    return state
 
 
 def _setup(learner: Learner, hyper: HyperParams, r_f) -> _Run:

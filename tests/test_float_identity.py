@@ -192,6 +192,29 @@ def test_log_line_is_the_json_dumps_line(cls, data):
     assert json.loads(line) == rec._asdict()
 
 
+# columns of long runs of one value, or of 0.0 and -0.0 in any order: the w column's text is
+# formed once per run of equal values, and 0.0 == -0.0 must not share it
+_RUN_COLUMNS = st.one_of(
+    st.lists(st.tuples(_LOGGED_FLOATS, st.integers(1, 60)), min_size=1, max_size=6).map(
+        lambda runs: [x for x, length in runs for _ in range(length)]),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cls=st.sampled_from(RECORDS), data=st.data())
+def test_log_lines_of_repeating_columns_are_the_json_dumps_lines(cls, data):
+    """Over columns of long runs and of signed-zero alternations, the writer
+    yields lazily, one line a record, each the line json.dumps writes with
+    sorted keys."""
+    floats = [data.draw(_RUN_COLUMNS) for _ in cls._fields[1:]]
+    n = min(map(len, floats))
+    columns = [range(1, n + 1), *(column[:n] for column in floats)]
+    lines = _ndjson_lines(cls, columns)
+    assert iter(lines) is lines
+    assert list(lines) == [json.dumps(cls(*row)._asdict(), sort_keys=True) + "\n" for row in zip(*columns)]
+
+
 class _Probe:
     """Renders differently under repr and str."""
 

@@ -447,6 +447,36 @@ def test_run_reads_no_constant_as_a_global_and_centers_only_where_w_moves(algori
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("T", [3, 12])
+def test_the_episode_loop_calls_no_python_function_and_records_once(algorithm, T):
+    """Over 25 episodes and two w refreshes, the generated run calls no
+    Python function (so no dtmv one: the w correction is inline) and makes
+    one call on the record array an episode.  A profiler sees every call run
+    makes; the draws are a list, so no generator is resumed."""
+    learner = LEARNERS[algorithm]
+    hyper = HyperParams(SPEC._replace(T=T))
+    kernel = _setup(learner, hyper, R_F)
+    v, kept = _values(learner, learner.cold_start(hyper.spec, R_F, hyper.init_phi1, hyper.init_phi2))
+    draws = list(episode_draws(_MARKETS["normal"], T, make_rng(5), 25))
+    history, lag, calls = array("d"), LagrangeState(v[-1], hyper.alpha), []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back.f_code is kernel.run.__code__:
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call" and frame.f_code is kernel.run.__code__:
+            calls.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        _, wealths = kernel.run(v, lag, draws, kept, history)
+    finally:
+        sys.setprofile(None)
+    assert len(wealths) == 25 and lag.w != v[-1] and len(history) == 7 * 25
+    assert [c for c in calls if isinstance(c, str)] == []
+    assert [c.__name__ for c in calls if getattr(c, "__self__", None) is history] == ["frombytes"] * 25
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("T, prefix_updates", [(1, True), (1, False), (3, False)])
 @pytest.mark.parametrize("adapter_first", [False, True])
 def test_a_one_pass_training_run_gets_run_not_descend(algorithm, T, prefix_updates, adapter_first):

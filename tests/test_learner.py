@@ -44,7 +44,6 @@ from dtmv.learner import (
     sample_episode,
     save_checkpoint,
     train,
-    update_w,
 )
 from dtmv.market import (
     _DRAW_BLOCK,
@@ -59,6 +58,7 @@ from dtmv.market import (
     step_wealth,
 )
 from reference_draws import block_draws
+from reference_kernel import update_w
 
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
 R_F = 1.0 + 0.02 / 12.0
