@@ -206,7 +206,8 @@ class Learner(NamedTuple):
     at period t, m = T - t - 1 periods after it, by gradient steps on the
     squared residuals
         q_{t+1} - q_t + theta2 (2t + 1) + theta3 - lam (phi1 + phi2 (m + shift))
-    of the transitions t -> t + 1 (_kernel_source).
+    of the transitions t -> t + 1 (_kernel_source, which forms the standard
+    deviations and the weights, geometric in t, by multiplication).
 
     fields names the values of its params, w (the Lagrange target) last:
     the kernel's theta1..w, or theta2..w for a learner that keeps no theta1.
@@ -238,14 +239,13 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     reads a run's floats (_setup's names, bound here) as keyword-only
     defaults, locals; the others read them as globals.  Of the values
     v = (theta1, ..., w), theta1 being e2 = exp(-2 phi2):
-        policy(phi1, phi2, e2) -> (slope, variance_t for t < T); raises
-            InfeasiblePolicyError where the root under the slope is not of a
-            positive number, a value overflows or a variance is not positive;
-            one loop sets its variances, a line each where inlined in rollout;
+        policy(phi1, phi2, e2) -> (slope, standard deviation s_t for t <
+            T); raises InfeasiblePolicyError where the root under the slope
+            is not of a positive number, a value overflows or a variance is
+            not positive; one loop sets its s_t, a line each where inlined;
         rollout(v, rets, z) -> (x_0..x_T, u_0..u_{T-1}): one episode over
             the T excess returns rets and the T standard normals z of the
-            policy, fixed for the episode, u_t = slope (x_t - c_t) +
-            sqrt(variance_t) z_t;
+            policy, fixed for the episode, u_t = slope (x_t - c_t) + s_t z_t;
         run(v, lag, draws, kept, history) -> (v after the training loop, the
             wealths it recorded in lag), with training set: per (rets, z) pair
             of draws that rollout, its terminal wealth recorded in lag, w
@@ -267,8 +267,9 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     then takes one gradient step of sizes (eta_theta, eta_phi) on it, or on
     grads when descend is given them.  It reads the deviations x - c_t of
     the states from the centers at w (devs[k] at period t_first + k) and
-    weights their squares as e2**(T - t) * dev * dev.  The steps leave theta1
-    and theta4 pinned at w.  The passes are a loop over their n around the
+    weights their squares as e2_k * dev * dev, e2_k = e2**(T - t) formed
+    once per pass as e2 * e2 * ... * e2.  The steps leave theta1 and theta4
+    pinned at w.  The passes are a loop over their n around the
     straight-line residuals of the longest with a break after each shorter
     n: no source grows faster than T, however many growing prefixes there
     are, and neither does the compiler's memory.
@@ -288,16 +289,21 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     (phi1, phi2), chosen so that the learned policy keeps responding to w;
     the continuous-time comparator still steps phi1.
 
+    The s_t = exp(phi1 - 1/2 + phi2 k) / sqrt(2 pi), k = T - t - 1 + shift,
+    are geometric: s_{T-1} = half / sqrt(2 pi) g^shift, half = exp(phi1 -
+    0.5) the slope's factor, g = exp(phi2), and s_t = g s_{t+1}.  The
+    squares of the end terms are the extreme variances: one that overflows
+    raises exp's OverflowError, one not positive InfeasiblePolicyError.
+
     phi2 is projected onto its floor; theta1 is pinned to exp(-2 phi2) and
     theta4 to the terminal condition value(T, x) = (x - w)^2 - (w - b)^2.
     Every operation keeps the float order of the loop kernel this source
-    replaced, sums starting at 0.0 included (p2 * 0 and p2 * 1 are trimmed:
-    exact for the finite phi2 an episode starts at).
+    replaced, in those geometric forms, sums starting at 0.0 included.
     """
     ts = range(T)
 
-    def q(t):  # the weighted square q_t of d{t}; e2**0 * left out, e2**1 is e2: same bits
-        return {0: "", 1: "e2 * "}.get(T - t, f"e2**{T - t} * ") + f"d{t} * d{t}"
+    def q(t):  # the weighted square q_t of d{t}, its weight e2_k = e2**k, k = T - t: 1.0 * left out
+        return {0: "", 1: "e2 * "}.get(T - t, f"e2_{T - t} * ") + f"d{t} * d{t}"
 
     def indent(lines, depth=1):
         return [f"{'    ' * depth}{line}" for line in lines]
@@ -323,37 +329,39 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     update = ["g_p1 = -lam * g_t3", "if grads is not None:", "    g_t2, g_t3, g_p1, g_p2 = grads",
               "theta2 = theta2 - eta_theta * g_t2", *move, "phi2 = phi2 - eta_phi * g_p2",
               "if phi2 < floor:", "    phi2 = floor", "e2 = exp(-2.0 * phi2)"]
-    looped = [f"for n in {passes!r}:", "    g_t2 = g_t3 = g_p2 = sq = 0.0", "    while True:",
-              *indent(body, 2), "        break",
+    powers = [f"e2_{k} = {'e2' if k == 2 else f'e2_{k - 1}'} * e2" for k in range(2, T - t_first + 1)]
+    looped = [f"for n in {passes!r}:", "    g_t2 = g_t3 = g_p2 = sq = 0.0", *indent(powers * bool(span)),
+              "    while True:", *indent(body, 2), "        break",
               *indent(update[:1] + update[3:] if training else update)]  # run never steps on grads
     theta4 = f"theta4 = -theta2 * {T ** 2} - theta3 * {T} - {{}}".format
 
-    def variance(k):  # of period t at exponent k = T - t - 1 + shift: p2 * 0 + left out, p2 * 1 is p2
-        return f"exp({ {0: '', 1: 'p2 + '}.get(k, f'p2 * {k} + ') }p1 - 1.0) / two_pi"
-    least = f"{{min(({_names('s', ts)}))!r}}"
+    half = "half = exp(phi1 - 0.5)"
+    last = f"s{T - 1} = half / root_two_pi" + " * g" * shift
+    ends = sorted({0, T - 1})
+    check = [f"if not ({' and '.join(f'var{t} > 0.0' for t in ends)}):",
+             f"    raise InfeasiblePolicyError(f'the policy variance is {{min(({_names('var', ends)}))!r}}')",
+             f"if {' or '.join(f'var{t} == inf' for t in ends)}:",
+             "    raise OverflowError('math range error')"]  # what exp raises there
     policy = [
         "gap = rf2 - e2" if compounding else "gap = 2.0 * phi2",
         "if not gap > 0.0:",
         "    raise InfeasiblePolicyError(f'phi2={phi2} below the floor of the feasible region')",
-        "p1 = 2.0 * phi1",
-        "p2 = 2.0 * phi2",
-        "slope = -sqrt(gap / lam_pi) * exp((p1 - 1.0) / 2.0)",
-        *(f"s{t} = {variance(T - t - 1 + shift)}" for t in ts),
-        f"if not ({' and '.join(f's{t} > 0.0' for t in ts)}):",
-        f"    raise InfeasiblePolicyError(f'the policy variance is {least}')",
+        half, "slope = -sqrt(gap / lam_pi) * half", *["g = exp(phi2)"] * (T + shift > 1), last,
+        *(f"s{t} = s{t + 1} * g" for t in reversed(range(T - 1))),
+        *(f"var{t} = s{t} * s{t}" for t in ends), *check,
     ]
-    standalone = [*policy[:6], f"s = tuple({variance('k')} for k in reversed(range({shift}, {T + shift})))",
-                  "if not min(s) > 0.0:", policy[-1].replace(least, "{min(s)!r}")]
-    # where phi1 never moves, run takes the slope's factor once: where that overflows, so does s{T-1}
-    held = [policy[3], "try:", "    half = exp((p1 - 1.0) / 2.0)", "except OverflowError:",
-            "    half = inf"] * hold_phi1
-    moving = ([*policy[:3], policy[4], "slope = -sqrt(gap / lam_pi) * half", *policy[6:]]
-              if hold_phi1 else policy)
+    standalone = [*policy[:5], "s = [half / root_two_pi]", f"for _ in range({T - 1 + shift}):",
+                  "    s.append(s[-1] * exp(phi2))", f"s = tuple(reversed(s[{shift}:]))",
+                  f"{_names('var', ends)}= {''.join(f's[{t}] * s[{t}], ' for t in ends).rstrip()}", *check]
+    # where phi1 never moves, run forms half (inf where it overflows) and, without g, s{T-1} once
+    fixed = [half, *[last] * (not shift)] if hold_phi1 else []
+    held = ["try:", f"    {half}", "except OverflowError:", "    half = inf", *fixed[1:]] * bool(fixed)
+    moving = [line for line in policy if line not in fixed]
     centers = [*(f"c{t} = rho{t} * w" for t in range(1, T + 1)), "d0 = x_init - rho0 * w"]
     hoisted = [*centers, "try:", "    wb2 = (w - b) ** 2", "except OverflowError:", "    wb2 = None"]
     rollout = [f"{_names('r', ts)}= rets", f"{_names('z', ts)}= z"]
     for t in ts:
-        rollout += [f"u{t} = slope * d{t} + sqrt(s{t}) * z{t}",
+        rollout += [f"u{t} = slope * d{t} + s{t} * z{t}",
                     f"x{t + 1} = {f'r_f * x{t}' if t else 'rf_x0'} + r{t} * u{t}",  # step_wealth
                     f"d{t + 1} = x{t + 1} - c{t + 1}"]
     refresh = [f"tws.append(x{T})", "phase += 1", "w_after = w",  # phase: wealths since w moved
@@ -422,7 +430,7 @@ def _setup(learner: Learner, hyper: HyperParams, r_f, t_first=0, passes=None, tr
     if passes is None:
         passes = tuple(range(1, T + 1)) if hyper.prefix_updates else (T,)
     names = {
-        "exp": math.exp, "sqrt": math.sqrt, "two_pi": 2.0 * math.pi, "pack": _PACK,
+        "exp": math.exp, "sqrt": math.sqrt, "root_two_pi": math.sqrt(2.0 * math.pi), "pack": _PACK,
         "InfeasiblePolicyError": InfeasiblePolicyError, "x_init": spec.x0, "b": spec.b, "lam": lam,
         "r_f": r_f, "eta_theta": hyper.eta_theta, "eta_phi": hyper.eta_phi,
         "refresh_every": hyper.refresh_every, "floor": floor, "lam_pi": lam * math.pi,

@@ -4,10 +4,18 @@ gives the same values, gradients, costs and rollouts, float for float.
 
 _Run, _setup, _policy, _descend, _episode and update_w are copied verbatim
 from dtmv.learner as they were before the kernel was generated (update_w
-until the generated run took its w correction inline), but that
-_descend weights the comparator's squared deviations, and squares its T,
-in the discrete learner's float order, which the generated kernel uses for
-both learners.  _episode's cost is the old divergence rule's: a pass
+until the generated run took its w correction inline), but for three
+departures that the generated kernel takes too.  _descend weights the
+comparator's squared deviations, and squares its T, in the discrete
+learner's float order, which the generated kernel uses for both learners.
+_policy forms the standard deviations exp(phi1 - 0.5 + phi2 k) / sqrt(2 pi)
+as a geometric sequence, from half / sqrt(2 pi) (half = exp(phi1 - 0.5),
+the slope's factor) by multiplication with g = exp(phi2), where it took
+exp(2 phi2 k + 2 phi1 - 1) / (2 pi) per period, and _episode uses them
+where it took the square root of each variance; the variances it checks
+are the squares of the end terms, the sequence's extremes.  _descend forms
+the value weights e2**k once per pass by multiplication, where it took
+e2**k per weight.  _episode's cost is the old divergence rule's: a pass
 without a step after the steps, at the centers after the episode's
 refresh.  _learn is an episode under the rule the generated run has now:
 the cost is that of the last step pass, before its step.
@@ -76,18 +84,26 @@ def _setup(learner: Learner, hyper: HyperParams, r_f) -> _Run:
 
 
 def _policy(run: _Run, phi1: float, phi2: float, e2: float):
-    """(slope, [variance_t for t < T]) of the learner's policy, e2 being
-    exp(-2 phi2); raises InfeasiblePolicyError where the root under the
-    slope is not of a positive number or a variance is not positive."""
+    """(slope, [standard deviation_t for t < T]) of the learner's policy, e2
+    being exp(-2 phi2); raises InfeasiblePolicyError where the root under the
+    slope is not of a positive number or a variance is not positive, and
+    OverflowError where one overflows."""
     gap = run.r_f * run.r_f - e2 if run.compounding else 2.0 * phi2
     if not gap > 0.0:
         raise InfeasiblePolicyError(f"phi2={phi2} below the floor of the feasible region")
-    p1, p2, exp, two_pi = 2.0 * phi1, 2.0 * phi2, math.exp, 2.0 * math.pi
-    slope = -math.sqrt(gap / (run.lam * math.pi)) * exp((p1 - 1.0) / 2.0)
-    variances = [exp(p2 * c + p1 - 1.0) / two_pi for c in run.counts]
-    if not min(variances) > 0.0:
-        raise InfeasiblePolicyError(f"the policy variance is {min(variances)!r}")
-    return slope, variances
+    exp = math.exp
+    half = exp(phi1 - 0.5)
+    slope = -math.sqrt(gap / (run.lam * math.pi)) * half
+    deviations = [half / math.sqrt(2.0 * math.pi)]  # at exponent 0, 1, ..., T - 1 + shift
+    for _ in range(run.counts[0]):
+        deviations.append(deviations[-1] * exp(phi2))
+    deviations = deviations[::-1][:run.T]
+    ends = (deviations[0] * deviations[0], deviations[-1] * deviations[-1])
+    if not (ends[0] > 0.0 and ends[1] > 0.0):
+        raise InfeasiblePolicyError(f"the policy variance is {min(ends)!r}")
+    if math.inf in ends:
+        raise OverflowError("math range error")
+    return slope, deviations
 
 
 def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1, phi2, e2, w,
@@ -103,7 +119,8 @@ def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1,
     episode's refresh.  e2 is exp(-2 phi2), i.e. theta1: the value surface
     and the policy share phi2.  Returns theta1..phi2 after the steps, with
     theta1 and theta4 pinned at w, and the gradient and the summed squares
-    of the last pass.  q_t is e2**(T - t) * dev * dev.
+    of the last pass.  q_t is e2**(T - t) * dev * dev, that power formed by
+    multiplication once per pass.
 
     phi1 enters every residual only through theta3 - lam * phi1, so its
     partial g_p1 is always -lam times the theta3 partial g_t3: the cost is
@@ -131,14 +148,17 @@ def _descend(run: _Run, passes, devs, devs_after, t_first, theta2, theta3, phi1,
         g_t2 = g_t3 = g_p2 = sq = 0.0
         d = devs if step else devs_after
         if n:
+            powers = [1.0, e2]  # e2**k at k, by multiplication
+            while len(powers) <= T - t_first:
+                powers.append(powers[-1] * e2)
             dev = d[0]
             left = T - t_first
-            q1 = e2**left * dev * dev
+            q1 = powers[left] * dev * dev
             for k in range(n):
                 m, wt, count, a0, a1, lam_count = steps[t_first + k]
                 q0 = q1
                 dev = d[k + 1]
-                q1 = e2**m * dev * dev
+                q1 = powers[m] * dev * dev
                 res = q1 - q0 + theta2 * wt + theta3 - lam * (phi1 + phi2 * count)
                 if step:
                     g_t2 += res * wt
@@ -169,22 +189,21 @@ def _episode(run: _Run, v, lag, rets, z, learn):
     returns rets and the T standard normals z of the policy (floats).
 
     The policy is fixed for the episode: the control at period t is
-    u_t = slope * (x_t - c_t) + sqrt(variance_t) * z_t.  With learn set, its
-    terminal wealth is then recorded in lag, w refreshed every refresh_every
-    recorded wealths, and _descend takes one gradient step per growing prefix
-    of its transitions (or one on all of them when prefix_updates is off) and
-    the cost of all of them at the values after the episode.  Returns the
-    wealths x_0..x_T, the controls u_0..u_{T-1}, those values and, with
-    learn, that cost.
+    u_t = slope * (x_t - c_t) + s_t * z_t, s_t its standard deviation.
+    With learn set, its terminal wealth is then recorded in lag, w refreshed
+    every refresh_every recorded wealths, and _descend takes one gradient
+    step per growing prefix of its transitions (or one on all of them when
+    prefix_updates is off) and the cost of all of them at the values after
+    the episode.  Returns the wealths x_0..x_T, the controls u_0..u_{T-1},
+    those values and, with learn, that cost.
     """
     T, x, b, r_f, rhos = run.T, run.x0, run.b, run.r_f, run.rhos
     e2, theta2, theta3, _, phi1, phi2, w = v
-    slope, variances = _policy(run, phi1, phi2, e2)
-    sqrt = math.sqrt
+    slope, deviations = _policy(run, phi1, phi2, e2)
     dev = x - rhos[0] * w
     wealth, controls, devs = [x], [], [dev]
     for t in range(T):
-        u = slope * dev + sqrt(variances[t]) * z[t]
+        u = slope * dev + deviations[t] * z[t]
         x = r_f * x + rets[t] * u  # step_wealth
         dev = x - rhos[t + 1] * w
         wealth.append(x)

@@ -407,7 +407,7 @@ def test_a_policy_that_underflows_is_reported_as_divergence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, text, start, named", [
-    ("train", "[problem]\nhorizon = 60\n", "episode 1 (cost 1.449241874398283e+144; ",
+    ("train", "[problem]\nhorizon = 60\n", "episode 1 (cost 1.4492418743981493e+144; ",
      {"learning.eta_theta": 0.0005, "learning.eta_phi": 0.0005, "problem.horizon": 60}),
     ("backtest", TINY.replace("[learning]\n", "[learning]\neta_theta = 50.0\neta_phi = 50.0\n"),
      "episode ", {"learning.eta_theta": 50.0, "learning.eta_phi": 50.0,

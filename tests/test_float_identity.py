@@ -3,18 +3,26 @@
 The golden digests pin every record of short training runs of both learners
 on the three market models, and the rows of one online-test backtest cell.
 The normal-market digests were computed with the per-step rollout and the
-ndarray samplers that the current code replaced, and the discrete learner's
-must not move.  The skew-t and historical digests, and the backtest cell's,
-were computed again when training's draws on those markets moved to whole
-blocks of episodes (one standard_normal and one chisquare call per skew-t
-block, one integers and one standard_normal call per historical block):
+ndarray samplers that the current code replaced; the discrete learner's
+kept its digest until the geometric policy forms below.  The skew-t and
+historical digests, and the backtest cell's, were computed again when
+training's draws on those markets moved to whole blocks of episodes (one
+standard_normal and one chisquare call per skew-t block, one integers and
+one standard_normal call per historical block):
 each new value is what the loop kernel of reference_kernel.py gives on the
 plain numpy draws of reference_draws.py, with the skew-t constant from
 math.lgamma.  Every comparator digest but T = 1's was computed again when
 its value weights and theta4 took the discrete learner's float order
 (e2**(T - t) * dev * dev and T**2, where it had dev * dev * exp(-2 phi2
 (T - t)) and T * T): the same numbers but for the last bits, as the loop
-kernel gives them in that order.  The cases beyond the default short run
+kernel gives them in that order.  Every digest but the discrete learner's
+at T = 1, the backtest cell's and both train run directories' included,
+was computed again when the policy's standard deviations became a
+geometric sequence (half / sqrt(2 pi) times powers of exp(phi2), by
+multiplication, where each was the root of exp(2 phi2 k + 2 phi1 - 1) /
+(2 pi)) and the value weights e2**k were formed once per pass by
+multiplication: the same numbers but for the last bits, as the loop kernel
+gives them in those forms.  The cases beyond the default short run
 on each market (a 12-period skew-t path, whole-episode updates, a 5-period
 historical horizon at lam = 0.5 with w refreshed every 7 episodes, and
 T = 1) were first computed while each learner ran its own policy, residual
@@ -98,27 +106,27 @@ HISTORY_CASES = {
 }
 
 GOLDEN_HISTORIES = {
-    ("normal", "discrete"): "b585fcf95f595ace9e1cdf5a6530acb8f30d99ce84d737161b76ad7069e38306",
-    ("normal", "continuous"): "ad3bca1134f2fbd360c1b39bd2b645b1ee011c14ab41dba4de7400de26e50b4b",
-    ("skewt", "discrete"): "c12c8b00f26501124a94dabae233afaa0c8e186f13479d97386035f0fa019c6d",
-    ("skewt", "continuous"): "fcb7892f702fdc3f1c508faf7dcc6e085389897ce10efab2d03113eebff6bbec",
-    ("historical", "discrete"): "9d72eebdeec82f2fe2540759e96d652ac0287d01957d3882c15b9010c3649f36",
-    ("historical", "continuous"): "1178335d81eb559a05d8d3019e76b9bd0ee1f615fb97bbc97705992d64211d9f",
-    ("skewt-T12", "discrete"): "42a1be250cf5e113daf4ad18997965d0aab1a178a6799b46fbbb377b49675d63",
-    ("skewt-T12", "continuous"): "3dc18abd4a81f99f850824023edfe41b0dd38d0394e6da8bca5c630c5e343faa",
-    ("normal-whole", "discrete"): "e540a135fe0e9aac25351f5894576cf16340866ef7cffddcd51b762a04f4b676",
-    ("normal-whole", "continuous"): "05bce79f8db61bef6ac039764d3e9001878ac892ffb0813d7a4f5ca10ae33a4e",
-    ("historical-T5", "discrete"): "45ee47612ced40f7783a07e5838d9bb16bcf1ec64f2f88da474db18af268ac0e",
-    ("historical-T5", "continuous"): "12921299efe21b8a9b5dc7bfd212f9a4748b6da4853eedde22541629f22f68f6",
+    ("normal", "discrete"): "8920d9caa78c727a78f1775e667a7a033f93dbe84d5fc7bf28a6ff60065639d1",
+    ("normal", "continuous"): "58527215f387b5d3af21ed6f8e9180ea613080410e8cb4295eefb1004a75c9dc",
+    ("skewt", "discrete"): "ff9c868ebf5b149899ec4a47447f9c7300a67b6910e9a9811f788e542e639f28",
+    ("skewt", "continuous"): "7ed0f758081b904c0ce64df943e6d872404f7a8b77823640a5cadf67200007dd",
+    ("historical", "discrete"): "8539ddb3d85b2addb770558de94e4c773ef68be0dc5f972b05c964e8424bdcaa",
+    ("historical", "continuous"): "661e6fe5c21dc059aeae69a122c3884a406331febbb4b0a4d87410641770d2af",
+    ("skewt-T12", "discrete"): "6b79fffb1b139b884981d68820191e7065835fb0d56585d5f680afcb330b5438",
+    ("skewt-T12", "continuous"): "8b861ac6132ae19c61b8aa4440b4b56e0210f8660a04ade6ec20df5810898c3d",
+    ("normal-whole", "discrete"): "d085ffc6a2ca12333c74e232f9c50e85954a7857f0328e1a5ba67c2fc2e81df9",
+    ("normal-whole", "continuous"): "aed3676fb26f9ff43a144bed23fd2f58f33fa058cbf92b530a83982a36cbd22b",
+    ("historical-T5", "discrete"): "eae4463cd0832a6db5bf0283f47712a6eec2a40f7d7a5178798b93e1c90f1a22",
+    ("historical-T5", "continuous"): "b018c4a9a616534ab6cf6b4fa1d6a75ee99d5c002a43320b47ad6ba2694a199d",
     ("normal-T1", "discrete"): "a0b249e5652491c7871a0cbf74501fb554abe0c73fe90dc116a719d8830df29f",
-    ("normal-T1", "continuous"): "fd53dd241946060ae2b9c8cd5685c11e2c955ce001170eb9d515f49aee106951",
+    ("normal-T1", "continuous"): "29927b36a8c5f2ecdf2150e66f9ee1e74a0f8cee23541483fcf394e0758c35f5",
 }
-GOLDEN_ONLINE_BACKTEST = "b9d242a3ae4f95c7b824253dfea01a0002043a2c2d41955a09498b26c5493401"
+GOLDEN_ONLINE_BACKTEST = "75ef3aa0c7614c7240397651c5eb0da1bea3b9ab64441aa735987e42f0cd1742"
 GOLDEN_ANALYTIC_RUN = "3221e3b055ad995651995cc68fa37c5d0c43bb8cc147a5dafea973d486d3a2f5"
 GOLDEN_ANALYTIC_RUN_201 = "46ed7b93ff9436f824ee295a28950405bacff009562a9e710b5b374a251285ff"
 GOLDEN_TRAIN_RUNS = {
-    "emv-discrete": "683acc352a22ca8693cd2df6f17998a34bf62b85506ecd2ee1521d2672accaba",
-    "emv-continuous": "34bbc517beea7c001fb05a9335784fbde15582a06998ea659a975f39502f26f3",
+    "emv-discrete": "5341b0415820dfc6c602915faa2f5cd675502a704b3799e9fbaa5e83aad37662",
+    "emv-continuous": "62c047864bdd05aa8976f85ee5934277cedb28f787dd31a142efca363e74352b",
 }
 RECORDS = (EpisodeRecord, BaselineRecord)
 

@@ -35,6 +35,7 @@ from dtmv.learner import (
     _names,
     _setup,
     _values,
+    check_cold_start,
     cost,
     run_episodes,
     sample_episode,
@@ -370,9 +371,10 @@ def test_the_generated_source_is_python_3_10(algorithm):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_both_learners_share_one_float_order(algorithm):
-    """Either learner's generated functions weight q_t as e2**(T - t) * d_t *
-    d_t and square T as T**2: none takes an exp(-2.0 * phi2 * k) per weight,
-    names a squared deviation dd_t or forms theta4 from T * T."""
+    """Either learner's generated functions weight q_t as e2_k * d_t * d_t,
+    e2_k = e2**(T - t) by multiplication, and square T as T**2: none takes
+    an exp(-2.0 * phi2 * k) per weight, names a squared deviation dd_t or
+    forms theta4 from T * T."""
     for T in (1, 3, 12):
         for t_first, passes, training in _structures(T):
             for source in _sources(LEARNERS[algorithm], T, t_first, passes, training):
@@ -494,9 +496,9 @@ def test_a_one_pass_training_run_gets_run_not_descend(algorithm, T, prefix_updat
 
 
 def _inlined_policy(learner, T, r_f):
-    """The policy lines that rollout inlines (run inlines the same variance lines), as a
-    function of (phi1, phi2, e2) that returns what the standalone policy returns, reading
-    the same globals."""
+    """The policy lines that rollout inlines (run inlines the same standard deviation
+    lines), as a function of (phi1, phi2, e2) that returns what the standalone policy
+    returns, reading the same globals."""
     lines = _sources(learner, T, 0, (), True)[1].splitlines()
     body = lines[2:next(k for k, line in enumerate(lines) if line.endswith("= rets"))]
     source = "\n".join(["def inlined(phi1, phi2, e2):", *body,
@@ -511,11 +513,11 @@ def _inlined_policy(learner, T, r_f):
 @given(algorithm=st.sampled_from(ALGORITHMS), T=st.integers(1, 60),
        phi1=st.one_of(_PHI1, st.floats(-400.0, 400.0)), phi2=st.one_of(_PHI2, st.floats(-20.0, 20.0)))
 def test_the_standalone_policy_is_the_inlined_policy_bit_for_bit(algorithm, T, phi1, phi2):
-    """The standalone policy sets its variances in one loop over the
-    exponents, rollout and run one line per variance: the slope and every
-    variance have the same bits, and where the inlined lines raise, the
-    standalone policy raises the same InfeasiblePolicyError, or reports the
-    OverflowError as one."""
+    """The standalone policy sets its standard deviations in one loop over
+    the exponents, rollout and run one line per period: the slope and every
+    standard deviation have the same bits, and where the inlined lines
+    raise, the standalone policy raises the same InfeasiblePolicyError, or
+    reports the OverflowError as one."""
     learner = LEARNERS[algorithm]
     standalone, inlined = _inlined_policy(learner, T, R_F)
     e2 = math.exp(-2.0 * phi2)
@@ -532,6 +534,138 @@ def test_the_standalone_policy_does_not_grow_with_the_horizon():
     for learner in LEARNERS.values():
         sizes = {len(_sources(learner, T, 0, (), False)[0].splitlines()) for T in (1, 60)}
         assert len(sizes) == 1 and len(_sources(learner, 60, 0, (), False)) == 1
+
+
+# 2**-53: a float's relative rounding error, at most its ulp / |float| for a normal float
+_U = 2.0**-53
+
+
+def _descend_locals(learner, T, e2):
+    """The locals of one generated descend pass over T transitions (t_first 0),
+    as they are when it returns: the weights e2_k among them."""
+    kernel = _setup(learner, HyperParams(SPEC._replace(T=T)), R_F, 0, (T,))
+    code, seen, previous = kernel.descend.__code__, {}, sys.gettrace()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "return":
+            seen.update(frame.f_locals)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        kernel.descend(0.0, 0.0, 1.0, 0.5, e2, 1.1, [1.0] * (T + 1), None)
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(algorithm=st.sampled_from(ALGORITHMS), T=st.integers(1, 60), phi1=_PHI1, phi2=_PHI2)
+def test_the_geometric_forms_differ_from_the_per_term_forms_by_rounding_only(algorithm, T, phi1, phi2):
+    """The policy's standard deviations are a geometric sequence and the value
+    weights chained products, where each was formed from its own exp or
+    power: the two differ by rounding alone.
+
+    The standard deviation s_t at exponent k = T - t - 1 + shift is
+    ((half / root_two_pi) * g) * ... * g, with half = exp(phi1 - 0.5) and
+    g = exp(phi2): phi1 - 0.5 is rounded (|phi1| + 0.5 units u = 2**-53 of
+    relative error after the exp), the exp's within an ulp (2u), the root and
+    the division one u each, and each of the k factors g brings 2u and its
+    product u: (|phi1| + 3k + 4.5) u.  The per-term form sqrt(exp(p2 * k +
+    p1 - 1) / two_pi) rounds its exponent three times (6k|phi2| + 4|phi1| + 1
+    u of relative error after the exp), takes the exp's 2u and the
+    division's u, and the root halves that and adds u: (3k|phi2| + 2|phi1| +
+    3) u.  So, where both are normal floats, they are within (3k + 9 +
+    3|phi1| + 3k|phi2|) u of s_t, one u of slack for the products of errors.
+    The weight e2_k = e2**k, formed as e2 * e2 * ... * e2, carries k - 1
+    rounding errors, and pow is within an ulp: within k ulp of e2**k."""
+    learner = LEARNERS[algorithm]
+    e2 = math.exp(-2.0 * phi2)
+    got = _outcome(_setup(learner, HyperParams(SPEC._replace(T=T)), R_F, 0, ()).policy, phi1, phi2, e2)
+    if not isinstance(got[0], str):
+        for t, s in enumerate(got[1]):
+            k = T - t - 1 + learner.shift
+            try:
+                want = math.sqrt(math.exp(2.0 * phi2 * k + 2.0 * phi1 - 1.0) / (2.0 * math.pi))
+            except OverflowError:
+                continue
+            if want >= sys.float_info.min:
+                assert abs(s - want) <= (3 * k + 9 + 3 * abs(phi1) + 3 * k * abs(phi2)) * _U * want
+    weights = _descend_locals(learner, T, e2)
+    for k in range(2, T + 1):
+        assert abs(weights[f"e2_{k}"] - e2**k) <= k * math.ulp(e2**k)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("T", [3, 12])
+def test_the_episode_loop_takes_one_exp_per_pass_and_no_power_in_its_passes(algorithm, T):
+    """Per episode the generated run takes one exp in its policy, g = exp(phi2)
+    (and half = exp(phi1 - 0.5) for the comparator, whose phi1 moves; the
+    discrete learner's is taken once per run), one per pass, e2 after its
+    step, and no float power in the pass loop; sqrt only in the slope."""
+    learner = LEARNERS[algorithm]
+    (run,) = ast.parse(_sources(learner, T, 0, _training_passes(T), True)[2]).body
+    (episodes,) = [node for node in run.body if isinstance(node, ast.For)]
+    (passes,) = [node for node in ast.walk(episodes) if isinstance(node, ast.For) and node is not episodes]
+
+    def calls(node, name):
+        return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+                   for n in ast.walk(node))
+
+    assert calls(episodes, "exp") - calls(passes, "exp") == (1 if learner.hold_phi1 else 2)
+    assert calls(passes, "exp") == 1
+    assert not [n for n in ast.walk(passes) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)]
+    rooted = [n for n in ast.walk(run) if isinstance(n, ast.Assign) and calls(n, "sqrt")]
+    assert [ast.unparse(n.targets[0]) for n in rooted] == ["slope"]
+
+
+def _old_decision(a):
+    """What the per-term form decided for a variance exp(a) / (2 pi)."""
+    try:
+        return "ok" if math.exp(a) / (2.0 * math.pi) > 0.0 else "underflow"
+    except OverflowError:
+        return "overflow"
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("a, old, new", [
+    (709.7, "ok", "ok"),
+    (709.9, "overflow", "ok"),  # ln(max float) < a <= ln(max float) + ln(2 pi)
+    (711.5, "overflow", "ok"),
+    (711.7, "overflow", "overflow"),
+    (-743.1, "ok", "ok"),
+    (-743.25, "underflow", "ok"),  # the variance a subnormal float, not 0.0
+    (-743.4, "underflow", "underflow"),
+])
+def test_the_policy_decides_on_the_squares_of_its_extreme_deviations(algorithm, a, old, new):
+    """At T = 2 and phi2 = 0.01, phi1 puts the largest variance exponent a =
+    2 phi2 k + 2 phi1 - 1 (or, below 0, the smallest) at a.  The policy is
+    infeasible where the square of an end term of its standard deviations
+    overflows or underflows to 0.0: the standalone policy raises as it did
+    (check_cold_start), and run diverges at the first episode with the
+    OverflowError or the InfeasiblePolicyError.  Where the per-term form
+    took exp(a), which overflows from ln(max float), and divided by 2 pi,
+    the two decide differently in two bands: a in (709.78, 711.62], and a
+    in about (-743.30, -743.19], where exp(a) / (2 pi) underflowed to 0.0
+    and the square is a subnormal float."""
+    learner, phi2 = LEARNERS[algorithm], 0.01
+    k = 1 + learner.shift if a > 0.0 else learner.shift
+    phi1 = (a + 1.0 - 2.0 * phi2 * k) / 2.0
+    hyper = HyperParams(SPEC._replace(T=2), init_phi1=phi1, init_phi2=phi2)
+    assert _old_decision(a) == old
+    cold = _outcome(check_cold_start, learner, hyper, R_F)
+    v, kept = _values(learner, learner.cold_start(hyper.spec, R_F, phi1, phi2))
+    kernel = _setup(learner, hyper, R_F)
+    ran = _outcome(kernel.run, v, LagrangeState(v[-1], 0.05), [([0.0, 0.0], [0.0, 0.0])], kept, None)
+    if new == "ok":
+        assert cold is None and len(ran[1]) == 1
+    else:
+        why = {"overflow": ("overflow the policy", "OverflowError: math range error"),
+               "underflow": ("variance is 0.0", "InfeasiblePolicyError: the policy variance is 0.0")}[new]
+        assert cold[0] == "InfeasiblePolicyError" and why[0] in cold[1]
+        assert ran[0] == "TrainingDivergedError" and f"at episode 1 ({why[1]};" in ran[1]
 
 
 def test_a_fresh_sample_episode_compiles_no_training_loop(monkeypatch):

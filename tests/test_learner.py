@@ -91,10 +91,10 @@ def _random_samples(rng, T):
 
 def _policy(learner, phi1, phi2, t, x, w, spec=SPEC, r_f=R_F):
     """The learner's Gaussian control density at state (t, x): its kernel's
-    policy around the center of w at period t."""
+    policy around the center of w at period t, of the standard deviation it gives."""
     kernel = _setup(learner, HyperParams(spec), r_f)
-    slope, variances = kernel.policy(phi1, phi2, math.exp(-2.0 * phi2))
-    return GaussianPolicy(slope * (x - kernel.rhos[t] * w), variances[t])
+    slope, deviations = kernel.policy(phi1, phi2, math.exp(-2.0 * phi2))
+    return GaussianPolicy(slope * (x - kernel.rhos[t] * w), deviations[t] * deviations[t])
 
 
 # ---------------------------------------------------------------------------
