@@ -259,10 +259,10 @@ def _backtest_cell(online_test: bool, cell_and_test: Tuple[Cell, np.ndarray]) ->
     cell, test_values = cell_and_test
     result, rng = train_cell(cell, records=False)
     learner, h = LEARNERS[cell.algorithm], cell.hyper.spec.T
-    # one (returns, policy normals) pair per test window, its normals drawn as it runs
-    windows = ((test_values[j * h : (j + 1) * h].tolist(), rng.standard_normal(h).tolist())
-               for j in range(test_values.size // h))
-    tested = run_episodes(learner, cell.hyper, cell.r_f, windows, result.params, online_test,
+    # one row per test window: its h returns, then its h policy normals, all drawn in one call
+    n = test_values.size // h
+    windows = np.concatenate((test_values[: n * h].reshape(n, h), rng.standard_normal((n, h))), axis=1)
+    tested = run_episodes(learner, cell.hyper, cell.r_f, windows.tolist(), result.params, online_test,
                           records=False)
     return cell_report(cell, tested.history)
 

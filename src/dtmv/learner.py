@@ -11,13 +11,14 @@ known.
 One episode kernel serves both learners.  _kernel_source writes it as
 straight-line Python for each run structure (horizon, passes and the
 learner's constants): the policy, the rollout, and the training loop run,
-which per (returns, policy normals) pair rolls out, records the terminal
-wealth, refreshes w, runs the growing-prefix updates on local floats and
-checks for divergence on the squared residuals of the last.  _compile compiles a structure once;
+which per row of draws (an episode's returns, then its policy normals)
+rolls out, records the terminal wealth, refreshes w, runs the
+growing-prefix updates on local floats and checks for divergence on the
+squared residuals of the last.  _compile compiles a structure once;
 _setup binds a run's floats to it.  run_episodes calls run once per run
-(a frozen run rolls out each pair alone) and returns a TrainResult; train
-feeds it each episode's draws (market.episode_draws), the backtest's test
-windows the windows.  Only train's log reads the per-episode records, each
+(a frozen run rolls out each row alone) and returns a TrainResult; train
+feeds it each episode's row (market.episode_draws), the backtest's test
+windows one row per window.  Only train's log reads the per-episode records, each
 built on access (History); with records off a run keeps its wealths alone.  A Learner is
 data: its params, its records and the few constants in which the
 continuous-time comparator (dtmv.baseline.CONTINUOUS) differs from DISCRETE
@@ -243,12 +244,14 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             T); raises InfeasiblePolicyError where the root under the slope
             is not of a positive number, a value overflows or a variance is
             not positive; one loop sets its s_t, a line each where inlined;
-        rollout(v, rets, z) -> (x_0..x_T, u_0..u_{T-1}): one episode over
-            the T excess returns rets and the T standard normals z of the
-            policy, fixed for the episode, u_t = slope (x_t - c_t) + s_t z_t;
+        rollout(v, row) -> (x_0..x_T, u_0..u_{T-1}): one episode over the
+            row of 2T floats, the T excess returns r_t and then the T
+            standard normals z_t of the policy, fixed for the episode, u_t =
+            slope (x_t - c_t) + s_t z_t;
         run(v, lag, draws, kept, history) -> (v after the training loop, the
-            wealths it recorded in lag), with training set: per (rets, z) pair
-            of draws that rollout, its terminal wealth recorded in lag, w
+            wealths it recorded in lag), with training set: per row of
+            draws, unpacked into r_t and z_t in the episode loop's for
+            target, that rollout, its terminal wealth recorded in lag, w
             refreshed every refresh_every recorded wealths (inline: lag.w -
             lag.alpha * (their mean - b)), the passes, run_episodes'
             divergence check on half the summed squares of the last, taken
@@ -263,16 +266,18 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             squares), without: the one pass of the sample adapters, without
             rollout; with no passes the policy (and rollout if training).
     A pass sums the gradient (g_t2, g_t3, g_p1, g_p2) in (theta2, theta3,
-    phi1, phi2) of half the summed squared residuals, and their squares,
-    then takes one gradient step of sizes (eta_theta, eta_phi) on it, or on
+    phi1, phi2) of half the summed squared residuals (and, the last pass
+    alone, whose sum the check and descend read, their squares), then
+    takes one gradient step of sizes (eta_theta, eta_phi) on it, or on
     grads when descend is given them.  It reads the deviations x - c_t of
     the states from the centers at w (devs[k] at period t_first + k) and
     weights their squares as e2_k * dev * dev, e2_k = e2**(T - t) formed
     once per pass as e2 * e2 * ... * e2.  The steps leave theta1 and theta4
-    pinned at w.  The passes are a loop over their n around the
-    straight-line residuals of the longest with a break after each shorter
-    n: no source grows faster than T, however many growing prefixes there
-    are, and neither does the compiler's memory.
+    pinned at w.  The passes before the last are a loop over their n around
+    the straight-line residuals of the longest of them, with a break after
+    each shorter n; the last pass follows as straight-line code: no source
+    grows faster than T, however many growing prefixes there are, and
+    neither does the compiler's memory.
 
     phi1 enters every residual only through theta3 - lam * phi1, so its
     partial g_p1 is always -lam times the theta3 partial g_t3: the cost is
@@ -312,27 +317,36 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
         return "".join([f"def {head}:\n", *indent(f"{line}\n" for line in lines)])
 
     span = range(t_first, t_first + max(passes) + 1) if any(passes) else ()
-    body = []
-    for k in range(max(passes, default=0)):
-        t = t_first + k
-        wt = f" * {2.0 * t + 1.0!r}" * (t > 0)  # the factor 2t + 1, left out where it is 1.0
-        body += [f"if n == {k}:", "    break"] * (k in passes)
-        body += [f"q{t} = {q(t)}"] * (k == 0) + [
-            f"q{t + 1} = {q(t + 1)}",
-            f"res = q{t + 1} - q{t} + theta2{wt} + theta3"
-            f" - lam * (phi1 + phi2 * {T - t - 1 + shift})",
-            f"g_t2 += res{wt}", "g_t3 += res",
-            f"g_p2 += res * ({2.0 * (T - t)!r} * q{t} - {2.0 * (T - t - 1)!r} * q{t + 1} - lc{t})",
-            "sq += res * res"]
+    *earlier, final = passes or (0,)
+
+    def residuals(n, summed):  # the first n transitions; unless summed (no squares), a break per earlier n
+        body = []
+        for k in range(n):
+            t = t_first + k
+            wt = f" * {2.0 * t + 1.0!r}" * (t > 0)  # the factor 2t + 1, left out where it is 1.0
+            body += [f"if n == {k}:", "    break"] * (k in earlier and not summed)
+            body += [f"q{t} = {q(t)}"] * (k == 0) + [
+                f"q{t + 1} = {q(t + 1)}",
+                f"res = q{t + 1} - q{t} + theta2{wt} + theta3"
+                f" - lam * (phi1 + phi2 * {T - t - 1 + shift})",
+                f"g_t2 += res{wt}", "g_t3 += res",
+                f"g_p2 += res * ({2.0 * (T - t)!r} * q{t} - {2.0 * (T - t - 1)!r} * q{t + 1} - lc{t})",
+                *["sq += res * res"] * summed]
+        return body
+
     move = (["theta3 = theta3 - eta_theta * g_t3 + lam_eta_phi * g_p1"] if hold_phi1 else
             ["theta3 = theta3 - eta_theta * g_t3", "phi1 = phi1 - eta_phi * g_p1"])
     update = ["g_p1 = -lam * g_t3", "if grads is not None:", "    g_t2, g_t3, g_p1, g_p2 = grads",
               "theta2 = theta2 - eta_theta * g_t2", *move, "phi2 = phi2 - eta_phi * g_p2",
               "if phi2 < floor:", "    phi2 = floor", "e2 = exp(-2.0 * phi2)"]
+    update = update[:1] + update[3:] if training else update  # run never steps on grads
     powers = [f"e2_{k} = {'e2' if k == 2 else f'e2_{k - 1}'} * e2" for k in range(2, T - t_first + 1)]
-    looped = [f"for n in {passes!r}:", "    g_t2 = g_t3 = g_p2 = sq = 0.0", *indent(powers * bool(span)),
-              "    while True:", *indent(body, 2), "        break",
-              *indent(update[:1] + update[3:] if training else update)]  # run never steps on grads
+    # the passes before the last: a loop over their n that sums no squares; then the last, straight-line
+    looped = [f"for n in {tuple(earlier)!r}:", "    g_t2 = g_t3 = g_p2 = 0.0", *indent(powers),
+              "    while True:", *indent(residuals(max(earlier, default=0), False), 2), "        break",
+              *indent(update)]
+    step_passes = looped * bool(earlier) + [
+        "g_t2 = g_t3 = g_p2 = sq = 0.0", *powers * bool(final), *residuals(final, True), *update]
     theta4 = f"theta4 = -theta2 * {T ** 2} - theta3 * {T} - {{}}".format
 
     half = "half = exp(phi1 - 0.5)"
@@ -359,7 +373,8 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     moving = [line for line in policy if line not in fixed]
     centers = [*(f"c{t} = rho{t} * w" for t in range(1, T + 1)), "d0 = x_init - rho0 * w"]
     hoisted = [*centers, "try:", "    wb2 = (w - b) ** 2", "except OverflowError:", "    wb2 = None"]
-    rollout = [f"{_names('r', ts)}= rets", f"{_names('z', ts)}= z"]
+    row = f"{_names('r', ts)}{_names('z', ts)}"[:-2]  # an episode's draws: its returns, then its normals
+    rollout = []
     for t in ts:
         rollout += [f"u{t} = slope * d{t} + s{t} * z{t}",
                     f"x{t + 1} = {f'r_f * x{t}' if t else 'rf_x0'} + r{t} * u{t}",  # step_wealth
@@ -372,14 +387,15 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
         function("policy(phi1, phi2, e2)", ["try:", *indent(standalone), "except OverflowError:",
                  "    raise InfeasiblePolicyError(f'phi1={phi1}, phi2={phi2} overflow the policy')",
                  "return slope, s"]),
-        function("rollout(v, rets, z)", [
-            "e2, _, _, _, phi1, phi2, w = v", *policy, *rollout[:2], *centers, *rollout[2:],
+        function("rollout(v, row)", [
+            "e2, _, _, _, phi1, phi2, w = v", *policy, f"{row} = row", *centers, *rollout,
             f"return (x_init, {_names('x', range(1, T + 1))}), ({_names('u', ts)})"]),
         function(f"run(v, lag, draws, kept, history, *, {', '.join(f'{n}={n}' for n in bound)})", [
             "e2, theta2, theta3, theta4, phi1, phi2, w = v", *held, *hoisted, "tws = lag.terminal_wealths",
             "recorded = len(tws)", "phase = recorded % refresh_every",
-            "for ep, (rets, z) in enumerate(draws, 1):",
-            "    try:", *indent([*moving, *rollout, *refresh, *looped, theta4("(wb2 or (w - b) ** 2)")], 2),
+            f"for ep, ({row}) in enumerate(draws, 1):",
+            "    try:", *indent([*moving, *rollout, *refresh, *step_passes], 2),
+            f"        {theta4('(wb2 or (w - b) ** 2)')}",
             "    except (InfeasiblePolicyError, OverflowError) as exc:",
             "        raise diverged(ep, f'{type(exc).__name__}: {exc}', v[kept:]) from exc",
             "    v, cost = (e2, theta2, theta3, theta4, phi1, phi2, w_after), 0.5 * sq",
@@ -392,7 +408,7 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             *indent(["w = w_after", *hoisted], 2),
             "return v, tws[recorded:]"])
         if training else function("descend(theta2, theta3, phi1, phi2, e2, w, devs, grads)", [
-            *[f"{_names('d', span)}= devs"] * bool(span), *looped, theta4("(w - b) ** 2"),
+            *[f"{_names('d', span)}= devs"] * bool(span), *step_passes, theta4("(w - b) ** 2"),
             "return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq"]),
     )
     return sources[:1 + training] + sources[2:] * bool(passes)  # rollout if training, run or descend if passes
@@ -462,13 +478,13 @@ def _diverged(learner: Learner, ep: int, why: str, values) -> TrainingDivergedEr
 
 def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, params=None,
                  learn: bool = True, records: bool = True) -> TrainResult:
-    """One episode per (returns, policy normals) pair of T-float lists in
-    draws, all in one call of the kernel's run, from params (the learner's
-    cold start from hyper when None); returns the final params and a History
-    of one record per episode, over the float array run packs each episode's
-    seven values into, or with records off a tuple of each episode's
-    terminal wealth.  With learn off the params stay as given: a rollout per
-    pair, and the terminal wealths whatever records says.
+    """One episode per row of draws, a list of 2T floats (the T returns,
+    then the T policy normals), all in one call of the kernel's run, from
+    params (the learner's cold start from hyper when None); returns the
+    final params and a History of one record per episode, over the float
+    array run packs each episode's seven values into, or with records off a
+    tuple of each episode's terminal wealth.  With learn off the params stay as given: a rollout per
+    row, and the terminal wealths whatever records says.
 
     Raises InfeasiblePolicyError when params define no policy.  With learn
     set, raises TrainingDivergedError when the cost of an episode's last
@@ -485,7 +501,7 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
     v, kept = _values(learner, params)
     kernel.policy(v[4], v[5], v[0])  # raises where params define no policy
     if not learn:
-        return TrainResult(params, tuple(kernel.rollout(v, rets, z)[0][-1] for rets, z in draws))
+        return TrainResult(params, tuple(kernel.rollout(v, row)[0][-1] for row in draws))
     values = None
     if records:  # array is loaded by a run with records alone (train's), not by every import
         from array import array
@@ -565,7 +581,7 @@ def sample_episode(phi: PolicyParams, w: float, model: ReturnModel, spec: Proble
     returns = sample_path(model, spec.T, rng)
     z = rng.standard_normal(spec.T).tolist()
     v = (math.exp(-2.0 * phi.phi2), 0.0, 0.0, 0.0, phi.phi1, phi.phi2, w)
-    wealth, controls = _setup(DISCRETE, HyperParams(spec), r_f, 0, (), True).rollout(v, returns.tolist(), z)
+    wealth, controls = _setup(DISCRETE, HyperParams(spec), r_f, 0, (), True).rollout(v, returns.tolist() + z)
     return Episode(wealth, controls, tuple(returns))
 
 

@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple, Tuple, Union
 
 import numpy as np
@@ -312,43 +313,55 @@ def sample_path(model: ReturnModel, T: int, rng: np.random.Generator) -> np.ndar
     raise TypeError(f"unknown return model {type(model).__name__}")
 
 
-# Episodes whose draws episode_draws makes in one block of generator calls.
+# episode_draws' episodes per block of generator calls, and blocks per batch of rows
 _DRAW_BLOCK = 64
+_DRAW_BATCH = 4
 
 
 def episode_draws(model: ReturnModel, T: int, rng: np.random.Generator, episodes: int):
-    """Yield each episode's T excess returns and T policy normals as float
-    lists, drawn for a block of n = _DRAW_BLOCK episodes (fewer in the last)
-    at a time: on the normal market standard_normal((n, 2, T)), rows
-    [returns, policy normals]; on the skew-t market standard_normal((n, 3,
-    T)), rows [z0, z1 of _skewt_core, policy normals], then chisquare(nu,
-    (n, T)); on the historical market integers(0, len - T + 1, n) window
-    starts, then standard_normal((n, T)).  So the generator runs ahead of
-    the last episode yielded, and only on the normal market are an
-    episode's draws those of sample_path then standard_normal(T)."""
+    """An iterator over each episode's draws as one row, a list of 2T
+    floats: its T excess returns, then its T policy normals.  The generator
+    calls are made per block of n = _DRAW_BLOCK episodes (fewer in the
+    last): on the normal market standard_normal((n, 2, T)), rows [returns,
+    policy normals]; on the skew-t market standard_normal((n, 3, T)), rows
+    [z0, z1 of _skewt_core, policy normals], then chisquare(nu, (n, T)); on
+    the historical market integers(0, len - T + 1, n) window starts, then
+    standard_normal((n, T)).  The returns and the rows are formed for a
+    batch of _DRAW_BATCH blocks at a time, so the generator has drawn a
+    whole batch, up to _DRAW_BLOCK * _DRAW_BATCH episodes, before its first
+    row is taken, and only on the normal market are an episode's draws
+    those of sample_path then standard_normal(T)."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    normal = rng.standard_normal
+    values = None
     if isinstance(model, Historical):
         values = np.asarray(model.series.values, dtype=float)
         if values.size < T:
             raise InsufficientDataError(f"series of {values.size} months cannot supply {T}")
     elif not isinstance(model, (NormalIID, SkewTIID)):
         raise TypeError(f"unknown return model {type(model).__name__}")
-    for done in range(0, episodes, _DRAW_BLOCK):
-        n = min(_DRAW_BLOCK, episodes - done)
-        if isinstance(model, NormalIID):
-            block = normal((n, 2, T))
-            rets, z = model.a + model.sigma * block[:, 0], block[:, 1]
-        elif isinstance(model, SkewTIID):
-            block = normal((n, 3, T))
-            chi2 = rng.chisquare(model.nu, (n, T))
-            core = _skewt_core(model.nu, model.slant, block[:, 0], block[:, 1], chi2)
-            rets, z = model.a + model.sigma * core, block[:, 2]
-        else:
-            starts = rng.integers(0, values.size - T + 1, n)
-            rets, z = values[starts[:, None] + np.arange(T)], normal((n, T))
-        yield from zip(rets.tolist(), z.tolist())
+    sizes = [min(_DRAW_BLOCK, episodes - done) for done in range(0, episodes, _DRAW_BLOCK)]  # per block
+    return chain.from_iterable(_batch_rows(model, T, rng, values, sizes[k : k + _DRAW_BATCH]).tolist()
+                               for k in range(0, len(sizes), _DRAW_BATCH))
+
+
+def _batch_rows(model: ReturnModel, T: int, rng: np.random.Generator, values, ns) -> np.ndarray:
+    """episode_draws' rows of a batch of blocks of ns[0], ns[1], ... episodes (values: the
+    historical series), as an array: its temporaries are freed before the rows become floats."""
+    normal = rng.standard_normal
+    if isinstance(model, NormalIID):
+        draws = np.concatenate([normal((n, 2, T)) for n in ns])
+        rets, z = model.a + model.sigma * draws[:, 0], draws[:, 1]
+    elif isinstance(model, SkewTIID):
+        draws, chi2 = map(np.concatenate, zip(*[(normal((n, 3, T)), rng.chisquare(model.nu, (n, T)))
+                                                for n in ns]))
+        core = _skewt_core(model.nu, model.slant, draws[:, 0], draws[:, 1], chi2)
+        rets, z = model.a + model.sigma * core, draws[:, 2]
+    else:
+        starts, z = map(np.concatenate, zip(*[(rng.integers(0, values.size - T + 1, n), normal((n, T)))
+                                              for n in ns]))
+        rets = values[starts[:, None] + np.arange(T)]
+    return np.concatenate((rets, z), axis=1)
 
 
 # ---------------------------------------------------------------------------

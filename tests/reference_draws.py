@@ -2,7 +2,7 @@
 reference for dtmv.market.episode_draws.
 
 Per block of up to `block` episodes (n of them), one episode's draws being
-its T excess returns and then its T policy normals:
+one row, its T excess returns and then its T policy normals:
     normal: standard_normal((n, 2, T)), rows [returns, policy normals];
     skew-t: standard_normal((n, 3, T)), rows [the reflected normal, the
         independent normal, the policy normals], then chisquare(nu, (n, T));
@@ -20,7 +20,7 @@ from dtmv.market import NormalIID, SkewTIID, skewt_core_moments
 
 
 def block_draws(model, T, rng, episodes, block):
-    """The (returns, policy normals) float lists of `episodes` episodes."""
+    """The rows of `episodes` episodes: each a list of its returns, then its policy normals."""
     draws = []
     for done in range(0, episodes, block):
         n = min(block, episodes - done)
@@ -40,5 +40,5 @@ def block_draws(model, T, rng, episodes, block):
             starts = rng.integers(0, len(values) - T + 1, n)
             rets = np.array([values[s : s + T] for s in starts]).reshape(n, T)
             normals = rng.standard_normal((n, T))
-        draws += zip(rets.tolist(), normals.tolist())
+        draws += [r + z for r, z in zip(rets.tolist(), normals.tolist())]
     return draws

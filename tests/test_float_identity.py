@@ -28,9 +28,11 @@ historical horizon at lam = 0.5 with w refreshed every 7 episodes, and
 T = 1) were first computed while each learner ran its own policy, residual
 and update functions behind per-learner hooks.  The properties check the identities the samplers rest
 on: one vector draw of T normals is T scalar draws, sample_path is the
-ndarray arithmetic of the reference sampler, and episode_draws gives,
-whatever the block size, the values and the final generator state of
-reference_draws.block_draws on every market.
+ndarray arithmetic of the reference sampler, episode_draws gives,
+whatever the block size and the number of blocks in a batch of rows, the
+values and the final generator state of reference_draws.block_draws on
+every market, and a backtest cell's window rows, their normals drawn in one
+call, are the per-window draws.
 
 A further digest pins the run directory of `dtmv analytic` at a 60-period
 horizon.  It was computed while the oracle's trapezoid cross-check still ran
@@ -60,12 +62,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtmv import market
+from dtmv import evaluation, market
 from dtmv.analytic import ProblemSpec
 from dtmv.baseline import BaselineRecord, baseline_train
 from dtmv.cli import _ndjson_lines, _write_text, main
-from dtmv.evaluation import RollingSpec, rolling_backtest
-from dtmv.learner import EpisodeRecord, HyperParams, train
+from dtmv.evaluation import ALGORITHMS, LEARNERS, Cell, RollingSpec, cell_report, rolling_backtest, train_cell
+from dtmv.learner import EpisodeRecord, HyperParams, run_episodes, train
 from dtmv.market import (
     Historical,
     NormalIID,
@@ -327,13 +329,59 @@ def test_sample_path_equals_the_ndarray_computation(model, seed, T):
     T=st.integers(1, 12),
     episodes=st.integers(0, 150),
     block=st.sampled_from([1, 2, 7, 64]),
+    batch=st.sampled_from([1, 3, 8]),
 )
-def test_episode_draws_equal_the_plain_numpy_block_schedule(model, seed, T, episodes, block):
+def test_episode_draws_equal_the_plain_numpy_block_schedule(model, seed, T, episodes, block, batch):
     """Training's draws are, block by block, the plain numpy calls of
-    reference_draws.block_draws on every market: the same values and the
-    same final generator state, whatever the block size."""
+    reference_draws.block_draws on every market: the same rows and the
+    same final generator state, whatever the block size and however many
+    blocks make a batch of rows, a last batch that ends mid-run included."""
     fast, reference = make_rng(seed), make_rng(seed)
-    with mock.patch.object(market, "_DRAW_BLOCK", block):
+    with mock.patch.object(market, "_DRAW_BLOCK", block), mock.patch.object(market, "_DRAW_BATCH", batch):
         got = list(episode_draws(model, T, fast, episodes))
     assert got == block_draws(model, T, reference, episodes, block)
     assert fast.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    online_test=st.booleans(),
+    h=st.integers(1, 6),
+    windows=st.integers(2, 20),
+    spare=st.integers(0, 5),
+    episodes=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_backtest_window_rows_equal_the_per_window_draws(algorithm, online_test, h, windows, spare,
+                                                        episodes, seed):
+    """A backtest cell tests on one row per window, the window's h returns
+    and then its h policy normals, all normals drawn in one
+    standard_normal((n, h)) call: the same rows, and the same generator
+    state after them, as the per-window draws (each window a slice of the
+    test values, then one standard_normal(h) call), so the same report,
+    frozen or learning on the windows.  Test values beyond the last whole
+    window are left out."""
+    cell = Cell("cell", MODELS["historical"], R_F, HyperParams(SPEC._replace(T=h), episodes=episodes),
+                algorithm, seed, 0)
+    test_values = SERIES.slice_months("2005-01", windows * h + spare % h)
+    seen = {}
+
+    def trained(*args, **kwargs):
+        result, seen["rng"] = train_cell(*args, **kwargs)
+        return result, seen["rng"]
+
+    def tested(learner, hyper, r_f, draws, *args, **kwargs):
+        seen["rows"] = list(draws)
+        return run_episodes(learner, hyper, r_f, seen["rows"], *args, **kwargs)
+
+    with mock.patch.object(evaluation, "train_cell", trained), \
+            mock.patch.object(evaluation, "run_episodes", tested):
+        report = evaluation._backtest_cell(online_test, (cell, test_values))
+    result, rng = train_cell(cell, records=False)
+    rows = [test_values[j * h : (j + 1) * h].tolist() + rng.standard_normal(h).tolist()
+            for j in range(windows)]
+    assert seen["rows"] == rows
+    assert seen["rng"].bit_generator.state == rng.bit_generator.state
+    want = run_episodes(LEARNERS[algorithm], cell.hyper, R_F, rows, result.params, online_test, records=False)
+    assert report == cell_report(cell, want.history)

@@ -81,13 +81,13 @@ _ETAS = st.tuples(*[st.floats(1e-4, 0.5)] * 2)  # (eta_theta, eta_phi)
 def _driven(episode, learner, v, lag, draws, kept, records, bound=DIVERGENCE_COST):
     """run_episodes' training loop over episode (the loop kernel's episode
     with learn set, under one divergence rule: (v, lag, rets, z) -> (wealths,
-    controls, values after, the cost the rule reads)), with the check at the
-    cost bound: (the values after the draws, one record or terminal wealth
-    per episode)."""
+    controls, values after, the cost the rule reads)) on the draws' rows
+    (rets, then z), with the check at the cost bound: (the values after the
+    draws, one record or terminal wealth per episode)."""
     history = []
-    for ep, (rets, z) in enumerate(draws, 1):
+    for ep, row in enumerate(draws, 1):
         try:
-            wealth, _, after, cost = episode(v, lag, rets, z)
+            wealth, _, after, cost = episode(v, lag, row[:len(row) // 2], row[len(row) // 2:])
         except (InfeasiblePolicyError, OverflowError) as exc:
             raise _diverged(learner, ep, f"{type(exc).__name__}: {exc}", v[kept:]) from exc
         v = after
@@ -134,9 +134,9 @@ _RUNS = dict(
 def _run_case(algorithm, T, prefix_updates, refresh_every, recorded, theta, phi1, phi2, w, lam, etas,
               data):
     """(learner, hyper, values, kept, recorded wealths, draws) of one _RUNS case."""
-    pairs = st.tuples(*[st.lists(st.floats(lo, hi), min_size=T, max_size=T)
-                        for lo, hi in ((-0.2, 0.2), (-4.0, 4.0))])  # (returns, policy normals)
-    draws = data.draw(st.lists(pairs, min_size=1, max_size=30))
+    rows = st.tuples(*[st.lists(st.floats(lo, hi), min_size=T, max_size=T)
+                       for lo, hi in ((-0.2, 0.2), (-4.0, 4.0))]).map(lambda pair: pair[0] + pair[1])
+    draws = data.draw(st.lists(rows, min_size=1, max_size=30))  # rows: returns, then policy normals
     learner = LEARNERS[algorithm]
     hyper = HyperParams(SPEC._replace(T=T, lam=lam), *etas, refresh_every=refresh_every,
                         prefix_updates=prefix_updates)
@@ -204,7 +204,7 @@ def test_an_overflowing_w_diverges_at_the_episode_it_reaches(algorithm, w, recor
     hyper = HyperParams(SPEC._replace(lam=lam), eta, eta, refresh_every=refresh_every)
     v, kept = _values(learner, learner.cold_start(SPEC, R_F, 1.0, 0.05))
     v = (*v[:6], w)
-    draws = [([0.01, -0.02, 0.03], [0.5, -1.0, 0.2])] * 3
+    draws = [[0.01, -0.02, 0.03, 0.5, -1.0, 0.2]] * 3
     want_lag, got_lag = LagrangeState(w, 0.05, list(recorded)), LagrangeState(w, 0.05, list(recorded))
     want = _outcome(_driven, functools.partial(loop._learn, loop._setup(learner, hyper, R_F)), learner,
                     v, want_lag, draws, kept, True)
@@ -230,9 +230,8 @@ def _equals_the_loop_kernel(algorithm, T, prefix_updates, refresh_every, recorde
         if bound < 0.0:
             assert want[0] == "TrainingDivergedError" and "at episode 1 (" in want[1]
 
-    rets, z = draws[0]
-    want = _outcome(loop._episode, run, v, None, rets, z, False)
-    got = _outcome(kernel.rollout, v, rets, z)
+    want = _outcome(loop._episode, run, v, None, draws[0][:T], draws[0][T:], False)
+    got = _outcome(kernel.rollout, v, draws[0])
     assert _identical(got, want if isinstance(want[0], str) else (tuple(want[0]), tuple(want[1])))
 
 
@@ -384,14 +383,14 @@ def test_both_learners_share_one_float_order(algorithm):
                 assert "theta4 = " not in source or f"theta4 = -theta2 * {T ** 2} - " in source
 
 
-def _residuals_per_episode(learner, T, prefix_updates, episodes=3):
+def _residuals_per_episode(learner, T, prefix_updates, episodes=3, start="res = "):
     """The residuals the generated run evaluates per episode: the line
-    events of its residual lines over a few episodes that do not diverge,
-    counted by a tracer."""
+    events of its residual lines (or of those that begin with start) over a
+    few episodes that do not diverge, counted by a tracer."""
     hyper = HyperParams(SPEC._replace(T=T), prefix_updates=prefix_updates)
     kernel = _setup(learner, hyper, R_F)
     source = _sources(learner, T, 0, _training_passes(T, prefix_updates), True)[2]
-    residual = {k for k, line in enumerate(source.splitlines(), 1) if line.lstrip().startswith("res = ")}
+    residual = {k for k, line in enumerate(source.splitlines(), 1) if line.lstrip().startswith(start)}
     code, counted = kernel.run.__code__, []
 
     def trace(frame, event, arg):
@@ -404,10 +403,47 @@ def _residuals_per_episode(learner, T, prefix_updates, episodes=3):
     v, kept = _values(learner, learner.cold_start(hyper.spec, R_F, 1.0, 0.01))
     sys.settrace(trace)
     try:
-        kernel.run(v, LagrangeState(SPEC.b, 0.05), [([0.01] * T, [0.5] * T)] * episodes, kept, None)
+        kernel.run(v, LagrangeState(SPEC.b, 0.05), [[0.01] * T + [0.5] * T] * episodes, kept, None)
     finally:
         sys.settrace(None)
     return len(counted) / episodes
+
+
+def _episode_loop(learner, T):
+    """The generated training run's syntax tree at T (prefix updates on), its
+    episode loop, and its pass forms: the loop over the passes before the
+    last, where there are any, and the last pass's statements as a module."""
+    (run,) = ast.parse(_sources(learner, T, 0, _training_passes(T), True)[2]).body
+    (episodes,) = [node for node in run.body if isinstance(node, ast.For)]
+    (attempt,) = [node for node in episodes.body if isinstance(node, ast.Try)]
+    lines = [ast.unparse(node) for node in attempt.body]
+    first = next(k for k, line in enumerate(lines) if line.startswith("g_t2 = g_t3 = g_p2 = "))
+    end = next(k for k, line in enumerate(lines) if line.startswith("theta4 = "))
+    looped = [node for node in attempt.body[:first] if isinstance(node, ast.For)]
+    return run, episodes, [*looped, ast.Module(attempt.body[first:end], [])]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("T", [1, 3, 12])
+def test_the_last_pass_alone_sums_the_squares_in_straight_line(algorithm, T):
+    """run sums the squared residuals only in its last pass, whose sum the
+    divergence check reads: `sq +=` appears T times, once per transition of
+    the last pass, so an episode evaluates T of them, not T (T + 1) / 2.  The
+    last pass is straight-line, no while loop and no `if n ==` break, and
+    the episode loop unpacks each row of draws, the T returns and then the T
+    policy normals, in its for target."""
+    learner = LEARNERS[algorithm]
+    run, episodes, forms = _episode_loop(learner, T)
+    squares = [n for n in ast.walk(run) if isinstance(n, ast.AugAssign) and ast.unparse(n.target) == "sq"]
+    assert len(squares) == T and _residuals_per_episode(learner, T, True, start="sq += ") == T
+    assert [n for n in ast.walk(forms[-1]) if isinstance(n, ast.AugAssign)
+            and ast.unparse(n.target) == "sq"] == squares
+    assert not [n for n in ast.walk(forms[-1]) if isinstance(n, (ast.While, ast.For))]
+    assert "if n ==" not in ast.unparse(forms[-1])
+    assert len(forms) == (2 if T > 1 else 1)
+    target = episodes.target
+    assert isinstance(target, ast.Tuple) and [type(node) for node in target.elts] == [ast.Name, ast.Tuple]
+    assert [node.id for node in target.elts[1].elts] == [f"{x}{t}" for x in "rz" for t in range(T)]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -500,7 +536,7 @@ def _inlined_policy(learner, T, r_f):
     lines), as a function of (phi1, phi2, e2) that returns what the standalone policy
     returns, reading the same globals."""
     lines = _sources(learner, T, 0, (), True)[1].splitlines()
-    body = lines[2:next(k for k, line in enumerate(lines) if line.endswith("= rets"))]
+    body = lines[2:next(k for k, line in enumerate(lines) if line.endswith("= row"))]
     source = "\n".join(["def inlined(phi1, phi2, e2):", *body,
                         f"    return slope, ({_names('s', range(T))})"])
     standalone = _setup(learner, HyperParams(SPEC._replace(T=T)), r_f, 0, ()).policy
@@ -606,16 +642,16 @@ def test_the_episode_loop_takes_one_exp_per_pass_and_no_power_in_its_passes(algo
     discrete learner's is taken once per run), one per pass, e2 after its
     step, and no float power in the pass loop; sqrt only in the slope."""
     learner = LEARNERS[algorithm]
-    (run,) = ast.parse(_sources(learner, T, 0, _training_passes(T), True)[2]).body
-    (episodes,) = [node for node in run.body if isinstance(node, ast.For)]
-    (passes,) = [node for node in ast.walk(episodes) if isinstance(node, ast.For) and node is not episodes]
+    run, episodes, forms = _episode_loop(learner, T)
+    passes = ast.Module(forms, [])  # the loop over the earlier passes and the last pass
 
     def calls(node, name):
         return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
                    for n in ast.walk(node))
 
     assert calls(episodes, "exp") - calls(passes, "exp") == (1 if learner.hold_phi1 else 2)
-    assert calls(passes, "exp") == 1
+    for form in forms:
+        assert calls(form, "exp") == 1
     assert not [n for n in ast.walk(passes) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)]
     rooted = [n for n in ast.walk(run) if isinstance(n, ast.Assign) and calls(n, "sqrt")]
     assert [ast.unparse(n.targets[0]) for n in rooted] == ["slope"]
@@ -658,7 +694,7 @@ def test_the_policy_decides_on_the_squares_of_its_extreme_deviations(algorithm, 
     cold = _outcome(check_cold_start, learner, hyper, R_F)
     v, kept = _values(learner, learner.cold_start(hyper.spec, R_F, phi1, phi2))
     kernel = _setup(learner, hyper, R_F)
-    ran = _outcome(kernel.run, v, LagrangeState(v[-1], 0.05), [([0.0, 0.0], [0.0, 0.0])], kept, None)
+    ran = _outcome(kernel.run, v, LagrangeState(v[-1], 0.05), [[0.0] * 4], kept, None)
     if new == "ok":
         assert cold is None and len(ran[1]) == 1
     else:
@@ -686,7 +722,7 @@ def test_a_fresh_sample_episode_compiles_no_training_loop(monkeypatch):
     draws = make_rng(3)
     returns, z = model.a + model.sigma * draws.standard_normal(60), draws.standard_normal(60)
     v = (math.exp(-2.0 * phi.phi2), 0.0, 0.0, 0.0, phi.phi1, phi.phi2, 1.1)
-    wealth, controls = _setup(DISCRETE, HyperParams(spec), R_F).rollout(v, returns.tolist(), z.tolist())
+    wealth, controls = _setup(DISCRETE, HyperParams(spec), R_F).rollout(v, returns.tolist() + z.tolist())
     assert _identical((episode.wealth, episode.controls), (wealth, controls))
 
 

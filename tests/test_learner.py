@@ -516,7 +516,7 @@ def test_online_windows_refresh_w(algorithm):
     params = COLD_STARTS[algorithm]
     rng = make_rng(12, 0)
     windows = ([0.02, -0.01, 0.03], [0.0, 0.05, -0.04], [0.01, 0.01, 0.01], [-0.03, 0.02, 0.04])
-    draws = [(window, rng.standard_normal(3).tolist()) for window in windows]
+    draws = [window + rng.standard_normal(3).tolist() for window in windows]
     frozen = run_episodes(learner, hyper, R_F, draws, params, learn=False)
     assert frozen.params is params and len(frozen.history) == 4
     result = run_episodes(learner, hyper, R_F, draws, params)
@@ -535,8 +535,7 @@ def test_online_windows_get_the_divergence_check(algorithm):
     learner = LEARNERS[algorithm]
     hyper = _hyper(0, eta_theta=50.0, eta_phi=50.0)
     model, rng = NormalIID(0.025, 0.0577), make_rng(1, 1)
-    draws = [(sample_path(model, 3, rng).tolist(), rng.standard_normal(3).tolist())
-             for _ in range(500)]
+    draws = [sample_path(model, 3, rng).tolist() + rng.standard_normal(3).tolist() for _ in range(500)]
     with pytest.raises(TrainingDivergedError, match="training diverged at episode") as online:
         run_episodes(learner, hyper, R_F, draws)
     with pytest.raises(TrainingDivergedError) as trained:
@@ -553,7 +552,7 @@ def test_a_cold_start_that_defines_no_policy_is_infeasible(algorithm, phi1, why)
     underflow to 0, raises InfeasiblePolicyError before any episode, learning
     or not, and so does check_cold_start."""
     learner, hyper = LEARNERS[algorithm], _hyper(0, init_phi1=phi1)
-    draws = [([0.01, 0.02, -0.01], [0.5, -0.5, 0.1])]
+    draws = [[0.01, 0.02, -0.01, 0.5, -0.5, 0.1]]
     for learn in (True, False):
         with pytest.raises(InfeasiblePolicyError, match=why):
             run_episodes(learner, hyper, R_F, draws, learn=learn)
