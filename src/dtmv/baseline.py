@@ -56,8 +56,6 @@ class BaselineRecord(NamedTuple):
 # Centers w, the gap 2 * phi2 (phi2 > 0), phi1 stepped, the entropy count
 # m + 1 = T - t.
 CONTINUOUS = Learner(
-    cold_start=lambda spec, r_f, phi1, phi2: BaselineParams(0.0, 0.0, 0.0, phi1, phi2, spec.b),
-    fields=BaselineParams._asdict,
     params=BaselineParams,
     record=BaselineRecord,
     shift=1,

@@ -520,7 +520,7 @@ def cmd_train(cfg: RunConfig, out: str) -> None:
     learner, history = LEARNERS[algorithm], result.history
     row = cell_report(cell, history.wealths[-cfg.evaluation.test_episodes:])
     _write_text(os.path.join(out, "log.ndjson"), _ndjson_lines(learner.record, history.columns()))
-    save_checkpoint(os.path.join(out, "checkpoint"), algorithm, learner.fields(result.params), rng)
+    save_checkpoint(os.path.join(out, "checkpoint"), algorithm, result.params._asdict(), rng)
     write_report_csv([row], os.path.join(out, "report.csv"))
     _write_text(os.path.join(out, "summary.txt"), summary_text([row]) + "\n")
 

@@ -296,8 +296,8 @@ def rolling_backtest(
     n_test = rolling.test_months // rolling.horizon_months * rolling.horizon_months
     cells = []
     for year in rolling.test_years:
-        decade = f"{year}-{year + rolling.test_months // 12 - 1}"
         test_start = month_index(f"{year:04d}-01")
+        decade = f"{year}-{(test_start + n_test - 1) // 12}"  # the year of the test windows' last month
         try:
             model = Historical(series.subseries(
                 month_label(test_start - rolling.window_months), rolling.window_months))

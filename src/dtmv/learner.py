@@ -20,10 +20,11 @@ _setup binds a run's floats to it.  run_episodes calls run once per run
 feeds it each episode's row (market.episode_draws), the backtest's test
 windows one row per window.  Only train's log reads the per-episode records, each
 built on access (History); with records off a run keeps its wealths alone.  A Learner is
-data: its params, its records and the few constants in which the
-continuous-time comparator (dtmv.baseline.CONTINUOUS) differs from DISCRETE
-here.  The sample adapters (cost, grad_theta, grad_phi, apply_updates) run
-the kernel's descend, sample_episode its rollout.
+data: the record classes of its params and log rows, and the three
+constants in which the continuous-time comparator (dtmv.baseline.CONTINUOUS)
+differs from DISCRETE here; cold_start serves both.  The sample adapters
+(cost, grad_theta, grad_phi, apply_updates) run the kernel's descend,
+sample_episode its rollout.
 """
 
 from __future__ import annotations
@@ -148,10 +149,14 @@ class EpisodeRecord(NamedTuple):
 
 
 class DiscreteParams(NamedTuple):
-    """Discrete learner state: value surface, policy and the Lagrange target w."""
+    """Discrete learner state: value surface theta1..theta4, policy phi1, phi2, Lagrange target w."""
 
-    theta: ValueParams
-    phi: PolicyParams
+    theta1: float
+    theta2: float
+    theta3: float
+    theta4: float
+    phi1: float
+    phi2: float
     w: float
 
 
@@ -167,8 +172,8 @@ class History(Sequence):
     the kernel's seven values (theta1, ..., w) after each episode.  An index, a
     slice or iteration builds the records it reads, and nothing else does."""
 
-    def __init__(self, record: Callable, kept: int, wealths: List[float], values):  # values: array("d")
-        self.record, self.kept, self.wealths, self.values = record, kept, wealths, values
+    def __init__(self, learner: Learner, wealths: List[float], values):  # values: array("d")
+        self.record, self.kept, self.wealths, self.values = learner.record, learner.kept, wealths, values
 
     def __len__(self) -> int:
         return len(self.wealths)
@@ -210,21 +215,25 @@ class Learner(NamedTuple):
     of the transitions t -> t + 1 (_kernel_source, which forms the standard
     deviations and the weights, geometric in t, by multiplication).
 
-    fields names the values of its params, w (the Lagrange target) last:
-    the kernel's theta1..w, or theta2..w for a learner that keeps no theta1.
-    params builds the params, and record one log row, from those values.
+    params is a NamedTuple class whose fields, the log's and checkpoint's
+    keys, are the values it keeps: a tail of the kernel's theta1..w ending
+    in w (the Lagrange target), all seven or theta2..w.  record is the
+    NamedTuple class of a log row, (episode, terminal_wealth, *those values).
     """
 
-    cold_start: Callable  # (spec, r_f, phi1, phi2) -> params
-    fields: Callable  # params -> {name: value} of the record and the checkpoint
-    params: Callable  # (*values) -> params
-    record: Callable  # (episode, terminal_wealth, *values) -> record
+    params: type  # NamedTuple (*kept values)
+    record: type  # NamedTuple (episode, terminal_wealth, *kept values)
     shift: int  # of the entropy count and the variance exponent
     # compounding at r_f inside the functional forms: centers c_t = w / r_f^(T - t)
     # and a slope with the root of r_f^2 - exp(-2 phi2), so phi2 > -ln(r_f);
     # else c_t = w and the root of 2 phi2, so phi2 > 0
     compounding: bool
     hold_phi1: bool  # phi1 held, theta3 taking its move (_kernel_source), or stepped
+
+    @property
+    def kept(self) -> int:
+        """The index in the kernel's values (theta1, ..., w) of the first one params keeps."""
+        return 7 - len(self.params._fields)
 
 
 def _names(prefix: str, periods) -> str:
@@ -248,7 +257,7 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             row of 2T floats, the T excess returns r_t and then the T
             standard normals z_t of the policy, fixed for the episode, u_t =
             slope (x_t - c_t) + s_t z_t;
-        run(v, lag, draws, kept, history) -> (v after the training loop, the
+        run(v, lag, draws, history) -> (v after the training loop, the
             wealths it recorded in lag), with training set: per row of
             draws, unpacked into r_t and z_t in the episode loop's for
             target, that rollout, its terminal wealth recorded in lag, w
@@ -390,18 +399,18 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
         function("rollout(v, row)", [
             "e2, _, _, _, phi1, phi2, w = v", *policy, f"{row} = row", *centers, *rollout,
             f"return (x_init, {_names('x', range(1, T + 1))}), ({_names('u', ts)})"]),
-        function(f"run(v, lag, draws, kept, history, *, {', '.join(f'{n}={n}' for n in bound)})", [
+        function(f"run(v, lag, draws, history, *, {', '.join(f'{n}={n}' for n in bound)})", [
             "e2, theta2, theta3, theta4, phi1, phi2, w = v", *held, *hoisted, "tws = lag.terminal_wealths",
             "recorded = len(tws)", "phase = recorded % refresh_every",
             f"for ep, ({row}) in enumerate(draws, 1):",
             "    try:", *indent([*moving, *rollout, *refresh, *step_passes], 2),
             f"        {theta4('(wb2 or (w - b) ** 2)')}",
             "    except (InfeasiblePolicyError, OverflowError) as exc:",
-            "        raise diverged(ep, f'{type(exc).__name__}: {exc}', v[kept:]) from exc",
+            "        raise diverged(ep, f'{type(exc).__name__}: {exc}', v) from exc",
             "    v, cost = (e2, theta2, theta3, theta4, phi1, phi2, w_after), 0.5 * sq",
             # x - x is 0.0 for every finite x and NaN for the rest; the cost is >= 0 or NaN
             f"    if not ({finite} == 0.0 and cost <= DIVERGENCE_COST):",
-            "        raise diverged(ep, f'cost {cost!r}', v[kept:])",
+            "        raise diverged(ep, f'cost {cost!r}', v)",
             "    if history is not None:",
             "        history.frombytes(pack(*v))",
             "    if not phase:  # the refresh moved w",
@@ -461,18 +470,15 @@ def _setup(learner: Learner, hyper: HyperParams, r_f, t_first=0, passes=None, tr
     return _Kernel(names["policy"], names.get("rollout"), names.get("run"), names.get("descend"), rhos)
 
 
-def _values(learner: Learner, params) -> Tuple[Tuple[float, ...], int]:
+def _values(params) -> Tuple[float, ...]:
     """The kernel's values (theta1, theta2, theta3, theta4, phi1, phi2, w) of
-    params, theta1 = exp(-2 phi2), and the index of the first one the
-    learner keeps."""
-    f = learner.fields(params)
-    v = (math.exp(-2.0 * f["phi2"]), f["theta2"], f["theta3"], f["theta4"], f["phi1"],
-         f["phi2"], f["w"])
-    return v, 0 if "theta1" in f else 1
+    a learner's params, theta1 = exp(-2 phi2)."""
+    return (math.exp(-2.0 * params.phi2), params.theta2, params.theta3, params.theta4, params.phi1,
+            params.phi2, params.w)
 
 
 def _diverged(learner: Learner, ep: int, why: str, values) -> TrainingDivergedError:
-    named = ", ".join(f"{k}={x!r}" for k, x in learner.fields(learner.params(*values)).items())
+    named = ", ".join(f"{k}={x!r}" for k, x in learner.params(*values[learner.kept:])._asdict().items())
     return TrainingDivergedError(f"training diverged at episode {ep} ({why}; {named})")
 
 
@@ -496,9 +502,9 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
     have drawn past the diverged episode, so its state is unspecified.
     """
     if params is None:
-        params = learner.cold_start(hyper.spec, r_f, hyper.init_phi1, hyper.init_phi2)
+        params = cold_start(learner, hyper, r_f)
     kernel = _setup(learner, hyper, r_f)
-    v, kept = _values(learner, params)
+    v = _values(params)
     kernel.policy(v[4], v[5], v[0])  # raises where params define no policy
     if not learn:
         return TrainResult(params, tuple(kernel.rollout(v, row)[0][-1] for row in draws))
@@ -506,15 +512,26 @@ def run_episodes(learner: Learner, hyper: HyperParams, r_f, draws: Iterable, par
     if records:  # array is loaded by a run with records alone (train's), not by every import
         from array import array
         values = array("d")
-    v, wealths = kernel.run(v, LagrangeState(v[-1], hyper.alpha), draws, kept, values)
-    history = tuple(wealths) if values is None else History(learner.record, kept, wealths, values)
-    return TrainResult(learner.params(*v[kept:]), history)
+    v, wealths = kernel.run(v, LagrangeState(v[-1], hyper.alpha), draws, values)
+    history = tuple(wealths) if values is None else History(learner, wealths, values)
+    return TrainResult(learner.params(*v[learner.kept:]), history)
+
+
+def cold_start(learner: Learner, hyper: HyperParams, r_f) -> tuple:
+    """The learner's params from hyper's policy parameters (init_phi1,
+    init_phi2): flat value drift terms, theta1 linked to phi2, w at the
+    target b.  A compounding learner's phi2 must exceed -ln(r_f)."""
+    phi1, phi2 = hyper.init_phi1, hyper.init_phi2
+    if learner.compounding and phi2 <= -math.log(r_f):
+        raise InfeasiblePolicyError(f"initial phi2={phi2} infeasible for r_f={r_f}")
+    # w starts at b, so the terminal constant starts at zero
+    return learner.params(*(math.exp(-2.0 * phi2), 0.0, 0.0, 0.0, phi1, phi2, hyper.spec.b)[learner.kept:])
 
 
 def check_cold_start(learner: Learner, hyper: HyperParams, r_f) -> None:
     """run_episodes' check before its first episode, on the kernel's policy alone: raises
     InfeasiblePolicyError where the learner's cold start from hyper at r_f defines none."""
-    v, _ = _values(learner, learner.cold_start(hyper.spec, r_f, hyper.init_phi1, hyper.init_phi2))
+    v = _values(cold_start(learner, hyper, r_f))
     _setup(learner, hyper, r_f, 0, ()).policy(v[4], v[5], v[0])
 
 
@@ -535,7 +552,7 @@ def _on_samples(learner, samples, params, spec: ProblemSpec, r_f):
     _check_samples(samples, spec.T)
     t_first, n = (samples[0][0], len(samples) - 1) if samples else (0, 0)
     kernel = _setup(learner, HyperParams(spec), r_f, t_first, (n,))
-    (e2, theta2, theta3, _, phi1, phi2, w), _ = _values(learner, params)
+    e2, theta2, theta3, _, phi1, phi2, w = _values(params)
     devs = [x - kernel.rhos[t] * w for t, x in samples]
     return kernel.descend(theta2, theta3, phi1, phi2, e2, w, devs, None)[1:]
 
@@ -543,9 +560,9 @@ def _on_samples(learner, samples, params, spec: ProblemSpec, r_f):
 def step_params(learner, params, grads, eta_theta: float, eta_phi: float, spec: ProblemSpec, r_f):
     """params after the learner's gradient step (its kernel's descend) on grads."""
     kernel = _setup(learner, HyperParams(spec, eta_theta, eta_phi), r_f, 0, (0,))
-    (e2, theta2, theta3, _, phi1, phi2, w), kept = _values(learner, params)
+    e2, theta2, theta3, _, phi1, phi2, w = _values(params)
     stepped, _, _ = kernel.descend(theta2, theta3, phi1, phi2, e2, w, (), grads)
-    return learner.params(*(*stepped, w)[kept:])
+    return learner.params(*(*stepped, w)[learner.kept:])
 
 
 # ---------------------------------------------------------------------------
@@ -553,21 +570,9 @@ def step_params(learner, params, grads, eta_theta: float, eta_phi: float, spec: 
 # ---------------------------------------------------------------------------
 
 
-def cold_start(spec: ProblemSpec, r_f: float, phi1: float, phi2: float) -> DiscreteParams:
-    """Initial state from the policy parameters: flat value drift terms,
-    theta1 linked to phi2, w at the target b."""
-    if phi2 <= -math.log(r_f):
-        raise InfeasiblePolicyError(f"initial phi2={phi2} infeasible for r_f={r_f}")
-    theta = ValueParams(math.exp(-2.0 * phi2), 0.0, 0.0, 0.0)
-    # w starts at b, so the terminal constant starts at zero
-    return DiscreteParams(theta, PolicyParams(phi1, phi2), spec.b)
-
-
 # Discounted centers, phi1 held, the entropy count m = T - t - 1.
 DISCRETE = Learner(
-    cold_start=cold_start,
-    fields=lambda p: {**p.theta._asdict(), **p.phi._asdict(), "w": p.w},
-    params=lambda *v: DiscreteParams(ValueParams(*v[:4]), PolicyParams(*v[4:6]), v[6]),
+    params=DiscreteParams,
     record=EpisodeRecord,
     shift=0,
     compounding=True,
@@ -580,7 +585,7 @@ def sample_episode(phi: PolicyParams, w: float, model: ReturnModel, spec: Proble
     """Roll out one trajectory from x0 under the current stochastic policy."""
     returns = sample_path(model, spec.T, rng)
     z = rng.standard_normal(spec.T).tolist()
-    v = (math.exp(-2.0 * phi.phi2), 0.0, 0.0, 0.0, phi.phi1, phi.phi2, w)
+    v = _values(DiscreteParams(0.0, 0.0, 0.0, 0.0, *phi, w))
     wealth, controls = _setup(DISCRETE, HyperParams(spec), r_f, 0, (), True).rollout(v, returns.tolist() + z)
     return Episode(wealth, controls, tuple(returns))
 
@@ -591,19 +596,19 @@ def cost(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyPa
 
     An empty or single-state sample list has no transitions and costs 0.
     """
-    return 0.5 * _on_samples(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f)[1]
+    return 0.5 * _on_samples(DISCRETE, samples, DiscreteParams(*theta, *phi, w), spec, r_f)[1]
 
 
 def grad_theta(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyParams,
                w: float, spec: ProblemSpec, r_f: float) -> Tuple[float, float]:
     """Cost gradient in (theta2, theta3)."""
-    return _on_samples(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f)[0][:2]
+    return _on_samples(DISCRETE, samples, DiscreteParams(*theta, *phi, w), spec, r_f)[0][:2]
 
 
 def grad_phi(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyParams,
              w: float, spec: ProblemSpec, r_f: float) -> Tuple[float, float]:
     """Cost gradient in (phi1, phi2)."""
-    return _on_samples(DISCRETE, samples, DiscreteParams(theta, phi, w), spec, r_f)[0][2:]
+    return _on_samples(DISCRETE, samples, DiscreteParams(*theta, *phi, w), spec, r_f)[0][2:]
 
 
 def apply_updates(theta: ValueParams, phi: PolicyParams, grads: Tuple[float, float, float, float],
@@ -613,18 +618,15 @@ def apply_updates(theta: ValueParams, phi: PolicyParams, grads: Tuple[float, flo
     projected onto the feasible region phi2 > -ln(r_f), theta1 pinned to
     exp(-2*phi2) and theta4 to the terminal condition
     theta2 * T^2 + theta3 * T + theta4 = -(w - b)^2."""
-    p = step_params(DISCRETE, DiscreteParams(theta, phi, w), grads, eta_theta, eta_phi, spec, r_f)
-    return p.theta, p.phi
+    p = step_params(DISCRETE, DiscreteParams(*theta, *phi, w), grads, eta_theta, eta_phi, spec, r_f)
+    return ValueParams(*p[:4]), PolicyParams(*p[4:6])
 
 
 def train(hyper: HyperParams, model: ReturnModel, r_f: float, rng: np.random.Generator,
           learner: Learner = DISCRETE, records: bool = True) -> TrainResult:
     """Run the learner (run_episodes, records passed on) for hyper.episodes
     episodes of its draws from episode_draws, from the cold start in hyper."""
-    spec = hyper.spec
-    if not hyper.episodes:
-        return TrainResult(learner.cold_start(spec, r_f, hyper.init_phi1, hyper.init_phi2), ())
-    draws = episode_draws(model, spec.T, rng, hyper.episodes)
+    draws = episode_draws(model, hyper.spec.T, rng, hyper.episodes)
     return run_episodes(learner, hyper, r_f, draws, records=records)
 
 

@@ -15,13 +15,13 @@ from dtmv.baseline import (
     baseline_cost,
     baseline_gradients,
 )
-from dtmv.learner import DISCRETE, PHI2_MARGIN, HyperParams, InfeasiblePolicyError
+from dtmv.learner import DISCRETE, PHI2_MARGIN, HyperParams, InfeasiblePolicyError, cold_start
 from dtmv.market import make_rng
 from test_learner import _policy
 
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
 # the comparator's cold start does not depend on r_f
-COLD = CONTINUOUS.cold_start(SPEC, None, HyperParams(SPEC).init_phi1, HyperParams(SPEC).init_phi2)
+COLD = cold_start(CONTINUOUS, HyperParams(SPEC), None)
 
 
 def _random_params(rng):

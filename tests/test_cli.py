@@ -609,6 +609,49 @@ def test_a_third_learner_is_one_learners_entry(tmp_path, capsys, monkeypatch):
     assert params["w"] == log[-1]["w"]
 
 
+def test_a_learner_of_two_fresh_record_classes_trains_from_the_config(tmp_path, capsys, monkeypatch):
+    """A learner is two NamedTuple classes and three constants.  One built
+    from fresh classes (theta2..w, with compounding centers and phi1 stepped,
+    as neither registered learner has it) trains through dtmv train, and its
+    log and checkpoint are keyed by its own fields."""
+    from typing import NamedTuple
+
+    from dtmv.learner import Learner, load_checkpoint
+
+    fields = [(name, float) for name in ("theta2", "theta3", "theta4", "phi1", "phi2", "w")]
+    params = NamedTuple("CompoundingParams", fields)
+    record = NamedTuple("CompoundingRecord", [("episode", int), ("terminal_wealth", float), *fields])
+    monkeypatch.setitem(LEARNERS, "emv-compounding", Learner(params, record, 1, True, False))
+    cfg = _cfg_file(tmp_path, BASELINE_TINY.replace("emv-continuous", "emv-compounding"))
+    out = str(tmp_path / "fresh")
+    code, _, err = _run(["train", "--config", cfg, "--out", out], capsys)
+    assert code == 0 and err == ""
+    log = [json.loads(line) for line in open(os.path.join(out, "log.ndjson"))]
+    assert len(log) == 150 and all(list(rec) == sorted(record._fields) for rec in log)
+    algorithm, saved, _ = load_checkpoint(os.path.join(out, "checkpoint"))
+    assert algorithm == "emv-compounding"
+    assert saved == {name: log[-1][name] for name in params._fields}
+
+
+@pytest.mark.parametrize("algorithm", sorted(LEARNERS))
+def test_a_checkpoint_rebuilds_its_runs_params_and_generator(tmp_path, capsys, algorithm):
+    """The learner's params class rebuilds, from train's checkpoint, the
+    params the run ended with, and the restored generator continues where
+    the run's left off."""
+    from dtmv.evaluation import Cell, train_cell
+    from dtmv.learner import load_checkpoint
+
+    path = _cfg_file(tmp_path, BASELINE_TINY.replace("emv-continuous", algorithm))
+    out = str(tmp_path / "ck")
+    assert _run(["train", "--config", path, "--out", out], capsys)[0] == 0
+    _, saved, rng = load_checkpoint(os.path.join(out, "checkpoint"))
+    cfg = load_config(path)
+    cell = Cell(*cli._setting(cfg), hyper_params(cfg, problem_spec(cfg)), algorithm, cfg.run.seed, 0)
+    result, run_rng = train_cell(cell)
+    assert LEARNERS[algorithm].params(**saved) == result.params
+    assert rng.bit_generator.state == run_rng.bit_generator.state
+
+
 def test_train_seed_flag_changes_the_run(tmp_path, capsys):
     cfg = _cfg_file(tmp_path)
     out_a, out_b = str(tmp_path / "s1"), str(tmp_path / "s2")

@@ -217,6 +217,27 @@ def test_rolling_backtest_row_grid_order_and_identity():
         assert r.seed == 5
 
 
+@pytest.mark.parametrize("test_months, horizon, label", [
+    (6, 3, "2004-2004"), (12, 3, "2004-2004"), (18, 3, "2004-2005"), (48, 25, "2004-2006"),
+    (120, 3, "2004-2013"),
+])
+def test_a_backtest_label_ends_in_the_year_of_the_last_test_month(monkeypatch, test_months, horizon,
+                                                                  label):
+    """A test period is labelled from its first year to the year of the last
+    month its nonoverlapping windows cover: one 25-month window of 48 test
+    months ends in 2006-01, and 18 months from 2004-01 end in 2005-06."""
+    monkeypatch.setattr("dtmv.evaluation._run_cells", lambda worker, cells, jobs: cells)
+    series = _noise_series("1994-01", 240)  # 1994-01 .. 2013-12
+    rolling = RollingSpec(test_years=(2004,), targets=(1.05,), horizon_months=horizon,
+                          test_months=test_months)
+    cells = rolling_backtest(series, rolling, HyperParams(SPEC._replace(T=horizon)), R_F, seed=1)
+    assert [cell.label for cell, _ in cells] == [f"{label} b=1.05"] * len(ALGORITHMS)
+    for _, test_values in cells:
+        assert test_values.size == test_months // horizon * horizon
+        last = month_label(month_index("2004-01") + test_values.size - 1)
+        assert label.endswith(last[:4])
+
+
 def test_rolling_backtest_is_deterministic_and_parallel_safe():
     series = _noise_series()
     rolling = RollingSpec(test_years=(2002,), targets=(1.05,), test_months=12)

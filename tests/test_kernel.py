@@ -36,6 +36,7 @@ from dtmv.learner import (
     _setup,
     _values,
     check_cold_start,
+    cold_start,
     cost,
     run_episodes,
     sample_episode,
@@ -78,7 +79,7 @@ _LAM = st.floats(0.1, 8.0)
 _ETAS = st.tuples(*[st.floats(1e-4, 0.5)] * 2)  # (eta_theta, eta_phi)
 
 
-def _driven(episode, learner, v, lag, draws, kept, records, bound=DIVERGENCE_COST):
+def _driven(episode, learner, v, lag, draws, records, bound=DIVERGENCE_COST):
     """run_episodes' training loop over episode (the loop kernel's episode
     with learn set, under one divergence rule: (v, lag, rets, z) -> (wealths,
     controls, values after, the cost the rule reads)) on the draws' rows
@@ -89,21 +90,21 @@ def _driven(episode, learner, v, lag, draws, kept, records, bound=DIVERGENCE_COS
         try:
             wealth, _, after, cost = episode(v, lag, row[:len(row) // 2], row[len(row) // 2:])
         except (InfeasiblePolicyError, OverflowError) as exc:
-            raise _diverged(learner, ep, f"{type(exc).__name__}: {exc}", v[kept:]) from exc
+            raise _diverged(learner, ep, f"{type(exc).__name__}: {exc}", v) from exc
         v = after
         if not (all(map(math.isfinite, v)) and abs(cost) <= bound):
-            raise _diverged(learner, ep, f"cost {cost!r}", v[kept:])
-        history.append(learner.record(ep, wealth[-1], *v[kept:]) if records else wealth[-1])
+            raise _diverged(learner, ep, f"cost {cost!r}", v)
+        history.append(learner.record(ep, wealth[-1], *v[learner.kept:]) if records else wealth[-1])
     return v, history
 
 
-def _run(kernel, learner, v, lag, draws, kept, records):
+def _run(kernel, learner, v, lag, draws, records):
     """The generated run as run_episodes calls it, in _driven's terms: (the
     values after the draws, the History of its value array and wealths, or
     with records off the wealths)."""
     values = array("d") if records else None
-    v, wealths = kernel.run(v, lag, draws, kept, values)
-    return v, wealths if values is None else list(History(learner.record, kept, wealths, values))
+    v, wealths = kernel.run(v, lag, draws, values)
+    return v, wealths if values is None else list(History(learner, wealths, values))
 
 
 def _old_rule(run):
@@ -133,7 +134,7 @@ _RUNS = dict(
 
 def _run_case(algorithm, T, prefix_updates, refresh_every, recorded, theta, phi1, phi2, w, lam, etas,
               data):
-    """(learner, hyper, values, kept, recorded wealths, draws) of one _RUNS case."""
+    """(learner, hyper, values, recorded wealths, draws) of one _RUNS case."""
     rows = st.tuples(*[st.lists(st.floats(lo, hi), min_size=T, max_size=T)
                        for lo, hi in ((-0.2, 0.2), (-4.0, 4.0))]).map(lambda pair: pair[0] + pair[1])
     draws = data.draw(st.lists(rows, min_size=1, max_size=30))  # rows: returns, then policy normals
@@ -141,8 +142,7 @@ def _run_case(algorithm, T, prefix_updates, refresh_every, recorded, theta, phi1
     hyper = HyperParams(SPEC._replace(T=T, lam=lam), *etas, refresh_every=refresh_every,
                         prefix_updates=prefix_updates)
     v = (math.exp(-2.0 * phi2), *theta, 0.0, phi1, phi2, w)
-    _, kept = _values(learner, learner.cold_start(hyper.spec, R_F, 1.0, 0.5))
-    return learner, hyper, v, kept, recorded, draws
+    return learner, hyper, v, recorded, draws
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,20 +202,20 @@ def test_an_overflowing_w_diverges_at_the_episode_it_reaches(algorithm, w, recor
     loop kernel diverge at the same episode, for the same reason, alike."""
     learner = LEARNERS[algorithm]
     hyper = HyperParams(SPEC._replace(lam=lam), eta, eta, refresh_every=refresh_every)
-    v, kept = _values(learner, learner.cold_start(SPEC, R_F, 1.0, 0.05))
+    v = _values(cold_start(learner, HyperParams(SPEC, init_phi2=0.05), R_F))
     v = (*v[:6], w)
     draws = [[0.01, -0.02, 0.03, 0.5, -1.0, 0.2]] * 3
     want_lag, got_lag = LagrangeState(w, 0.05, list(recorded)), LagrangeState(w, 0.05, list(recorded))
     want = _outcome(_driven, functools.partial(loop._learn, loop._setup(learner, hyper, R_F)), learner,
-                    v, want_lag, draws, kept, True)
-    got = _outcome(_run, _setup(learner, hyper, R_F), learner, v, got_lag, draws, kept, True)
+                    v, want_lag, draws, True)
+    got = _outcome(_run, _setup(learner, hyper, R_F), learner, v, got_lag, draws, True)
     assert _identical(got, want) and _identical(vars(got_lag), vars(want_lag))
     assert got[0] == "TrainingDivergedError" and f"at episode {episode} ({why}" in got[1]
 
 
 def _equals_the_loop_kernel(algorithm, T, prefix_updates, refresh_every, recorded, records, theta, phi1,
                             phi2, w, lam, etas, data):
-    learner, hyper, v, kept, wealths, draws = _run_case(
+    learner, hyper, v, wealths, draws = _run_case(
         algorithm, T, prefix_updates, refresh_every, recorded, theta, phi1, phi2, w, lam, etas, data)
     run, kernel = loop._setup(learner, hyper, R_F), _setup(learner, hyper, R_F)
     episode = functools.partial(loop._learn, run)
@@ -223,8 +223,8 @@ def _equals_the_loop_kernel(algorithm, T, prefix_updates, refresh_every, recorde
     for bound in (DIVERGENCE_COST, -1.0):
         kernel.run.__kwdefaults__["DIVERGENCE_COST"] = bound
         want_lag, got_lag = LagrangeState(w, 0.05, list(wealths)), LagrangeState(w, 0.05, list(wealths))
-        want = _outcome(_driven, episode, learner, v, want_lag, draws, kept, records, bound)
-        got = _outcome(_run, kernel, learner, v, got_lag, draws, kept, records)
+        want = _outcome(_driven, episode, learner, v, want_lag, draws, records, bound)
+        got = _outcome(_run, kernel, learner, v, got_lag, draws, records)
         assert _identical(got, want)
         assert _identical(vars(got_lag), vars(want_lag))
         if bound < 0.0:
@@ -246,14 +246,14 @@ def test_a_run_the_old_divergence_rule_finishes_keeps_its_bits(
     pass after the steps, at the refreshed centers) finishes, the generated
     run gives that run's values, records (or terminal wealths) and Lagrange
     state, bit for bit."""
-    learner, hyper, v, kept, wealths, draws = _run_case(
+    learner, hyper, v, wealths, draws = _run_case(
         algorithm, T, prefix_updates, refresh_every, recorded, theta, phi1, phi2, w, lam, etas, data)
     want_lag, got_lag = LagrangeState(w, 0.05, list(wealths)), LagrangeState(w, 0.05, list(wealths))
     want = _outcome(_driven, _old_rule(loop._setup(learner, hyper, R_F)), learner, v, want_lag,
-                    draws, kept, records)
+                    draws, records)
     if isinstance(want[0], str):
         return
-    got = _outcome(_run, _setup(learner, hyper, R_F), learner, v, got_lag, draws, kept, records)
+    got = _outcome(_run, _setup(learner, hyper, R_F), learner, v, got_lag, draws, records)
     assert _identical(got, want)
     assert _identical(vars(got_lag), vars(want_lag))
 
@@ -400,10 +400,10 @@ def _residuals_per_episode(learner, T, prefix_updates, episodes=3, start="res = 
             counted.append(frame.f_lineno)
         return trace
 
-    v, kept = _values(learner, learner.cold_start(hyper.spec, R_F, 1.0, 0.01))
+    v = _values(cold_start(learner, hyper, R_F))
     sys.settrace(trace)
     try:
-        kernel.run(v, LagrangeState(SPEC.b, 0.05), [[0.01] * T + [0.5] * T] * episodes, kept, None)
+        kernel.run(v, LagrangeState(SPEC.b, 0.05), [[0.01] * T + [0.5] * T] * episodes, None)
     finally:
         sys.settrace(None)
     return len(counted) / episodes
@@ -494,7 +494,7 @@ def test_the_episode_loop_calls_no_python_function_and_records_once(algorithm, T
     learner = LEARNERS[algorithm]
     hyper = HyperParams(SPEC._replace(T=T))
     kernel = _setup(learner, hyper, R_F)
-    v, kept = _values(learner, learner.cold_start(hyper.spec, R_F, hyper.init_phi1, hyper.init_phi2))
+    v = _values(cold_start(learner, hyper, R_F))
     draws = list(episode_draws(_MARKETS["normal"], T, make_rng(5), 25))
     history, lag, calls = array("d"), LagrangeState(v[-1], hyper.alpha), []
 
@@ -506,7 +506,7 @@ def test_the_episode_loop_calls_no_python_function_and_records_once(algorithm, T
 
     sys.setprofile(profile)
     try:
-        _, wealths = kernel.run(v, lag, draws, kept, history)
+        _, wealths = kernel.run(v, lag, draws, history)
     finally:
         sys.setprofile(None)
     assert len(wealths) == 25 and lag.w != v[-1] and len(history) == 7 * 25
@@ -692,9 +692,9 @@ def test_the_policy_decides_on_the_squares_of_its_extreme_deviations(algorithm, 
     hyper = HyperParams(SPEC._replace(T=2), init_phi1=phi1, init_phi2=phi2)
     assert _old_decision(a) == old
     cold = _outcome(check_cold_start, learner, hyper, R_F)
-    v, kept = _values(learner, learner.cold_start(hyper.spec, R_F, phi1, phi2))
+    v = _values(cold_start(learner, hyper, R_F))
     kernel = _setup(learner, hyper, R_F)
-    ran = _outcome(kernel.run, v, LagrangeState(v[-1], 0.05), [[0.0] * 4], kept, None)
+    ran = _outcome(kernel.run, v, LagrangeState(v[-1], 0.05), [[0.0] * 4], None)
     if new == "ok":
         assert cold is None and len(ran[1]) == 1
     else:
@@ -757,9 +757,9 @@ def test_the_columnar_log_is_the_json_dumps_log_of_the_reference_records(
     learner, model = LEARNERS[algorithm], _MARKETS[market]
     hyper = HyperParams(SPEC._replace(T=T))
     draws = list(episode_draws(model, T, make_rng(seed), episodes))
-    v, kept = _values(learner, learner.cold_start(hyper.spec, R_F, hyper.init_phi1, hyper.init_phi2))
+    v = _values(cold_start(learner, hyper, R_F))
     want = _outcome(_driven, functools.partial(loop._learn, loop._setup(learner, hyper, R_F)), learner,
-                    v, LagrangeState(v[-1], hyper.alpha), draws, kept, True)
+                    v, LagrangeState(v[-1], hyper.alpha), draws, True)
     result = _outcome(run_episodes, learner, hyper, R_F, draws)
     if isinstance(want[0], str):
         assert result == want

@@ -30,6 +30,7 @@ from dtmv.learner import (
     HyperParams,
     InfeasiblePolicyError,
     LagrangeState,
+    Learner,
     PolicyParams,
     TrainingDivergedError,
     ValueParams,
@@ -63,11 +64,13 @@ from reference_kernel import update_w
 SPEC = ProblemSpec(T=3, x0=1.0, b=1.1, lam=2.0)
 R_F = 1.0 + 0.02 / 12.0
 DEFAULTS = HyperParams(SPEC)
-COLD_STARTS = {
-    algorithm: LEARNERS[algorithm].cold_start(SPEC, R_F, DEFAULTS.init_phi1, DEFAULTS.init_phi2)
-    for algorithm in ALGORITHMS
-}
+COLD_STARTS = {algorithm: cold_start(LEARNERS[algorithm], DEFAULTS, R_F) for algorithm in ALGORITHMS}
 COLD = COLD_STARTS[ALGORITHM_DISCRETE]
+
+
+def _split(params):
+    """The (ValueParams, PolicyParams) of discrete params, as the sample adapters take them."""
+    return ValueParams(*params[:4]), PolicyParams(*params[4:6])
 
 
 def _random_params(rng, r_f=R_F):
@@ -146,13 +149,28 @@ def test_policy_entropy_is_linear_in_time_to_go():
     assert all(d == pytest.approx(0.07, rel=1e-12) for d in diffs)
 
 
+def test_a_learner_is_two_record_classes_and_three_constants():
+    """Every learner's params keep a tail of the kernel's values theta1..w,
+    w last, from the index kept; its record is (episode, terminal_wealth,
+    *those fields); and it holds no function."""
+    values = ("theta1", "theta2", "theta3", "theta4", "phi1", "phi2", "w")
+    assert DiscreteParams._fields == values
+    assert Learner._fields == ("params", "record", "shift", "compounding", "hold_phi1")
+    for learner in LEARNERS.values():
+        fields = learner.params._fields
+        assert learner.record._fields == ("episode", "terminal_wealth", *fields)
+        assert fields and values[learner.kept:] == fields  # a tail of theta1..w, so w last
+        assert [type(x) for x in learner[2:]] == [int, bool, bool]
+        assert isinstance(learner.params, type) and isinstance(learner.record, type)
+
+
 def test_default_params_link_theta1_to_phi2():
-    theta, phi = COLD.theta, COLD.phi
+    theta, phi = _split(COLD)
     assert (phi.phi1, phi.phi2) == (1.0, 0.01)
     assert theta.theta1 == pytest.approx(math.exp(-0.02), rel=1e-15)
     assert (theta.theta2, theta.theta3, theta.theta4) == (0.0, 0.0, 0.0)
     with pytest.raises(InfeasiblePolicyError):  # phi2=0.01 is below the floor for r_f=0.95
-        cold_start(SPEC, 0.95, DEFAULTS.init_phi1, DEFAULTS.init_phi2)
+        cold_start(DISCRETE, DEFAULTS, 0.95)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +187,7 @@ def test_episode_validation():
 
 def test_sample_episode_replays_the_wealth_recursion_exactly():
     model = NormalIID(0.025, 0.0577)
-    phi = COLD.phi
+    phi = _split(COLD)[1]
     ep = sample_episode(phi, 1.2, model, SPEC, R_F, make_rng(41, 0))
     assert len(ep.wealth) == SPEC.T + 1 and ep.wealth[0] == SPEC.x0
     for t in range(SPEC.T):
@@ -180,7 +198,7 @@ def test_sample_episode_replays_the_wealth_recursion_exactly():
 
 def test_sample_episode_is_reproducible():
     model = NormalIID(0.025, 0.0577)
-    phi = COLD.phi
+    phi = _split(COLD)[1]
     a = sample_episode(phi, 1.2, model, SPEC, R_F, make_rng(5, 1))
     b = sample_episode(phi, 1.2, model, SPEC, R_F, make_rng(5, 1))
     assert a == b
@@ -219,34 +237,33 @@ def test_cost_matches_independent_reimplementation():
 
 
 def test_cost_of_no_transitions_is_zero():
-    theta, phi = COLD.theta, COLD.phi
+    theta, phi = _split(COLD)
     assert cost([], theta, phi, 1.1, SPEC, R_F) == 0.0
     assert cost([(0, 1.0)], theta, phi, 1.1, SPEC, R_F) == 0.0
 
 
 def test_cost_rejects_nonconsecutive_periods():
-    theta, phi = COLD.theta, COLD.phi
+    theta, phi = _split(COLD)
     with pytest.raises(ValueError, match="consecutive"):
         cost([(0, 1.0), (2, 1.1)], theta, phi, 1.1, SPEC, R_F)
 
 
 def _learner_params(algorithm, theta2, theta3, theta4, phi1, phi2, w):
     if algorithm == ALGORITHM_DISCRETE:
-        theta = ValueParams(math.exp(-2.0 * phi2), theta2, theta3, theta4)
-        return DiscreteParams(theta, PolicyParams(phi1, phi2), w)
+        return DiscreteParams(math.exp(-2.0 * phi2), theta2, theta3, theta4, phi1, phi2, w)
     return BaselineParams(theta2, theta3, theta4, phi1, phi2, w)
 
 
 def _public_gradients(algorithm, samples, params, spec):
     if algorithm == ALGORITHM_DISCRETE:
-        args = (samples, params.theta, params.phi, params.w, spec, R_F)
+        args = (samples, *_split(params), params.w, spec, R_F)
         return grad_theta(*args) + grad_phi(*args)
     return baseline_gradients(samples, params, spec)
 
 
 def _public_cost(algorithm, samples, params, spec):
     if algorithm == ALGORITHM_DISCRETE:
-        return cost(samples, params.theta, params.phi, params.w, spec, R_F)
+        return cost(samples, *_split(params), params.w, spec, R_F)
     return baseline_cost(samples, params, spec)
 
 
@@ -330,7 +347,7 @@ def test_prefix_hooks_equal_the_public_functions(algorithm, theta, phi1, phi2, w
 
 
 def test_gradient_of_empty_samples_is_zero():
-    theta, phi = COLD.theta, COLD.phi
+    theta, phi = _split(COLD)
     assert grad_theta([], theta, phi, 1.1, SPEC, R_F) == (0.0, 0.0)
     assert grad_phi([], theta, phi, 1.1, SPEC, R_F) == (0.0, 0.0)
 
@@ -341,7 +358,7 @@ def test_gradient_of_empty_samples_is_zero():
 
 
 def test_apply_updates_steps_and_pins_constrained_coefficients():
-    theta, phi = COLD.theta, COLD.phi
+    theta, phi = _split(COLD)
     new_theta, new_phi = apply_updates(
         theta, phi, (1.0, -2.0, 3.0, -0.5), 0.01, 0.02, 1.2, SPEC, R_F
     )
@@ -359,7 +376,7 @@ def test_apply_updates_steps_and_pins_constrained_coefficients():
 
 
 def test_apply_updates_projects_phi2_onto_the_feasible_floor():
-    theta, phi = COLD.theta, COLD.phi
+    theta, phi = _split(COLD)
     new_theta, new_phi = apply_updates(
         theta, phi, (0.0, 0.0, 0.0, 1e9), 0.0005, 0.0005, 1.1, SPEC, R_F
     )
@@ -442,7 +459,7 @@ def test_train_zero_episodes_returns_the_initial_state(algorithm):
     model = NormalIID(0.025, 0.0577)
     result = TRAINERS[algorithm](_hyper(0), model, R_F, make_rng(1, 0))
     assert result.params == COLD_STARTS[algorithm]
-    assert result.params == LEARNERS[algorithm].cold_start(SPEC, R_F, 1.0, 0.01)
+    assert result.params == cold_start(LEARNERS[algorithm], _hyper(0), R_F)
     assert result.params.w == SPEC.b and result.history == ()
 
 
@@ -475,7 +492,7 @@ def test_train_divergence_guard_raises(algorithm):
     with pytest.raises(TrainingDivergedError, match="episode") as info:
         TRAINERS[algorithm](hyper, model, R_F, make_rng(1, 1))
     message = str(info.value)
-    names = list(LEARNERS[algorithm].fields(COLD_STARTS[algorithm]))
+    names = list(LEARNERS[algorithm].params._fields)
     assert names[-1] == "w"
     assert "(cost " in message
     named = message[message.index("; ") + 2 : -1].split(", ")
@@ -501,7 +518,7 @@ def test_arithmetic_out_of_range_is_divergence(algorithm, eta, lam, episode):
     assert message.startswith(f"training diverged at episode {episode} (OverflowError: ")
     assert isinstance(info.value.__cause__, OverflowError)
     named = [item.split("=") for item in message[message.index("; ") + 2 : -1].split(", ")]
-    assert [k for k, _ in named] == list(LEARNERS[algorithm].fields(COLD_STARTS[algorithm]))
+    assert [k for k, _ in named] == list(LEARNERS[algorithm].params._fields)
     assert all(math.isfinite(float(x)) for _, x in named)
 
 
@@ -722,9 +739,9 @@ def test_train_keeps_phi1_and_phi2_leaves_its_floor_while_w_winds_up():
     a, sigma, r_f = annualize_market(0.30, 0.20, 0.02)
     result = train(_hyper(3000), NormalIID(a, sigma), r_f, make_rng(1, 0))
     assert all(rec.phi1 == 1.0 for rec in result.history)
-    assert result.params.theta.theta3 > 1.0  # the drift carries the residual's constant
+    assert result.params.theta3 > 1.0  # the drift carries the residual's constant
     assert result.params.w < 2.7  # w is still on its way up from b ...
-    assert result.params.phi.phi2 + math.log(r_f) > 0.015  # ... and phi2 has left its floor
+    assert result.params.phi2 + math.log(r_f) > 0.015  # ... and phi2 has left its floor
 
 
 def test_train_reaches_the_known_market_solution():
@@ -739,7 +756,7 @@ def test_train_reaches_the_known_market_solution():
     theta1s, means = [], []
     for seed in (1, 2, 3):
         result = train(hyper, model, r_f, make_rng(seed, 0))
-        theta1s.append(result.params.theta.theta1)
+        theta1s.append(result.params.theta1)
         tail = [rec.terminal_wealth for rec in result.history[-2000:]]
         means.append(sum(tail) / len(tail))
     assert abs(sorted(theta1s)[1] - target_theta1) <= 0.25 * target_theta1
