@@ -6,7 +6,8 @@ constants of the continuous-time construction, one Learner value
 forms ignore riskless compounding (the state deviation is x - w with no
 horizon discounting, and the slope's gap is 2 * phi2), it counts one more
 period of entropy at each period, and it steps phi1 with the other
-parameters.  The period is the unit of time.
+parameters.  The period is the unit of time.  Its sample adapters run the
+discrete learner's plain-Python pass and step (_on_samples, step_params).
 """
 
 from __future__ import annotations

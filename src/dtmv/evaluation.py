@@ -107,8 +107,8 @@ class RollingSpec(NamedTuple):
             raise ValueError("test_years and targets must be nonempty")
         if self.horizon_months < 1 or self.window_months < self.horizon_months:
             raise ValueError("need window_months >= horizon_months >= 1")
-        if self.test_months < self.horizon_months:
-            raise ValueError("test period shorter than one horizon window")
+        if self.test_months < 2 * self.horizon_months:  # a test cell's statistics need two windows
+            raise ValueError("test period shorter than two horizon windows")
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ windows one row per window.  Only train's log reads the per-episode records, eac
 built on access (History); with records off a run keeps its wealths alone.  A Learner is
 data: the record classes of its params and log rows, and the three
 constants in which the continuous-time comparator (dtmv.baseline.CONTINUOUS)
-differs from DISCRETE here; cold_start serves both.  The sample adapters
-(cost, grad_theta, grad_phi, apply_updates) run the kernel's descend,
-sample_episode its rollout.
+differs from DISCRETE here; cold_start serves both.  No command calls the
+sample adapters (cost, grad_theta, grad_phi, apply_updates): they are plain
+Python (_on_samples, step_params) in the generated pass's float order, bit
+for bit, and sample_episode rolls out the kernel's policy alone.
 """
 
 from __future__ import annotations
@@ -241,14 +242,15 @@ def _names(prefix: str, periods) -> str:
     return "".join(f"{prefix}{t}, " for t in periods)
 
 
-def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_first: int,
-                   passes: tuple, training: bool, bound: tuple) -> Tuple[str, ...]:
-    """Python sources of a learner's episode kernel at horizon T, with one
-    pass over the residuals of the n transitions from period t_first per n
-    in passes: one function each, compiled one at a time (_compile).  run
-    reads a run's floats (_setup's names, bound here) as keyword-only
-    defaults, locals; the others read them as globals.  Of the values
-    v = (theta1, ..., w), theta1 being e2 = exp(-2 phi2):
+def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, passes: tuple,
+                   bound: tuple) -> Tuple[str, ...]:
+    """Python sources of a learner's episode kernel at horizon T, one
+    function each, compiled one at a time (_compile): the policy alone where
+    passes is (), else the policy, the rollout and the training loop run,
+    with one pass over the residuals of the first n transitions per n in
+    passes.  run reads a run's floats (_setup's names, bound here) as
+    keyword-only defaults, locals; the others read them as globals.  Of the
+    values v = (theta1, ..., w), theta1 being e2 = exp(-2 phi2):
         policy(phi1, phi2, e2) -> (slope, standard deviation s_t for t <
             T); raises InfeasiblePolicyError where the root under the slope
             is not of a positive number, a value overflows or a variance is
@@ -258,35 +260,31 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             standard normals z_t of the policy, fixed for the episode, u_t =
             slope (x_t - c_t) + s_t z_t;
         run(v, lag, draws, history) -> (v after the training loop, the
-            wealths it recorded in lag), with training set: per row of
-            draws, unpacked into r_t and z_t in the episode loop's for
-            target, that rollout, its terminal wealth recorded in lag, w
-            refreshed every refresh_every recorded wealths (inline: lag.w -
-            lag.alpha * (their mean - b)), the passes, run_episodes'
-            divergence check on half the summed squares of the last, taken
-            before its step, and the values after the episode packed into
-            history, a float array, with one frombytes(pack(*v)) call,
-            unless it is None; its episode loop calls no Python function.
-            It forms c_t = rho_t w, x_0 - c_0 and (w - b)^2 once per w, and
-            the last again for theta4 where it overflowed, so that episode
-            raises;
-        descend(theta2, theta3, phi1, phi2, e2, w, devs, grads) -> (theta1..
-            phi2 after the passes, the last one's gradient and summed
-            squares), without: the one pass of the sample adapters, without
-            rollout; with no passes the policy (and rollout if training).
+            wealths it recorded in lag): per row of draws, unpacked into r_t
+            and z_t in the episode loop's for target, that rollout, its
+            terminal wealth recorded in lag, w refreshed every refresh_every
+            recorded wealths (inline: lag.w - lag.alpha * (their mean - b)),
+            the passes, run_episodes' divergence check on half the summed
+            squares of the last, taken before its step, and the values after
+            the episode packed into history, a float array, with one
+            frombytes(pack(*v)) call, unless it is None; its episode loop
+            calls no Python function.  It forms c_t = rho_t w, x_0 - c_0 and
+            (w - b)^2 once per w, and the last again for theta4 where it
+            overflowed, so that episode raises.
     A pass sums the gradient (g_t2, g_t3, g_p1, g_p2) in (theta2, theta3,
     phi1, phi2) of half the summed squared residuals (and, the last pass
-    alone, whose sum the check and descend read, their squares), then
-    takes one gradient step of sizes (eta_theta, eta_phi) on it, or on
-    grads when descend is given them.  It reads the deviations x - c_t of
-    the states from the centers at w (devs[k] at period t_first + k) and
-    weights their squares as e2_k * dev * dev, e2_k = e2**(T - t) formed
+    alone, whose sum the check reads, their squares), then takes one
+    gradient step of sizes (eta_theta, eta_phi) on it.  It reads the
+    deviations d_t = x_t - c_t of the states from the centers at w and
+    weights their squares as e2_k * d_t * d_t, e2_k = e2**(T - t) formed
     once per pass as e2 * e2 * ... * e2.  The steps leave theta1 and theta4
     pinned at w.  The passes before the last are a loop over their n around
     the straight-line residuals of the longest of them, with a break after
     each shorter n; the last pass follows as straight-line code: no source
     grows faster than T, however many growing prefixes there are, and
-    neither does the compiler's memory.
+    neither does the compiler's memory.  The sample adapters' pass
+    (_on_samples) and step (step_params) are plain Python in this float
+    order.
 
     phi1 enters every residual only through theta3 - lam * phi1, so its
     partial g_p1 is always -lam times the theta3 partial g_t3: the cost is
@@ -325,16 +323,14 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
     def function(head, lines):
         return "".join([f"def {head}:\n", *indent(f"{line}\n" for line in lines)])
 
-    span = range(t_first, t_first + max(passes) + 1) if any(passes) else ()
     *earlier, final = passes or (0,)
 
     def residuals(n, summed):  # the first n transitions; unless summed (no squares), a break per earlier n
         body = []
-        for k in range(n):
-            t = t_first + k
+        for t in range(n):
             wt = f" * {2.0 * t + 1.0!r}" * (t > 0)  # the factor 2t + 1, left out where it is 1.0
-            body += [f"if n == {k}:", "    break"] * (k in earlier and not summed)
-            body += [f"q{t} = {q(t)}"] * (k == 0) + [
+            body += [f"if n == {t}:", "    break"] * (t in earlier and not summed)
+            body += [f"q{t} = {q(t)}"] * (t == 0) + [
                 f"q{t + 1} = {q(t + 1)}",
                 f"res = q{t + 1} - q{t} + theta2{wt} + theta3"
                 f" - lam * (phi1 + phi2 * {T - t - 1 + shift})",
@@ -345,18 +341,15 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
 
     move = (["theta3 = theta3 - eta_theta * g_t3 + lam_eta_phi * g_p1"] if hold_phi1 else
             ["theta3 = theta3 - eta_theta * g_t3", "phi1 = phi1 - eta_phi * g_p1"])
-    update = ["g_p1 = -lam * g_t3", "if grads is not None:", "    g_t2, g_t3, g_p1, g_p2 = grads",
-              "theta2 = theta2 - eta_theta * g_t2", *move, "phi2 = phi2 - eta_phi * g_p2",
-              "if phi2 < floor:", "    phi2 = floor", "e2 = exp(-2.0 * phi2)"]
-    update = update[:1] + update[3:] if training else update  # run never steps on grads
-    powers = [f"e2_{k} = {'e2' if k == 2 else f'e2_{k - 1}'} * e2" for k in range(2, T - t_first + 1)]
+    update = ["g_p1 = -lam * g_t3", "theta2 = theta2 - eta_theta * g_t2", *move,
+              "phi2 = phi2 - eta_phi * g_p2", "if phi2 < floor:", "    phi2 = floor", "e2 = exp(-2.0 * phi2)"]
+    powers = [f"e2_{k} = {'e2' if k == 2 else f'e2_{k - 1}'} * e2" for k in range(2, T + 1)]
     # the passes before the last: a loop over their n that sums no squares; then the last, straight-line
     looped = [f"for n in {tuple(earlier)!r}:", "    g_t2 = g_t3 = g_p2 = 0.0", *indent(powers),
               "    while True:", *indent(residuals(max(earlier, default=0), False), 2), "        break",
               *indent(update)]
     step_passes = looped * bool(earlier) + [
         "g_t2 = g_t3 = g_p2 = sq = 0.0", *powers * bool(final), *residuals(final, True), *update]
-    theta4 = f"theta4 = -theta2 * {T ** 2} - theta3 * {T} - {{}}".format
 
     half = "half = exp(phi1 - 0.5)"
     last = f"s{T - 1} = half / root_two_pi" + " * g" * shift
@@ -404,7 +397,7 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             "recorded = len(tws)", "phase = recorded % refresh_every",
             f"for ep, ({row}) in enumerate(draws, 1):",
             "    try:", *indent([*moving, *rollout, *refresh, *step_passes], 2),
-            f"        {theta4('(wb2 or (w - b) ** 2)')}",
+            f"        theta4 = -theta2 * {T ** 2} - theta3 * {T} - (wb2 or (w - b) ** 2)",
             "    except (InfeasiblePolicyError, OverflowError) as exc:",
             "        raise diverged(ep, f'{type(exc).__name__}: {exc}', v) from exc",
             "    v, cost = (e2, theta2, theta3, theta4, phi1, phi2, w_after), 0.5 * sq",
@@ -415,12 +408,9 @@ def _kernel_source(T: int, shift: int, compounding: bool, hold_phi1: bool, t_fir
             "        history.frombytes(pack(*v))",
             "    if not phase:  # the refresh moved w",
             *indent(["w = w_after", *hoisted], 2),
-            "return v, tws[recorded:]"])
-        if training else function("descend(theta2, theta3, phi1, phi2, e2, w, devs, grads)", [
-            *[f"{_names('d', span)}= devs"] * bool(span), *step_passes, theta4("(w - b) ** 2"),
-            "return (e2, theta2, theta3, theta4, phi1, phi2), (g_t2, g_t3, g_p1, g_p2), sq"]),
+            "return v, tws[recorded:]"]),
     )
-    return sources[:1 + training] + sources[2:] * bool(passes)  # rollout if training, run or descend if passes
+    return sources if passes else sources[:1]
 
 
 @functools.lru_cache(maxsize=32)
@@ -432,26 +422,26 @@ def _compile(*structure) -> tuple:
 
 class _Kernel(NamedTuple):
     """A learner's generated functions (_kernel_source) bound to one run's
-    floats (one of run and descend None), and its centers c_t / w, t = 0..T."""
+    floats; rollout and run None where the structure is the policy alone."""
 
     policy: Callable
     rollout: Callable
     run: Callable
-    descend: Callable
-    rhos: tuple
 
 
-def _setup(learner: Learner, hyper: HyperParams, r_f, t_first=0, passes=None, training=False) -> _Kernel:
-    """The learner's kernel for hyper at r_f, bound to the run's floats (names):
-    run, or descend over the passes given; for passes (), the policy (with training, its rollout)."""
+def _centers(learner: Learner, T: int, r_f) -> Tuple[tuple, float]:
+    """The learner's centers c_t / w, t = 0..T, at r_f, and its phi2 floor."""
+    if learner.compounding:
+        return tuple(discount_factor(t, T, r_f) for t in range(T + 1)), -math.log(r_f) + PHI2_MARGIN
+    return (1.0,) * (T + 1), PHI2_MARGIN
+
+
+def _setup(learner: Learner, hyper: HyperParams, r_f, passes=None) -> _Kernel:
+    """The learner's kernel for hyper at r_f, bound to the run's floats (names): policy, rollout
+    and run, which steps on each growing prefix (or once on the episode), or for passes () the policy."""
     spec = hyper.spec
     T, lam = spec.T, spec.lam
-    if learner.compounding:
-        rhos = tuple(discount_factor(t, T, r_f) for t in range(T + 1))
-        floor = -math.log(r_f) + PHI2_MARGIN
-    else:
-        rhos, floor = (1.0,) * (T + 1), PHI2_MARGIN
-    training = training or passes is None  # run: a step on each growing prefix, or the episode
+    rhos, floor = _centers(learner, T, r_f)
     if passes is None:
         passes = tuple(range(1, T + 1)) if hyper.prefix_updates else (T,)
     names = {
@@ -460,14 +450,13 @@ def _setup(learner: Learner, hyper: HyperParams, r_f, t_first=0, passes=None, tr
         "r_f": r_f, "eta_theta": hyper.eta_theta, "eta_phi": hyper.eta_phi,
         "refresh_every": hyper.refresh_every, "floor": floor, "lam_pi": lam * math.pi,
         "lam_eta_phi": lam * hyper.eta_phi, **{f"rho{t}": rho for t, rho in enumerate(rhos)},
-        **({} if r_f is None else {"rf2": r_f * r_f, "rf_x0": r_f * spec.x0}),  # None: no run, no rollout
+        "rf2": r_f * r_f, "rf_x0": r_f * spec.x0,
         **{f"lc{t}": lam * (T - t - 1 + learner.shift) for t in range(T)}, "inf": math.inf,
         "DIVERGENCE_COST": DIVERGENCE_COST, "diverged": functools.partial(_diverged, learner),
     }
-    for code in _compile(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes,
-                         training, tuple(names)):
+    for code in _compile(T, learner.shift, learner.compounding, learner.hold_phi1, passes, tuple(names)):
         exec(code, names)
-    return _Kernel(names["policy"], names.get("rollout"), names.get("run"), names.get("descend"), rhos)
+    return _Kernel(names["policy"], names.get("rollout"), names.get("run"))
 
 
 def _values(params) -> Tuple[float, ...]:
@@ -532,37 +521,51 @@ def check_cold_start(learner: Learner, hyper: HyperParams, r_f) -> None:
     """run_episodes' check before its first episode, on the kernel's policy alone: raises
     InfeasiblePolicyError where the learner's cold start from hyper at r_f defines none."""
     v = _values(cold_start(learner, hyper, r_f))
-    _setup(learner, hyper, r_f, 0, ()).policy(v[4], v[5], v[0])
-
-
-def _check_samples(samples: Sequence[Tuple[int, float]], T: int) -> None:
-    for (t0, _), (t1, _) in zip(samples, samples[1:]):
-        if t1 != t0 + 1:
-            raise ValueError("samples must carry consecutive periods")
-    if samples and not (0 <= samples[0][0] and samples[-1][0] <= T):
-        raise ValueError("sample periods outside 0..T")
+    _setup(learner, hyper, r_f, ()).policy(v[4], v[5], v[0])
 
 
 def _on_samples(learner, samples, params, spec: ProblemSpec, r_f):
-    """One pass of the kernel's descend over (t, x) samples of consecutive
-    periods in 0..T: the gradient (theta2, theta3, phi1, phi2) of half the
-    summed squared residuals, and the summed squares (its step is not
-    kept); an empty or single-state sample list has no transitions and sums
-    to 0."""
-    _check_samples(samples, spec.T)
-    t_first, n = (samples[0][0], len(samples) - 1) if samples else (0, 0)
-    kernel = _setup(learner, HyperParams(spec), r_f, t_first, (n,))
+    """One pass of the kernel's residuals over (t, x) samples of consecutive
+    periods in 0..T, in the generated pass's float order: the gradient
+    (theta2, theta3, phi1, phi2) of half the summed squared residuals, and
+    the summed squares; no transitions (fewer than two samples) sum to 0."""
+    for (t0, _), (t1, _) in zip(samples, samples[1:]):
+        if t1 != t0 + 1:
+            raise ValueError("samples must carry consecutive periods")
+    if samples and not (0 <= samples[0][0] and samples[-1][0] <= spec.T):
+        raise ValueError("sample periods outside 0..T")
+    T, lam = spec.T, spec.lam
+    rhos, _ = _centers(learner, T, r_f)
     e2, theta2, theta3, _, phi1, phi2, w = _values(params)
-    devs = [x - kernel.rhos[t] * w for t, x in samples]
-    return kernel.descend(theta2, theta3, phi1, phi2, e2, w, devs, None)[1:]
+    powers = [1.0]  # e2**k at k, by multiplication
+    for _ in range(T):
+        powers.append(powers[-1] * e2)
+    devs = [x - rhos[t] * w for t, x in samples]
+    q = [powers[T - t] * d * d for (t, _), d in zip(samples, devs)]
+    g_t2 = g_t3 = g_p2 = sq = 0.0
+    for (t, _), q0, q1 in zip(samples, q, q[1:]):
+        wt, count = 2.0 * t + 1.0, T - t - 1 + learner.shift
+        res = q1 - q0 + theta2 * wt + theta3 - lam * (phi1 + phi2 * count)
+        g_t2 += res * wt
+        g_t3 += res
+        g_p2 += res * (2.0 * (T - t) * q0 - 2.0 * (T - t - 1) * q1 - lam * count)
+        sq += res * res
+    return (g_t2, g_t3, -lam * g_t3, g_p2), sq
 
 
 def step_params(learner, params, grads, eta_theta: float, eta_phi: float, spec: ProblemSpec, r_f):
-    """params after the learner's gradient step (its kernel's descend) on grads."""
-    kernel = _setup(learner, HyperParams(spec, eta_theta, eta_phi), r_f, 0, (0,))
-    e2, theta2, theta3, _, phi1, phi2, w = _values(params)
-    stepped, _, _ = kernel.descend(theta2, theta3, phi1, phi2, e2, w, (), grads)
-    return learner.params(*(*stepped, w)[learner.kept:])
+    """params after the learner's gradient step on grads, the kernel's update in its float order
+    (phi1 held where hold_phi1 is set, theta3 taking its move; phi2 floored; theta1, theta4 pinned)."""
+    _, theta2, theta3, _, phi1, phi2, w = _values(params)
+    g_t2, g_t3, g_p1, g_p2 = grads
+    theta2, theta3 = theta2 - eta_theta * g_t2, theta3 - eta_theta * g_t3
+    if learner.hold_phi1:
+        theta3 = theta3 + spec.lam * eta_phi * g_p1
+    else:
+        phi1 = phi1 - eta_phi * g_p1
+    phi2 = max(phi2 - eta_phi * g_p2, _centers(learner, spec.T, r_f)[1])
+    theta4 = -theta2 * spec.T ** 2 - theta3 * spec.T - (w - spec.b) ** 2
+    return learner.params(*(math.exp(-2.0 * phi2), theta2, theta3, theta4, phi1, phi2, w)[learner.kept:])
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +588,12 @@ def sample_episode(phi: PolicyParams, w: float, model: ReturnModel, spec: Proble
     """Roll out one trajectory from x0 under the current stochastic policy."""
     returns = sample_path(model, spec.T, rng)
     z = rng.standard_normal(spec.T).tolist()
-    v = _values(DiscreteParams(0.0, 0.0, 0.0, 0.0, *phi, w))
-    wealth, controls = _setup(DISCRETE, HyperParams(spec), r_f, 0, (), True).rollout(v, returns.tolist() + z)
-    return Episode(wealth, controls, tuple(returns))
+    slope, s = _setup(DISCRETE, HyperParams(spec), r_f, ()).policy(*phi, math.exp(-2.0 * phi.phi2))
+    rhos, wealth, controls = _centers(DISCRETE, spec.T, r_f)[0], [spec.x0], []
+    for t, r in enumerate(returns.tolist()):
+        controls.append(slope * (wealth[t] - rhos[t] * w) + s[t] * z[t])
+        wealth.append(r_f * wealth[t] + r * controls[t])
+    return Episode(tuple(wealth), tuple(controls), tuple(returns))
 
 
 def cost(samples: Sequence[Tuple[int, float]], theta: ValueParams, phi: PolicyParams, w: float,

@@ -1,6 +1,8 @@
 """The loop kernel that the generated episode kernel replaced, kept as a
 test-only reference: tests/test_kernel.py checks that the generated code
-gives the same values, gradients, costs and rollouts, float for float.
+and the sample adapters' pass and step (dtmv.learner._on_samples,
+step_params) give the same values, gradients, costs and rollouts, float
+for float.
 
 _Run, _setup, _policy, _descend, _episode and update_w are copied verbatim
 from dtmv.learner as they were before the kernel was generated (update_w

@@ -48,7 +48,7 @@ def _random_samples(rng, T):
 
 def test_baseline_policy_formula():
     p = BaselineParams(0.0, 0.0, 0.0, phi1=0.7, phi2=0.06, w=1.25)
-    pol = _policy(CONTINUOUS, p.phi1, p.phi2, 1, 1.5, p.w, r_f=None)
+    pol = _policy(CONTINUOUS, p.phi1, p.phi2, 1, 1.5, p.w)
     dev = 1.5 - 1.25
     assert pol.mean == pytest.approx(
         -math.sqrt(2.0 * 0.06 / (SPEC.lam * math.pi)) * math.exp(0.2) * dev, rel=1e-14
@@ -63,22 +63,21 @@ def test_baseline_mean_depends_on_the_raw_deviation_only():
     shifting x and w together leaves the whole policy unchanged.  The
     discrete learner's policy does not have this property when r_f != 1."""
     p = BaselineParams(0.0, 0.0, 0.0, 0.9, 0.04, w=1.2)
-    ref = _policy(CONTINUOUS, p.phi1, p.phi2, 0, 1.4, p.w, r_f=None)
+    ref = _policy(CONTINUOUS, p.phi1, p.phi2, 0, 1.4, p.w)
     for shift in (-0.7, 0.0, 2.5):
         moved = BaselineParams(0.0, 0.0, 0.0, 0.9, 0.04, w=1.2 + shift)
-        pol = _policy(CONTINUOUS, moved.phi1, moved.phi2, 0, 1.4 + shift, moved.w, r_f=None)
+        pol = _policy(CONTINUOUS, moved.phi1, moved.phi2, 0, 1.4 + shift, moved.w)
         assert pol.mean == pytest.approx(ref.mean, rel=1e-12)
         assert pol.variance == ref.variance
-    r_f = 1.0 + 0.02 / 12.0
-    a = _policy(DISCRETE, 0.9, 0.04, 0, 1.4, 1.2, r_f=r_f)
-    b = _policy(DISCRETE, 0.9, 0.04, 0, 1.4 + 0.5, 1.2 + 0.5, r_f=r_f)
+    a = _policy(DISCRETE, 0.9, 0.04, 0, 1.4, 1.2)
+    b = _policy(DISCRETE, 0.9, 0.04, 0, 1.4 + 0.5, 1.2 + 0.5)
     assert a.mean != b.mean  # discounted centering breaks translation
 
 
 def test_baseline_policy_requires_positive_phi2():
     p = BaselineParams(0.0, 0.0, 0.0, 1.0, 0.0, 1.1)
     with pytest.raises(InfeasiblePolicyError):
-        _policy(CONTINUOUS, p.phi1, p.phi2, 0, 1.0, p.w, r_f=None)
+        _policy(CONTINUOUS, p.phi1, p.phi2, 0, 1.0, p.w)
 
 
 def test_baseline_entropy_matches_the_policy_variance():
@@ -87,7 +86,7 @@ def test_baseline_entropy_matches_the_policy_variance():
     for _ in range(40):
         p = _random_params(rng)
         t = int(rng.integers(0, SPEC.T))
-        pol = _policy(CONTINUOUS, p.phi1, p.phi2, t, float(rng.uniform(0.0, 2.0)), p.w, r_f=None)
+        pol = _policy(CONTINUOUS, p.phi1, p.phi2, t, float(rng.uniform(0.0, 2.0)), p.w)
         entropy = p.phi1 + p.phi2 * (SPEC.T - t)
         assert abs(entropy - gaussian_entropy(pol.variance)) <= 1e-12
 
@@ -168,4 +167,4 @@ def test_baseline_apply_updates_pins_the_terminal_condition():
 def test_baseline_phi2_projection_keeps_the_policy_defined():
     q = baseline_apply_updates(COLD, (0.0, 0.0, 0.0, 1e9), 0.0005, 0.0005, SPEC)
     assert q.phi2 == PHI2_MARGIN
-    _policy(CONTINUOUS, q.phi1, q.phi2, 0, 1.0, q.w, r_f=None)
+    _policy(CONTINUOUS, q.phi1, q.phi2, 0, 1.0, q.w)

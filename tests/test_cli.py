@@ -182,6 +182,8 @@ def test_grid_needs_three_points(tmp_path, capsys):
         ("iterate", "family", "var_base", "0.0"),
         ("backtest", "evaluation", "window_months", "0"),
         ("backtest", "evaluation", "test_months", "1"),
+        # one 3-month window, so one terminal wealth a cell: no statistics
+        ("backtest", "evaluation", "test_months", "5"),
         # riskless factor 1 + r_annual / periods_per_year <= 0, for every command that
         # reads it and for histogram, which does not
         ("analytic", "market", "r_annual", "-13.0"),

@@ -218,14 +218,14 @@ def test_rolling_backtest_row_grid_order_and_identity():
 
 
 @pytest.mark.parametrize("test_months, horizon, label", [
-    (6, 3, "2004-2004"), (12, 3, "2004-2004"), (18, 3, "2004-2005"), (48, 25, "2004-2006"),
+    (6, 3, "2004-2004"), (12, 3, "2004-2004"), (18, 3, "2004-2005"), (72, 25, "2004-2008"),
     (120, 3, "2004-2013"),
 ])
 def test_a_backtest_label_ends_in_the_year_of_the_last_test_month(monkeypatch, test_months, horizon,
                                                                   label):
     """A test period is labelled from its first year to the year of the last
-    month its nonoverlapping windows cover: one 25-month window of 48 test
-    months ends in 2006-01, and 18 months from 2004-01 end in 2005-06."""
+    month its nonoverlapping windows cover: two 25-month windows of 72 test
+    months end in 2008-02, and 18 months from 2004-01 end in 2005-06."""
     monkeypatch.setattr("dtmv.evaluation._run_cells", lambda worker, cells, jobs: cells)
     series = _noise_series("1994-01", 240)  # 1994-01 .. 2013-12
     rolling = RollingSpec(test_years=(2004,), targets=(1.05,), horizon_months=horizon,
@@ -313,6 +313,15 @@ def test_rolling_backtest_online_mode_changes_the_outcome():
         (36, ALGORITHM_DISCRETE): True,
         (36, ALGORITHM_CONTINUOUS): True,
     }
+
+
+@pytest.mark.parametrize("horizon", [1, 3, 25])
+def test_a_test_period_holds_at_least_two_horizon_windows(horizon):
+    """A test cell's statistics need two terminal wealths, one per window:
+    2h - 1 test months of horizon h are rejected, 2h accepted."""
+    with pytest.raises(ValueError, match="^test period shorter than two horizon windows$"):
+        RollingSpec(test_years=(2004,), horizon_months=horizon, test_months=2 * horizon - 1)
+    RollingSpec(test_years=(2004,), horizon_months=horizon, test_months=2 * horizon)  # accepted
 
 
 def test_rolling_spec_validation():

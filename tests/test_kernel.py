@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 import reference_kernel as loop
 from dtmv import learner as learner_module
 from dtmv.analytic import ProblemSpec
-from dtmv.cli import _ndjson_lines
+from dtmv.cli import _ndjson_lines, main
 from dtmv.evaluation import ALGORITHMS, LEARNERS, RollingSpec, rolling_backtest
+from dtmv import baseline
 from dtmv.learner import (
     DISCRETE,
     DIVERGENCE_COST,
@@ -33,13 +34,18 @@ from dtmv.learner import (
     _diverged,
     _kernel_source,
     _names,
+    _on_samples,
     _setup,
     _values,
+    apply_updates,
     check_cold_start,
     cold_start,
     cost,
+    grad_phi,
+    grad_theta,
     run_episodes,
     sample_episode,
+    step_params,
     train,
 )
 from dtmv.market import (
@@ -270,26 +276,30 @@ def test_a_run_the_old_divergence_rule_finishes_keeps_its_bits(
     etas=_ETAS,
     data=st.data(),
 )
-def test_generated_pass_equals_the_loop_kernel(algorithm, T, theta, phi1, phi2, w, lam, etas, data):
-    """The one pass of the sample adapters (the n transitions from period
-    t_first, a step on given grads for apply_updates) gives the loop
-    kernel's values and gradient after its step pass, and the summed
-    squares of its pass without a step."""
+def test_the_sample_pass_and_step_equal_the_loop_kernel(algorithm, T, theta, phi1, phi2, w, lam, etas,
+                                                       data):
+    """The sample adapters' pass (_on_samples, over the n transitions from
+    period t_first) gives the loop kernel's gradient of its step pass and
+    the summed squares of its pass without a step, and step_params, on given
+    grads or on that gradient, the loop kernel's values after its step:
+    float for float."""
     t_first = data.draw(st.integers(0, T))
     n = data.draw(st.integers(0, T - t_first))
-    devs = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n + 1, max_size=n + 1))
+    wealths = data.draw(st.lists(st.floats(-1.0, 3.5), min_size=n + 1, max_size=n + 1))
     grads = data.draw(st.none() | st.tuples(*[st.floats(-1.0, 1.0)] * 4))
     learner, hyper = LEARNERS[algorithm], HyperParams(SPEC._replace(T=T, lam=lam), *etas)
-    args = (theta[0], theta[1], phi1, phi2, math.exp(-2.0 * phi2), w)
+    e2 = math.exp(-2.0 * phi2)
+    args = (theta[0], theta[1], phi1, phi2, e2, w)
     run = loop._setup(learner, hyper, R_F)
-    want = _outcome(loop._descend, run, ((n, True),), devs, devs, t_first, *args, grads)
-    squares = _outcome(loop._descend, run, ((n, False),), devs, devs, t_first, *args)
-    got = _outcome(_setup(learner, hyper, R_F, t_first, (n,)).descend, *args, devs, grads)
-    if isinstance(want[0], str):
-        assert got == want == squares
-    else:  # the adapters read the gradient and the squares of the one pass, and its step
-        assert _identical(got[:2], want[:2])
-        assert _identical(got[2], squares[2])
+    samples = list(enumerate(wealths, t_first))
+    devs = [x - run.rhos[t] * w for t, x in samples]
+    _, gradient, _ = loop._descend(run, ((n, True),), devs, devs, t_first, *args)
+    squares = loop._descend(run, ((n, False),), devs, devs, t_first, *args)[2]
+    stepped = loop._descend(run, ((n, True),), devs, devs, t_first, *args, grads)[0]  # on grads or its own
+    params = learner.params(*(e2, *theta, 0.0, phi1, phi2, w)[learner.kept:])
+    assert _identical(_on_samples(learner, samples, params, hyper.spec, R_F), (gradient, squares))
+    got = step_params(learner, params, grads or gradient, *etas, hyper.spec, R_F)
+    assert _identical(got, learner.params(*(*stepped, w)[learner.kept:]))
 
 
 def _counting_compiles(monkeypatch):
@@ -322,11 +332,80 @@ def test_a_backtest_decade_compiles_one_learning_kernel_per_learner(monkeypatch)
     assert (DISCRETE.shift, DISCRETE.compounding, DISCRETE.hold_phi1) in per_learner
 
 
-def _sources(learner, T, t_first, passes, training):
+_SAMPLES, _COMPARATOR = [(0, 1.0), (1, 1.02)], cold_start(baseline.CONTINUOUS, HyperParams(SPEC), R_F)
+_ADAPTED = (_SAMPLES, ValueParams(0.99, 0.0, 0.0, 0.0), PolicyParams(1.0, 0.01), 1.1, SPEC, R_F)
+_ADAPTER_ARGS = {  # each sample adapter's arguments
+    cost: _ADAPTED, grad_theta: _ADAPTED, grad_phi: _ADAPTED,
+    apply_updates: (*_ADAPTED[1:3], (0.1,) * 4, 5e-4, 5e-4, 1.1, SPEC, R_F),
+    baseline.baseline_cost: (_SAMPLES, _COMPARATOR, SPEC),
+    baseline.baseline_gradients: (_SAMPLES, _COMPARATOR, SPEC),
+    baseline.baseline_apply_updates: (_COMPARATOR, (0.1,) * 4, 5e-4, 5e-4, SPEC),
+}
+# the (horizon, algorithm) pairs each command trains under _SMALL; the backtest's horizon_months is 3
+_TRAINED = {"train": [(2, ALGORITHMS[0])], "simulate": [(2, algorithm) for algorithm in ALGORITHMS],
+            "backtest": [(3, algorithm) for algorithm in ALGORITHMS]}
+_SMALL = """
+[problem]
+horizon = 2
+
+[learning]
+episodes = 40
+
+[evaluation]
+test_episodes = 20
+seeds = 1
+sigma_grid_annual = 0.2
+backtest_start_years = 2004
+backtest_targets = 1.03, 1.05
+"""
+
+
+@pytest.mark.parametrize("adapter", list(_ADAPTER_ARGS), ids=lambda adapter: adapter.__name__)
+def test_a_sample_adapter_compiles_nothing(monkeypatch, adapter):
+    """No command calls the seven sample adapters: they are plain Python,
+    and a fresh call compiles no kernel structure."""
+    compiled = _counting_compiles(monkeypatch)
+    adapter(*_ADAPTER_ARGS[adapter])
+    assert compiled == []
+
+
+@pytest.mark.parametrize("T", [1, 3, 12, 60])
+def test_sample_episode_compiles_the_policy_alone(monkeypatch, T):
+    """A fresh sample_episode compiles the policy structure alone, and rolls
+    out as the training structure's rollout does, bit for bit."""
+    compiled = _counting_compiles(monkeypatch)
+    spec, phi, model = SPEC._replace(T=T), PolicyParams(1.0, 0.01), NormalIID(0.004, 0.02)
+    episode = sample_episode(phi, 1.1, model, spec, R_F, make_rng(3))
+    assert [structure[:5] for structure in compiled] == [(T, 0, True, True, ())]
+    draws = make_rng(3)
+    returns, z = model.a + model.sigma * draws.standard_normal(T), draws.standard_normal(T)
+    v = (math.exp(-2.0 * phi.phi2), 0.0, 0.0, 0.0, phi.phi1, phi.phi2, 1.1)
+    wealth, controls = _setup(DISCRETE, HyperParams(spec), R_F).rollout(v, returns.tolist() + z.tolist())
+    assert _identical((episode.wealth, episode.controls), (wealth, controls))
+
+
+@pytest.mark.parametrize("command", list(_TRAINED))
+def test_a_command_compiles_the_policy_and_one_training_structure_per_learner_and_horizon(
+    monkeypatch, tmp_path, command
+):
+    """A small run of a command that trains compiles the policy alone, for
+    its config's cold-start check, and one training structure for each
+    learner and horizon it trains, whatever its seeds and targets: no other
+    structure."""
+    config = tmp_path / "small.ini"
+    config.write_text(_SMALL)
+    compiled = _counting_compiles(monkeypatch)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    learners = [(T, LEARNERS[algorithm]) for T, algorithm in _TRAINED[command]]
+    assert () in {structure[4] for structure in compiled}  # the policy alone
+    assert sorted(structure[:5] for structure in compiled if structure[4]) == sorted(
+        (T, learner.shift, learner.compounding, learner.hold_phi1, _training_passes(T)) for T, learner in learners)
+
+
+def _sources(learner, T, passes):
     """The structure's sources, run's keyword-only constants those _setup binds at T."""
     bound = tuple(_setup(learner, HyperParams(SPEC._replace(T=T)), R_F).run.__kwdefaults__)
-    return _kernel_source(T, learner.shift, learner.compounding, learner.hold_phi1, t_first, passes,
-                          training, bound)
+    return _kernel_source(T, learner.shift, learner.compounding, learner.hold_phi1, passes, bound)
 
 
 def _training_passes(T, prefix_updates=True):
@@ -340,7 +419,7 @@ def test_no_generated_source_grows_faster_than_the_horizon(algorithm):
     neither the kernel's whole source nor its longest function more than
     doubles in lines."""
     def lines(T):
-        sources = _sources(LEARNERS[algorithm], T, 0, _training_passes(T), True)
+        sources = _sources(LEARNERS[algorithm], T, _training_passes(T))
         per_function = [source.count("\n") for source in sources]
         return sum(per_function), max(per_function)
 
@@ -349,12 +428,8 @@ def test_no_generated_source_grows_faster_than_the_horizon(algorithm):
 
 
 def _structures(T):
-    """(t_first, passes, training) of training runs with and without prefix
-    updates, of the one-pass structures of the sample adapters, and of the
-    policy alone and with its rollout."""
-    structures = [(0, _training_passes(T, prefix_updates), True) for prefix_updates in (True, False)]
-    structures += [(t_first, (n,), False) for t_first in (0, T - 1) for n in (0, 1)]
-    return structures + [(0, (), False), (0, (), True)]
+    """The passes of training runs with and without prefix updates, and of the policy alone."""
+    return [_training_passes(T, True), _training_passes(T, False), ()]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -363,8 +438,8 @@ def test_the_generated_source_is_python_3_10(algorithm):
     the generated functions, so each one of every structure (_structures)
     parses with the 3.10 grammar.  A syntax check only."""
     for T in (1, 2, 12):
-        for t_first, passes, training in _structures(T):
-            for source in _sources(LEARNERS[algorithm], T, t_first, passes, training):
+        for passes in _structures(T):
+            for source in _sources(LEARNERS[algorithm], T, passes):
                 ast.parse(source, feature_version=(3, 10))
 
 
@@ -375,8 +450,8 @@ def test_both_learners_share_one_float_order(algorithm):
     an exp(-2.0 * phi2 * k) per weight, names a squared deviation dd_t or
     forms theta4 from T * T."""
     for T in (1, 3, 12):
-        for t_first, passes, training in _structures(T):
-            for source in _sources(LEARNERS[algorithm], T, t_first, passes, training):
+        for passes in _structures(T):
+            for source in _sources(LEARNERS[algorithm], T, passes):
                 names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
                 assert "exp(-2.0 * phi2 *" not in source
                 assert not [name for name in names if name.startswith("dd")]
@@ -389,7 +464,7 @@ def _residuals_per_episode(learner, T, prefix_updates, episodes=3, start="res = 
     few episodes that do not diverge, counted by a tracer."""
     hyper = HyperParams(SPEC._replace(T=T), prefix_updates=prefix_updates)
     kernel = _setup(learner, hyper, R_F)
-    source = _sources(learner, T, 0, _training_passes(T, prefix_updates), True)[2]
+    source = _sources(learner, T, _training_passes(T, prefix_updates))[2]
     residual = {k for k, line in enumerate(source.splitlines(), 1) if line.lstrip().startswith(start)}
     code, counted = kernel.run.__code__, []
 
@@ -413,7 +488,7 @@ def _episode_loop(learner, T):
     """The generated training run's syntax tree at T (prefix updates on), its
     episode loop, and its pass forms: the loop over the passes before the
     last, where there are any, and the last pass's statements as a module."""
-    (run,) = ast.parse(_sources(learner, T, 0, _training_passes(T), True)[2]).body
+    (run,) = ast.parse(_sources(learner, T, _training_passes(T))[2]).body
     (episodes,) = [node for node in run.body if isinstance(node, ast.For)]
     (attempt,) = [node for node in episodes.body if isinstance(node, ast.Try)]
     lines = [ast.unparse(node) for node in attempt.body]
@@ -477,7 +552,7 @@ def test_run_reads_no_constant_as_a_global_and_centers_only_where_w_moves(algori
                        and isinstance(n.left, ast.Name) and n.left.id.startswith("rho")
                        and isinstance(n.right, ast.Name) and n.right.id == "w" for n in ast.walk(node))
 
-        (source,) = ast.parse(_sources(learner, T, 0, _training_passes(T), True)[2]).body
+        (source,) = ast.parse(_sources(learner, T, _training_passes(T))[2]).body
         (loop_,) = [node for node in source.body if isinstance(node, ast.For)]
         refresh = [node for node in loop_.body if ast.unparse(node).startswith("if not phase:")]
         assert len(refresh) == 1 and centers(refresh[0]) == T + 1 == centers(source) - centers(loop_)
@@ -514,32 +589,15 @@ def test_the_episode_loop_calls_no_python_function_and_records_once(algorithm, T
     assert [c.__name__ for c in calls if getattr(c, "__self__", None) is history] == ["frombytes"] * 25
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("T, prefix_updates", [(1, True), (1, False), (3, False)])
-@pytest.mark.parametrize("adapter_first", [False, True])
-def test_a_one_pass_training_run_gets_run_not_descend(algorithm, T, prefix_updates, adapter_first):
-    """At T = 1, or with prefix updates off, a training run has one pass, as
-    a sample adapter's structure does; it still gets run, and the adapter
-    descend, whichever of the two is compiled first."""
-    learner = LEARNERS[algorithm]
-    hyper = HyperParams(SPEC._replace(T=T), prefix_updates=prefix_updates)
-    learner_module._compile.cache_clear()
-    if adapter_first:
-        _setup(learner, hyper, R_F, 0, (T,))
-    training, adapter = _setup(learner, hyper, R_F), _setup(learner, hyper, R_F, 0, (T,))
-    assert callable(training.run) and training.descend is None
-    assert callable(adapter.descend) and adapter.run is None
-
-
 def _inlined_policy(learner, T, r_f):
     """The policy lines that rollout inlines (run inlines the same standard deviation
     lines), as a function of (phi1, phi2, e2) that returns what the standalone policy
     returns, reading the same globals."""
-    lines = _sources(learner, T, 0, (), True)[1].splitlines()
+    lines = _sources(learner, T, _training_passes(T))[1].splitlines()
     body = lines[2:next(k for k, line in enumerate(lines) if line.endswith("= row"))]
     source = "\n".join(["def inlined(phi1, phi2, e2):", *body,
                         f"    return slope, ({_names('s', range(T))})"])
-    standalone = _setup(learner, HyperParams(SPEC._replace(T=T)), r_f, 0, ()).policy
+    standalone = _setup(learner, HyperParams(SPEC._replace(T=T)), r_f, ()).policy
     names = dict(standalone.__globals__)
     exec(source, names)
     return standalone, names["inlined"]
@@ -568,19 +626,19 @@ def test_the_standalone_policy_does_not_grow_with_the_horizon():
     lines at T = 60 as at T = 1, so the check's compile cost does not grow
     with the horizon."""
     for learner in LEARNERS.values():
-        sizes = {len(_sources(learner, T, 0, (), False)[0].splitlines()) for T in (1, 60)}
-        assert len(sizes) == 1 and len(_sources(learner, 60, 0, (), False)) == 1
+        sizes = {len(_sources(learner, T, ())[0].splitlines()) for T in (1, 60)}
+        assert len(sizes) == 1 and len(_sources(learner, 60, ())) == 1
 
 
 # 2**-53: a float's relative rounding error, at most its ulp / |float| for a normal float
 _U = 2.0**-53
 
 
-def _descend_locals(learner, T, e2):
-    """The locals of one generated descend pass over T transitions (t_first 0),
-    as they are when it returns: the weights e2_k among them."""
-    kernel = _setup(learner, HyperParams(SPEC._replace(T=T)), R_F, 0, (T,))
-    code, seen, previous = kernel.descend.__code__, {}, sys.gettrace()
+def _pass_locals(learner, T, phi2):
+    """The locals of the sample adapters' pass over one episode's T
+    transitions, as they are when it returns: the weights e2**k by
+    multiplication (powers) among them."""
+    code, seen, previous = _on_samples.__code__, {}, sys.gettrace()
 
     def trace(frame, event, arg):
         if frame.f_code is not code:
@@ -591,7 +649,8 @@ def _descend_locals(learner, T, e2):
 
     sys.settrace(trace)
     try:
-        kernel.descend(0.0, 0.0, 1.0, 0.5, e2, 1.1, [1.0] * (T + 1), None)
+        params = learner.params(*(0.0, 0.0, 0.0, 0.0, 1.0, phi2, 1.1)[learner.kept:])
+        _on_samples(learner, [(t, 1.0) for t in range(T + 1)], params, SPEC._replace(T=T), R_F)
     finally:
         sys.settrace(previous)
     return seen
@@ -615,11 +674,12 @@ def test_the_geometric_forms_differ_from_the_per_term_forms_by_rounding_only(alg
     division's u, and the root halves that and adds u: (3k|phi2| + 2|phi1| +
     3) u.  So, where both are normal floats, they are within (3k + 9 +
     3|phi1| + 3k|phi2|) u of s_t, one u of slack for the products of errors.
-    The weight e2_k = e2**k, formed as e2 * e2 * ... * e2, carries k - 1
-    rounding errors, and pow is within an ulp: within k ulp of e2**k."""
+    The weight e2**k of the sample adapters' pass, formed as e2 * e2 * ...
+    * e2 as run forms its e2_k, carries k - 1 rounding errors, and pow is
+    within an ulp: within k ulp of e2**k."""
     learner = LEARNERS[algorithm]
     e2 = math.exp(-2.0 * phi2)
-    got = _outcome(_setup(learner, HyperParams(SPEC._replace(T=T)), R_F, 0, ()).policy, phi1, phi2, e2)
+    got = _outcome(_setup(learner, HyperParams(SPEC._replace(T=T)), R_F, ()).policy, phi1, phi2, e2)
     if not isinstance(got[0], str):
         for t, s in enumerate(got[1]):
             k = T - t - 1 + learner.shift
@@ -629,9 +689,9 @@ def test_the_geometric_forms_differ_from_the_per_term_forms_by_rounding_only(alg
                 continue
             if want >= sys.float_info.min:
                 assert abs(s - want) <= (3 * k + 9 + 3 * abs(phi1) + 3 * k * abs(phi2)) * _U * want
-    weights = _descend_locals(learner, T, e2)
+    weights = _pass_locals(learner, T, phi2)["powers"]
     for k in range(2, T + 1):
-        assert abs(weights[f"e2_{k}"] - e2**k) <= k * math.ulp(e2**k)
+        assert abs(weights[k] - e2**k) <= k * math.ulp(e2**k)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -702,45 +762,6 @@ def test_the_policy_decides_on_the_squares_of_its_extreme_deviations(algorithm, 
                "underflow": ("variance is 0.0", "InfeasiblePolicyError: the policy variance is 0.0")}[new]
         assert cold[0] == "InfeasiblePolicyError" and why[0] in cold[1]
         assert ran[0] == "TrainingDivergedError" and f"at episode 1 ({why[1]};" in ran[1]
-
-
-def test_a_fresh_sample_episode_compiles_no_training_loop(monkeypatch):
-    """sample_episode compiles the policy and the rollout, which it calls,
-    and no run; and rolls out as the training structure's rollout does."""
-    compiled = []
-
-    def recording(*structure):
-        compiled.append(_kernel_source(*structure))
-        return compiled[-1]
-
-    spec, phi, model = SPEC._replace(T=60), PolicyParams(1.0, 0.01), NormalIID(0.004, 0.02)
-    learner_module._compile.cache_clear()
-    monkeypatch.setattr(learner_module, "_kernel_source", recording)
-    episode = sample_episode(phi, 1.1, model, spec, R_F, make_rng(3))
-    assert [[source.split("(")[0] for source in sources] for sources in compiled] == [
-        ["def policy", "def rollout"]]
-    draws = make_rng(3)
-    returns, z = model.a + model.sigma * draws.standard_normal(60), draws.standard_normal(60)
-    v = (math.exp(-2.0 * phi.phi2), 0.0, 0.0, 0.0, phi.phi1, phi.phi2, 1.1)
-    wealth, controls = _setup(DISCRETE, HyperParams(spec), R_F).rollout(v, returns.tolist() + z.tolist())
-    assert _identical((episode.wealth, episode.controls), (wealth, controls))
-
-
-def test_a_fresh_cost_call_compiles_no_rollout(monkeypatch):
-    """The sample adapters call only descend: a fresh cost call compiles the
-    policy and the descend, and no rollout."""
-    compiled = []
-
-    def recording(*structure):
-        compiled.append(_kernel_source(*structure))
-        return compiled[-1]
-
-    learner_module._compile.cache_clear()
-    monkeypatch.setattr(learner_module, "_kernel_source", recording)
-    samples = [(t, 1.0 + 0.01 * t) for t in range(61)]
-    cost(samples, ValueParams(0.99, 0.0, 0.0, 0.0), PolicyParams(1.0, 0.01), 1.1, SPEC._replace(T=60), R_F)
-    assert [[source.split("(")[0] for source in sources] for sources in compiled] == [
-        ["def policy", "def descend"]]
 
 
 @settings(max_examples=60, deadline=None)

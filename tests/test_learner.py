@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtmv.analytic import GaussianPolicy, MarketModel, ProblemSpec, gaussian_entropy
+from dtmv.analytic import GaussianPolicy, MarketModel, ProblemSpec, gaussian_entropy, optimal_policy
 from dtmv.baseline import (
     ALGORITHM_CONTINUOUS,
     BaselineParams,
@@ -24,6 +24,8 @@ from dtmv.evaluation import ALGORITHMS, LEARNERS, Cell, train_cell
 from dtmv.learner import (
     ALGORITHM_DISCRETE,
     DISCRETE,
+    _centers,
+    _on_samples,
     _setup,
     DiscreteParams,
     Episode,
@@ -95,9 +97,9 @@ def _random_samples(rng, T):
 def _policy(learner, phi1, phi2, t, x, w, spec=SPEC, r_f=R_F):
     """The learner's Gaussian control density at state (t, x): its kernel's
     policy around the center of w at period t, of the standard deviation it gives."""
-    kernel = _setup(learner, HyperParams(spec), r_f)
-    slope, deviations = kernel.policy(phi1, phi2, math.exp(-2.0 * phi2))
-    return GaussianPolicy(slope * (x - kernel.rhos[t] * w), deviations[t] * deviations[t])
+    slope, deviations = _setup(learner, HyperParams(spec), r_f, ()).policy(phi1, phi2, math.exp(-2.0 * phi2))
+    center = _centers(learner, spec.T, r_f)[0][t] * w
+    return GaussianPolicy(slope * (x - center), deviations[t] * deviations[t])
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,44 @@ def test_policy_from_params_formula():
     assert pol.variance == pytest.approx(
         math.exp(2.0 * 0.05 * (SPEC.T - t - 1) + 0.6) / (2.0 * math.pi), rel=1e-14
     )
+
+
+# 2**-53: a float's relative rounding error
+_U = 2.0**-53
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(1e-4, 0.1), sigma=st.floats(0.01, 0.3), r_f=st.floats(0.99, 1.02), lam=st.floats(0.1, 8.0),
+       T=st.integers(1, 60), x=st.floats(0.0, 3.0), w=st.floats(0.5, 2.0))
+def test_the_closed_form_optimum_is_the_discrete_learners_policy_at_the_mapped_params(a, sigma, r_f, lam, T,
+                                                                                     x, w):
+    """For a > 0 the optimum lies in the discrete learner's family: at
+    phi1* = (1 + ln(pi lam / m2)) / 2 and phi2* = -ln(sigma^2 r_f^2 / m2) / 2,
+    m2 = a^2 + sigma^2, the kernel's policy around its centers has
+    optimal_policy's mean and variance at every period t, to rounding.  (For
+    a <= 0 it does not: the kernel's slope is never positive, and its gap
+    r_f^2 - exp(-2 phi2*) = r_f^2 a^2 / m2 is 0 at a = 0.)
+
+    The bounds, in units u = 2**-53, follow from a first-order error count.
+    The mean: the maps' logs and exps carry errors of a few u plus u times
+    |phi1*| or |phi2*|, and the gap cancels r_f^2 against exp(-2 phi2*), so
+    its relative error is those of its two terms times m2 / a^2; the slope
+    takes half of that, and the two means' products and quotients a few u
+    more: within 16 (1 + |phi1*| + (1 + |phi2*|) m2 / a^2) u.  The variance
+    at k = T - t - 1 periods before the last: the kernel's standard
+    deviation takes k factors exp(phi2*), each off by (3 + 2 |phi2*|) u with
+    the map's error, and optimal_policy's k-th power of its growth ratio as
+    much; squared: within 32 (1 + |phi1*| + k (1 + |phi2*|)) u."""
+    m, spec = MarketModel(a, sigma, r_f), SPEC._replace(T=T, lam=lam)
+    m2 = m.second_moment
+    phi1 = 0.5 * (1.0 + math.log(math.pi * lam / m2))
+    phi2 = -0.5 * math.log(sigma * sigma * r_f * r_f / m2)
+    slope, deviations = _setup(DISCRETE, HyperParams(spec), r_f, ()).policy(phi1, phi2, math.exp(-2.0 * phi2))
+    for t, center in enumerate(_centers(DISCRETE, T, r_f)[0][:T]):
+        want, k = optimal_policy(m, spec, t, x, w), T - t - 1
+        mean, variance = slope * (x - center * w), deviations[t] * deviations[t]
+        assert abs(mean - want.mean) <= 16 * (1 + abs(phi1) + (1 + abs(phi2)) * m2 / a**2) * _U * abs(want.mean)
+        assert abs(variance - want.variance) <= 32 * (1 + abs(phi1) + k * (1 + abs(phi2))) * _U * want.variance
 
 
 def test_policy_mean_sign_opposes_the_deviation():
@@ -268,19 +308,16 @@ def _public_cost(algorithm, samples, params, spec):
 
 
 def _residuals(algorithm, T, w, wealth):
-    """The shared residual pass (the generated kernel's descend) of a learner
-    at horizon T on the deviations of the states wealth from its centers at
-    w: f(n, gradient, theta2, theta3, phi1, phi2) is the gradient of the cost
-    of the first n transitions with gradient set, else half their summed
-    squared residual, both from the one pass over them."""
+    """The shared residual pass (_on_samples, in the generated pass's float
+    order) of a learner at horizon T on the states wealth at w: f(n,
+    gradient, theta2, theta3, phi1, phi2) is the gradient of the cost of the
+    first n transitions with gradient set, else half their summed squared
+    residual, both from the one pass over them."""
     spec = SPEC._replace(T=T)
-    rhos = _setup(LEARNERS[algorithm], HyperParams(spec), R_F).rhos
-    devs = [x - rho * w for x, rho in zip(wealth, rhos)]
 
     def f(n, gradient, theta2, theta3, phi1, phi2):
-        e2 = math.exp(-2.0 * phi2)
-        kernel = _setup(LEARNERS[algorithm], HyperParams(spec), R_F, 0, (n,))
-        _, grads, sq = kernel.descend(theta2, theta3, phi1, phi2, e2, w, devs[: n + 1], None)
+        params = _learner_params(algorithm, theta2, theta3, 0.0, phi1, phi2, w)
+        grads, sq = _on_samples(LEARNERS[algorithm], list(enumerate(wealth[: n + 1])), params, spec, R_F)
         return grads if gradient else 0.5 * sq
 
     return spec, f

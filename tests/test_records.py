@@ -33,7 +33,7 @@ CASES = [
     (SplitSpec(10, 5), "test_episodes", 1, "need train_episodes >= 0 and test_episodes >= 2"),
     (RollingSpec((2004,)), "targets", (), "test_years and targets must be nonempty"),
     (RollingSpec((2004,)), "horizon_months", 0, "need window_months >= horizon_months >= 1"),
-    (RollingSpec((2004,)), "test_months", 2, "test period shorter than one horizon window"),
+    (RollingSpec((2004,)), "test_months", 5, "test period shorter than two horizon windows"),
 ]
 
 
